@@ -50,7 +50,7 @@ from .forests import (
     verify_polarization,
 )
 from .linalg import (
-    GradedComplex,
+    ChainComplex,
     RationalMatrix,
     homology_dims,
     kernel_basis,
@@ -58,7 +58,6 @@ from .linalg import (
     solve_linear,
 )
 from .reps import (
-    ChainComplex,
     MultilinearMap,
     Representation,
     check_homotopy,

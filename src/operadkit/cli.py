@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from .differentials import (
     ModelKind,
@@ -21,7 +22,6 @@ from .forests import polarization_iso_m2, symmetrize_forest, verify_polarization
 from .reports import Report
 from .reps import check_homotopy, check_representation, check_sh_equivalence, check_sh_morphism
 from .serialize import (
-    model_from_json,
     model_to_json,
     model_to_text,
     representation_from_json,
@@ -58,11 +58,27 @@ def _build_model(args):
         if args.max_arity is None:
             raise UsageError("--max-arity is required for this model")
         kind = ModelKind(tag, max_arity=args.max_arity)
-    return kind.build()
+    with _reading("model arguments"):
+        return kind.build()
 
 
 class UsageError(Exception):
     pass
+
+
+@contextmanager
+def _reading(what):
+    """Input that fails to parse or validate is a usage error (exit 2).
+
+    Only the loading and validation of a command's input runs under this;
+    an error raised later is an internal error and propagates.
+    """
+    try:
+        yield
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"parse error in {what}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"invalid {what}: {type(exc).__name__}: {exc}") from exc
 
 
 def _write_output(args, text):
@@ -94,7 +110,8 @@ def cmd_verify_dsq(args):
 
 
 def cmd_solve_tail(args):
-    base = build_ainf(args.max_arity)
+    with _reading("--max-arity"):
+        base = build_ainf(args.max_arity)
     bw = build_model_btow(base, args.max_arity, max_vertices=args.max_vertices)
     if args.format == "text":
         lines = []
@@ -115,9 +132,8 @@ def cmd_solve_tail(args):
 
 def cmd_check_rep(args):
     model = _build_model(args)
-    with open(args.rep) as fh:
-        obj = json.load(fh)
-    rep = representation_from_json(obj, model)
+    with open(args.rep) as fh, _reading(args.rep):
+        rep = representation_from_json(json.load(fh), model)
     if args.model == "ainf-morphism":
         report = check_sh_morphism(rep)
     elif args.model == "homotopy":
@@ -130,9 +146,8 @@ def cmd_check_rep(args):
 
 
 def cmd_extend(args):
-    with open(args.setup) as fh:
-        obj = json.load(fh)
-    state = state_from_json(obj)
+    with open(args.setup) as fh, _reading(args.setup):
+        state = state_from_json(json.load(fh))
     try:
         final = extend_to_arity(state, args.target_arity)
     except ExtensionObstructionError as exc:
@@ -150,7 +165,8 @@ def cmd_extend(args):
 def cmd_polarization(args):
     from .differentials import build_iso_resolution
 
-    iso = build_iso_resolution(args.max_degree + 1)
+    with _reading("--max-degree"):
+        iso = build_iso_resolution(args.max_degree + 1)
     fams = polarization_iso_m2(iso, args.max_degree + 1)
     if args.symmetrize:
         fams = {k: {d: symmetrize_forest(v) for d, v in tab.items()} for k, tab in fams.items()}
@@ -224,13 +240,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE
-    except json.JSONDecodeError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return USAGE
     except FileNotFoundError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE
-    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE
 

@@ -279,15 +279,6 @@ def graft_oriented(outer: TreeMonomial, slot: int, inner: TreeMonomial) -> Opera
     return graft(outer, slot, inner).scale(sign)
 
 
-def compose_oriented(outer: TreeMonomial, inner_monos) -> OperadElement:
-    """Simultaneous Koszul-oriented composition with one monomial per slot."""
-    inner_monos = list(inner_monos)
-    suffixes = leaf_suffix_degrees(outer.gens, outer.shape)
-    reorder = sum(m.degree * s for m, s in zip(inner_monos, suffixes))
-    sign = -1 if reorder % 2 else 1
-    return compose_full(outer, [OperadElement.monomial(m) for m in inner_monos]).scale(sign)
-
-
 def _render(shape, counter, leaf_mark):
     if isinstance(shape, str):
         s = f"{leaf_mark}{counter[0]}:{shape}"
@@ -427,13 +418,6 @@ class OperadElement:
             raise ValueError("cannot add elements from different components")
         return self.signature, self.degree
 
-    def map_terms(self, f) -> "OperadElement":
-        """Linear extension of a monomial map f: TreeMonomial -> OperadElement."""
-        out = OperadElement.zero(self.gens)
-        for m, c in self.terms.items():
-            out = out + f(m).scale(c)
-        return out
-
 
 def graft(outer: TreeMonomial, slot: int, inner: TreeMonomial) -> OperadElement:
     """Graft `inner` into leaf `slot` of `outer` (1-based planar position).
@@ -497,14 +481,6 @@ def compose_full(outer: TreeMonomial, inners) -> OperadElement:
     if any(e.is_zero() for e in inners):
         return OperadElement.zero(outer.gens, sig if all(e.signature for e in inners) else None)
     return OperadElement(outer.gens, terms, signature=sig, degree=degree)
-
-
-def generator_element(gens, name, args=None) -> OperadElement:
-    """Convenience: the generator as an element, optionally fully composed."""
-    g = TreeMonomial.generator(gens, name)
-    if args is None:
-        return OperadElement.monomial(g)
-    return compose_full(g, args)
 
 
 # ---------------------------------------------------------------------------

@@ -64,9 +64,6 @@ class DerivationDifferential:
     def __call__(self, elem: OperadElement) -> OperadElement:
         return extend_derivation(self, elem)
 
-    def generator_names(self):
-        return list(self.images)
-
 
 def extend_derivation(diff: DerivationDifferential, elem: OperadElement) -> OperadElement:
     """Leibniz extension of the generator images to a whole element.
@@ -146,17 +143,23 @@ def _gen_elem(gens, name):
     return OperadElement.monomial(TreeMonomial.generator(gens, name))
 
 
-def _quadratic_sum(gens, family, m: int) -> OperadElement:
-    """Sum over i+j = m+1 of (-1)^(i+s(j+1)) family_i(1^s (x) family_j (x) 1^(i-s-1))."""
+def _insertion_sum(gens, outer: str, inner: str, m: int, first: int) -> OperadElement:
+    """Sum over i+j = m+1, i >= first, j >= 2 of
+    (-1)^(i+s(j+1)) outer_i(1^s (x) inner_j (x) 1^(i-s-1))."""
     out = OperadElement.zero(gens)
-    for i in range(2, m):
+    for i in range(first, m):
         j = m + 1 - i
-        gi = TreeMonomial.generator(gens, f"{family}_{i}")
-        gj = TreeMonomial.generator(gens, f"{family}_{j}")
+        gi = TreeMonomial.generator(gens, f"{outer}_{i}")
+        gj = TreeMonomial.generator(gens, f"{inner}_{j}")
         for s in range(0, m - j + 1):
             sign = -1 if (i + s * (j + 1)) % 2 else 1
             out = out + graft(gi, s + 1, gj).scale(sign)
     return out
+
+
+def _quadratic_sum(gens, family, m: int) -> OperadElement:
+    """The classical quadratic differential of family_m."""
+    return _insertion_sum(gens, family, family, m, 2)
 
 
 def build_ainf(max_arity: int) -> DerivationDifferential:
@@ -185,16 +188,7 @@ def _morphism_image(gens, m, f_family, mu_family, nu_family) -> OperadElement:
             word = [_gen_elem(gens, f"{f_family}_{ri}") for ri in r]
             sign = -1 if e % 2 == 0 else 1
             out = out + compose_full(nu_k, word).scale(sign)
-    for i in range(1, m):
-        j = m + 1 - i
-        if j < 2:
-            continue
-        fi = TreeMonomial.generator(gens, f"{f_family}_{i}")
-        gj = TreeMonomial.generator(gens, f"{mu_family}_{j}")
-        for s in range(0, m - j + 1):
-            sign = -1 if (i + s * (j + 1)) % 2 == 0 else 1
-            out = out + graft(fi, s + 1, gj).scale(sign)
-    return out
+    return out - _insertion_sum(gens, f_family, mu_family, m, 1)
 
 
 def build_ainf_morphism(max_arity: int) -> DerivationDifferential:
@@ -231,15 +225,7 @@ def _homotopy_image(gens, m) -> OperadElement:
                 word.append(_gen_elem(gens, f"h_{r[s]}"))
                 word.extend(_gen_elem(gens, f"q_{ri}") for ri in r[s + 1 :])
                 out = out + compose_full(nu_k, word).scale(-1 if eps % 2 else 1)
-    for i in range(1, m):
-        j = m + 1 - i
-        if j < 2:
-            continue
-        hi = TreeMonomial.generator(gens, f"h_{i}")
-        gj = TreeMonomial.generator(gens, f"mu_{j}")
-        for s in range(0, m - j + 1):
-            out = out + graft(hi, s + 1, gj).scale(-1 if (i + s * (j + 1)) % 2 else 1)
-    return out
+    return out + _insertion_sum(gens, "h", "mu", m, 1)
 
 
 def build_homotopy_model(max_arity: int) -> DerivationDifferential:

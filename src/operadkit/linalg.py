@@ -56,9 +56,6 @@ class RationalMatrix:
                 m.entries[i][j] = _frac(x)
         return m
 
-    def copy(self) -> "RationalMatrix":
-        return RationalMatrix([row[:] for row in self.entries], cols=self.cols)
-
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):
             return NotImplemented
@@ -127,12 +124,6 @@ class RationalMatrix:
                         if b != 0:
                             out.entries[i * other.rows + k][j * other.cols + l] = a * b
         return out
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
 
     def _check_same_shape(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -227,51 +218,84 @@ class ComplexValidationError(ValueError):
     """The per-degree data does not form a chain complex (d∘d != 0)."""
 
 
-class GradedComplex:
-    """Finite-dimensional graded space with degree -1 differentials.
+class ChainComplex:
+    """Graded rational vector space with a square-zero degree -1 differential.
 
     ``dims`` maps degree -> dimension; ``d`` maps degree k to the matrix of
     d_k : degree k -> degree k-1 (shape dims[k-1] x dims[k]).  Missing
-    matrices are zero.
+    matrices are zero.  ``color`` is a display label only; no check reads
+    it.  A complex gets its color from the key it has in
+    ``Representation.complexes``.
     """
 
-    def __init__(self, dims: dict, d: dict | None = None):
-        self.dims = {k: int(n) for k, n in dims.items() if n}
+    def __init__(self, dims: dict, d: dict | None = None, color: str | None = None):
+        self.color = color
+        self.dims = {int(k): int(n) for k, n in dims.items() if n}
         self.d = {}
         for k, mat in (d or {}).items():
+            k = int(k)
             if not isinstance(mat, RationalMatrix):
                 mat = RationalMatrix(mat)
-            if mat.is_zero():
-                continue
             expected = (self.dim(k - 1), self.dim(k))
             if (mat.rows, mat.cols) != expected:
                 raise ValueError(f"d_{k} has shape {(mat.rows, mat.cols)}, expected {expected}")
-            self.d[k] = mat
-        self._validate_square_zero()
+            if not mat.is_zero():
+                self.d[k] = mat
+        for k in self.d:
+            if k - 1 in self.d and not self.d[k - 1].mul(self.d[k]).is_zero():
+                raise ComplexValidationError(f"differential does not square to zero at degree {k}")
 
     def dim(self, k: int) -> int:
         return self.dims.get(k, 0)
 
-    def differential(self, k: int) -> RationalMatrix:
-        if k in self.d:
-            return self.d[k]
-        return RationalMatrix.zero(self.dim(k - 1), self.dim(k))
-
     def degrees(self):
         return sorted(self.dims)
 
-    def _validate_square_zero(self):
-        for k in list(self.d):
-            if (k - 1) in self.d:
-                if not self.d[k - 1].mul(self.d[k]).is_zero():
-                    raise ComplexValidationError(f"d_{k - 1} ∘ d_{k} != 0")
+    def differential(self, k: int) -> RationalMatrix:
+        return self.d.get(k, RationalMatrix.zero(self.dim(k - 1), self.dim(k)))
+
+    def __repr__(self):
+        return f"ChainComplex(dims={self.dims}, color={self.color!r})"
 
 
-def homology_dims(c: GradedComplex) -> dict:
-    """dim H_k = dim ker d_k - rank d_{k+1}, for every degree with chains."""
-    out = {}
-    for k in c.degrees():
-        dk = c.differential(k)
-        ker = c.dim(k) - rank(dk)
-        out[k] = ker - rank(c.differential(k + 1))
-    return out
+def cycle_basis(c: ChainComplex, k: int):
+    return kernel_basis(c.differential(k))
+
+
+def boundary_basis(c: ChainComplex, k: int):
+    """A basis of the boundaries in degree k: the pivot columns of d_{k+1}."""
+    d = c.differential(k + 1)
+    pivots = _rref([row[:] for row in d.entries], d.cols)
+    return [[row[j] for row in d.entries] for j in pivots]
+
+
+def homology_representatives(c: ChainComplex, k: int):
+    """Cycle vectors spanning H_k, and the boundary basis they complement.
+
+    A cycle is kept when it is not in the span of the boundaries and the
+    cycles before it: exactly the cycles that are pivot columns of the
+    matrix [boundaries | cycles].
+    """
+    cycles = cycle_basis(c, k)
+    bounds = boundary_basis(c, k)
+    cols = bounds + cycles
+    rows = [[v[i] for v in cols] for i in range(c.dim(k))]
+    pivots = _rref(rows, len(cols))
+    reps = [cols[j] for j in pivots if j >= len(bounds)]
+    return reps, bounds
+
+
+def homology_coordinates(c: ChainComplex, k: int, vector):
+    """Coordinates of a cycle's class in the fixed representative basis."""
+    reps, bounds = homology_representatives(c, k)
+    cols = bounds + reps
+    a = RationalMatrix.from_columns(cols, c.dim(k)) if cols else RationalMatrix.zero(c.dim(k), 0)
+    x = solve_linear(a, vector)
+    if x is None:
+        raise ValueError("vector is not a cycle (or not in the chain space)")
+    return x[len(bounds):]
+
+
+def homology_dims(c: ChainComplex) -> dict:
+    """dim H_k for every degree with chains."""
+    return {k: len(homology_representatives(c, k)[0]) for k in c.degrees()}

@@ -19,48 +19,8 @@ from itertools import product
 
 from .core import OperadElement, Signature
 from .differentials import DerivationDifferential
-from .linalg import RationalMatrix, kron_all
+from .linalg import ChainComplex, RationalMatrix, kron_all
 from .reports import Report
-
-
-class ChainComplex:
-    """Graded rational vector space with a square-zero degree -1 differential.
-
-    ``color`` is a display label only; no check reads it.  A complex gets
-    its color from the key it has in ``Representation.complexes``.
-    """
-
-    def __init__(self, dims: dict, d: dict | None = None, color: str | None = None):
-        self.color = color
-        self.dims = {int(k): int(n) for k, n in dims.items() if n}
-        self.d = {}
-        for k, mat in (d or {}).items():
-            k = int(k)
-            if not isinstance(mat, RationalMatrix):
-                mat = RationalMatrix(mat)
-            expected = (self.dim(k - 1), self.dim(k))
-            if (mat.rows, mat.cols) != expected:
-                raise ValueError(f"d_{k} has shape {(mat.rows, mat.cols)}, expected {expected}")
-            if not mat.is_zero():
-                self.d[k] = mat
-        for k in self.d:
-            if k - 1 in self.d and not self.d[k - 1].mul(self.d[k]).is_zero():
-                raise ValueError(f"differential does not square to zero at degree {k}")
-
-    def dim(self, k: int) -> int:
-        return self.dims.get(k, 0)
-
-    def degrees(self):
-        return sorted(self.dims)
-
-    def differential(self, k: int) -> RationalMatrix:
-        return self.d.get(k, RationalMatrix.zero(self.dim(k - 1), self.dim(k)))
-
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
-    def __repr__(self):
-        return f"ChainComplex(dims={self.dims}, color={self.color!r})"
 
 
 class MultilinearMap:
@@ -133,7 +93,8 @@ class MultilinearMap:
             return NotImplemented
         return (
             self.degree == other.degree
-            and len(self.sources) == len(other.sources)
+            and [c.dims for c in self.sources] == [c.dims for c in other.sources]
+            and self.target.dims == other.target.dims
             and self.blocks == other.blocks
         )
 
@@ -170,7 +131,6 @@ def compose_maps(outer: MultilinearMap, inners) -> MultilinearMap:
         raise ValueError(f"expected {outer.arity} inner maps, got {len(inners)}")
     sources = tuple(c for t in inners for c in t.sources)
     degree = outer.degree + sum(t.degree for t in inners)
-    result = MultilinearMap(sources, outer.target, degree, {})
     blocks = {}
     deg_after = []
     acc = 0
@@ -223,7 +183,6 @@ def compose_at(outer: MultilinearMap, slot: int, inner: MultilinearMap) -> Multi
 
 def hom_differential(f: MultilinearMap) -> MultilinearMap:
     """d(F) = d_target o F - (-1)^{|F|} F o (sum_i 1...d_i...1), degree -1."""
-    out = MultilinearMap(f.sources, f.target, f.degree - 1, {})
     blocks = {}
 
     def bump(key, mat):
@@ -237,11 +196,8 @@ def hom_differential(f: MultilinearMap) -> MultilinearMap:
         left = f.target.differential(m)
         if not left.is_zero():
             bump(key, left.mul(mat))
-    keys = set()
-    for c_degrees in product(*(c.degrees() for c in f.sources)):
-        keys.add(c_degrees)
     sign_f = -1 if f.degree % 2 else 1
-    for key in keys:
+    for key in product(*(c.degrees() for c in f.sources)):
         prefix = 0
         for i, c in enumerate(f.sources):
             ki = key[i]

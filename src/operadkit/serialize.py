@@ -18,8 +18,8 @@ from .core import (
     element_to_json,
 )
 from .differentials import DerivationDifferential
-from .linalg import RationalMatrix
-from .reps import ChainComplex, MultilinearMap, Representation
+from .linalg import ChainComplex, RationalMatrix
+from .reps import MultilinearMap, Representation
 from .transfer import ExtensionState
 
 SCHEMA = 1

@@ -15,7 +15,7 @@ deterministic even where they are far from unique.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
@@ -251,6 +251,16 @@ class HomotopyModel(DerivationDifferential):
         self.polarization = polarization
 
 
+def _forest_into(gens, outer_name: str, forest: ForestElement) -> OperadElement:
+    """Graft each forest word into the slots of a single-generator vertex."""
+    outer = TreeMonomial.generator(gens, outer_name)
+    out = OperadElement.zero(gens)
+    for mono, coeff in forest.terms.items():
+        args = [OperadElement.monomial(t) for t in mono.components]
+        out = out + compose_full(outer, args).scale(coeff)
+    return out
+
+
 def _staircase_into(gens, w_name: str, n: int, variant: str) -> OperadElement:
     """x_W composed with the width-n staircase word over (p, q, h)."""
     if variant == "ns":
@@ -259,12 +269,7 @@ def _staircase_into(gens, w_name: str, n: int, variant: str) -> OperadElement:
         word = polarization_sym(gens, n, "p", "q", "h")
     else:
         raise ValueError(f"unknown polarization variant {variant!r}")
-    outer = TreeMonomial.generator(gens, w_name)
-    out = OperadElement.zero(gens)
-    for mono, coeff in word.terms.items():
-        args = [OperadElement.monomial(t) for t in mono.components]
-        out = out + compose_full(outer, args).scale(coeff)
-    return out
+    return _forest_into(gens, w_name, word)
 
 
 def build_model_homotopy(bw: BtoWModel, max_arity: int, polarization: str = "ns", max_vertices=None) -> HomotopyModel:
@@ -348,16 +353,6 @@ class IsoPrincipalModel(DerivationDifferential):
         self.max_index = max_index
         self.tail_report = tail_report
         self.tails = tails
-
-
-def _forest_into(gens, outer_name: str, forest: ForestElement) -> OperadElement:
-    """Graft each forest word into the slots of a single-generator vertex."""
-    outer = TreeMonomial.generator(gens, outer_name)
-    out = OperadElement.zero(gens)
-    for mono, coeff in forest.terms.items():
-        args = [OperadElement.monomial(t) for t in mono.components]
-        out = out + compose_full(outer, args).scale(coeff)
-    return out
 
 
 def _letter_over(gens, letter: str, inner_name: str) -> OperadElement:

@@ -21,14 +21,20 @@ reported as an obstruction.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .differentials import build_ainf_morphism
-from .linalg import RationalMatrix, kernel_basis, rank, solve_linear
+from .linalg import (
+    ChainComplex,
+    RationalMatrix,
+    homology_coordinates,
+    homology_representatives,
+    rank,
+    solve_linear,
+)
 from .reports import Report
 from .reps import (
-    ChainComplex,
     MultilinearMap,
     Representation,
     check_sh_morphism,
@@ -55,73 +61,28 @@ class ExtensionState:
     f: dict  # arity -> MultilinearMap V^k -> W, arities 1..K
     k: int
 
-    def m_at(self, i) -> MultilinearMap:
-        if i in self.m:
-            return self.m[i]
-        return zero_map((self.v,) * i, self.v, i - 2)
-
     def representation(self, max_arity=None) -> Representation:
-        arity = self.k if max_arity is None else max_arity
-        model = build_ainf_morphism(arity)
-        complexes = {"B": self.v, "W": self.w}
+        """The state as a representation of the morphism model.
+
+        Generators without data (arities above K, and every missing m_i)
+        get zero maps.
+        """
+        model = build_ainf_morphism(self.k if max_arity is None else max_arity)
+        families = {"mu": self.m, "nu": self.n, "f": self.f}
         images = {}
         for g in model.base.generators:
             fam, _, idx = g.name.partition("_")
-            i = int(idx)
-            if fam == "mu":
-                images[g.name] = self.m_at(i)
-            elif fam == "nu":
-                images[g.name] = self.n[i]
-            else:
-                images[g.name] = self.f[i]
-        return Representation(model, complexes, images)
+            image = families[fam].get(int(idx))
+            if image is not None:
+                images[g.name] = image
+        return Representation(model, {"B": self.v, "W": self.w}, images)
 
     def check(self, max_arity=None) -> Report:
         return check_sh_morphism(self.representation(max_arity))
 
 
 # ---------------------------------------------------------------------------
-# Homology helpers (bases, induced maps, quism test)
-
-
-def cycle_basis(c: ChainComplex, k: int):
-    return kernel_basis(c.differential(k))
-
-
-def boundary_basis(c: ChainComplex, k: int):
-    d = c.differential(k + 1)
-    cols = [[d.entries[i][j] for i in range(d.rows)] for j in range(d.cols)]
-    mat = RationalMatrix.from_columns(cols, d.rows) if cols else RationalMatrix.zero(d.rows, 0)
-    rows = [row[:] for row in mat.entries]
-    from .linalg import _rref
-
-    pivots = _rref(rows, mat.cols)
-    return [cols[j] for j in pivots]
-
-
-def homology_representatives(c: ChainComplex, k: int):
-    """Cycle vectors spanning H_k: cycles reduced against the boundary span."""
-    cycles = cycle_basis(c, k)
-    bounds = boundary_basis(c, k)
-    reps = []
-    dim = c.dim(k)
-    for z in cycles:
-        trial = bounds + [v for v in reps] + [z]
-        a = RationalMatrix.from_columns(trial[:-1], dim) if trial[:-1] else RationalMatrix.zero(dim, 0)
-        if solve_linear(a, z) is None:
-            reps.append(z)
-    return reps, bounds
-
-
-def homology_coordinates(c: ChainComplex, k: int, vector):
-    """Coordinates of a cycle's class in the fixed representative basis."""
-    reps, bounds = homology_representatives(c, k)
-    cols = bounds + reps
-    a = RationalMatrix.from_columns(cols, c.dim(k)) if cols else RationalMatrix.zero(c.dim(k), 0)
-    x = solve_linear(a, vector)
-    if x is None:
-        raise ValueError("vector is not a cycle (or not in the chain space)")
-    return x[len(bounds):]
+# Quasi-isomorphism test
 
 
 def is_quasi_iso(f1: MultilinearMap) -> bool:
@@ -133,7 +94,7 @@ def is_quasi_iso(f1: MultilinearMap) -> bool:
     (v,), w = f1.sources, f1.target
     for k in sorted(set(v.degrees()) | set(w.degrees())):
         reps_v, _ = homology_representatives(v, k)
-        reps_w, bounds_w = homology_representatives(w, k)
+        reps_w, _ = homology_representatives(w, k)
         if len(reps_v) != len(reps_w):
             return False
         if not reps_v:
@@ -188,8 +149,9 @@ def _residual_vector(maps_and_layouts):
 def extension_step(state: ExtensionState) -> ExtensionState:
     """Adjoin (n_{K+1}, F_{K+1}) so that all axioms hold one arity higher."""
     knew = state.k + 1
-    model = build_ainf_morphism(knew)
-    rep = state.representation(knew - 1)
+    # The unknowns n_{K+1}, F_{K+1} enter this representation as zero maps.
+    rep = state.representation(knew)
+    model = rep.model
 
     if not is_quasi_iso(state.f[1]):
         warnings.warn("F_1 is not a quasi-isomorphism; the extension step may be obstructed")
@@ -197,13 +159,13 @@ def extension_step(state: ExtensionState) -> ExtensionState:
     # Right-hand side of the n-equation: the evaluated differential of the
     # top target generator (it only involves data of arity <= K).
     d_nu = model.of(f"nu_{knew}")
-    rhs_n = _evaluate_with(model, rep, d_nu, extra=None, knew=knew, state=state)
+    rhs_n = evaluate_element(rep, d_nu)
 
     # The F-equation right side splits into a constant part and the single
     # term containing the unknown n_{K+1}.
     d_f = model.of(f"f_{knew}")
     principal_coeff, rest = _split_principal(model, d_f, knew)
-    rhs_f_const = _evaluate_with(model, rep, rest, extra=None, knew=knew, state=state)
+    rhs_f_const = evaluate_element(rep, rest)
 
     n_template = zero_map((state.w,) * knew, state.w, knew - 2)
     f_template = zero_map((state.v,) * knew, state.w, knew - 1)
@@ -273,23 +235,6 @@ def _split_principal(model, elem, knew):
     return principal_coeff, rest
 
 
-def _evaluate_with(model, rep, elem, extra, knew, state):
-    """Evaluate an element whose generators all carry data of arity <= K
-    (the unknowns themselves enter as zero maps and are handled separately)."""
-    images = {}
-    for g in model.base.generators:
-        fam, _, idx = g.name.partition("_")
-        i = int(idx)
-        if fam == "mu":
-            images[g.name] = state.m_at(i)
-        elif fam == "nu":
-            images[g.name] = state.n.get(i, zero_map((state.w,) * i, state.w, i - 2))
-        else:
-            images[g.name] = state.f.get(i, zero_map((state.v,) * i, state.w, i - 1))
-    model_rep = Representation(model, rep.complexes, images)
-    return evaluate_element(model_rep, elem)
-
-
 def extend_to_arity(state: ExtensionState, target: int) -> ExtensionState:
     """Iterate extension steps up to the target arity (no-op if already there)."""
     while state.k < target:
@@ -357,16 +302,18 @@ def _swap_matrix(dim_a, dim_b):
     return out
 
 
+def _swapped(mu: MultilinearMap) -> MultilinearMap:
+    """(u, v) -> mu(v, u), blockwise."""
+    (a, _) = mu.sources
+    blocks = {}
+    for k1, k2 in mu.multidegrees():
+        blocks[(k1, k2)] = mu.block((k2, k1)).mul(_swap_matrix(a.dim(k2), a.dim(k1)))
+    return MultilinearMap(mu.sources, mu.target, mu.degree, blocks)
+
+
 def symmetrized_product(mu: MultilinearMap) -> MultilinearMap:
     """mubar(u, v) = (mu(u, v) + mu(v, u)) / 2, blockwise."""
-    (a, b_src) = mu.sources
-    blocks = {}
-    for key in zero_map(mu.sources, mu.target, mu.degree).multidegrees():
-        k1, k2 = key
-        first = mu.block(key)
-        swapped = mu.block((k2, k1)).mul(_swap_matrix(a.dim(k2), a.dim(k1)))
-        blocks[key] = first.add(swapped).scale(Fraction(1, 2))
-    return MultilinearMap(mu.sources, mu.target, mu.degree, blocks)
+    return mu.add(_swapped(mu)).scale(Fraction(1, 2))
 
 
 def homology_complex(u: ChainComplex, color=None) -> tuple:
@@ -408,14 +355,7 @@ def _apply_bilinear(mu, k1, k2, x, y):
 
 
 def is_commutative(star: MultilinearMap) -> bool:
-    (h, _) = star.sources
-    for key in zero_map(star.sources, star.target, 0).multidegrees():
-        k1, k2 = key
-        plain = star.block(key)
-        swapped = star.block((k2, k1)).mul(_swap_matrix(h.dim(k2), h.dim(k1)))
-        if plain != swapped:
-            return False
-    return True
+    return star == _swapped(star)
 
 
 def scenario_symmetrization(u: ChainComplex, mu: MultilinearMap, target_arity: int) -> ExtensionState:

@@ -144,3 +144,34 @@ def test_representation_json_round_trip(tmp_path):
     back = representation_from_json(json.loads(blob), model)
     assert back.images["mu_2"] == rep.images["mu_2"]
     assert json.dumps(representation_to_json(back)) == blob
+
+
+def _setup_json():
+    from operadkit.reps import ChainComplex, identity_map
+    from operadkit.transfer import ExtensionState
+
+    u = ChainComplex({0: 1}, {}, "B")
+    return state_to_json(ExtensionState(v=u, w=u, m={}, n={}, f={1: identity_map(u)}, k=1))
+
+
+def test_malformed_input_is_usage_error(tmp_path, capsys):
+    obj = _setup_json()
+    del obj["k"]
+    setup = tmp_path / "setup.json"
+    setup.write_text(json.dumps(obj))
+    assert run(["extend", "--setup", str(setup), "--target-arity", "2"]) == 2
+    assert "KeyError" in capsys.readouterr().err
+    assert run(["verify-dsq", "--model", "ainf", "--max-arity", "1"]) == 2
+
+
+def test_internal_error_is_not_a_usage_error(tmp_path, monkeypatch):
+    import operadkit.cli as cli
+
+    def broken(state, target):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli, "extend_to_arity", broken)
+    setup = tmp_path / "setup.json"
+    setup.write_text(json.dumps(_setup_json()))
+    with pytest.raises(ValueError, match="internal"):
+        run(["extend", "--setup", str(setup), "--target-arity", "2"])

@@ -527,3 +527,13 @@ def test_hom_differential_leibniz_random():
             compose_at(f, 1, hom_differential(g)).scale(s)
         )
         assert lhs == rhs
+
+
+def test_maps_over_complexes_of_different_dims_are_unequal():
+    small = ChainComplex({0: 1}, {}, B)
+    large = ChainComplex({0: 2}, {}, B)
+    assert zero_map((small,), small, 0) != zero_map((large,), small, 0)
+    assert zero_map((small,), small, 0) != zero_map((small,), large, 0)
+    # equal dims compare equal across distinct objects (JSON round trips)
+    twin = ChainComplex({0: 1}, {}, W)
+    assert zero_map((small,), small, 0) == zero_map((twin,), twin, 0)

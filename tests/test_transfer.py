@@ -22,9 +22,11 @@ from operadkit.transfer import (
     find_homotopy,
     homology_complex,
     induced_product,
+    is_commutative,
     is_quasi_iso,
     scenario_abelization,
     scenario_symmetrization,
+    symmetrized_product,
 )
 
 B, W = "B", "W"
@@ -267,3 +269,18 @@ def test_homology_preservation():
     star_w = induced_product(state.w, state.n[2], hw, iota_w)
     # F_1 = id here, so the induced products agree on the nose
     assert star_v.blocks == star_w.blocks
+
+
+def test_symmetrized_product_is_commutative():
+    rng = random.Random(5)
+    # x*y = y, y*x = 0 on a zero-differential 2-dim algebra
+    u = ChainComplex({0: 2}, {}, W)
+    plain = MultilinearMap((u, u), u, 0, {(0, 0): RationalMatrix([[1, 0, 0, 0], [0, 1, 0, 0]])})
+    # and a product with blocks between degrees of different dims
+    v = ChainComplex({0: 2, 1: 3}, {}, W)
+    mixed = random_map(rng, (v, v), v, 0)
+    for mu in (plain, mixed):
+        assert not is_commutative(mu)
+        mubar = symmetrized_product(mu)
+        assert is_commutative(mubar)
+        assert symmetrized_product(mubar) == mubar
