@@ -17,7 +17,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
+from math import prod
 
 
 class UnboundedEnumerationError(ValueError):
@@ -87,10 +88,6 @@ class GeneratorSet:
 
     def by_output(self, color):
         return self._by_output.get(color, [])
-
-    def restricted(self, keep) -> "GeneratorSet":
-        keep = set(keep)
-        return GeneratorSet(self.colors, [g for g in self.generators if g.name in keep])
 
     def extended(self, extra) -> "GeneratorSet":
         return GeneratorSet(self.colors, self.generators + list(extra))
@@ -300,6 +297,25 @@ def _render_compact(shape, counter):
     return f"{shape[0]}({', '.join(parts)})"
 
 
+def collect_terms(pairs) -> dict:
+    """Merge (monomial, coeff) pairs into one term map.
+
+    The coefficients of a repeated monomial are added; a monomial keeps the
+    position of its first occurrence.  Sums that cancel stay in the map as
+    zeros, which the element constructors drop.
+    """
+    terms = {}
+    for mono, coeff in pairs:
+        terms[mono] = terms.get(mono, 0) + coeff
+    return terms
+
+
+def _combination_terms(parts):
+    """The (monomial, coeff) pairs of the sum of c * elem over the (c, elem)
+    parts, for operad or forest elements."""
+    return ((m, c * v) for c, elem in parts for m, v in elem.terms.items())
+
+
 class OperadElement:
     """A finite rational linear combination of tree monomials.
 
@@ -312,7 +328,7 @@ class OperadElement:
 
     def __init__(self, gens, terms, signature=None, degree=None):
         self.gens = gens
-        clean = {}
+        self.terms = {}
         for mono, coeff in terms.items():
             coeff = Fraction(coeff)
             if coeff == 0:
@@ -325,8 +341,7 @@ class OperadElement:
                     f"inhomogeneous element: {mono.canonical()} is not in "
                     f"component {signature}, degree {degree}"
                 )
-            clean[mono] = clean.get(mono, Fraction(0)) + coeff
-        self.terms = {m: c for m, c in clean.items() if c != 0}
+            self.terms[mono] = coeff
         self.signature = signature
         self.degree = degree
 
@@ -356,9 +371,7 @@ class OperadElement:
         if not isinstance(other, OperadElement):
             return NotImplemented
         sig, deg = self._merged_component(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
+        terms = collect_terms(chain(self.terms.items(), other.terms.items()))
         return OperadElement(self.gens, terms, signature=sig, degree=deg)
 
     def __sub__(self, other):
@@ -427,23 +440,29 @@ def graft(outer: TreeMonomial, slot: int, inner: TreeMonomial) -> OperadElement:
     """
     if not 1 <= slot <= outer.arity:
         raise ValueError(f"slot {slot} out of range 1..{outer.arity}")
-    slot_color = outer.signature.inputs[slot - 1]
-    sig = Signature(
-        outer.signature.output,
-        outer.signature.inputs[: slot - 1] + inner.signature.inputs + outer.signature.inputs[slot:],
-    )
-    if inner.signature.output != slot_color:
+    if inner.signature.output != outer.signature.inputs[slot - 1]:
+        sig = _grafted_signature(outer.signature, slot, inner.signature)
         return OperadElement.zero(outer.gens, sig, outer.degree + inner.degree)
     return OperadElement.monomial(outer.replace_leaf(slot, inner))
 
 
+def _grafted_signature(outer: Signature, slot: int, inner: Signature) -> Signature:
+    return Signature(outer.output, outer.inputs[: slot - 1] + inner.inputs + outer.inputs[slot:])
+
+
 def graft_elements(a: OperadElement, slot: int, b: OperadElement) -> OperadElement:
     """Bilinear extension of graft to elements."""
-    out = OperadElement.zero(a.gens)
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            out = out + graft(ma, slot, mb).scale(ca * cb)
-    return out
+    sig = deg = None
+    if a.signature is not None and b.signature is not None:
+        sig = _grafted_signature(a.signature, slot, b.signature)
+        deg = a.degree + b.degree
+    terms = collect_terms(
+        (m, ca * cb * c)
+        for ma, ca in a.terms.items()
+        for mb, cb in b.terms.items()
+        for m, c in graft(ma, slot, mb).terms.items()
+    )
+    return OperadElement(a.gens, terms, signature=sig, degree=deg)
 
 
 def compose_full(outer: TreeMonomial, inners) -> OperadElement:
@@ -470,16 +489,14 @@ def compose_full(outer: TreeMonomial, inners) -> OperadElement:
     sig = Signature(outer.signature.output, tuple(inputs))
     if mismatch:
         return OperadElement.zero(outer.gens, sig, degree)
-    terms = {}
-    for combo in product(*(list(e.terms.items()) for e in inners)):
-        coeff = Fraction(1)
-        for _, c in combo:
-            coeff *= c
-        shape = _plug_leaves(outer.shape, [m.shape for m, _ in combo], [0])
-        mono = TreeMonomial(outer.gens, shape)
-        terms[mono] = terms.get(mono, Fraction(0)) + coeff
     if any(e.is_zero() for e in inners):
         return OperadElement.zero(outer.gens, sig if all(e.signature for e in inners) else None)
+
+    def term(combo):
+        shape = _plug_leaves(outer.shape, [m.shape for m, _ in combo], [0])
+        return TreeMonomial(outer.gens, shape), prod(c for _, c in combo)
+
+    terms = collect_terms(map(term, product(*(e.terms.items() for e in inners))))
     return OperadElement(outer.gens, terms, signature=sig, degree=degree)
 
 
@@ -627,11 +644,6 @@ class BwRelations:
     f_name: str
     w_of_b: dict
 
-    @classmethod
-    def associative_names(cls, max_arity: int) -> "BwRelations":
-        # The mu/nu/f_1 naming used by the associative morphism model.
-        return cls("f_1", {f"mu_{k}": f"nu_{k}" for k in range(2, max_arity + 1)})
-
 
 def normalize_bw(elem: OperadElement, relations: BwRelations) -> OperadElement:
     """Normal form under the confluent rewrite f∘a_B -> a_W∘f^{(x)n}.
@@ -652,11 +664,8 @@ def normalize_bw(elem: OperadElement, relations: BwRelations) -> OperadElement:
             return (w_of_b[inner[0]],) + tuple(nf((f, gc)) for gc in inner[1:])
         return (name,) + children
 
-    out = {}
-    for mono, coeff in elem.terms.items():
-        new = TreeMonomial(elem.gens, nf(mono.shape))
-        out[new] = out.get(new, Fraction(0)) + coeff
-    return OperadElement(elem.gens, out, signature=elem.signature, degree=elem.degree)
+    terms = collect_terms((TreeMonomial(elem.gens, nf(m.shape)), c) for m, c in elem.terms.items())
+    return OperadElement(elem.gens, terms, signature=elem.signature, degree=elem.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -701,11 +710,10 @@ def parse_element(text: str, gens: GeneratorSet, signature=None, degree=None) ->
     text = text.strip()
     if text == "0":
         return OperadElement.zero(gens, signature, degree)
-    terms = {}
-    for sign, coeff_s, mono_s in _split_terms(text):
-        coeff = Fraction(coeff_s) * sign
-        mono = parse_tree(mono_s, gens)
-        terms[mono] = terms.get(mono, Fraction(0)) + coeff
+    terms = collect_terms(
+        (parse_tree(mono_s, gens), Fraction(coeff_s) * sign)
+        for sign, coeff_s, mono_s in _split_terms(text)
+    )
     return OperadElement(gens, terms, signature=signature, degree=degree)
 
 
@@ -758,8 +766,5 @@ def element_from_json(obj, gens: GeneratorSet) -> OperadElement:
     sig = None
     if obj.get("signature"):
         sig = Signature(obj["signature"]["output"], tuple(obj["signature"]["inputs"]))
-    terms = {}
-    for t in obj["terms"]:
-        mono = tree_from_json(t["tree"], gens)
-        terms[mono] = terms.get(mono, Fraction(0)) + Fraction(t["coeff"])
+    terms = collect_terms((tree_from_json(t["tree"], gens), Fraction(t["coeff"])) for t in obj["terms"])
     return OperadElement(gens, terms, signature=sig, degree=obj.get("degree"))

@@ -17,8 +17,7 @@ families), and the resolution of the two-mutually-inverse-maps operad
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from .core import (
     GeneratorSet,
@@ -28,6 +27,8 @@ from .core import (
     TreeMonomial,
     _plug_leaves,
     _replace_at,
+    _combination_terms,
+    collect_terms,
     compose_full,
     graft,
     leaf_suffix_degrees,
@@ -79,30 +80,30 @@ def extend_derivation(diff: DerivationDifferential, elem: OperadElement) -> Oper
     (two root-replacement terms with a pair of odd generators would always
     survive), so D^2 = 0 across the models pins the convention.
     """
-    sig = elem.signature
     deg = None if elem.degree is None else elem.degree - 1
-    terms = {}
     suffix_cache = {}
-    for mono, coeff in elem.terms.items():
-        sign = 1
-        for path, name, children in mono.vertices():
-            spec = diff.base.spec(name)
-            image = diff.of(name)
-            if not image.is_zero():
-                child_degrees = [shape_degree(diff.base, c) for c in children]
-                for im_mono, im_coeff in image.terms.items():
-                    if im_mono.shape not in suffix_cache:
-                        suffix_cache[im_mono.shape] = leaf_suffix_degrees(diff.base, im_mono.shape)
-                    suffixes = suffix_cache[im_mono.shape]
-                    reorder = sum(d * s for d, s in zip(child_degrees, suffixes))
-                    new_sub = _plug_leaves(im_mono.shape, list(children), [0])
-                    new_shape = _replace_at(mono.shape, path, new_sub)
-                    new_mono = TreeMonomial(diff.base, new_shape)
-                    c = coeff * im_coeff * sign * (-1 if reorder % 2 else 1)
-                    terms[new_mono] = terms.get(new_mono, Fraction(0)) + c
-            if spec.degree % 2:
-                sign = -sign
-    return OperadElement(diff.base, terms, signature=sig, degree=deg)
+
+    def pairs():
+        for mono, coeff in elem.terms.items():
+            sign = 1
+            for path, name, children in mono.vertices():
+                spec = diff.base.spec(name)
+                image = diff.of(name)
+                if not image.is_zero():
+                    child_degrees = [shape_degree(diff.base, c) for c in children]
+                    for im_mono, im_coeff in image.terms.items():
+                        if im_mono.shape not in suffix_cache:
+                            suffix_cache[im_mono.shape] = leaf_suffix_degrees(diff.base, im_mono.shape)
+                        suffixes = suffix_cache[im_mono.shape]
+                        reorder = sum(d * s for d, s in zip(child_degrees, suffixes))
+                        new_sub = _plug_leaves(im_mono.shape, list(children), [0])
+                        new_shape = _replace_at(mono.shape, path, new_sub)
+                        c = coeff * im_coeff * sign * (-1 if reorder % 2 else 1)
+                        yield TreeMonomial(diff.base, new_shape), c
+                if spec.degree % 2:
+                    sign = -sign
+
+    return OperadElement(diff.base, collect_terms(pairs()), signature=elem.signature, degree=deg)
 
 
 @dataclass(frozen=True)
@@ -143,23 +144,32 @@ def _gen_elem(gens, name):
     return OperadElement.monomial(TreeMonomial.generator(gens, name))
 
 
-def _insertion_sum(gens, outer: str, inner: str, m: int, first: int) -> OperadElement:
-    """Sum over i+j = m+1, i >= first, j >= 2 of
-    (-1)^(i+s(j+1)) outer_i(1^s (x) inner_j (x) 1^(i-s-1))."""
-    out = OperadElement.zero(gens)
+def _letter_over(gens, letter: str, inner_name: str) -> OperadElement:
+    """The generator `inner_name` grafted into the first leaf of `letter`."""
+    return graft(TreeMonomial.generator(gens, letter), 1, TreeMonomial.generator(gens, inner_name))
+
+
+def _image(gens, name: str, parts) -> OperadElement:
+    """The sum of c * elem over the (c, elem) parts, in the component of D(name)."""
+    spec = gens.spec(name)
+    terms = collect_terms(_combination_terms(parts))
+    return OperadElement(gens, terms, signature=spec.signature, degree=spec.degree - 1)
+
+
+def _insertions(gens, outer: str, inner: str, m: int, first: int, sign=1):
+    """The (c, elem) parts of sign * the sum over i+j = m+1, i >= first,
+    j >= 2 of (-1)^(i+s(j+1)) outer_i(1^s (x) inner_j (x) 1^(i-s-1))."""
     for i in range(first, m):
         j = m + 1 - i
         gi = TreeMonomial.generator(gens, f"{outer}_{i}")
         gj = TreeMonomial.generator(gens, f"{inner}_{j}")
         for s in range(0, m - j + 1):
-            sign = -1 if (i + s * (j + 1)) % 2 else 1
-            out = out + graft(gi, s + 1, gj).scale(sign)
-    return out
+            yield (-sign if (i + s * (j + 1)) % 2 else sign), graft(gi, s + 1, gj)
 
 
 def _quadratic_sum(gens, family, m: int) -> OperadElement:
     """The classical quadratic differential of family_m."""
-    return _insertion_sum(gens, family, family, m, 2)
+    return _image(gens, f"{family}_{m}", _insertions(gens, family, family, m, 2))
 
 
 def build_ainf(max_arity: int) -> DerivationDifferential:
@@ -180,15 +190,17 @@ def _morphism_image(gens, m, f_family, mu_family, nu_family) -> OperadElement:
     D(f_m) = - sum_k sum_{r1+..+rk=m} (-1)^(sum_{i<j} r_i (r_j+1)) nu_k(f_{r_1},..,f_{r_k})
              - sum_{i+j=m+1, i>=1, j>=2} (-1)^(i+s(j+1)) f_i(1^s (x) mu_j (x) 1^(i-s-1)).
     """
-    out = OperadElement.zero(gens)
-    for k in range(2, m + 1):
-        nu_k = TreeMonomial.generator(gens, f"{nu_family}_{k}")
-        for r in compositions(m, k):
-            e = sum(r[i] * (r[j] + 1) for i in range(k) for j in range(i + 1, k))
-            word = [_gen_elem(gens, f"{f_family}_{ri}") for ri in r]
-            sign = -1 if e % 2 == 0 else 1
-            out = out + compose_full(nu_k, word).scale(sign)
-    return out - _insertion_sum(gens, f_family, mu_family, m, 1)
+
+    def nu_parts():
+        for k in range(2, m + 1):
+            nu_k = TreeMonomial.generator(gens, f"{nu_family}_{k}")
+            for r in compositions(m, k):
+                e = sum(r[i] * (r[j] + 1) for i in range(k) for j in range(i + 1, k))
+                word = [_gen_elem(gens, f"{f_family}_{ri}") for ri in r]
+                yield (-1 if e % 2 == 0 else 1), compose_full(nu_k, word)
+
+    insertions = _insertions(gens, f_family, mu_family, m, 1, sign=-1)
+    return _image(gens, f"{f_family}_{m}", chain(nu_parts(), insertions))
 
 
 def build_ainf_morphism(max_arity: int) -> DerivationDifferential:
@@ -213,19 +225,24 @@ def build_ainf_morphism(max_arity: int) -> DerivationDifferential:
 
 def _homotopy_image(gens, m) -> OperadElement:
     """D(h_m) = p_m - q_m + the signed nu_k(p..p h q..q) sum + the h_i(mu_j) sum."""
-    out = _gen_elem(gens, f"p_{m}") - _gen_elem(gens, f"q_{m}")
-    for k in range(2, m + 1):
-        nu_k = TreeMonomial.generator(gens, f"nu_{k}")
-        for r in compositions(m, k):
-            base = sum(r[i] * (r[j] + 1) for i in range(k) for j in range(i + 1, k))
-            for s in range(0, k):
-                # s leading p's, then h at slot s+1, then q's
-                eps = base + sum(r[:s]) + k + s
-                word = [_gen_elem(gens, f"p_{ri}") for ri in r[:s]]
-                word.append(_gen_elem(gens, f"h_{r[s]}"))
-                word.extend(_gen_elem(gens, f"q_{ri}") for ri in r[s + 1 :])
-                out = out + compose_full(nu_k, word).scale(-1 if eps % 2 else 1)
-    return out + _insertion_sum(gens, "h", "mu", m, 1)
+
+    def parts():
+        yield 1, _gen_elem(gens, f"p_{m}")
+        yield -1, _gen_elem(gens, f"q_{m}")
+        for k in range(2, m + 1):
+            nu_k = TreeMonomial.generator(gens, f"nu_{k}")
+            for r in compositions(m, k):
+                base = sum(r[i] * (r[j] + 1) for i in range(k) for j in range(i + 1, k))
+                for s in range(0, k):
+                    # s leading p's, then h at slot s+1, then q's
+                    eps = base + sum(r[:s]) + k + s
+                    word = [_gen_elem(gens, f"p_{ri}") for ri in r[:s]]
+                    word.append(_gen_elem(gens, f"h_{r[s]}"))
+                    word.extend(_gen_elem(gens, f"q_{ri}") for ri in r[s + 1 :])
+                    yield (-1 if eps % 2 else 1), compose_full(nu_k, word)
+        yield from _insertions(gens, "h", "mu", m, 1)
+
+    return _image(gens, f"h_{m}", parts())
 
 
 def build_homotopy_model(max_arity: int) -> DerivationDifferential:
@@ -274,8 +291,7 @@ def build_iso_resolution(max_index: int) -> DerivationDifferential:
     gens = GeneratorSet((B, W), iso_generator_specs(max_index))
 
     def comp(a, b):
-        # a after b: the unary word a(b(-)).
-        return graft(TreeMonomial.generator(gens, a), 1, TreeMonomial.generator(gens, b))
+        return _letter_over(gens, a, b)
 
     def unit(color):
         return OperadElement.monomial(TreeMonomial.identity(gens, color))
@@ -288,18 +304,15 @@ def build_iso_resolution(max_index: int) -> DerivationDifferential:
         for k in range(2, max_index + 1):
             if k % 2 == 0:
                 m = k // 2
-                img = OperadElement.zero(gens)
+                words = []
                 for i in range(0, m):
-                    img = img + comp(f"{fam}_{2 * i}", f"{fam}_{2 * (m - i) - 1}")
-                    img = img - comp(f"{other}_{2 * (m - i) - 1}", f"{fam}_{2 * i}")
+                    words.append((1, comp(f"{fam}_{2 * i}", f"{fam}_{2 * (m - i) - 1}")))
+                    words.append((-1, comp(f"{other}_{2 * (m - i) - 1}", f"{fam}_{2 * i}")))
             else:
                 m = (k - 1) // 2
-                img = OperadElement.zero(gens)
-                for j in range(0, m + 1):
-                    img = img + comp(f"{other}_{2 * j}", f"{fam}_{2 * (m - j)}")
-                for j in range(0, m):
-                    img = img - comp(f"{fam}_{2 * j + 1}", f"{fam}_{2 * (m - j) - 1}")
-            images[f"{fam}_{k}"] = img
+                words = [(1, comp(f"{other}_{2 * j}", f"{fam}_{2 * (m - j)}")) for j in range(0, m + 1)]
+                words += [(-1, comp(f"{fam}_{2 * j + 1}", f"{fam}_{2 * (m - j) - 1}")) for j in range(0, m)]
+            images[f"{fam}_{k}"] = _image(gens, f"{fam}_{k}", words)
     return DerivationDifferential(gens, images)
 
 
@@ -349,19 +362,22 @@ def verify_minimality(diff: DerivationDifferential) -> Report:
 # Renaming (color copies, theta-substitutions)
 
 
-def rename_element(elem: OperadElement, target: GeneratorSet, name_map: dict) -> OperadElement:
-    """Transport an element along a generator renaming (signatures must agree)."""
+def rename_element(elem: OperadElement, target: GeneratorSet, name_map: dict, color_map=None) -> OperadElement:
+    """Transport an element along a generator renaming and an optional edge
+    recoloring (unmapped names and colors stay).  The signature is recolored
+    too, also for a zero element."""
+    colors = color_map or {}
 
     def rename_shape(shape):
         if isinstance(shape, str):
-            return shape
+            return colors.get(shape, shape)
         return (name_map.get(shape[0], shape[0]),) + tuple(rename_shape(c) for c in shape[1:])
 
-    terms = {}
-    for mono, coeff in elem.terms.items():
-        new = TreeMonomial(target, rename_shape(mono.shape))
-        terms[new] = terms.get(new, Fraction(0)) + coeff
-    return OperadElement(target, terms, signature=elem.signature, degree=elem.degree)
+    sig = elem.signature
+    if sig is not None and colors:
+        sig = Signature(colors.get(sig.output, sig.output), tuple(colors.get(c, c) for c in sig.inputs))
+    terms = collect_terms((TreeMonomial(target, rename_shape(m.shape)), c) for m, c in elem.terms.items())
+    return OperadElement(target, terms, signature=sig, degree=elem.degree)
 
 
 def rename_model(diff: DerivationDifferential, name_map: dict) -> DerivationDifferential:

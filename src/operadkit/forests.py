@@ -11,10 +11,18 @@ polarization identities multiply.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
 from math import factorial
 
-from .core import GeneratorSet, OperadElement, TreeMonomial, compose_full, leaf_suffix_degrees
+from .core import (
+    GeneratorSet,
+    OperadElement,
+    TreeMonomial,
+    _combination_terms,
+    collect_terms,
+    compose_full,
+    leaf_suffix_degrees,
+)
 from .differentials import DerivationDifferential, extend_derivation
 from .reports import Report
 
@@ -70,7 +78,7 @@ class ForestElement:
 
     def __init__(self, gens, terms, outputs=None, inputs=None, degree=None):
         self.gens = gens
-        clean = {}
+        self.terms = {}
         for mono, coeff in terms.items():
             coeff = Fraction(coeff)
             if coeff == 0:
@@ -79,8 +87,7 @@ class ForestElement:
                 outputs, inputs, degree = mono.outputs, mono.inputs, mono.degree
             elif (mono.outputs, mono.inputs, mono.degree) != (outputs, inputs, degree):
                 raise ValueError(f"inhomogeneous forest term {mono.text()}")
-            clean[mono] = clean.get(mono, Fraction(0)) + coeff
-        self.terms = {m: c for m, c in clean.items() if c != 0}
+            self.terms[mono] = coeff
         self.outputs = outputs
         self.inputs = inputs
         self.degree = degree
@@ -108,9 +115,7 @@ class ForestElement:
         return sorted(self.terms.items(), key=lambda mc: mc[0].sort_key)
 
     def __add__(self, other):
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
+        terms = collect_terms(chain(self.terms.items(), other.terms.items()))
         out_meta = self if self.terms or other.outputs is None else other
         return ForestElement(self.gens, terms, out_meta.outputs, out_meta.inputs, out_meta.degree)
 
@@ -154,11 +159,11 @@ class ForestElement:
 
 def tensor_forests(a: ForestElement, b: ForestElement) -> ForestElement:
     """Juxtaposition a (x) b; bilinear, no sign (plain basis concatenation)."""
-    terms = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            m = ForestMonomial(a.gens, ma.components + mb.components)
-            terms[m] = terms.get(m, Fraction(0)) + ca * cb
+    terms = collect_terms(
+        (ForestMonomial(a.gens, ma.components + mb.components), ca * cb)
+        for ma, ca in a.terms.items()
+        for mb, cb in b.terms.items()
+    )
     return ForestElement(a.gens, terms)
 
 
@@ -198,33 +203,35 @@ def _compose_monomials(outer: ForestMonomial, inner: ForestMonomial):
 
 def compose_forests(outer: ForestElement, inner: ForestElement) -> ForestElement:
     """Bilinear oriented composition; color mismatches contribute zero."""
-    terms = {}
-    for mo, co in outer.terms.items():
-        for mi, ci in inner.terms.items():
-            res = _compose_monomials(mo, mi)
-            if res is None:
-                continue
-            mono, extra = res
-            terms[mono] = terms.get(mono, Fraction(0)) + co * ci * extra
-    return ForestElement(outer.gens, terms)
+
+    def pairs():
+        for mo, co in outer.terms.items():
+            for mi, ci in inner.terms.items():
+                res = _compose_monomials(mo, mi)
+                if res is not None:
+                    mono, extra = res
+                    yield mono, co * ci * extra
+
+    return ForestElement(outer.gens, collect_terms(pairs()))
 
 
 def forest_differential(diff: DerivationDifferential, elem: ForestElement) -> ForestElement:
     """Componentwise derivation with the component-prefix Koszul signs."""
-    out_terms = {}
-    for mono, coeff in elem.terms.items():
-        prefix = 0
-        for i, t in enumerate(mono.components):
-            dt = extend_derivation(diff, OperadElement.monomial(t))
-            sign = -1 if prefix % 2 else 1
-            for new_tree, c in dt.terms.items():
-                comps = list(mono.components)
-                comps[i] = new_tree
-                m = ForestMonomial(mono.gens, comps)
-                out_terms[m] = out_terms.get(m, Fraction(0)) + coeff * c * sign
-            prefix += t.degree
+
+    def pairs():
+        for mono, coeff in elem.terms.items():
+            prefix = 0
+            for i, t in enumerate(mono.components):
+                dt = extend_derivation(diff, OperadElement.monomial(t))
+                sign = -1 if prefix % 2 else 1
+                for new_tree, c in dt.terms.items():
+                    comps = list(mono.components)
+                    comps[i] = new_tree
+                    yield ForestMonomial(mono.gens, comps), coeff * c * sign
+                prefix += t.degree
+
     deg = None if elem.degree is None else elem.degree - 1
-    return ForestElement(elem.gens, out_terms, elem.outputs, elem.inputs, deg)
+    return ForestElement(elem.gens, collect_terms(pairs()), elem.outputs, elem.inputs, deg)
 
 
 def conjugate_forest(elem: ForestElement, perm) -> ForestElement:
@@ -233,20 +240,21 @@ def conjugate_forest(elem: ForestElement, perm) -> ForestElement:
     Carries the Koszul sign of reordering the graded components, e.g.
     (a (x) b) -> (-1)^(|a||b|) (b (x) a) for the transposition.
     """
-    terms = {}
-    for mono, coeff in elem.terms.items():
-        degs = [t.degree for t in mono.components]
-        new = [None] * mono.width
-        for i, t in enumerate(mono.components):
-            new[perm[i]] = t
-        sign = 0
-        for i in range(mono.width):
-            for j in range(i + 1, mono.width):
-                if perm[i] > perm[j]:
-                    sign += degs[i] * degs[j]
-        m = ForestMonomial(mono.gens, new)
-        terms[m] = terms.get(m, Fraction(0)) + coeff * (-1 if sign % 2 else 1)
-    return ForestElement(elem.gens, terms)
+
+    def pairs():
+        for mono, coeff in elem.terms.items():
+            degs = [t.degree for t in mono.components]
+            new = [None] * mono.width
+            for i, t in enumerate(mono.components):
+                new[perm[i]] = t
+            sign = 0
+            for i in range(mono.width):
+                for j in range(i + 1, mono.width):
+                    if perm[i] > perm[j]:
+                        sign += degs[i] * degs[j]
+            yield ForestMonomial(mono.gens, new), coeff * (-1 if sign % 2 else 1)
+
+    return ForestElement(elem.gens, collect_terms(pairs()))
 
 
 def symmetrize_forest(elem: ForestElement) -> ForestElement:
@@ -254,9 +262,12 @@ def symmetrize_forest(elem: ForestElement) -> ForestElement:
     if elem.is_zero():
         return elem
     width = next(iter(elem.terms)).width
-    total = ForestElement.zero(elem.gens)
-    for perm in permutations(range(width)):
-        total = total + conjugate_forest(elem, perm)
+    # The identity permutation is one of the summands, so a homogeneous
+    # average lives in elem's own component.
+    terms = collect_terms(
+        t for perm in permutations(range(width)) for t in conjugate_forest(elem, perm).terms.items()
+    )
+    total = ForestElement(elem.gens, terms, elem.outputs, elem.inputs, elem.degree)
     return total.scale(Fraction(1, factorial(width)))
 
 
@@ -288,11 +299,8 @@ def polarization_ns(gens: GeneratorSet, m: int, p="p", q="q", h="h") -> ForestEl
     pt = TreeMonomial.generator(gens, p)
     qt = TreeMonomial.generator(gens, q)
     ht = TreeMonomial.generator(gens, h)
-    out = ForestElement.zero(gens)
-    for s in range(m):
-        word = [pt] * s + [ht] + [qt] * (m - 1 - s)
-        out = out + ForestElement.word(gens, word)
-    return out
+    words = ([pt] * s + [ht] + [qt] * (m - 1 - s) for s in range(m))
+    return ForestElement(gens, collect_terms((ForestMonomial(gens, w), 1) for w in words))
 
 
 def polarization_sym(gens: GeneratorSet, m: int, p="p", q="q", h="h") -> ForestElement:
@@ -340,11 +348,11 @@ def polarization_iso_m2(iso: DerivationDifferential, max_degree: int) -> dict:
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     gens = iso.base if isinstance(iso, DerivationDifferential) else iso
-    fams = {k: {} for k in ("f", "g", "h", "l")}
+    # kind -> degree -> the words of that component, each with coefficient 1
+    words = {k: {} for k in ("f", "g", "h", "l")}
 
-    def put(kind, deg, forest):
-        table = fams[kind]
-        table[deg] = table.get(deg, ForestElement.zero(gens)) + forest
+    def put(kind, deg, trees):
+        words[kind].setdefault(deg, []).append((ForestMonomial(gens, trees), 1))
 
     max_index = max(
         (int(g.name.split("_")[1]) for g in gens.generators if g.name.startswith(("f_", "g_"))),
@@ -364,10 +372,10 @@ def polarization_iso_m2(iso: DerivationDifferential, max_degree: int) -> dict:
                 names_ok = all(d <= max_index for d in degs) and 2 * i <= max_index
                 if not names_ok:
                     continue
-                chain = _iso_chain(gens, top, length, degs)
+                letters = _iso_chain(gens, top, length, degs)
                 pair = TreeMonomial.generator(gens, f"{second}_{2 * i}")
                 total = sum(degs) + 2 * i
-                put(kind, total, ForestElement.word(gens, [chain, pair]))
+                put(kind, total, [letters, pair])
             i += 1
 
     for kind, fam, other in (("h", "f", "g"), ("l", "g", "f")):
@@ -377,19 +385,22 @@ def polarization_iso_m2(iso: DerivationDifferential, max_degree: int) -> dict:
             if k <= max_index:
                 letter = TreeMonomial.generator(gens, f"{fam}_{k}")
                 unit = TreeMonomial.identity(gens, home)
-                put(kind, k, ForestElement.word(gens, [letter, unit]))
+                put(kind, k, [letter, unit])
         i = 1
         while 2 * i - 1 <= max_degree:
             length = 2 * i
             for degs in _even_tuples(length, max_degree - (2 * i - 1)):
                 if any(d > max_index for d in degs) or 2 * i - 1 > max_index:
                     continue
-                chain = _iso_chain(gens, other, length, degs)
+                letters = _iso_chain(gens, other, length, degs)
                 pair = TreeMonomial.generator(gens, f"{fam}_{2 * i - 1}")
                 total = sum(degs) + 2 * i - 1
-                put(kind, total, ForestElement.word(gens, [chain, pair]))
+                put(kind, total, [letters, pair])
             i += 1
-    return fams
+    return {
+        kind: {deg: ForestElement(gens, collect_terms(pairs)) for deg, pairs in table.items()}
+        for kind, table in words.items()
+    }
 
 
 def _component(fam_table, deg, gens):
@@ -423,17 +434,15 @@ def verify_polarization(fams: dict, max_degree: int, iso: DerivationDifferential
     for kind, (term1, term2, unit) in rhs_specs.items():
         for t in range(0, max_degree):
             lhs = forest_differential(iso, _component(fams[kind], t + 1, gens))
-            rhs = ForestElement.zero(gens)
-            for a in range(0, t + 1):
-                b = t - a
-                for left, right, sgn in (term1, term2):
-                    prod = compose_forests(
-                        _component(fams[left], a, gens), _component(fams[right], b, gens)
-                    )
-                    rhs = rhs + prod.scale(sgn)
+            # (sign, forest) summands of the right-hand side
+            rhs = [
+                (sgn, compose_forests(_component(fams[left], a, gens), _component(fams[right], t - a, gens)))
+                for a in range(0, t + 1)
+                for left, right, sgn in (term1, term2)
+            ]
             if unit is not None and t == 0:
-                rhs = rhs - unit
-            residual = lhs - rhs
+                rhs.append((-1, unit))
+            residual = lhs - ForestElement(gens, collect_terms(_combination_terms(rhs)))
             ok = residual.is_zero()
             report.add(
                 f"d<{kind}.> equation, degree {t}",

@@ -252,7 +252,8 @@ class ChainComplex:
         return sorted(self.dims)
 
     def differential(self, k: int) -> RationalMatrix:
-        return self.d.get(k, RationalMatrix.zero(self.dim(k - 1), self.dim(k)))
+        mat = self.d.get(k)
+        return RationalMatrix.zero(self.dim(k - 1), self.dim(k)) if mat is None else mat
 
     def __repr__(self):
         return f"ChainComplex(dims={self.dims}, color={self.color!r})"

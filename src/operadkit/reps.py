@@ -191,18 +191,18 @@ def hom_differential(f: MultilinearMap) -> MultilinearMap:
         else:
             blocks[key] = mat
 
+    # ChainComplex.d holds only the nonzero differentials.
     for key, mat in f.blocks.items():
-        m = sum(key) + f.degree
-        left = f.target.differential(m)
-        if not left.is_zero():
+        left = f.target.d.get(sum(key) + f.degree)
+        if left is not None:
             bump(key, left.mul(mat))
     sign_f = -1 if f.degree % 2 else 1
     for key in product(*(c.degrees() for c in f.sources)):
         prefix = 0
         for i, c in enumerate(f.sources):
             ki = key[i]
-            d_i = c.differential(ki)
-            if not d_i.is_zero():
+            d_i = c.d.get(ki)
+            if d_i is not None:
                 shifted = tuple(k - 1 if j == i else k for j, k in enumerate(key))
                 fblock = f.blocks.get(shifted)
                 if fblock is not None:

@@ -25,12 +25,15 @@ from .core import (
     Signature,
     TreeMonomial,
     UnboundedEnumerationError,
+    _combination_terms,
+    collect_terms,
     compose_full,
     enumerate_basis,
-    graft,
 )
 from .differentials import (
     DerivationDifferential,
+    _image,
+    _letter_over,
     extend_derivation,
     rename_element,
     verify_d_squared,
@@ -120,10 +123,7 @@ def solve_tail(problem: TailProblem, max_vertices=None) -> OperadElement:
             )
         raise TailNotFoundError("no tail exists in this (finite) component", False)
 
-    omega = OperadElement.zero(problem.ambient, spec.signature, spec.degree - 1)
-    for coeff, mono in zip(x, candidates):
-        if coeff:
-            omega = omega + OperadElement.monomial(mono, coeff)
+    omega = OperadElement(problem.ambient, collect_terms(zip(candidates, x)), spec.signature, spec.degree - 1)
     # Exact post-check: the solver's arithmetic is not trusted silently.
     if extend_derivation(problem.partial, omega) != rhs:
         raise AssertionError("internal error: solved tail fails D(omega) = rhs")
@@ -141,7 +141,7 @@ def principal_part_btow(gens: GeneratorSet, b_name: str, w_name: str, f_name: st
     if n < 2:
         raise ValueError("principal parts are defined for arity >= 2")
     f_elem = OperadElement.from_generator(gens, f_name)
-    head = graft(TreeMonomial.generator(gens, f_name), 1, TreeMonomial.generator(gens, b_name))
+    head = _letter_over(gens, f_name, b_name)
     tail = compose_full(TreeMonomial.generator(gens, w_name), [f_elem] * n)
     return head - tail
 
@@ -155,28 +155,6 @@ def _check_base(base: DerivationDifferential):
     rep = verify_d_squared(base)
     if not rep.ok:
         raise ValueError("base differential does not square to zero")
-
-
-def _copy_image(base: DerivationDifferential, gens, x_name: str, suffix: str, color_map):
-    name_map = {g.name: f"{g.name}_{suffix}" for g in base.base.generators}
-    img = base.of(x_name)
-    recolored = _recolor_element(img, gens, name_map, color_map)
-    return recolored
-
-
-def _recolor_element(elem, target_gens, name_map, color_map):
-    from .core import OperadElement as OE
-
-    def conv(shape):
-        if isinstance(shape, str):
-            return color_map[shape]
-        return (name_map[shape[0]],) + tuple(conv(c) for c in shape[1:])
-
-    terms = {}
-    for mono, coeff in elem.terms.items():
-        new = TreeMonomial(target_gens, conv(mono.shape))
-        terms[new] = terms.get(new, Fraction(0)) + coeff
-    return OE(target_gens, terms)
 
 
 class BtoWModel(DerivationDifferential):
@@ -210,8 +188,9 @@ def build_model_btow(base: DerivationDifferential, max_arity: int, max_vertices=
 
     images = {"f": OperadElement.zero(gens, Signature(W, (B,)), -1)}
     for g in picked:
-        images[f"{g.name}_B"] = _copy_image(base, gens, g.name, "B", {base_color: B})
-        images[f"{g.name}_W"] = _copy_image(base, gens, g.name, "W", {base_color: W})
+        for color in (B, W):
+            copy_names = {h.name: f"{h.name}_{color}" for h in base.base.generators}
+            images[f"{g.name}_{color}"] = rename_element(base.of(g.name), gens, copy_names, {base_color: color})
 
     tails = {}
     for g in picked:
@@ -254,11 +233,14 @@ class HomotopyModel(DerivationDifferential):
 def _forest_into(gens, outer_name: str, forest: ForestElement) -> OperadElement:
     """Graft each forest word into the slots of a single-generator vertex."""
     outer = TreeMonomial.generator(gens, outer_name)
-    out = OperadElement.zero(gens)
-    for mono, coeff in forest.terms.items():
-        args = [OperadElement.monomial(t) for t in mono.components]
-        out = out + compose_full(outer, args).scale(coeff)
-    return out
+    sig = deg = None
+    if forest.inputs is not None:
+        sig, deg = Signature(outer.signature.output, forest.inputs), outer.degree + forest.degree
+    parts = (
+        (coeff, compose_full(outer, [OperadElement.monomial(t) for t in mono.components]))
+        for mono, coeff in forest.terms.items()
+    )
+    return OperadElement(gens, collect_terms(_combination_terms(parts)), signature=sig, degree=deg)
 
 
 def _staircase_into(gens, w_name: str, n: int, variant: str) -> OperadElement:
@@ -308,8 +290,9 @@ def build_model_homotopy(bw: BtoWModel, max_arity: int, polarization: str = "ns"
         "h": p - q,
     }
     for g in picked:
-        images[f"{g.name}_B"] = _copy_image(base, gens, g.name, "B", {base_color: B})
-        images[f"{g.name}_W"] = _copy_image(base, gens, g.name, "W", {base_color: W})
+        for color in (B, W):
+            copy_names = {h.name: f"{h.name}_{color}" for h in base.base.generators}
+            images[f"{g.name}_{color}"] = rename_element(base.of(g.name), gens, copy_names, {base_color: color})
 
     tails = {}
     for g in picked:
@@ -322,7 +305,7 @@ def build_model_homotopy(bw: BtoWModel, max_arity: int, polarization: str = "ns"
         principal = (
             OperadElement.from_generator(gens, f"{g.name}_p")
             - OperadElement.from_generator(gens, f"{g.name}_q")
-            - graft(TreeMonomial.generator(gens, "h"), 1, TreeMonomial.generator(gens, f"{g.name}_B"))
+            - _letter_over(gens, "h", f"{g.name}_B")
             + _staircase_into(gens, f"{g.name}_W", n, polarization).scale(
                 -1 if g.degree % 2 else 1
             )
@@ -353,10 +336,6 @@ class IsoPrincipalModel(DerivationDifferential):
         self.max_index = max_index
         self.tail_report = tail_report
         self.tails = tails
-
-
-def _letter_over(gens, letter: str, inner_name: str) -> OperadElement:
-    return graft(TreeMonomial.generator(gens, letter), 1, TreeMonomial.generator(gens, inner_name))
 
 
 def build_model_iso_principal(
@@ -400,22 +379,17 @@ def build_model_iso_principal(
     for name, img in iso.images.items():
         images[name] = rename_element(img, gens, {})
     for g in picked:
-        images[f"{g.name}_B"] = _copy_image(base, gens, g.name, "B", {base_color: B})
-        images[f"{g.name}_W"] = _copy_image(base, gens, g.name, "W", {base_color: W})
+        for color in (B, W):
+            copy_names = {h.name: f"{h.name}_{color}" for h in base.base.generators}
+            images[f"{g.name}_{color}"] = rename_element(base.of(g.name), gens, copy_names, {base_color: color})
 
     fams = polarization_iso_m2(gens, max_index)
 
-    def polar(kind, deg):
-        table = fams[kind]
-        if deg in table:
-            return table[deg]
-        return None
+    def polar(super_name, kind, deg):
+        return _forest_into(gens, super_name, fams[kind].get(deg, ForestElement.zero(gens)))
 
-    def add_polar_term(total, super_name, kind, deg, sign):
-        forest = polar(kind, deg)
-        if forest is not None:
-            return total + _forest_into(gens, super_name, forest).scale(sign)
-        return total
+    def letter(name, inner_name):
+        return _letter_over(gens, name, inner_name)
 
     report = Report("iso model tails")
     tails = {}
@@ -433,33 +407,20 @@ def build_model_iso_principal(
                 ownh = "h" if fam == "f" else "l"
                 home = f"{g.name}_B" if fam == "f" else f"{g.name}_W"
                 away = f"{g.name}_W" if fam == "f" else f"{g.name}_B"
-                otherfam = "g" if fam == "f" else "f"
-                total = OperadElement.zero(
-                    gens, gens.spec(name).signature, gens.spec(name).degree - 1
-                )
+                mine, theirs = f"{g.name}_{own}", f"{g.name}_{other}"  # the two super-families
                 if k % 2 == 0:
-                    total = total + _letter_over(gens, f"{own}_{k}", home)
-                    total = add_polar_term(total, away, own, k, -1)
-                    for a in range(0, k, 2):
-                        total = total + _letter_over(gens, f"{own}_{a}", f"{g.name}_{fam}{k - 1 - a}")
-                    for j in range(0, k, 2):
-                        total = add_polar_term(total, f"{g.name}_{fam}{j}", ownh, k - 1 - j, -sx)
-                    for a in range(1, k, 2):
-                        total = total - _letter_over(gens, f"{other}_{a}", f"{g.name}_{fam}{k - 1 - a}")
-                    for j in range(1, k, 2):
-                        total = add_polar_term(total, f"{g.name}_{otherfam}{j}", own, k - 1 - j, -1)
+                    parts = [(1, letter(f"{own}_{k}", home)), (-1, polar(away, own, k))]
+                    parts += [(1, letter(f"{own}_{a}", f"{mine}{k - 1 - a}")) for a in range(0, k, 2)]
+                    parts += [(-sx, polar(f"{mine}{j}", ownh, k - 1 - j)) for j in range(0, k, 2)]
+                    parts += [(-1, letter(f"{other}_{a}", f"{mine}{k - 1 - a}")) for a in range(1, k, 2)]
+                    parts += [(-1, polar(f"{theirs}{j}", own, k - 1 - j)) for j in range(1, k, 2)]
                 else:
-                    total = add_polar_term(total, home, ownh, k, sx)
-                    total = total - _letter_over(gens, f"{own}_{k}", home)
-                    for a in range(1, k, 2):
-                        total = total - _letter_over(gens, f"{own}_{a}", f"{g.name}_{fam}{k - 1 - a}")
-                    for j in range(1, k, 2):
-                        total = add_polar_term(total, f"{g.name}_{fam}{j}", ownh, k - 1 - j, sx)
-                    for a in range(0, k, 2):
-                        total = total + _letter_over(gens, f"{other}_{a}", f"{g.name}_{fam}{k - 1 - a}")
-                    for j in range(0, k, 2):
-                        total = add_polar_term(total, f"{g.name}_{otherfam}{j}", own, k - 1 - j, 1)
-                images[name] = total
+                    parts = [(sx, polar(home, ownh, k)), (-1, letter(f"{own}_{k}", home))]
+                    parts += [(-1, letter(f"{own}_{a}", f"{mine}{k - 1 - a}")) for a in range(1, k, 2)]
+                    parts += [(sx, polar(f"{mine}{j}", ownh, k - 1 - j)) for j in range(1, k, 2)]
+                    parts += [(1, letter(f"{other}_{a}", f"{mine}{k - 1 - a}")) for a in range(0, k, 2)]
+                    parts += [(1, polar(f"{theirs}{j}", own, k - 1 - j)) for j in range(0, k, 2)]
+                images[name] = _image(gens, name, parts)
         # solve tails for this index level before moving up
         for g in picked:
             for fam in ("f", "g"):

@@ -86,7 +86,13 @@ class ExtensionState:
 
 
 def is_quasi_iso(f1: MultilinearMap) -> bool:
-    """Does the chain map F_1 induce an isomorphism on homology?"""
+    """Does the chain map F_1 induce an isomorphism on homology?
+
+    With equal homology dims, H_k(F_1) is an isomorphism exactly when the
+    images of V's representatives are independent modulo W's boundaries,
+    that is when [boundaries of W | F_1(representatives of V)] has full
+    column rank.
+    """
     if f1.arity != 1 or f1.degree != 0:
         raise ValueError("expected an arity-1 degree-0 map")
     if not hom_differential(f1).is_zero():
@@ -94,15 +100,14 @@ def is_quasi_iso(f1: MultilinearMap) -> bool:
     (v,), w = f1.sources, f1.target
     for k in sorted(set(v.degrees()) | set(w.degrees())):
         reps_v, _ = homology_representatives(v, k)
-        reps_w, _ = homology_representatives(w, k)
+        reps_w, bounds_w = homology_representatives(w, k)
         if len(reps_v) != len(reps_w):
             return False
         if not reps_v:
             continue
         block = f1.block((k,))
-        cols = [homology_coordinates(w, k, block.mul_vec(z)) for z in reps_v]
-        mat = RationalMatrix.from_columns(cols, len(reps_w))
-        if rank(mat) != len(reps_w):
+        cols = bounds_w + [block.mul_vec(z) for z in reps_v]
+        if rank(RationalMatrix.from_columns(cols, w.dim(k))) != len(cols):
             return False
     return True
 

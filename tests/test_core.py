@@ -12,6 +12,7 @@ from operadkit.core import (
     Signature,
     TreeMonomial,
     UnboundedEnumerationError,
+    collect_terms,
     compose_full,
     element_from_json,
     element_to_json,
@@ -424,3 +425,47 @@ def test_zero_element_text():
     gens = ainf_gens()
     assert OperadElement.zero(gens).text() == "0"
     assert parse_element("0", gens).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the term accumulator
+
+
+def test_collect_terms_merges_repeated_monomials():
+    gens = ainf_gens()
+    mu2 = TreeMonomial.generator(gens, "mu_2")
+    nested = graft(mu2, 1, mu2).items()[0][0]
+    terms = collect_terms([(mu2, 1), (nested, Fraction(1, 3)), (mu2, Fraction(1, 2))])
+    assert terms == {mu2: Fraction(3, 2), nested: Fraction(1, 3)}
+    assert list(terms) == [mu2, nested]  # first occurrence fixes the position
+
+
+def test_accumulated_cancelling_term_is_dropped():
+    gens = ainf_gens()
+    mu2 = TreeMonomial.generator(gens, "mu_2")
+    left = graft(mu2, 1, mu2).items()[0][0]
+    right = graft(mu2, 2, mu2).items()[0][0]
+    elem = OperadElement(gens, collect_terms([(left, 2), (right, 1), (left, -2)]))
+    assert elem.terms == {right: Fraction(1)}
+    assert (elem.signature, elem.degree) == (right.signature, right.degree)
+
+
+def test_accumulated_zero_keeps_its_component():
+    gens = ainf_gens()
+    mu3 = TreeMonomial.generator(gens, "mu_3")
+    sig = Signature(B, (B, B, B))
+    elem = OperadElement(gens, collect_terms([(mu3, 1), (mu3, -1)]), signature=sig, degree=1)
+    assert elem.is_zero()
+    assert (elem.signature, elem.degree) == (sig, 1)
+    a = OperadElement.monomial(mu3)
+    assert ((a - a).signature, (a - a).degree) == (sig, 1)
+
+
+def test_accumulated_mixed_components_raise():
+    gens = ainf_gens()
+    mu2 = TreeMonomial.generator(gens, "mu_2")
+    mu3 = TreeMonomial.generator(gens, "mu_3")
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        OperadElement(gens, collect_terms([(mu2, 1), (mu3, 1)]))
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        OperadElement(gens, collect_terms([(mu2, 1), (mu2, -1), (mu3, 1)]), Signature(B, (B, B)), 0)

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from operadkit.core import (
+    GeneratorSet,
+    GeneratorSpec,
     OperadElement,
     Signature,
     TreeMonomial,
@@ -11,6 +13,7 @@ from operadkit.core import (
     enumerate_basis,
     graft,
     graft_oriented,
+    parse_element,
 )
 from operadkit.differentials import (
     DerivationDifferential,
@@ -21,6 +24,7 @@ from operadkit.differentials import (
     build_iso_resolution,
     compositions,
     extend_derivation,
+    rename_element,
     rename_model,
     verify_d_squared,
     verify_minimality,
@@ -328,3 +332,20 @@ def test_builders_reject_bad_truncation():
         build_ainf_morphism(0)
     with pytest.raises(ValueError):
         build_iso_resolution(-1)
+
+
+def test_rename_element_recolors_nonzero_and_zero_images():
+    base = build_ainf(3)
+    target = GeneratorSet(
+        (B, W), [GeneratorSpec(f"mu_{k}_W", Signature(W, (W,) * k), k - 2) for k in (2, 3)]
+    )
+    names = {"mu_2": "mu_2_W", "mu_3": "mu_3_W"}
+    d3 = base.of("mu_3")
+    moved = rename_element(d3, target, names, {B: W})
+    want = parse_element(d3.text().replace("mu_2", "mu_2_W").replace(":B", ":W"), target)
+    assert not want.is_zero() and moved == want
+    assert (moved.signature, moved.degree) == (Signature(W, (W, W, W)), 0)
+    # D(mu_2) = 0: the zero image moves to the recolored component too
+    zero = rename_element(base.of("mu_2"), target, names, {B: W})
+    assert zero.is_zero()
+    assert (zero.signature, zero.degree) == (Signature(W, (W, W)), -1)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from operadkit.core import TreeMonomial
+from operadkit.core import TreeMonomial, collect_terms
 from operadkit.differentials import build_iso_resolution
 from operadkit.forests import (
     ForestElement,
@@ -120,6 +120,23 @@ def test_forest_composition_interchange_sign():
 def test_tensor_forests(dull):
     gens = dull.base
     assert tensor_forests(word(gens, "p"), word(gens, "q")) == word(gens, "p", "q")
+
+
+def test_forest_accumulator(dull):
+    gens = dull.base
+    pq = ForestMonomial(gens, [TreeMonomial.generator(gens, n) for n in ("p", "q")])
+    qp = ForestMonomial(gens, [TreeMonomial.generator(gens, n) for n in ("q", "p")])
+    ph = ForestMonomial(gens, [TreeMonomial.generator(gens, n) for n in ("p", "h")])
+    # repeated words merge, and a word that cancels is dropped
+    elem = ForestElement(gens, collect_terms([(pq, 1), (qp, 2), (pq, Fraction(1, 2)), (qp, -2)]))
+    assert elem.terms == {pq: Fraction(3, 2)}
+    # a sum that cancels completely keeps the component it was given
+    zero = ForestElement(gens, collect_terms([(pq, 1), (pq, -1)]), pq.outputs, pq.inputs, pq.degree)
+    assert zero.is_zero()
+    assert (zero.outputs, zero.inputs, zero.degree) == (pq.outputs, pq.inputs, 0)
+    # words of different degrees do not mix
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        ForestElement(gens, collect_terms([(pq, 1), (ph, 1)]))
 
 
 def test_iso_polarization_components():

@@ -1,4 +1,6 @@
-"""Source hygiene that needs no linter: no unused imports in the package."""
+"""Source hygiene that needs no linter: no unused imports in the package,
+and no linear combination grown term by term with `x = x + ...` in a loop
+(each step copies the whole sum; `core.collect_terms` merges in one pass)."""
 
 import ast
 from pathlib import Path
@@ -32,3 +34,44 @@ def test_checker_finds_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _is_self_sum(node):
+    """`x = x + ...` or `x = x - ...`, also with further terms chained on."""
+    if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
+        return False
+    target = node.targets[0]
+    if not isinstance(target, ast.Name):
+        return False
+    value = node.value
+    while isinstance(value, ast.BinOp) and isinstance(value.op, (ast.Add, ast.Sub)):
+        value = value.left
+    return value is not node.value and isinstance(value, ast.Name) and value.id == target.id
+
+
+def loop_self_sums(source: str):
+    """Line numbers of `x = x +/- ...` assignments inside a for/while body."""
+    found = set()
+    for loop in ast.walk(ast.parse(source)):
+        if isinstance(loop, (ast.For, ast.While)):
+            for stmt in loop.body:
+                found.update(n.lineno for n in ast.walk(stmt) if _is_self_sum(n))
+    return sorted(found)
+
+
+def test_checker_finds_loop_self_sums():
+    source = (
+        "out = zero\n"
+        "out = out + first\n"
+        "for t in terms:\n"
+        "    n += 1\n"
+        "    total = other + t\n"
+        "    if t:\n"
+        "        out = out - t + t\n"
+    )
+    assert loop_self_sums(source) == [7]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_sums_grown_in_loops(path):
+    assert loop_self_sums(path.read_text()) == []

@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from operadkit.linalg import RationalMatrix, kernel_basis
+from operadkit.linalg import (
+    RationalMatrix,
+    homology_representatives,
+    kernel_basis,
+    rank,
+    solve_linear,
+)
 from operadkit.reps import (
     ChainComplex,
     MultilinearMap,
@@ -28,6 +34,8 @@ from operadkit.transfer import (
     scenario_symmetrization,
     symmetrized_product,
 )
+
+from test_linalg import _conjugated_complex, _inverse
 
 B, W = "B", "W"
 
@@ -284,3 +292,41 @@ def test_symmetrized_product_is_commutative():
         mubar = symmetrized_product(mu)
         assert is_commutative(mubar)
         assert symmetrized_product(mubar) == mubar
+
+
+def test_is_quasi_iso_on_conjugated_complexes():
+    rng = random.Random(11)
+    killed = into_boundary = 0
+    for _ in range(20):
+        c, _ = _conjugated_complex(rng)
+        # an invertible chain map c -> c', with c' conjugated by p
+        p = {}
+        for k, n in c.dims.items():
+            while True:
+                m = RationalMatrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+                if rank(m) == n:
+                    p[k] = m
+                    break
+        d = {k: p[k - 1].mul(m).mul(_inverse(p[k])) for k, m in c.d.items()}
+        c2 = ChainComplex(dict(c.dims), d)
+        assert is_quasi_iso(MultilinearMap((c,), c2, 0, {(k,): m for k, m in p.items()}))
+        # a chain map c -> c that sends one homology class [z] to zero:
+        # 1 - w phi in degree k, with w = z - b for a boundary b (so z maps
+        # to b, a nonzero vector when there are boundaries), phi(z) = 1 and
+        # phi = 0 on boundaries
+        classes = [k for k in c.degrees() if homology_representatives(c, k)[0]]
+        if not classes:
+            continue
+        k = rng.choice(classes)
+        reps, bounds = homology_representatives(c, k)
+        z = reps[0]
+        w = [zi - bi for zi, bi in zip(z, bounds[0])] if bounds else z
+        phi = solve_linear(RationalMatrix(bounds + [z], cols=c.dim(k)), [0] * len(bounds) + [1])
+        kill = RationalMatrix([[int(i == j) - w[i] * phi[j] for j in range(c.dim(k))] for i in range(c.dim(k))])
+        blocks = {(j,): kill if j == k else RationalMatrix.identity(c.dim(j)) for j in c.degrees()}
+        f = MultilinearMap((c,), c, 0, blocks)
+        assert hom_differential(f).is_zero()
+        assert not is_quasi_iso(f)
+        killed += 1
+        into_boundary += bool(bounds)
+    assert killed >= 10 and into_boundary >= 3
