@@ -1,10 +1,21 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Plain fraction arithmetic with a fixed elimination order: pivots are chosen
-leftmost-column-first, topmost-row-first, and underdetermined systems are
-resolved by pinning every free variable to zero.  The fixed choices make all
-downstream computations (tail solving, transfer steps) reproducible bit for
-bit across runs.
+Matrices are dense (``RationalMatrix``); elimination is sparse.  One
+eliminator, ``_echelon``, brings rows held as dicts of their nonzero
+Fraction entries to row echelon form, and ``rank``, ``solve_linear``,
+``kernel_basis``, ``boundary_basis`` and ``homology_representatives`` all
+go through it.  Its answers are canonical:
+
+- the pivot columns are the columns not in the span of the columns to
+  their left;
+- ``solve_linear`` pins every free variable to zero, so its answer is the
+  unique solution supported on the pivot columns;
+- ``kernel_basis`` has one vector per free column, equal to 1 there and 0
+  at the other free columns (the rows of the reduced row echelon form).
+
+None of these depend on the order in which rows are eliminated, so every
+downstream computation (tail solving, transfer steps) is reproducible bit
+for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +48,12 @@ class RationalMatrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)], cols=cols)
+        # Filled directly: the entries are Fractions and the rows even by
+        # construction, so __init__'s conversion and checks are skipped.
+        m = cls.__new__(cls)
+        m.rows, m.cols = rows, cols
+        m.entries = [[Fraction(0)] * cols for _ in range(rows)]
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
@@ -139,41 +155,53 @@ def kron_all(mats) -> RationalMatrix:
     return out
 
 
-def _rref(rows, ncols):
-    """Reduce rows in place; return the pivot column list.
+def _sparse_rows(a: RationalMatrix):
+    return [{j: x for j, x in enumerate(row) if x} for row in a.entries]
 
-    Pivot order is fixed: scan columns left to right, take the topmost
-    not-yet-used row with a nonzero entry.
+
+def _echelon(rows) -> dict:
+    """Row echelon form of sparse rows, as {pivot column: row}.
+
+    Each row is a dict column -> nonzero Fraction and is consumed.  It is
+    reduced left to right against the pivot rows found so far; its leftmost
+    surviving column becomes a new pivot, and the row is scaled so that its
+    entry there is 1.  A row that reduces to nothing is dropped.
     """
-    pivots = []
-    piv_r = 0
-    nrows = len(rows)
-    for col in range(ncols):
-        sel = None
-        for r in range(piv_r, nrows):
-            if rows[r][col] != 0:
-                sel = r
+    pivots = {}
+    for row in rows:
+        while row:
+            col = min(row)
+            prow = pivots.get(col)
+            if prow is None:
+                inv = 1 / row[col]
+                pivots[col] = {j: x * inv for j, x in row.items()}
                 break
-        if sel is None:
-            continue
-        rows[piv_r], rows[sel] = rows[sel], rows[piv_r]
-        inv = 1 / rows[piv_r][col]
-        rows[piv_r] = [x * inv for x in rows[piv_r]]
-        for r in range(nrows):
-            if r != piv_r and rows[r][col] != 0:
-                f = rows[r][col]
-                prow = rows[piv_r]
-                rows[r] = [x - f * y for x, y in zip(rows[r], prow)]
-        pivots.append(col)
-        piv_r += 1
-        if piv_r == nrows:
-            break
+            f = row.pop(col)
+            for j, y in prow.items():
+                if j == col:
+                    continue
+                x = row.get(j)
+                if x is None:
+                    row[j] = -f * y
+                else:
+                    x -= f * y
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
     return pivots
 
 
+def _back_substitute(pivots: dict, x: list) -> list:
+    """Set x at every pivot column, right to left, so that each pivot row
+    annihilates x; the other entries of x are kept as given."""
+    for col in sorted(pivots, reverse=True):
+        x[col] = -sum((y * x[j] for j, y in pivots[col].items() if j != col), Fraction(0))
+    return x
+
+
 def rank(a: RationalMatrix) -> int:
-    rows = [row[:] for row in a.entries]
-    return len(_rref(rows, a.cols))
+    return len(_echelon(_sparse_rows(a)))
 
 
 def solve_linear(a: RationalMatrix, b):
@@ -183,14 +211,16 @@ def solve_linear(a: RationalMatrix, b):
     """
     if len(b) != a.rows:
         raise ValueError(f"rhs length {len(b)} != row count {a.rows}")
-    aug = [row[:] + [_frac(b[i])] for i, row in enumerate(a.entries)]
-    pivots = _rref(aug, a.cols + 1)
-    if pivots and pivots[-1] == a.cols:
+    rows = _sparse_rows(a)
+    for row, rhs in zip(rows, b):
+        if rhs:
+            row[a.cols] = _frac(rhs)
+    pivots = _echelon(rows)
+    if a.cols in pivots:
         return None
-    x = [Fraction(0)] * a.cols
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][a.cols]
-    return x
+    # The right-hand side is column a.cols with x = -1 there.
+    x = _back_substitute(pivots, [Fraction(0)] * a.cols + [Fraction(-1)])
+    return x[: a.cols]
 
 
 def kernel_basis(a: RationalMatrix):
@@ -199,18 +229,14 @@ def kernel_basis(a: RationalMatrix):
     Each basis vector has one free coordinate equal to 1 (the others zero),
     with free columns taken left to right.
     """
-    rows = [row[:] for row in a.entries]
-    pivots = _rref(rows, a.cols)
-    pivot_set = set(pivots)
+    pivots = _echelon(_sparse_rows(a))
     basis = []
     for free in range(a.cols):
-        if free in pivot_set:
+        if free in pivots:
             continue
         v = [Fraction(0)] * a.cols
         v[free] = Fraction(1)
-        for r, col in enumerate(pivots):
-            v[col] = -rows[r][free]
-        basis.append(v)
+        basis.append(_back_substitute(pivots, v))
     return basis
 
 
@@ -266,8 +292,7 @@ def cycle_basis(c: ChainComplex, k: int):
 def boundary_basis(c: ChainComplex, k: int):
     """A basis of the boundaries in degree k: the pivot columns of d_{k+1}."""
     d = c.differential(k + 1)
-    pivots = _rref([row[:] for row in d.entries], d.cols)
-    return [[row[j] for row in d.entries] for j in pivots]
+    return [[row[j] for row in d.entries] for j in sorted(_echelon(_sparse_rows(d)))]
 
 
 def homology_representatives(c: ChainComplex, k: int):
@@ -280,9 +305,8 @@ def homology_representatives(c: ChainComplex, k: int):
     cycles = cycle_basis(c, k)
     bounds = boundary_basis(c, k)
     cols = bounds + cycles
-    rows = [[v[i] for v in cols] for i in range(c.dim(k))]
-    pivots = _rref(rows, len(cols))
-    reps = [cols[j] for j in pivots if j >= len(bounds)]
+    rows = [{j: v[i] for j, v in enumerate(cols) if v[i]} for i in range(c.dim(k))]
+    reps = [cols[j] for j in sorted(_echelon(rows)) if j >= len(bounds)]
     return reps, bounds
 
 

@@ -196,26 +196,25 @@ def hom_differential(f: MultilinearMap) -> MultilinearMap:
         left = f.target.d.get(sum(key) + f.degree)
         if left is not None:
             bump(key, left.mul(mat))
+    # F o (1...d_i...1) lands in the block of `src` with index i raised by
+    # one, so only the stored blocks of F contribute.
     sign_f = -1 if f.degree % 2 else 1
-    for key in product(*(c.degrees() for c in f.sources)):
+    for src, fblock in f.blocks.items():
         prefix = 0
         for i, c in enumerate(f.sources):
-            ki = key[i]
-            d_i = c.d.get(ki)
+            d_i = c.d.get(src[i] + 1)
             if d_i is not None:
-                shifted = tuple(k - 1 if j == i else k for j, k in enumerate(key))
-                fblock = f.blocks.get(shifted)
-                if fblock is not None:
-                    factors = []
-                    for j, cj in enumerate(f.sources):
-                        if j == i:
-                            factors.append(d_i)
-                        else:
-                            factors.append(RationalMatrix.identity(cj.dim(key[j])))
-                    mat = fblock.mul(kron_all(factors))
-                    s = sign_f * (-1 if prefix % 2 else 1)
-                    bump(key, mat.scale(-s))
-            prefix += key[i]
+                key = src[:i] + (src[i] + 1,) + src[i + 1 :]
+                factors = []
+                for j, cj in enumerate(f.sources):
+                    if j == i:
+                        factors.append(d_i)
+                    else:
+                        factors.append(RationalMatrix.identity(cj.dim(key[j])))
+                mat = fblock.mul(kron_all(factors))
+                s = sign_f * (-1 if prefix % 2 else 1)
+                bump(key, mat.scale(-s))
+            prefix += src[i]
     clean = {k: m for k, m in blocks.items() if not m.is_zero()}
     return MultilinearMap(f.sources, f.target, f.degree - 1, clean)
 

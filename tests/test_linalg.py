@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from operadkit.linalg import (
     ChainComplex,
@@ -160,3 +162,161 @@ def test_homology_dims_match_sympy_on_conjugated_complexes():
             for k in c.degrees()
         }
         assert homology_dims(c) == oracle == expected
+
+
+# ---------------------------------------------------------------------------
+# Independent oracles: sympy's exact rank, rref and nullspace
+
+
+def _random_sparse_matrix(rng):
+    """Seeded sparse integer or rational matrices, half of them of low rank."""
+    rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+    density = rng.random()
+    if rows and cols and rng.random() < 0.5:
+        inner = rng.randint(1, 3)
+        left = [[rng.randint(-2, 2) if rng.random() < density else 0 for _ in range(inner)] for _ in range(rows)]
+        right = [[rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(cols)] for _ in range(inner)]
+        entries = [[sum(l[t] * right[t][j] for t in range(inner)) for j in range(cols)] for l in left]
+    else:
+        entries = [
+            [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(rows)
+        ]
+    return RationalMatrix(entries, cols=cols)
+
+
+def _to_sympy(sympy, m):
+    flat = [sympy.Rational(x.numerator, x.denominator) for row in m.entries for x in row]
+    return sympy.Matrix(m.rows, m.cols, flat)
+
+
+def _from_sympy(vector):
+    return [Fraction(int(x.p), int(x.q)) for x in vector]
+
+
+def test_rank_kernel_and_solve_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(4)
+    shapes = [RationalMatrix([], cols=3), RationalMatrix([[], []]), RationalMatrix([], cols=0)]
+    mats = shapes + [_random_sparse_matrix(rng) for _ in range(200)]
+    inconsistent = 0
+    for a in mats:
+        s = _to_sympy(sympy, a)
+        assert rank(a) == s.rank()
+        assert kernel_basis(a) == [_from_sympy(v) for v in s.nullspace()]
+        pivots = s.rref()[1]
+        for _ in range(2):
+            if rng.random() < 0.5:  # consistent by construction
+                b = a.mul_vec([Fraction(rng.randint(-3, 3)) for _ in range(a.cols)])
+            else:
+                b = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(a.rows)]
+            x = solve_linear(a, b)
+            augmented = s.row_join(_to_sympy(sympy, RationalMatrix([[v] for v in b], cols=1)))
+            if augmented.rank() > s.rank():
+                assert x is None
+                inconsistent += 1
+                continue
+            assert x is not None and a.mul_vec(x) == b
+            assert all(x[j] == 0 for j in range(a.cols) if j not in pivots)
+    assert inconsistent > 20
+
+
+_small = st.one_of(st.just(0), st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, max_denominator=3))
+
+
+@st.composite
+def _system_with_row_order(draw):
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entries = draw(st.lists(st.lists(_small, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    b = draw(st.lists(_small, min_size=rows, max_size=rows))
+    order = draw(st.permutations(range(rows)))
+    return RationalMatrix(entries, cols=cols), b, order
+
+
+@settings(max_examples=100, deadline=None)
+@given(_system_with_row_order())
+def test_row_order_is_free(system):
+    a, b, order = system
+    permuted = RationalMatrix([a.entries[i] for i in order], cols=a.cols)
+    assert solve_linear(permuted, [b[i] for i in order]) == solve_linear(a, b)
+    assert kernel_basis(permuted) == kernel_basis(a)
+    assert rank(permuted) == rank(a)
+
+
+# ---------------------------------------------------------------------------
+# Old against new: the dense Gauss-Jordan elimination the sparse eliminator
+# replaced, kept as the reference on recorded systems
+
+
+def _dense_rref(rows, ncols):
+    """Reduce dense rows in place; return the pivot column list."""
+    pivots = []
+    piv_r = 0
+    nrows = len(rows)
+    for col in range(ncols):
+        sel = None
+        for r in range(piv_r, nrows):
+            if rows[r][col] != 0:
+                sel = r
+                break
+        if sel is None:
+            continue
+        rows[piv_r], rows[sel] = rows[sel], rows[piv_r]
+        inv = 1 / rows[piv_r][col]
+        rows[piv_r] = [x * inv for x in rows[piv_r]]
+        for r in range(nrows):
+            if r != piv_r and rows[r][col] != 0:
+                f = rows[r][col]
+                prow = rows[piv_r]
+                rows[r] = [x - f * y for x, y in zip(rows[r], prow)]
+        pivots.append(col)
+        piv_r += 1
+        if piv_r == nrows:
+            break
+    return pivots
+
+
+def _dense_answers(a, b):
+    """(rank, solution, kernel basis) of the dense reference."""
+    aug = [row[:] + [Fraction(x)] for row, x in zip(a.entries, b)]
+    pivots = _dense_rref(aug, a.cols + 1)
+    x = None
+    if not (pivots and pivots[-1] == a.cols):
+        x = [Fraction(0)] * a.cols
+        for r, col in enumerate(pivots):
+            x[col] = aug[r][a.cols]
+    rows = [row[:] for row in a.entries]
+    pivots = _dense_rref(rows, a.cols)
+    kernel = []
+    for free in range(a.cols):
+        if free not in pivots:
+            v = [Fraction(0)] * a.cols
+            v[free] = Fraction(1)
+            for r, col in enumerate(pivots):
+                v[col] = -rows[r][free]
+            kernel.append(v)
+    return len(pivots), x, kernel
+
+
+def test_sparse_eliminator_matches_dense_reference_on_recorded_systems(monkeypatch):
+    import operadkit.tails as tails
+    import operadkit.transfer as transfer
+    from operadkit.differentials import build_ainf
+    from test_transfer import four_dim_dga, three_dim_dga
+
+    recorded = []
+
+    def recording(a, b):
+        recorded.append((a, list(b)))
+        return solve_linear(a, b)
+
+    monkeypatch.setattr(tails, "solve_linear", recording)
+    monkeypatch.setattr(transfer, "solve_linear", recording)
+    tails.build_model_btow(build_ainf(5), 5)
+    tail_systems = len(recorded)
+    for dga in (three_dim_dga, four_dim_dga):
+        transfer.scenario_symmetrization(*dga(), 3)
+    assert tail_systems == 3 and len(recorded) == 7
+    assert any(a.cols > rank(a) for a, _ in recorded[tail_systems:])  # free variables occur
+    for a, b in recorded:
+        assert (rank(a), solve_linear(a, b), kernel_basis(a)) == _dense_answers(a, b)
