@@ -139,37 +139,21 @@ def compose_maps(outer: MultilinearMap, inners) -> MultilinearMap:
         acc += t.degree
     deg_after.reverse()  # deg_after[i] = sum of |T_j| for j > i
 
-    for key in product(*(c.degrees() for c in sources)):
-        rows_cols = []
-        pos = 0
-        mats = []
+    # Only stored blocks contribute: a block that is missing is zero.
+    for parts in product(*(t.blocks.items() for t in inners)):
+        key = ()
         mids = []
         sign = 0
-        skip = False
-        for i, t in enumerate(inners):
-            chunk = key[pos : pos + t.arity]
-            pos += t.arity
-            block = t.blocks.get(tuple(chunk))
-            if block is None:
-                rows, cols = t.block_shape(chunk)
-                if cols == 0:
-                    skip = True
-                    break
-                block = RationalMatrix.zero(rows, cols)
-            mats.append(block)
+        for (chunk, _), t, after in zip(parts, inners, deg_after):
+            key += chunk
             mids.append(sum(chunk) + t.degree)
-            sign += sum(chunk) * deg_after[i]
-        if skip:
-            continue
+            sign += sum(chunk) * after
         fblock = outer.blocks.get(tuple(mids))
         if fblock is None:
             continue
-        if any(m.is_zero() for m in mats):
-            continue
-        mat = fblock.mul(kron_all(mats))
+        mat = fblock.mul(kron_all([block for _, block in parts]))
         if not mat.is_zero():
-            mat = mat.scale(-1 if sign % 2 else 1)
-            blocks[key] = mat
+            blocks[key] = mat.scale(-1 if sign % 2 else 1)
     return MultilinearMap(sources, outer.target, degree, blocks)
 
 
@@ -179,6 +163,31 @@ def compose_at(outer: MultilinearMap, slot: int, inner: MultilinearMap) -> Multi
     for i, c in enumerate(outer.sources, start=1):
         inners.append(inner if i == slot else identity_map(c))
     return compose_maps(outer, inners)
+
+
+def hom_differential_terms(sources, degree, src):
+    """The terms of -(-1)^{|F|} F o (sum_i 1...d_i...1) on the block of F at `src`.
+
+    F has the given sources and degree.  Each term is (key, factors, sign):
+    F's block at `src` times kron_all(factors), which is d_i in slot i and
+    identities elsewhere, times `sign`, lands in the block `key`: `src` with
+    index i raised by one.  The sign is the Koszul rule
+    -(-1)^{|F|} (-1)^{src[0] + ... + src[i-1]}; this is the one place it is
+    written.
+    """
+    sign_f = -1 if degree % 2 else 1
+    prefix = 0
+    for i, c in enumerate(sources):
+        # ChainComplex.d holds only the nonzero differentials.
+        d_i = c.d.get(src[i] + 1)
+        if d_i is not None:
+            key = src[:i] + (src[i] + 1,) + src[i + 1 :]
+            factors = [
+                d_i if j == i else RationalMatrix.identity(cj.dim(key[j]))
+                for j, cj in enumerate(sources)
+            ]
+            yield key, factors, -sign_f * (-1 if prefix % 2 else 1)
+        prefix += src[i]
 
 
 def hom_differential(f: MultilinearMap) -> MultilinearMap:
@@ -191,30 +200,13 @@ def hom_differential(f: MultilinearMap) -> MultilinearMap:
         else:
             blocks[key] = mat
 
-    # ChainComplex.d holds only the nonzero differentials.
-    for key, mat in f.blocks.items():
-        left = f.target.d.get(sum(key) + f.degree)
-        if left is not None:
-            bump(key, left.mul(mat))
-    # F o (1...d_i...1) lands in the block of `src` with index i raised by
-    # one, so only the stored blocks of F contribute.
-    sign_f = -1 if f.degree % 2 else 1
     for src, fblock in f.blocks.items():
-        prefix = 0
-        for i, c in enumerate(f.sources):
-            d_i = c.d.get(src[i] + 1)
-            if d_i is not None:
-                key = src[:i] + (src[i] + 1,) + src[i + 1 :]
-                factors = []
-                for j, cj in enumerate(f.sources):
-                    if j == i:
-                        factors.append(d_i)
-                    else:
-                        factors.append(RationalMatrix.identity(cj.dim(key[j])))
-                mat = fblock.mul(kron_all(factors))
-                s = sign_f * (-1 if prefix % 2 else 1)
-                bump(key, mat.scale(-s))
-            prefix += src[i]
+        # ChainComplex.d holds only the nonzero differentials.
+        left = f.target.d.get(sum(src) + f.degree)
+        if left is not None:
+            bump(src, left.mul(fblock))
+        for key, factors, sign in hom_differential_terms(f.sources, f.degree, src):
+            bump(key, fblock.mul(kron_all(factors)).scale(sign))
     clean = {k: m for k, m in blocks.items() if not m.is_zero()}
     return MultilinearMap(f.sources, f.target, f.degree - 1, clean)
 

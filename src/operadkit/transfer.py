@@ -16,6 +16,15 @@ closed theta added to n_{K+1} is exactly the kernel of the first equation,
 and feasibility of the pair is what the renormalization buys.  When the
 quasi-isomorphism hypothesis fails the system can be infeasible, which is
 reported as an obstruction.
+
+The system is assembled as sparse rows written straight from stored
+blocks.  Every term is blockwise X -> L X R, and vec(L X R) =
+(R^T (x) L) vec(X): the column of the unit E_rc is column r of L times
+row c of R.  The Hom differential contributes d o X (R the identity) and
+the terms X o (1 (x) ... (x) d_i (x) ... (x) 1) with the Koszul sign from
+``reps.hom_differential_terms``, the one place that sign rule is written;
+the F-equation adds the principal term X o f_1^{(x)K+1} (L a scalar).
+``find_homotopy`` solves d(h) = g with the same assembler.
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ from .reps import (
     compose_maps,
     evaluate_element,
     hom_differential,
+    hom_differential_terms,
     identity_map,
     zero_map,
 )
@@ -114,113 +124,168 @@ def is_quasi_iso(f1: MultilinearMap) -> bool:
 
 # ---------------------------------------------------------------------------
 # The extension step as a joint linear solve
+#
+# The unknowns are the entries of multilinear maps, flattened block by block
+# in multidegree order, each block row-major.
 
 
-def _unknown_layout(template: MultilinearMap):
-    layout = []
-    for key in template.multidegrees():
-        rows, cols = template.block_shape(key)
-        layout.append((key, rows, cols))
-    return layout
+class _Layout:
+    """Where the entries of a map shaped like `template` sit in a flat vector."""
+
+    def __init__(self, template: MultilinearMap):
+        self.template = template
+        self.blocks = []  # (key, rows, cols, offset)
+        self.offsets = {}
+        self.size = 0
+        for key in template.multidegrees():
+            rows, cols = template.block_shape(key)
+            self.blocks.append((key, rows, cols, self.size))
+            self.offsets[key] = self.size
+            self.size += rows * cols
+
+    def flatten(self, m: MultilinearMap):
+        out = []
+        for key, rows, cols, _ in self.blocks:
+            block = m.blocks.get(key)
+            if block is None:
+                out.extend([Fraction(0)] * (rows * cols))
+            else:
+                for row in block.entries:
+                    out.extend(row)
+        return out
+
+    def map_from_vector(self, vec) -> MultilinearMap:
+        t = self.template
+        blocks = {
+            key: [vec[off + r * cols : off + (r + 1) * cols] for r in range(rows)]
+            for key, rows, cols, off in self.blocks
+        }
+        return MultilinearMap(t.sources, t.target, t.degree, blocks)
 
 
-def _map_from_vector(template: MultilinearMap, layout, vec, offset):
-    blocks = {}
-    pos = offset
-    for key, rows, cols in layout:
-        mat = [[vec[pos + r * cols + c] for c in range(cols)] for r in range(rows)]
-        pos += rows * cols
-        blocks[key] = mat
-    return MultilinearMap(template.sources, template.target, template.degree, blocks), pos
+def _layouts(template: MultilinearMap):
+    """Layouts of the unknown X shaped like `template` and of its equation d(X)."""
+    eq = zero_map(template.sources, template.target, template.degree - 1)
+    return _Layout(template), _Layout(eq)
 
 
-def _unit_map(template: MultilinearMap, key, r, c):
-    rows, cols = template.block_shape(key)
-    mat = RationalMatrix.zero(rows, cols)
-    mat.entries[r][c] = Fraction(1)
-    return MultilinearMap(template.sources, template.target, template.degree, {key: mat})
+def _kron_row(mats, c):
+    """Row c of kron_all(mats), as {column: nonzero entry}."""
+    digits = []
+    for m in reversed(mats):
+        c, digit = divmod(c, m.rows)
+        digits.append(digit)
+    row = {0: Fraction(1)}
+    for m, digit in zip(mats, reversed(digits)):
+        row = {
+            j * m.cols + t: v * x
+            for j, v in row.items()
+            for t, x in enumerate(m.entries[digit])
+            if x
+        }
+    return row
 
 
-def _residual_vector(maps_and_layouts):
-    out = []
-    for m, layout in maps_and_layouts:
-        for key, rows, cols in layout:
-            block = m.block(key)
+def _write_right(eq_rows, col0, rows, cols, row0, factors, scale):
+    """Columns of X -> scale * X o kron(factors), X a unit of one rows x cols block.
+
+    The unknowns of the block start at column col0 and its image block at
+    equation row row0: the unit E_rc puts row c of the Kronecker product,
+    times scale, in row r of the image block.
+    """
+    eq_cols = 1
+    for m in factors:
+        eq_cols *= m.cols
+    for c in range(cols):
+        entries = [(k, scale * x) for k, x in _kron_row(factors, c).items()]
+        for r in range(rows):
+            col = col0 + r * cols + c
+            base = row0 + r * eq_cols
+            for k, x in entries:
+                eq_rows[base + k][col] = x
+
+
+def _write_hom_differential(eq_rows, unknowns: _Layout, eq: _Layout, col0, row0):
+    """Columns of X -> d(X) for the units X of `unknowns.template`.
+
+    The unknowns start at column col0, and d(X), laid out by `eq`, starts at
+    equation row row0.  For the unit E_rc in block K, d o E_rc puts column r
+    of the target differential in column c of eq-block K, and each term of
+    reps.hom_differential_terms puts row c of its Kronecker product, times
+    its sign, in row r of its eq-block.
+    """
+    t = unknowns.template
+    for key, rows, cols, off in unknowns.blocks:
+        left = t.target.d.get(sum(key) + t.degree)
+        if left is not None:
+            base = row0 + eq.offsets[key]
             for r in range(rows):
-                out.extend(block.entries[r])
-    return out
+                for i, lrow in enumerate(left.entries):
+                    if lrow[r]:
+                        for c in range(cols):
+                            eq_rows[base + i * cols + c][col0 + off + r * cols + c] = lrow[r]
+        for key2, factors, sign in hom_differential_terms(t.sources, t.degree, key):
+            _write_right(eq_rows, col0 + off, rows, cols, row0 + eq.offsets[key2], factors, sign)
 
 
-def extension_step(state: ExtensionState) -> ExtensionState:
-    """Adjoin (n_{K+1}, F_{K+1}) so that all axioms hold one arity higher."""
+def _matrix(eq_rows, ncols) -> RationalMatrix:
+    a = RationalMatrix.zero(len(eq_rows), ncols)
+    for dense, row in zip(a.entries, eq_rows):
+        for j, x in row.items():
+            dense[j] = x
+    return a
+
+
+def _extension_system(state: ExtensionState):
+    """(A, b, n, f): the joint system of one extension step, and the layouts
+    of its unknowns n_{K+1} and F_{K+1}.
+
+    The unknowns are the entries of n_{K+1} and then of F_{K+1}; the
+    equations are the entries of the n-equation and then of the F-equation.
+    The F-equation carries the principal term -c nu_{K+1}(f_1, ..., f_1) on
+    the n-unknowns: f_1 has degree 0, so it is X o f_1^{(x)k} without a sign.
+    """
     knew = state.k + 1
     # The unknowns n_{K+1}, F_{K+1} enter this representation as zero maps.
     rep = state.representation(knew)
     model = rep.model
+    principal_coeff, rest = _split_principal(model, model.of(f"f_{knew}"), knew)
 
+    n, eq_n = _layouts(zero_map((state.w,) * knew, state.w, knew - 2))
+    f, eq_f = _layouts(zero_map((state.v,) * knew, state.w, knew - 1))
+    # Right-hand sides: the evaluated differentials of the top generators,
+    # less the principal term (they involve only data of arity <= K).
+    b = eq_n.flatten(evaluate_element(rep, model.of(f"nu_{knew}")))
+    b += eq_f.flatten(evaluate_element(rep, rest))
+
+    eq_rows = [{} for _ in b]
+    _write_hom_differential(eq_rows, n, eq_n, 0, 0)
+    if principal_coeff:
+        f1 = state.f[1]
+        for key, rows, cols, off in n.blocks:
+            inner = [f1.blocks.get((k,)) for k in key]
+            if all(m is not None for m in inner):
+                row0 = eq_n.size + eq_f.offsets[key]
+                _write_right(eq_rows, off, rows, cols, row0, inner, -principal_coeff)
+    _write_hom_differential(eq_rows, f, eq_f, n.size, eq_n.size)
+    return _matrix(eq_rows, n.size + f.size), b, n, f
+
+
+def extension_step(state: ExtensionState) -> ExtensionState:
+    """Adjoin (n_{K+1}, F_{K+1}) so that all axioms hold one arity higher."""
     if not is_quasi_iso(state.f[1]):
         warnings.warn("F_1 is not a quasi-isomorphism; the extension step may be obstructed")
-
-    # Right-hand side of the n-equation: the evaluated differential of the
-    # top target generator (it only involves data of arity <= K).
-    d_nu = model.of(f"nu_{knew}")
-    rhs_n = evaluate_element(rep, d_nu)
-
-    # The F-equation right side splits into a constant part and the single
-    # term containing the unknown n_{K+1}.
-    d_f = model.of(f"f_{knew}")
-    principal_coeff, rest = _split_principal(model, d_f, knew)
-    rhs_f_const = evaluate_element(rep, rest)
-
-    n_template = zero_map((state.w,) * knew, state.w, knew - 2)
-    f_template = zero_map((state.v,) * knew, state.w, knew - 1)
-    n_layout = _unknown_layout(n_template)
-    f_layout = _unknown_layout(f_template)
-    n_size = sum(r * c for _, r, c in n_layout)
-    f_size = sum(r * c for _, r, c in f_layout)
-
-    eq_n_layout = _unknown_layout(zero_map((state.w,) * knew, state.w, knew - 3))
-    eq_f_layout = _unknown_layout(zero_map((state.v,) * knew, state.w, knew - 2))
-
-    def residual(n_map, f_map, include_const):
-        e_n = hom_differential(n_map)
-        e_f = hom_differential(f_map)
-        principal = compose_maps(n_map, [state.f[1]] * knew).scale(principal_coeff)
-        e_f = e_f.sub(principal)
-        if include_const:
-            e_n = e_n.sub(rhs_n)
-            e_f = e_f.sub(rhs_f_const)
-        return _residual_vector([(e_n, eq_n_layout), (e_f, eq_f_layout)])
-
-    zero_n = zero_map(n_template.sources, n_template.target, n_template.degree)
-    zero_f = zero_map(f_template.sources, f_template.target, f_template.degree)
-    b = [-x for x in residual(zero_n, zero_f, True)]
-
-    columns = []
-    for key, rows, cols in n_layout:
-        for r in range(rows):
-            for c in range(cols):
-                unit = _unit_map(n_template, key, r, c)
-                columns.append(residual(unit, zero_f, False))
-    for key, rows, cols in f_layout:
-        for r in range(rows):
-            for c in range(cols):
-                unit = _unit_map(f_template, key, r, c)
-                columns.append(residual(zero_n, unit, False))
-
-    a = RationalMatrix.from_columns(columns, len(b)) if columns else RationalMatrix.zero(len(b), 0)
+    a, b, n_layout, f_layout = _extension_system(state)
     x = solve_linear(a, b)
     if x is None:
         raise ExtensionObstructionError(
             "extension obstruction nonzero -- check that F_1 is a quasi-isomorphism"
         )
-    n_new, pos = _map_from_vector(n_template, n_layout, x, 0)
-    f_new, _ = _map_from_vector(f_template, f_layout, x, pos)
-
+    knew = state.k + 1
     n = dict(state.n)
     f = dict(state.f)
-    n[knew] = n_new
-    f[knew] = f_new
+    n[knew] = n_layout.map_from_vector(x[: n_layout.size])
+    f[knew] = f_layout.map_from_vector(x[n_layout.size :])
     return replace(state, n=n, f=f, k=knew)
 
 
@@ -251,26 +316,24 @@ def extend_to_arity(state: ExtensionState, target: int) -> ExtensionState:
 # Homotopies in the Hom complex
 
 
+def _homotopy_system(g: MultilinearMap):
+    """(A, b, h): the system d(h) = g, and the layout of the unknown h."""
+    h, eq = _layouts(zero_map(g.sources, g.target, g.degree + 1))
+    b = eq.flatten(g)
+    eq_rows = [{} for _ in b]
+    _write_hom_differential(eq_rows, h, eq, 0, 0)
+    return _matrix(eq_rows, h.size), b, h
+
+
 def find_homotopy(g: MultilinearMap):
     """Some h with d(h) = g, or None when g is not a boundary."""
     if not hom_differential(g).is_zero():
         raise ValueError("the target of find_homotopy must be closed")
-    template = zero_map(g.sources, g.target, g.degree + 1)
-    layout = _unknown_layout(template)
-    eq_layout = _unknown_layout(zero_map(g.sources, g.target, g.degree))
-    b = _residual_vector([(g, eq_layout)])
-    columns = []
-    for key, rows, cols in layout:
-        for r in range(rows):
-            for c in range(cols):
-                unit = _unit_map(template, key, r, c)
-                columns.append(_residual_vector([(hom_differential(unit), eq_layout)]))
-    a = RationalMatrix.from_columns(columns, len(b)) if columns else RationalMatrix.zero(len(b), 0)
+    a, b, h = _homotopy_system(g)
     x = solve_linear(a, b)
     if x is None:
         return None
-    h, _ = _map_from_vector(template, layout, x, 0)
-    return h
+    return h.map_from_vector(x)
 
 
 # ---------------------------------------------------------------------------

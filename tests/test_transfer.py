@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import operadkit.transfer as T
 from operadkit.linalg import (
     RationalMatrix,
     homology_representatives,
@@ -15,6 +16,7 @@ from operadkit.reps import (
     ChainComplex,
     MultilinearMap,
     compose_maps,
+    evaluate_element,
     hom_differential,
     identity_map,
     random_map,
@@ -108,44 +110,21 @@ def test_solver_freedom_second_solution_also_passes():
     # a kernel vector gives another valid extension
     u, mu = four_dim_dga()
     state = identity_state(u, mu)
-    import operadkit.transfer as T
-
     knew = 3
-    # redo the solve by hand to get the kernel
-    from operadkit.differentials import build_ainf_morphism
-
-    model = build_ainf_morphism(knew)
     n_template = zero_map((u,) * knew, u, knew - 2)
     f_template = zero_map((u,) * knew, u, knew - 1)
-    n_layout = T._unknown_layout(n_template)
-    f_layout = T._unknown_layout(f_template)
-    eq_n_layout = T._unknown_layout(zero_map((u,) * knew, u, knew - 3))
-    eq_f_layout = T._unknown_layout(zero_map((u,) * knew, u, knew - 2))
+    n_layout, f_layout = T._Layout(n_template), T._Layout(f_template)
 
     nxt = extension_step(state)
     base_n, base_f = nxt.n[3], nxt.f[3]
 
-    def residual_mat(n_map, f_map):
-        e_n = hom_differential(n_map)
-        principal = compose_maps(n_map, [state.f[1]] * knew).scale(-1)
-        e_f = hom_differential(f_map).sub(principal)
-        return T._residual_vector([(e_n, eq_n_layout), (e_f, eq_f_layout)])
-
-    columns = []
-    for key, rows, cols in n_layout:
-        for r in range(rows):
-            for c in range(cols):
-                columns.append(residual_mat(T._unit_map(n_template, key, r, c), f_template))
-    for key, rows, cols in f_layout:
-        for r in range(rows):
-            for c in range(cols):
-                columns.append(residual_mat(n_template, T._unit_map(f_template, key, r, c)))
-    a = RationalMatrix.from_columns(columns, len(columns and columns[0]))
+    # redo the assembly by hand to get the kernel
+    a, _ = reference_extension_system(state)
     kern = kernel_basis(a)
     assert kern, "expected solver freedom"
     shift = kern[0]
-    n_shift, pos = T._map_from_vector(n_template, n_layout, shift, 0)
-    f_shift, _ = T._map_from_vector(f_template, f_layout, shift, pos)
+    n_shift = n_layout.map_from_vector(shift[: n_layout.size])
+    f_shift = f_layout.map_from_vector(shift[n_layout.size :])
     other = ExtensionState(
         v=u,
         w=u,
@@ -330,3 +309,192 @@ def test_is_quasi_iso_on_conjugated_complexes():
         killed += 1
         into_boundary += bool(bounds)
     assert killed >= 10 and into_boundary >= 3
+
+
+# ---------------------------------------------------------------------------
+# Old against new: the per-unknown assembly that the blockwise one replaced,
+# kept as the reference.  Each column is the residual of one unit map,
+# computed with maps; the Hom differential goes through compose_maps, whose
+# Koszul interchange sign is independent of reps.hom_differential_terms.
+
+
+def koszul_dga():
+    """U = k[x,y]/(x^2, y^2) (x) Lambda(z), |x| = |y| = -2, |z| = -3, dz = xy.
+
+    Graded commutative; every product of two odd elements is zero, so no
+    product carries a Koszul sign.
+    """
+    basis = {0: ["1"], -2: ["x", "y"], -3: ["z"], -4: ["xy"], -5: ["xz", "yz"], -7: ["xyz"]}
+    u = ChainComplex({k: len(names) for k, names in basis.items()}, {-3: [[1]]}, W)
+    blocks = {}
+    for k1, names1 in basis.items():
+        for k2, names2 in basis.items():
+            target = basis.get(k1 + k2)
+            if target is None:
+                continue
+            mat = RationalMatrix.zero(len(target), len(names1) * len(names2))
+            for i, a in enumerate(names1):
+                for j, b in enumerate(names2):
+                    word = (a + b).replace("1", "")
+                    if len(set(word)) == len(word):
+                        mat.entries[target.index("".join(sorted(word)) or "1")][i * len(names2) + j] = Fraction(1)
+            blocks[(k1, k2)] = mat
+    mu = MultilinearMap((u, u), u, 0, blocks)
+    return u, mu
+
+
+def _differential_map(c):
+    return MultilinearMap((c,), c, -1, {(k,): m for k, m in c.d.items()})
+
+
+def reference_hom(sources, target):
+    """X -> d(X) = d o X - (-1)^{|X|} sum_i X o (1...d_i...1), through compose_maps."""
+    d_target = _differential_map(target)
+    ones = [identity_map(c) for c in sources]
+    slots = [ones[:i] + [_differential_map(c)] + ones[i + 1 :] for i, c in enumerate(sources)]
+
+    def hom(x):
+        out = compose_maps(d_target, [x])
+        sign = -1 if x.degree % 2 else 1
+        for inners in slots:
+            out = out.sub(compose_maps(x, inners).scale(sign))
+        return out
+
+    return hom
+
+
+def _unit_map(template, key, r, c):
+    rows, cols = template.block_shape(key)
+    mat = RationalMatrix.zero(rows, cols)
+    mat.entries[r][c] = Fraction(1)
+    return MultilinearMap(template.sources, template.target, template.degree, {key: mat})
+
+
+def _units(template):
+    for key in template.multidegrees():
+        rows, cols = template.block_shape(key)
+        for r in range(rows):
+            for c in range(cols):
+                yield _unit_map(template, key, r, c)
+
+
+def _keys(template):
+    return list(template.multidegrees())
+
+
+def _residual_vector(maps_and_keys):
+    out = []
+    for m, keys in maps_and_keys:
+        for key in keys:
+            for row in m.block(key).entries:
+                out.extend(row)
+    return out
+
+
+def reference_extension_system(state):
+    """(A, b) of one extension step, one residual per unknown."""
+    knew = state.k + 1
+    rep = state.representation(knew)
+    model = rep.model
+    rhs_n = evaluate_element(rep, model.of(f"nu_{knew}"))
+    coeff, rest = T._split_principal(model, model.of(f"f_{knew}"), knew)
+    rhs_f = evaluate_element(rep, rest)
+    n_template = zero_map((state.w,) * knew, state.w, knew - 2)
+    f_template = zero_map((state.v,) * knew, state.w, knew - 1)
+    eq_n = _keys(zero_map(n_template.sources, state.w, knew - 3))
+    eq_f = _keys(zero_map(f_template.sources, state.w, knew - 2))
+
+    hom_n = reference_hom(n_template.sources, state.w)
+    hom_f = reference_hom(f_template.sources, state.w)
+
+    def residual(n_map, f_map):
+        principal = compose_maps(n_map, [state.f[1]] * knew).scale(coeff)
+        e_f = hom_f(f_map).sub(principal)
+        return _residual_vector([(hom_n(n_map), eq_n), (e_f, eq_f)])
+
+    columns = [residual(x, f_template) for x in _units(n_template)]
+    columns += [residual(n_template, x) for x in _units(f_template)]
+    b = _residual_vector([(rhs_n, eq_n), (rhs_f, eq_f)])
+    return RationalMatrix.from_columns(columns, len(b)), b
+
+
+def reference_homotopy_system(g):
+    """(A, b) of d(h) = g, one residual per unknown."""
+    template = zero_map(g.sources, g.target, g.degree + 1)
+    eq = _keys(g)
+    hom = reference_hom(g.sources, g.target)
+    columns = [_residual_vector([(hom(x), eq)]) for x in _units(template)]
+    b = _residual_vector([(g, eq)])
+    return RationalMatrix.from_columns(columns, len(b)), b
+
+
+def test_koszul_dga_is_a_dga():
+    u, mu = koszul_dga()
+    one = identity_map(u)
+    assert hom_differential(mu).is_zero()
+    assert compose_maps(mu, [mu, one]) == compose_maps(mu, [one, mu])
+    assert is_commutative(mu)
+
+
+def _abelization_start():
+    u, mu = three_dim_dga()
+    h = MultilinearMap((u, u), u, 1, {(0, 0): RationalMatrix([[0, 0, 1, 0]])})
+    return scenario_abelization(u, mu, mu.sub(hom_differential(h)), h, 2)
+
+
+@pytest.mark.parametrize(
+    "start, top",
+    [
+        (lambda: identity_state(*three_dim_dga()), 4),
+        (_abelization_start, 4),
+        (lambda: identity_state(*four_dim_dga()), 4),
+        (lambda: scenario_symmetrization(*four_dim_dga(), 2), 4),
+        (lambda: scenario_symmetrization(*koszul_dga(), 2), 3),
+    ],
+    ids=["three-dim-identity", "three-dim-abelization", "four-dim-identity", "four-dim-sym", "koszul-sym"],
+)
+def test_extension_system_matches_reference(start, top):
+    state = start()
+    while state.k < top:
+        a, b, _, _ = T._extension_system(state)
+        ref_a, ref_b = reference_extension_system(state)
+        assert (a.rows, a.cols) == (ref_a.rows, ref_a.cols)
+        assert a.entries == ref_a.entries
+        assert b == ref_b
+        state = extension_step(state)
+    assert state.check().ok
+
+
+def _symmetrization_gap(u, mu):
+    h_cx, iota = homology_complex(u, B)
+    star = induced_product(u, mu, h_cx, iota)
+    return compose_maps(iota, [star]).sub(compose_maps(symmetrized_product(mu), [iota, iota]))
+
+
+def test_homotopy_system_matches_reference():
+    rng = random.Random(3)
+    koszul, _ = koszul_dga()
+    three, _ = three_dim_dga()
+    targets = [_symmetrization_gap(*koszul_dga()), _symmetrization_gap(*four_dim_dga())]
+    for u, arities in ((koszul, (1, 2)), (three, (1, 2, 3))):
+        for arity in arities:
+            for degree in (-1, 0, 1):
+                f = random_map(rng, (u,) * arity, u, degree)
+                assert hom_differential(f) == reference_hom(f.sources, u)(f)
+                targets.append(hom_differential(f))
+    assert any(not g.is_zero() for g in targets[:2])
+    for g in targets:
+        a, b, _ = T._homotopy_system(g)
+        ref_a, ref_b = reference_homotopy_system(g)
+        assert (a.rows, a.cols) == (ref_a.rows, ref_a.cols)
+        assert a.entries == ref_a.entries
+        assert b == ref_b
+
+
+def test_koszul_symmetrization_to_five():
+    # the Massey product of U is nonzero, and m_3 = 0 on H, so the
+    # transferred n_3 cannot vanish
+    state = scenario_symmetrization(*koszul_dga(), 5)
+    assert state.k == 5
+    assert not state.n[3].is_zero()
+    assert state.check().ok
