@@ -69,7 +69,6 @@ from .reps import (
     evaluate_element,
     hom_differential,
     identity_map,
-    random_map,
     zero_map,
 )
 from .tails import (

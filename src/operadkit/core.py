@@ -129,9 +129,14 @@ def _replace_at(shape, path, new_subshape):
 class TreeMonomial:
     """A planar rooted tree with generator-labeled vertices and colored edges.
 
-    Construction validates the color rule (each child subtree's output color
-    equals the matching input color of its parent's generator) and caches
-    signature, degree and vertex count.
+    The constructor validates the color rule (each child subtree's output
+    color equals the matching input color of its parent's generator) and
+    caches signature, degree and vertex count.  It is the trust boundary:
+    parsing, JSON, `generator`, `enumerate_basis`, `normalize_bw` and
+    renaming all go through it.  Trees that `graft`, `compose_full` and
+    `extend_derivation` assemble from already-validated monomials of the same
+    generator set skip it: they take their invariants from those parts
+    through `_assembled`.
     """
 
     __slots__ = ("gens", "shape", "signature", "degree", "nvertices", "_key")
@@ -144,6 +149,19 @@ class TreeMonomial:
         self.degree = degree
         self.nvertices = nvert
         self._key = None
+
+    @classmethod
+    def _assembled(cls, gens, shape, signature, degree, nvertices) -> "TreeMonomial":
+        """A tree built from validated parts, with the invariants the caller
+        computed from them.  Nothing is checked here."""
+        self = object.__new__(cls)
+        self.gens = gens
+        self.shape = shape
+        self.signature = signature
+        self.degree = degree
+        self.nvertices = nvertices
+        self._key = None
+        return self
 
     @classmethod
     def identity(cls, gens: GeneratorSet, color: str) -> "TreeMonomial":
@@ -190,12 +208,6 @@ class TreeMonomial:
 
     def __repr__(self):
         return f"TreeMonomial({self.canonical()})"
-
-    def replace_leaf(self, slot: int, inner: "TreeMonomial") -> "TreeMonomial":
-        """Graft `inner` into 1-based leaf position `slot` (colors unchecked here)."""
-        pieces = {slot - 1: inner.shape}
-        shape = _graft_shape(self.shape, pieces, [0])
-        return TreeMonomial(self.gens, shape)
 
 
 def _graft_shape(shape, pieces, counter):
@@ -440,10 +452,29 @@ def graft(outer: TreeMonomial, slot: int, inner: TreeMonomial) -> OperadElement:
     """
     if not 1 <= slot <= outer.arity:
         raise ValueError(f"slot {slot} out of range 1..{outer.arity}")
+    sig = _grafted_signature(outer.signature, slot, inner.signature)
+    degree = outer.degree + inner.degree
     if inner.signature.output != outer.signature.inputs[slot - 1]:
-        sig = _grafted_signature(outer.signature, slot, inner.signature)
-        return OperadElement.zero(outer.gens, sig, outer.degree + inner.degree)
-    return OperadElement.monomial(outer.replace_leaf(slot, inner))
+        return OperadElement.zero(outer.gens, sig, degree)
+    inner = _checked_over(outer.gens, inner)
+    shape = _graft_shape(outer.shape, {slot - 1: inner.shape}, [0])
+    mono = TreeMonomial._assembled(outer.gens, shape, sig, degree, outer.nvertices + inner.nvertices)
+    return OperadElement.monomial(mono)
+
+
+def _checked_over(gens: GeneratorSet, mono: TreeMonomial) -> TreeMonomial:
+    """`mono` as a monomial over `gens`, ready for trusted assembly.
+
+    A monomial validated over `gens` itself is returned as is.  One from any
+    other generator set, even a look-alike with the same names, has its
+    shape validated over `gens` and must keep its signature and degree.
+    """
+    if mono.gens is gens:
+        return mono
+    checked = TreeMonomial(gens, mono.shape)
+    if (checked.signature, checked.degree) != (mono.signature, mono.degree):
+        raise ValueError(f"{mono.canonical()} changes signature or degree over the target generators")
+    return checked
 
 
 def _grafted_signature(outer: Signature, slot: int, inner: Signature) -> Signature:
@@ -492,12 +523,16 @@ def compose_full(outer: TreeMonomial, inners) -> OperadElement:
     if any(e.is_zero() for e in inners):
         return OperadElement.zero(outer.gens, sig if all(e.signature for e in inners) else None)
 
+    gens = outer.gens
+
     def term(combo):
         shape = _plug_leaves(outer.shape, [m.shape for m, _ in combo], [0])
-        return TreeMonomial(outer.gens, shape), prod(c for _, c in combo)
+        nvert = outer.nvertices + sum(m.nvertices for m, _ in combo)
+        return TreeMonomial._assembled(gens, shape, sig, degree, nvert), prod(c for _, c in combo)
 
-    terms = collect_terms(map(term, product(*(e.terms.items() for e in inners))))
-    return OperadElement(outer.gens, terms, signature=sig, degree=degree)
+    slots = ([(_checked_over(gens, m), c) for m, c in e.terms.items()] for e in inners)
+    terms = collect_terms(map(term, product(*slots)))
+    return OperadElement(gens, terms, signature=sig, degree=degree)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .core import (
     TreeMonomial,
     _plug_leaves,
     _replace_at,
+    _checked_over,
     _combination_terms,
     collect_terms,
     compose_full,
@@ -54,6 +55,9 @@ class DerivationDifferential:
                     raise ValueError(f"D({g.name}) lives in {img.signature}, expected {g.signature}")
                 if img.degree != g.degree - 1:
                     raise ValueError(f"D({g.name}) has degree {img.degree}, expected {g.degree - 1}")
+                if any(m.gens is not base for m in img.terms):
+                    terms = {_checked_over(base, m): c for m, c in img.terms.items()}
+                    img = OperadElement(base, terms, signature=img.signature, degree=img.degree)
             self.images[g.name] = img
 
     def of(self, name: str) -> OperadElement:
@@ -80,30 +84,34 @@ def extend_derivation(diff: DerivationDifferential, elem: OperadElement) -> Oper
     (two root-replacement terms with a pair of odd generators would always
     survive), so D^2 = 0 across the models pins the convention.
     """
+    base = diff.base
     deg = None if elem.degree is None else elem.degree - 1
     suffix_cache = {}
 
     def pairs():
         for mono, coeff in elem.terms.items():
-            sign = 1
+            mono = _checked_over(base, mono)
+            odd = 0
             for path, name, children in mono.vertices():
-                spec = diff.base.spec(name)
+                spec = base.spec(name)
                 image = diff.of(name)
                 if not image.is_zero():
-                    child_degrees = [shape_degree(diff.base, c) for c in children]
+                    child_degrees = [shape_degree(base, c) for c in children]
                     for im_mono, im_coeff in image.terms.items():
                         if im_mono.shape not in suffix_cache:
-                            suffix_cache[im_mono.shape] = leaf_suffix_degrees(diff.base, im_mono.shape)
+                            suffix_cache[im_mono.shape] = leaf_suffix_degrees(base, im_mono.shape)
                         suffixes = suffix_cache[im_mono.shape]
                         reorder = sum(d * s for d, s in zip(child_degrees, suffixes))
                         new_sub = _plug_leaves(im_mono.shape, list(children), [0])
                         new_shape = _replace_at(mono.shape, path, new_sub)
-                        c = coeff * im_coeff * sign * (-1 if reorder % 2 else 1)
-                        yield TreeMonomial(diff.base, new_shape), c
+                        nvert = mono.nvertices - 1 + im_mono.nvertices
+                        new_mono = TreeMonomial._assembled(base, new_shape, mono.signature, mono.degree - 1, nvert)
+                        c = coeff * im_coeff
+                        yield new_mono, (-c if (odd + reorder) % 2 else c)
                 if spec.degree % 2:
-                    sign = -sign
+                    odd ^= 1
 
-    return OperadElement(diff.base, collect_terms(pairs()), signature=elem.signature, degree=deg)
+    return OperadElement(base, collect_terms(pairs()), signature=elem.signature, degree=deg)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ test, generator by generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .core import OperadElement, Signature
@@ -395,15 +394,3 @@ def check_sh_equivalence(rep: Representation, a_images=None, b_images=None) -> R
             report.add(f"restriction {label}: {copy}", ok)
     return report
 
-
-def random_matrix(rng, rows, cols, lo=-3, hi=3):
-    return RationalMatrix([[Fraction(rng.randint(lo, hi)) for _ in range(cols)] for _ in range(rows)])
-
-
-def random_map(rng, sources, target, degree, lo=-3, hi=3) -> MultilinearMap:
-    out = MultilinearMap(sources, target, degree, {})
-    blocks = {}
-    for key in out.multidegrees():
-        rows, cols = out.block_shape(key)
-        blocks[key] = random_matrix(rng, rows, cols, lo, hi)
-    return MultilinearMap(sources, target, degree, blocks)

@@ -41,7 +41,6 @@ from operadkit.reps import (
     evaluate_element,
     hom_differential,
     identity_map,
-    random_map,
     zero_map,
 )
 from operadkit.tails import build_model_btow
@@ -53,6 +52,8 @@ from operadkit.transfer import (
     scenario_abelization,
     scenario_symmetrization,
 )
+
+from test_reps import random_map
 
 B, W = "B", "W"
 

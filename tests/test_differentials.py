@@ -221,6 +221,120 @@ def test_extend_derivation_unknown_generator():
         extend_derivation(d, OperadElement.from_generator(other.base, "f_0"))
 
 
+def _look_alike(gens, name, signature):
+    """A new generator set with the names and degrees of `gens`, where
+    `name` has another signature."""
+    specs = [GeneratorSpec(g.name, signature if g.name == name else g.signature, g.degree) for g in gens.generators]
+    return GeneratorSet(gens.colors, specs)
+
+
+# Each look-alike makes a tree in the component (W; B,B), degree 0, of
+# D(f_2) that is invalid over the real morphism generators.
+LOOK_ALIKES = {
+    "input color": ("nu_2", Signature(W, (B, B)), ("nu_2", B, B)),
+    "arity": ("f_1", Signature(W, (B, B)), ("f_1", B, B)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOOK_ALIKES))
+def test_look_alike_image_is_rejected(case):
+    d = build_ainf_morphism(2)
+    name, sig, shape = LOOK_ALIKES[case]
+    foreign = OperadElement.monomial(TreeMonomial(_look_alike(d.base, name, sig), shape))
+    with pytest.raises(ValueError):
+        DerivationDifferential(d.base, dict(d.images, f_2=foreign))
+
+
+@pytest.mark.parametrize("case", sorted(LOOK_ALIKES))
+def test_look_alike_element_is_rejected(case):
+    d = build_ainf_morphism(2)
+    name, sig, shape = LOOK_ALIKES[case]
+    foreign = OperadElement.monomial(TreeMonomial(_look_alike(d.base, name, sig), shape))
+    with pytest.raises(ValueError):
+        extend_derivation(d, foreign)
+
+
+@pytest.mark.parametrize("case", sorted(LOOK_ALIKES))
+def test_look_alike_inner_is_rejected_by_grafting(case):
+    gens = build_ainf_morphism(2).base
+    name, sig, shape = LOOK_ALIKES[case]
+    inner = TreeMonomial(_look_alike(gens, name, sig), shape)
+    nu2 = TreeMonomial.generator(gens, "nu_2")
+    with pytest.raises(ValueError):
+        graft(nu2, 1, inner)
+    with pytest.raises(ValueError):
+        compose_full(nu2, [OperadElement.monomial(inner), elem(gens, "f_1")])
+
+
+def test_look_alike_with_another_signature_is_rejected():
+    # f_1(B) is a valid shape over both sets, but its signature differs
+    d = build_ainf_morphism(2)
+    look = _look_alike(d.base, "f_1", Signature(B, (B,)))
+    with pytest.raises(ValueError):
+        extend_derivation(d, OperadElement.from_generator(look, "f_1"))
+
+
+def test_images_over_an_equal_copy_are_revalidated():
+    d = build_ainf_morphism(3)
+    copy = GeneratorSet(d.base.colors, d.base.generators)
+    images = {name: rename_element(img, copy, {}) for name, img in d.images.items()}
+    moved = DerivationDifferential(d.base, images)
+    assert moved.images == d.images
+    assert all(m.gens is d.base for img in moved.images.values() for m in img.terms)
+    assert verify_d_squared(moved).ok
+
+
+def _assert_invariants_validate(element):
+    """Every monomial of `element` equals the validated tree of its shape,
+    invariants and hash included."""
+    for mono in element.terms:
+        fresh = TreeMonomial(mono.gens, mono.shape)
+        assert (mono.signature, mono.degree, mono.nvertices) == (fresh.signature, fresh.degree, fresh.nvertices)
+        assert mono == fresh and hash(mono) == hash(fresh)
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [lambda: build_ainf_morphism(7), lambda: build_homotopy_model(5), lambda: build_iso_resolution(6)],
+    ids=["morphism7", "homotopy5", "iso6"],
+)
+def test_assembled_monomials_match_validation(builder):
+    model = builder()
+    checked = 0
+    for image in model.images.values():
+        _assert_invariants_validate(image)
+        # D(image) cancels to zero, so D is applied monomial by monomial
+        for mono in image.terms:
+            d_mono = model(OperadElement.monomial(mono))
+            _assert_invariants_validate(d_mono)
+            checked += len(d_mono.terms)
+    assert checked > 0
+
+
+@pytest.mark.parametrize("builder", [lambda: build_homotopy_model(4), lambda: build_iso_resolution(4)], ids=["homotopy4", "iso4"])
+def test_assembled_grafts_match_validation(builder):
+    rng = random.Random(11)
+    model = builder()
+    gens = model.base
+    monos = [TreeMonomial.generator(gens, n) for n in gens.names()]
+    monos += [m for img in model.images.values() for m in img.terms]
+    words = [OperadElement.monomial(m) for m in monos]
+    words += [img for img in model.images.values() if 0 < len(img.terms) <= 4]
+    by_output = {}
+    for w in words:
+        by_output.setdefault(w.signature.output, []).append(w)
+    for _ in range(300):
+        outer = rng.choice(monos)
+        slot = rng.randint(1, outer.arity)
+        inner = rng.choice(by_output[outer.signature.inputs[slot - 1]])
+        grafted = graft(outer, slot, rng.choice(list(inner.terms)))
+        assert not grafted.is_zero()
+        _assert_invariants_validate(grafted)
+        if outer.arity <= 3:
+            word = [rng.choice(by_output[c]) for c in outer.signature.inputs]
+            _assert_invariants_validate(compose_full(outer, word))
+
+
 def _random_elements(gens, rng, count, max_arity=4):
     out = []
     sigs = []

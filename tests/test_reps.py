@@ -31,11 +31,24 @@ from operadkit.reps import (
     evaluate_element,
     hom_differential,
     identity_map,
-    random_map,
     zero_map,
 )
 
 B, W = "B", "W"
+
+
+def random_matrix(rng, rows, cols, lo=-3, hi=3):
+    return RationalMatrix([[Fraction(rng.randint(lo, hi)) for _ in range(cols)] for _ in range(rows)])
+
+
+def random_map(rng, sources, target, degree, lo=-3, hi=3) -> MultilinearMap:
+    """A map with every block of seeded integer entries in [lo, hi]."""
+    out = MultilinearMap(sources, target, degree, {})
+    blocks = {}
+    for key in out.multidegrees():
+        rows, cols = out.block_shape(key)
+        blocks[key] = random_matrix(rng, rows, cols, lo, hi)
+    return MultilinearMap(sources, target, degree, blocks)
 
 
 def rand_complex(rng, color, dims=(1, 1, 1)):

@@ -19,7 +19,6 @@ from operadkit.reps import (
     evaluate_element,
     hom_differential,
     identity_map,
-    random_map,
     zero_map,
 )
 from operadkit.transfer import (
@@ -38,6 +37,7 @@ from operadkit.transfer import (
 )
 
 from test_linalg import _conjugated_complex, _inverse
+from test_reps import random_map
 
 B, W = "B", "W"
 
