@@ -24,7 +24,6 @@ from .core import (
 )
 from .differentials import (
     DerivationDifferential,
-    ModelKind,
     build_ainf,
     build_ainf_morphism,
     build_homotopy_model,
@@ -72,10 +71,8 @@ from .reps import (
     zero_map,
 )
 from .tails import (
-    BtoWModel,
-    HomotopyModel,
-    IsoPrincipalModel,
     ObstructionNotCycleError,
+    TailedModel,
     TailNotFoundError,
     TailProblem,
     build_model_btow,

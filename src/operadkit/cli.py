@@ -13,9 +13,12 @@ import os
 import sys
 from contextlib import contextmanager
 
+from .core import element_to_json
 from .differentials import (
-    ModelKind,
     build_ainf,
+    build_ainf_morphism,
+    build_homotopy_model,
+    build_iso_resolution,
     verify_d_squared,
 )
 from .forests import polarization_iso_m2, symmetrize_forest, verify_polarization
@@ -33,12 +36,7 @@ from .transfer import ExtensionObstructionError, extend_to_arity
 
 PASS, MATH_FAIL, USAGE = 0, 1, 2
 
-MODEL_CHOICES = {
-    "ainf": "A_INF",
-    "ainf-morphism": "A_INF_BW",
-    "homotopy": "HOMOTOPY_BW",
-    "iso": "ISO_RESOLUTION",
-}
+MODEL_CHOICES = ("ainf", "ainf-morphism", "homotopy", "iso")
 
 
 def default_max_vertices() -> int:
@@ -49,17 +47,23 @@ def default_max_vertices() -> int:
 
 
 def _build_model(args):
-    tag = MODEL_CHOICES[args.model]
-    if tag == "ISO_RESOLUTION":
+    # Looked up per call, so that a rebound module-level builder is the one run.
+    builders = {
+        "ainf": build_ainf,
+        "ainf-morphism": build_ainf_morphism,
+        "homotopy": build_homotopy_model,
+        "iso": build_iso_resolution,
+    }
+    if args.model == "iso":
         if args.max_index is None:
             raise UsageError("--max-index is required for the iso model")
-        kind = ModelKind(tag, max_index=args.max_index)
+        bound = args.max_index
     else:
         if args.max_arity is None:
             raise UsageError("--max-arity is required for this model")
-        kind = ModelKind(tag, max_arity=args.max_arity)
+        bound = args.max_arity
     with _reading("model arguments"):
-        return kind.build()
+        return builders[args.model](bound)
 
 
 class UsageError(Exception):
@@ -120,8 +124,6 @@ def cmd_solve_tail(args):
             lines.append(f"omega({bar}) = {bw.tails[bar].text(compact=True)}")
         _write_output(args, "\n".join(lines) + "\n")
     else:
-        from .core import element_to_json
-
         payload = {
             "schema": 1,
             "tails": {f"{x}_bar": element_to_json(bw.tails[f"{x}_bar"]) for x in bw.generator_order},
@@ -163,8 +165,6 @@ def cmd_extend(args):
 
 
 def cmd_polarization(args):
-    from .differentials import build_iso_resolution
-
     with _reading("--max-degree"):
         iso = build_iso_resolution(args.max_degree + 1)
     fams = polarization_iso_m2(iso, args.max_degree + 1)
@@ -188,7 +188,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_args(p, iso_too=True):
-        p.add_argument("--model", choices=sorted(MODEL_CHOICES), required=True)
+        p.add_argument("--model", choices=MODEL_CHOICES, required=True)
         p.add_argument("--max-arity", type=int, default=None)
         if iso_too:
             p.add_argument("--max-index", type=int, default=None)

@@ -210,14 +210,6 @@ class TreeMonomial:
         return f"TreeMonomial({self.canonical()})"
 
 
-def _graft_shape(shape, pieces, counter):
-    if isinstance(shape, str):
-        i = counter[0]
-        counter[0] += 1
-        return pieces.get(i, shape)
-    return (shape[0],) + tuple(_graft_shape(c, pieces, counter) for c in shape[1:])
-
-
 def _validate_shape(gens, shape):
     if isinstance(shape, str):
         if shape not in gens.colors:
@@ -457,7 +449,9 @@ def graft(outer: TreeMonomial, slot: int, inner: TreeMonomial) -> OperadElement:
     if inner.signature.output != outer.signature.inputs[slot - 1]:
         return OperadElement.zero(outer.gens, sig, degree)
     inner = _checked_over(outer.gens, inner)
-    shape = _graft_shape(outer.shape, {slot - 1: inner.shape}, [0])
+    pieces = list(outer.signature.inputs)
+    pieces[slot - 1] = inner.shape
+    shape = _plug_leaves(outer.shape, pieces, [0])
     mono = TreeMonomial._assembled(outer.gens, shape, sig, degree, outer.nvertices + inner.nvertices)
     return OperadElement.monomial(mono)
 

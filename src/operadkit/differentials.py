@@ -16,7 +16,6 @@ families), and the resolution of the two-mutually-inverse-maps operad
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations
 
 from .core import (
@@ -112,28 +111,6 @@ def extend_derivation(diff: DerivationDifferential, elem: OperadElement) -> Oper
                     odd ^= 1
 
     return OperadElement(base, collect_terms(pairs()), signature=elem.signature, degree=deg)
-
-
-@dataclass(frozen=True)
-class ModelKind:
-    """Which model to build, with its truncation bounds."""
-
-    tag: str  # A_INF | A_INF_BW | HOMOTOPY_BW | ISO_RESOLUTION
-    max_arity: int | None = None
-    max_index: int | None = None
-
-    TAGS = ("A_INF", "A_INF_BW", "HOMOTOPY_BW", "ISO_RESOLUTION")
-
-    def build(self) -> DerivationDifferential:
-        if self.tag == "A_INF":
-            return build_ainf(self.max_arity)
-        if self.tag == "A_INF_BW":
-            return build_ainf_morphism(self.max_arity)
-        if self.tag == "HOMOTOPY_BW":
-            return build_homotopy_model(self.max_arity)
-        if self.tag == "ISO_RESOLUTION":
-            return build_iso_resolution(self.max_index)
-        raise ValueError(f"unknown model tag {self.tag!r}")
 
 
 def compositions(n: int, k: int):

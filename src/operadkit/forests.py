@@ -16,7 +16,9 @@ from math import factorial
 
 from .core import (
     GeneratorSet,
+    GeneratorSpec,
     OperadElement,
+    Signature,
     TreeMonomial,
     _combination_terms,
     collect_terms,
@@ -277,8 +279,6 @@ def symmetrize_forest(elem: ForestElement) -> ForestElement:
 
 def build_dull_operad() -> DerivationDifferential:
     """Two parallel maps with a homotopy: p, q (degree 0) and h (degree 1), d(h) = p - q."""
-    from .core import GeneratorSpec, Signature
-
     gens = GeneratorSet(
         ("B", "W"),
         [

@@ -28,6 +28,7 @@ class ReportEntry:
 class Report:
     title: str
     entries: list = field(default_factory=list)
+    first_failure: object = None  # set by checks that rank their failures
 
     def add(self, name, ok, detail="", residual=None, skipped=False):
         self.entries.append(ReportEntry(name, ok, detail, residual, skipped))

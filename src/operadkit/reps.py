@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .core import OperadElement, Signature
-from .differentials import DerivationDifferential
+from .differentials import DerivationDifferential, build_ainf_morphism
 from .linalg import ChainComplex, RationalMatrix, kron_all
 from .reports import Report
 
@@ -305,7 +305,6 @@ def check_sh_morphism(rep: Representation) -> Report:
     base = check_representation(rep)
     report = Report("sh-morphism axioms")
     report.entries = sorted(base.entries, key=lambda e: _morphism_sort_key(e.name))
-    report.first_failure = None
     worst = _first_failure(report, _morphism_classify)
     if worst is not None:
         (arity, kind), name = worst
@@ -333,8 +332,6 @@ def _morphism_sort_key(name):
 
 def restrict_homotopy_to_morphism(rep: Representation, letter: str) -> Representation:
     """The p- or q-side of a homotopy representation, as a morphism representation."""
-    from .differentials import build_ainf_morphism
-
     max_arity = max(g.signature.arity for g in rep.model.base.generators)
     model = build_ainf_morphism(max_arity)
     images = {}
@@ -357,7 +354,6 @@ def check_homotopy(rep: Representation) -> Report:
         report.add(f"{letter}-side morphism", side.ok, "" if side.ok else str(side.first_failure))
     full = check_representation(rep)
     report.entries.extend(sorted(full.entries, key=lambda e: _homotopy_sort_key(e.name)))
-    report.first_failure = None
     for e in report.entries:
         if not e.ok and "_" in e.name:
             report.first_failure = e.name

@@ -34,7 +34,9 @@ from .differentials import (
     DerivationDifferential,
     _image,
     _letter_over,
+    build_iso_resolution,
     extend_derivation,
+    iso_generator_specs,
     rename_element,
     verify_d_squared,
 )
@@ -77,12 +79,13 @@ def solve_tail(problem: TailProblem, max_vertices=None) -> OperadElement:
     """One exact tail, or raise; deterministic for a fixed basis order."""
     spec = problem.target_spec()
     rhs = problem.rhs
-    if not rhs.is_zero():
-        if rhs.signature != spec.signature or rhs.degree != spec.degree - 2:
-            raise ValueError(
-                f"rhs lives in {rhs.signature} degree {rhs.degree}, "
-                f"expected {spec.signature} degree {spec.degree - 2}"
-            )
+    if rhs.is_zero():
+        return OperadElement.zero(problem.ambient, spec.signature, spec.degree - 1)
+    if rhs.signature != spec.signature or rhs.degree != spec.degree - 2:
+        raise ValueError(
+            f"rhs lives in {rhs.signature} degree {rhs.degree}, "
+            f"expected {spec.signature} degree {spec.degree - 2}"
+        )
     if not extend_derivation(problem.partial, rhs).is_zero():
         raise ObstructionNotCycleError("obstruction not a cycle")
 
@@ -96,10 +99,6 @@ def solve_tail(problem: TailProblem, max_vertices=None) -> OperadElement:
         cutoff_limited = True
         basis = enumerate_basis(problem.ambient, spec.signature, spec.degree - 1, max_vertices)
     candidates = [m for m in basis if ideal.intersection(m.vertex_names())]
-
-    if rhs.is_zero():
-        return OperadElement.zero(problem.ambient, spec.signature, spec.degree - 1)
-
     images = [extend_derivation(problem.partial, OperadElement.monomial(m)) for m in candidates]
     support = set(rhs.terms)
     for img in images:
@@ -157,77 +156,92 @@ def _check_base(base: DerivationDifferential):
         raise ValueError("base differential does not square to zero")
 
 
-class BtoWModel(DerivationDifferential):
-    """The morphism model over a minimal base: B/W copies, f, and bar generators."""
+class TailedModel(DerivationDifferential):
+    """B- and W-copies of a minimal base, plus generators whose differential
+    is a principal part plus a tail solved from D^2 = 0.
 
-    def __init__(self, gens, images, base, order, tails):
+    `generator_order` names the picked base generators by arity, `tails`
+    maps each solved generator to its tail, and `tail_report` has one entry
+    per solved generator.
+    """
+
+    def __init__(self, gens, images, base_model, generator_order, tails, tail_report):
         super().__init__(gens, images)
-        self.base_model = base
-        self.generator_order = order  # base generator names by arity
-        self.tails = tails  # bar name -> solved tail
-        self.f_name = "f"
-
-    def copy_names(self, x_name):
-        return f"{x_name}_B", f"{x_name}_W", f"{x_name}_bar"
+        self.base_model = base_model
+        self.generator_order = generator_order
+        self.tails = tails
+        self.tail_report = tail_report
 
 
-def build_model_btow(base: DerivationDifferential, max_arity: int, max_vertices=None) -> BtoWModel:
+def _picked(base: DerivationDifferential, max_arity: int):
+    """The base generators of arity <= max_arity, by (arity, name)."""
+    picked = [g for g in base.base.generators if g.signature.arity <= max_arity]
+    return sorted(picked, key=lambda g: (g.signature.arity, g.name))
+
+
+def _copy_specs(g: GeneratorSpec):
+    """The specs of x_B and x_W, the two colour copies of base generator x."""
+    n = g.signature.arity
+    return [
+        GeneratorSpec(f"{g.name}_B", Signature(B, (B,) * n), g.degree),
+        GeneratorSpec(f"{g.name}_W", Signature(W, (W,) * n), g.degree),
+    ]
+
+
+def _copy_images(base: DerivationDifferential, picked, gens) -> dict:
+    """D(x_B) and D(x_W): D(x) with every base generator renamed to its copy
+    and the base colour recoloured to the copy's colour."""
+    base_color = base.base.colors[0]
+    images = {}
+    for color in (B, W):
+        names = {h.name: f"{h.name}_{color}" for h in base.base.generators}
+        for g in picked:
+            images[f"{g.name}_{color}"] = rename_element(base.of(g.name), gens, names, {base_color: color})
+    return images
+
+
+def _solve_into(gens, images, tails, report, name, principal, ideal, max_vertices):
+    """Solve the tail of `name` against the images so far; record its tail,
+    its image principal + tail, and a report entry."""
+    partial = DerivationDifferential(gens, images)
+    phi = extend_derivation(partial, principal).scale(-1)
+    omega = solve_tail(TailProblem(gens, partial, name, ideal, phi), max_vertices)
+    tails[name] = omega
+    images[name] = principal + omega
+    report.add(name, True, f"tail with {len(omega.terms)} terms" if omega.terms else "tail 0")
+
+
+def build_model_btow(base: DerivationDifferential, max_arity: int, max_vertices=None) -> TailedModel:
     """Arity-by-arity construction of the morphism model with solved tails."""
     _check_base(base)
-    base_color = base.base.colors[0]
-    picked = [g for g in base.base.generators if g.signature.arity <= max_arity]
-    picked.sort(key=lambda g: (g.signature.arity, g.name))
+    picked = _picked(base, max_arity)
 
     specs = [GeneratorSpec("f", Signature(W, (B,)), 0)]
     for g in picked:
-        n = g.signature.arity
-        specs.append(GeneratorSpec(f"{g.name}_B", Signature(B, (B,) * n), g.degree))
-        specs.append(GeneratorSpec(f"{g.name}_W", Signature(W, (W,) * n), g.degree))
-        specs.append(GeneratorSpec(f"{g.name}_bar", Signature(W, (B,) * n), g.degree + 1))
+        specs += _copy_specs(g)
+        specs.append(GeneratorSpec(f"{g.name}_bar", Signature(W, (B,) * g.signature.arity), g.degree + 1))
     gens = GeneratorSet((B, W), specs)
 
-    images = {"f": OperadElement.zero(gens, Signature(W, (B,)), -1)}
+    images = {"f": OperadElement.zero(gens, Signature(W, (B,)), -1), **_copy_images(base, picked, gens)}
+    tails, report = {}, Report("morphism model tails")
     for g in picked:
-        for color in (B, W):
-            copy_names = {h.name: f"{h.name}_{color}" for h in base.base.generators}
-            images[f"{g.name}_{color}"] = rename_element(base.of(g.name), gens, copy_names, {base_color: color})
-
-    tails = {}
-    for g in picked:
-        bar = f"{g.name}_bar"
         principal = principal_part_btow(gens, f"{g.name}_B", f"{g.name}_W", "f")
-        partial = DerivationDifferential(gens, images)
-        phi = extend_derivation(partial, principal).scale(-1)
-        ideal = [
-            f"{h.name}_bar" for h in picked if h.signature.arity < g.signature.arity
-        ]
-        problem = TailProblem(gens, partial, bar, ideal, phi)
-        omega = solve_tail(problem, max_vertices)
-        tails[bar] = omega
-        images[bar] = principal + omega
+        ideal = [f"{h.name}_bar" for h in picked if h.signature.arity < g.signature.arity]
+        _solve_into(gens, images, tails, report, f"{g.name}_bar", principal, ideal, max_vertices)
 
-    return BtoWModel(gens, images, base, [g.name for g in picked], tails)
+    return TailedModel(gens, images, base, [g.name for g in picked], tails, report)
 
 
 # ---------------------------------------------------------------------------
 # The homotopy model over the same base, via the two substitutions
 
 
-def theta_substitution(bw: BtoWModel, elem: OperadElement, target_gens, letter: str, bar_suffix: str):
-    """Rename f -> letter and every bar copy to the given family; copies stay."""
+def theta_substitution(bw: TailedModel, elem: OperadElement, target_gens, letter: str):
+    """Rename f and every bar copy x_bar to `letter` and x_letter; copies stay."""
     name_map = {"f": letter}
     for x in bw.generator_order:
-        name_map[f"{x}_bar"] = f"{x}_{bar_suffix}"
+        name_map[f"{x}_bar"] = f"{x}_{letter}"
     return rename_element(elem, target_gens, name_map)
-
-
-class HomotopyModel(DerivationDifferential):
-    def __init__(self, gens, images, bw, order, tails, polarization):
-        super().__init__(gens, images)
-        self.bw_model = bw
-        self.generator_order = order
-        self.tails = tails
-        self.polarization = polarization
 
 
 def _forest_into(gens, outer_name: str, forest: ForestElement) -> OperadElement:
@@ -254,16 +268,14 @@ def _staircase_into(gens, w_name: str, n: int, variant: str) -> OperadElement:
     return _forest_into(gens, w_name, word)
 
 
-def build_model_homotopy(bw: BtoWModel, max_arity: int, polarization: str = "ns", max_vertices=None) -> HomotopyModel:
+def build_model_homotopy(bw: TailedModel, max_arity: int, polarization: str = "ns", max_vertices=None) -> TailedModel:
     """The homotopy-through-homomorphisms model over bw's base.
 
     D(x^p), D(x^q) are the two renamings of D(bar x); D(x^h) has principal
     part x^p - x^q - h x_B + (-1)^{|x|} x_W<h> and a solver tail.
     """
     base = bw.base_model
-    base_color = base.base.colors[0]
-    picked = [g for g in base.base.generators if g.signature.arity <= max_arity]
-    picked.sort(key=lambda g: (g.signature.arity, g.name))
+    picked = _picked(base, max_arity)
     for g in picked:
         if g.name not in bw.generator_order:
             raise ValueError(f"bw model does not cover generator {g.name}")
@@ -275,8 +287,7 @@ def build_model_homotopy(bw: BtoWModel, max_arity: int, polarization: str = "ns"
     ]
     for g in picked:
         n = g.signature.arity
-        specs.append(GeneratorSpec(f"{g.name}_B", Signature(B, (B,) * n), g.degree))
-        specs.append(GeneratorSpec(f"{g.name}_W", Signature(W, (W,) * n), g.degree))
+        specs += _copy_specs(g)
         specs.append(GeneratorSpec(f"{g.name}_p", Signature(W, (B,) * n), g.degree + 1))
         specs.append(GeneratorSpec(f"{g.name}_q", Signature(W, (B,) * n), g.degree + 1))
         specs.append(GeneratorSpec(f"{g.name}_h", Signature(W, (B,) * n), g.degree + 2))
@@ -288,54 +299,29 @@ def build_model_homotopy(bw: BtoWModel, max_arity: int, polarization: str = "ns"
         "p": OperadElement.zero(gens, Signature(W, (B,)), -1),
         "q": OperadElement.zero(gens, Signature(W, (B,)), -1),
         "h": p - q,
+        **_copy_images(base, picked, gens),
     }
     for g in picked:
-        for color in (B, W):
-            copy_names = {h.name: f"{h.name}_{color}" for h in base.base.generators}
-            images[f"{g.name}_{color}"] = rename_element(base.of(g.name), gens, copy_names, {base_color: color})
+        for letter in ("p", "q"):
+            images[f"{g.name}_{letter}"] = theta_substitution(bw, bw.of(f"{g.name}_bar"), gens, letter)
 
-    tails = {}
-    for g in picked:
-        d_bar = bw.of(f"{g.name}_bar")
-        images[f"{g.name}_p"] = theta_substitution(bw, d_bar, gens, "p", "p")
-        images[f"{g.name}_q"] = theta_substitution(bw, d_bar, gens, "q", "q")
-
+    tails, report = {}, Report("homotopy model tails")
     for g in picked:
         n = g.signature.arity
         principal = (
             OperadElement.from_generator(gens, f"{g.name}_p")
             - OperadElement.from_generator(gens, f"{g.name}_q")
             - _letter_over(gens, "h", f"{g.name}_B")
-            + _staircase_into(gens, f"{g.name}_W", n, polarization).scale(
-                -1 if g.degree % 2 else 1
-            )
+            + _staircase_into(gens, f"{g.name}_W", n, polarization).scale(-1 if g.degree % 2 else 1)
         )
-        partial = DerivationDifferential(gens, images)
-        phi = extend_derivation(partial, principal).scale(-1)
-        ideal = []
-        for h in picked:
-            if h.signature.arity < n:
-                ideal.extend([f"{h.name}_p", f"{h.name}_q", f"{h.name}_h"])
-        problem = TailProblem(gens, partial, f"{g.name}_h", ideal, phi)
-        omega = solve_tail(problem, max_vertices)
-        tails[f"{g.name}_h"] = omega
-        images[f"{g.name}_h"] = principal + omega
+        ideal = [f"{h.name}_{letter}" for h in picked if h.signature.arity < n for letter in "pqh"]
+        _solve_into(gens, images, tails, report, f"{g.name}_h", principal, ideal, max_vertices)
 
-    return HomotopyModel(gens, images, bw, [g.name for g in picked], tails, polarization)
+    return TailedModel(gens, images, base, [g.name for g in picked], tails, report)
 
 
 # ---------------------------------------------------------------------------
 # The iso-resolution model: principal parts and attempted tails
-
-
-class IsoPrincipalModel(DerivationDifferential):
-    def __init__(self, gens, images, base, order, max_index, tail_report, tails):
-        super().__init__(gens, images)
-        self.base_model = base
-        self.generator_order = order
-        self.max_index = max_index
-        self.tail_report = tail_report
-        self.tails = tails
 
 
 def build_model_iso_principal(
@@ -343,19 +329,15 @@ def build_model_iso_principal(
     max_arity: int,
     max_index: int,
     max_vertices: int = 8,
-) -> IsoPrincipalModel:
+) -> TailedModel:
     """Principal parts of the iso-resolution model over a minimal base, with
     tails attempted per generator (failures recorded, not fatal).
 
     Only bases with generators of arity <= 2 are supported: the closed
     polarization formulas used by the principal parts exist in width 2.
     """
-    from .differentials import iso_generator_specs
-
     _check_base(base)
-    base_color = base.base.colors[0]
-    picked = [g for g in base.base.generators if g.signature.arity <= max_arity]
-    picked.sort(key=lambda g: (g.signature.arity, g.name))
+    picked = _picked(base, max_arity)
     if any(g.signature.arity > 2 for g in picked):
         raise ValueError("iso principal-part model supports arity <= 2 generators only")
 
@@ -363,8 +345,7 @@ def build_model_iso_principal(
     for g in picked:
         n = g.signature.arity
         d = g.degree
-        specs.append(GeneratorSpec(f"{g.name}_B", Signature(B, (B,) * n), d))
-        specs.append(GeneratorSpec(f"{g.name}_W", Signature(W, (W,) * n), d))
+        specs += _copy_specs(g)
         for k in range(0, max_index + 1):
             f_out = W if k % 2 == 0 else B
             g_out = B if k % 2 == 0 else W
@@ -372,16 +353,9 @@ def build_model_iso_principal(
             specs.append(GeneratorSpec(f"{g.name}_g{k}", Signature(g_out, (W,) * n), d + k + 1))
     gens = GeneratorSet((B, W), specs)
 
-    from .differentials import build_iso_resolution
-
     iso = build_iso_resolution(max_index)
-    images = {}
-    for name, img in iso.images.items():
-        images[name] = rename_element(img, gens, {})
-    for g in picked:
-        for color in (B, W):
-            copy_names = {h.name: f"{h.name}_{color}" for h in base.base.generators}
-            images[f"{g.name}_{color}"] = rename_element(base.of(g.name), gens, copy_names, {base_color: color})
+    images = {name: rename_element(img, gens, {}) for name, img in iso.images.items()}
+    images.update(_copy_images(base, picked, gens))
 
     fams = polarization_iso_m2(gens, max_index)
 
@@ -391,8 +365,7 @@ def build_model_iso_principal(
     def letter(name, inner_name):
         return _letter_over(gens, name, inner_name)
 
-    report = Report("iso model tails")
-    tails = {}
+    tails, report = {}, Report("iso model tails")
 
     # The displayed differentials of the four super-families, one degree at a
     # time.  `own` is the letter family matching `fam`, `ownh` its odd
@@ -423,29 +396,18 @@ def build_model_iso_principal(
                 images[name] = _image(gens, name, parts)
         # solve tails for this index level before moving up
         for g in picked:
+            ideal = [
+                f"{h.name}_{fam}{kk}"
+                for h in picked
+                if h.signature.arity < g.signature.arity
+                for kk in range(0, max_index + 1)
+                for fam in ("f", "g")
+            ]
             for fam in ("f", "g"):
                 name = f"{g.name}_{fam}{k}"
-                partial = DerivationDifferential(gens, images)
-                principal = images[name]
-                phi = extend_derivation(partial, principal).scale(-1)
-                if phi.is_zero():
-                    report.add(name, True, "tail 0")
-                    tails[name] = OperadElement.zero(gens)
-                    continue
-                ideal = []
-                for h in picked:
-                    if h.signature.arity < g.signature.arity:
-                        for kk in range(0, max_index + 1):
-                            ideal.extend([f"{h.name}_f{kk}", f"{h.name}_g{kk}"])
                 try:
-                    problem = TailProblem(gens, partial, name, ideal, phi)
-                    omega = solve_tail(problem, max_vertices)
-                    tails[name] = omega
-                    images[name] = principal + omega
-                    report.add(name, True, f"tail with {len(omega.terms)} terms")
+                    _solve_into(gens, images, tails, report, name, images[name], ideal, max_vertices)
                 except TailError as exc:
                     report.add(name, False, str(exc))
 
-    return IsoPrincipalModel(
-        gens, images, base, [g.name for g in picked], max_index, report, tails
-    )
+    return TailedModel(gens, images, base, [g.name for g in picked], tails, report)

@@ -33,6 +33,7 @@ import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from .core import OperadElement
 from .differentials import build_ainf_morphism
 from .linalg import (
     ChainComplex,
@@ -291,8 +292,6 @@ def extension_step(state: ExtensionState) -> ExtensionState:
 
 def _split_principal(model, elem, knew):
     """Separate the nu_{K+1}(f_1,...,f_1) term from the rest of D(f_{K+1})."""
-    from .core import OperadElement
-
     principal_coeff = Fraction(0)
     rest_terms = {}
     for mono, coeff in elem.terms.items():

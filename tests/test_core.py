@@ -1,8 +1,11 @@
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from operadkit.core import (
     BwRelations,
@@ -330,39 +333,39 @@ def test_normalize_two_rewrites():
                 assert isinstance(children[0], str)
 
 
-def test_normalize_confluence_random_strategies():
+def _random_single_step(shape, rel, rng):
+    """`shape` with one redex, chosen by `rng`, rewritten; None if already normal."""
+    redexes = []
+
+    def walk(s, path):
+        if isinstance(s, str):
+            return
+        if s[0] == "f" and not isinstance(s[1], str) and s[1][0] in rel.w_of_b:
+            redexes.append(path)
+        for i, c in enumerate(s[1:]):
+            walk(c, path + (i,))
+
+    walk(shape, ())
+    if not redexes:
+        return None
+    target = rng.choice(redexes)
+
+    def rewrite(s, path):
+        if path == ():
+            inner = s[1]
+            return (rel.w_of_b[inner[0]],) + tuple(("f", c) for c in inner[1:])
+        i = path[0]
+        kids = list(s[1:])
+        kids[i] = rewrite(kids[i], path[1:])
+        return (s[0],) + tuple(kids)
+
+    return rewrite(shape, target)
+
+
+@lru_cache(maxsize=None)
+def _confluence_pool():
+    """The arity-3 morphism generators and their monomials through f, arities 1..5, degrees 0..2."""
     gens = morphism_gens(3)
-    rel = morphism_relations(3)
-    rng = random.Random(6)
-
-    def random_single_step(shape, rng):
-        # rewrite one random redex; None if already normal
-        redexes = []
-
-        def walk(s, path):
-            if isinstance(s, str):
-                return
-            if s[0] == "f" and not isinstance(s[1], str) and s[1][0] in rel.w_of_b:
-                redexes.append(path)
-            for i, c in enumerate(s[1:]):
-                walk(c, path + (i,))
-
-        walk(shape, ())
-        if not redexes:
-            return None
-        target = rng.choice(redexes)
-
-        def rewrite(s, path):
-            if path == ():
-                inner = s[1]
-                return (rel.w_of_b[inner[0]],) + tuple(("f", c) for c in inner[1:])
-            i = path[0]
-            kids = list(s[1:])
-            kids[i] = rewrite(kids[i], path[1:])
-            return (s[0],) + tuple(kids)
-
-        return rewrite(shape, target)
-
     pool = []
     for sig_inputs in [(B,), (B, B), (B, B, B), (B, B, B, B), (B, B, B, B, B)]:
         for d in range(0, 3):
@@ -370,19 +373,38 @@ def test_normalize_confluence_random_strategies():
                 pool.extend(enumerate_basis(gens, Signature(W, sig_inputs), d))
             except UnboundedEnumerationError:
                 pass
-    pool = [m for m in pool if any(v == "f" for v in m.vertex_names())]
+    return gens, [m for m in pool if any(v == "f" for v in m.vertex_names())]
+
+
+def _normalize_by_random_strategy(gens, mono, rel, rng):
+    shape = mono.shape
+    while True:
+        nxt = _random_single_step(shape, rel, rng)
+        if nxt is None:
+            return OperadElement.monomial(TreeMonomial(gens, shape))
+        shape = nxt
+
+
+def test_normalize_confluence_random_strategies():
+    gens, pool = _confluence_pool()
+    rel = morphism_relations(3)
+    rng = random.Random(6)
     assert pool
     for _ in range(1000):
         mono = rng.choice(pool)
-        shape = mono.shape
-        while True:
-            nxt = random_single_step(shape, rng)
-            if nxt is None:
-                break
-            shape = nxt
-        via_random = OperadElement.monomial(TreeMonomial(gens, shape))
-        via_builtin = normalize_bw(OperadElement.monomial(mono), rel)
-        assert via_random == via_builtin
+        via_random = _normalize_by_random_strategy(gens, mono, rel, rng)
+        assert via_random == normalize_bw(OperadElement.monomial(mono), rel)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_normalize_confluence_property(data):
+    # any order of single rewrites reaches normalize_bw's normal form
+    gens, pool = _confluence_pool()
+    rel = morphism_relations(3)
+    mono = data.draw(st.sampled_from(pool))
+    rng = data.draw(st.randoms(use_true_random=False))
+    assert _normalize_by_random_strategy(gens, mono, rel, rng) == normalize_bw(OperadElement.monomial(mono), rel)
 
 
 def test_output_b_with_w_inputs_is_empty():

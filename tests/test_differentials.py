@@ -17,7 +17,6 @@ from operadkit.core import (
 )
 from operadkit.differentials import (
     DerivationDifferential,
-    ModelKind,
     build_ainf,
     build_ainf_morphism,
     build_homotopy_model,
@@ -139,14 +138,19 @@ def test_d_squared_f2_by_hand():
 @pytest.mark.parametrize(
     "kind",
     [
-        ModelKind("A_INF", max_arity=6),
-        ModelKind("A_INF_BW", max_arity=5),
-        ModelKind("HOMOTOPY_BW", max_arity=4),
-        ModelKind("ISO_RESOLUTION", max_index=8),
+        (build_ainf, 6),
+        (build_ainf_morphism, 5),
+        (build_homotopy_model, 4),
+        (build_iso_resolution, 8),
     ],
 )
 def test_d_squared_models(kind):
-    assert verify_d_squared(kind.build()).ok
+    build, bound = kind
+    assert verify_d_squared(build(bound)).ok
+
+
+def test_report_first_failure_defaults_to_none():
+    assert verify_d_squared(build_ainf(3)).first_failure is None
 
 
 def test_d_squared_mutation_detected():
@@ -415,24 +419,20 @@ def test_rename_model_matches_printed_morphism():
     assert renamed.of("mu_3") == printed.of("mu_3")
 
 
-def test_model_kind_rejects_unknown():
-    with pytest.raises(ValueError):
-        ModelKind("NOPE").build()
-
-
 @pytest.mark.parametrize(
     "kind",
     [
-        ModelKind("A_INF", max_arity=5),
-        ModelKind("A_INF_BW", max_arity=4),
-        ModelKind("HOMOTOPY_BW", max_arity=4),
-        ModelKind("ISO_RESOLUTION", max_index=6),
+        (build_ainf, 5),
+        (build_ainf_morphism, 4),
+        (build_homotopy_model, 4),
+        (build_iso_resolution, 6),
     ],
 )
 def test_truncated_models_are_closed(kind):
     # every image of a truncated model only uses generators of the model:
     # truncation semantics are verified, not assumed
-    model = kind.build()
+    build, bound = kind
+    model = build(bound)
     names = set(model.base.names())
     for g in model.base.generators:
         for mono in model.of(g.name).terms:

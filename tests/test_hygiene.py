@@ -1,6 +1,8 @@
 """Source hygiene that needs no linter: no unused imports in the package,
-and no linear combination grown term by term with `x = x + ...` in a loop
-(each step copies the whole sum; `core.collect_terms` merges in one pass)."""
+no linear combination grown term by term with `x = x + ...` in a loop
+(each step copies the whole sum; `core.collect_terms` merges in one pass),
+and no package import inside a function (the package has no import cycle
+that would need one, and a module's dependencies belong at its top)."""
 
 import ast
 from pathlib import Path
@@ -75,3 +77,32 @@ def test_checker_finds_loop_self_sums():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_sums_grown_in_loops(path):
     assert loop_self_sums(path.read_text()) == []
+
+
+def local_package_imports(source: str):
+    """Line numbers of `from .x import ...` statements inside a function body."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for stmt in fn.body:
+                found.update(n.lineno for n in ast.walk(stmt) if isinstance(n, ast.ImportFrom) and n.level)
+    return sorted(found)
+
+
+def test_checker_finds_local_package_imports():
+    source = (
+        "from .core import a\n"
+        "def f():\n"
+        "    import os\n"
+        "    from os import path\n"
+        "    if a:\n"
+        "        from .core import b\n"
+        "    def g():\n"
+        "        from ..x import c\n"
+    )
+    assert local_package_imports(source) == [6, 8]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_local_package_imports(path):
+    assert local_package_imports(path.read_text()) == []

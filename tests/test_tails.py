@@ -9,7 +9,9 @@ from operadkit.core import (
     OperadElement,
     Signature,
     TreeMonomial,
+    UnboundedEnumerationError,
     compose_full,
+    enumerate_basis,
     graft,
     normalize_bw,
 )
@@ -18,6 +20,7 @@ from operadkit.differentials import (
     build_ainf,
     build_ainf_morphism,
     build_homotopy_model,
+    build_iso_resolution,
     extend_derivation,
     rename_element,
     rename_model,
@@ -170,6 +173,30 @@ def test_solve_tail_not_found_is_classified():
     assert not err.value.cutoff_limited
 
 
+def test_solve_tail_zero_rhs_needs_no_basis():
+    # the iso generators compose without bound, so a basis with no cutoff
+    # cannot be enumerated; a zero obstruction has the zero tail regardless
+    iso = build_iso_resolution(3)
+    gens = iso.base
+    spec = gens.spec("f_2")
+    with pytest.raises(UnboundedEnumerationError):
+        enumerate_basis(gens, spec.signature, spec.degree - 1)
+    rhs = OperadElement.zero(gens, spec.signature, spec.degree - 2)
+    omega = solve_tail(TailProblem(gens, iso, "f_2", ["f_0", "g_0"], rhs))
+    assert omega.is_zero()
+    assert (omega.signature, omega.degree) == (spec.signature, spec.degree - 1)
+
+
+def test_btow_tail_report(bw4):
+    report = bw4.tail_report
+    assert [e.name for e in report.entries] == ["mu_2_bar", "mu_3_bar", "mu_4_bar"]
+    assert report.ok
+    assert report.entries[0].line() == "PASS  mu_2_bar  tail 0"
+    for e in report.entries[1:]:
+        assert e.detail == f"tail with {len(bw4.tails[e.name].terms)} terms"
+        assert bw4.tails[e.name].terms
+
+
 def test_btow_passes_d_squared(bw4):
     assert verify_d_squared(bw4).ok
 
@@ -228,13 +255,19 @@ def test_homotopy_theta_substitution(bw4):
     gens = hm.base
     # theta_p sends f to p and bar copies to the p family
     f_elem = OperadElement.from_generator(bw4.base, "f")
-    assert theta_substitution(bw4, f_elem, gens, "p", "p") == OperadElement.from_generator(
+    assert theta_substitution(bw4, f_elem, gens, "p") == OperadElement.from_generator(
         gens, "p"
     )
     bar = OperadElement.from_generator(bw4.base, "mu_2_bar")
-    assert theta_substitution(bw4, bar, gens, "p", "p") == OperadElement.from_generator(
+    assert theta_substitution(bw4, bar, gens, "p") == OperadElement.from_generator(
         gens, "mu_2_p"
     )
+
+
+def test_homotopy_tail_report(hm4):
+    assert [e.name for e in hm4.tail_report.entries] == ["mu_2_h", "mu_3_h", "mu_4_h"]
+    assert hm4.tail_report.ok
+    assert list(hm4.tails) == ["mu_2_h", "mu_3_h", "mu_4_h"]
 
 
 def test_homotopy_model_d_squared(hm4):
