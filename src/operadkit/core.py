@@ -7,6 +7,12 @@ error).  Everything is exact over the rationals and immutable, and grafting
 of monomials always has coefficient +1: Koszul signs live entirely in the
 derivation calculus and in evaluation on chain complexes.
 
+Coefficients have one normal form, set by `exact`: a Python int when the
+value is integral, and a Fraction otherwise.  Element constructors store
+only that form, so almost all arithmetic in the models is on small ints.
+Ints, rationals and exact strings ("3", "-1/2") are accepted; a float is
+rejected with TypeError, since it is already rounded.
+
 A tree with zero vertices (a bare strand) is the operadic identity 1_c of
 its color; it is a legitimate monomial and shows up, for instance, as the
 constant term of differentials like d(f_1) = g_0 f_0 - 1.
@@ -19,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 from math import prod
+from numbers import Rational
 
 
 class UnboundedEnumerationError(ValueError):
@@ -108,13 +115,12 @@ def _shape_walk(shape, path=()):
         yield from _shape_walk(child, path + (i,))
 
 
-def _plug_leaves(shape, pieces, counter):
-    """Replace the leaves of `shape` (planar order) by the given subshapes."""
-    if isinstance(shape, str):
-        piece = pieces[counter[0]]
-        counter[0] += 1
-        return piece
-    return (shape[0],) + tuple(_plug_leaves(c, pieces, counter) for c in shape[1:])
+def _plug(shape, pieces):
+    """`shape` with its leaves, in planar order, replaced by the next items
+    of the iterator `pieces`."""
+    if shape.__class__ is str:
+        return next(pieces)
+    return (shape[0], *[next(pieces) if c.__class__ is str else _plug(c, pieces) for c in shape[1:]])
 
 
 def _replace_at(shape, path, new_subshape):
@@ -301,16 +307,37 @@ def _render_compact(shape, counter):
     return f"{shape[0]}({', '.join(parts)})"
 
 
+def exact(c):
+    """`c` in the coefficient normal form: an int when it is integral, else
+    a Fraction.
+
+    Accepts ints, rationals and exact strings ("3", "-1/2", "0.25").  A
+    float, or any other number that is not a rational, raises TypeError.
+    """
+    if c.__class__ is int:
+        return c
+    if c.__class__ is not Fraction:
+        if isinstance(c, str):
+            c = Fraction(c)
+        elif isinstance(c, Rational):
+            c = Fraction(int(c.numerator), int(c.denominator))
+        else:
+            raise TypeError(f"inexact coefficient {c!r}: give an int, a Fraction or a 'p/q' string")
+    return c.numerator if c.denominator == 1 else c
+
+
 def collect_terms(pairs) -> dict:
     """Merge (monomial, coeff) pairs into one term map.
 
-    The coefficients of a repeated monomial are added; a monomial keeps the
-    position of its first occurrence.  Sums that cancel stay in the map as
-    zeros, which the element constructors drop.
+    The first occurrence of a monomial is stored as given and fixes its
+    position; the coefficients of later occurrences are added to it.  Sums
+    that cancel stay in the map as zeros, which the element constructors
+    drop.
     """
     terms = {}
     for mono, coeff in pairs:
-        terms[mono] = terms.get(mono, 0) + coeff
+        old = terms.get(mono)
+        terms[mono] = coeff if old is None else old + coeff
     return terms
 
 
@@ -324,8 +351,9 @@ class OperadElement:
     """A finite rational linear combination of tree monomials.
 
     Homogeneous: every stored monomial shares the element's signature and
-    degree.  Zero coefficients are never stored, and two elements are equal
-    iff their term maps are equal (every zero element equals every other).
+    degree.  Coefficients are stored in the `exact` normal form and zero
+    coefficients are never stored, and two elements are equal iff their term
+    maps are equal (every zero element equals every other).
     """
 
     __slots__ = ("gens", "signature", "degree", "terms")
@@ -334,8 +362,8 @@ class OperadElement:
         self.gens = gens
         self.terms = {}
         for mono, coeff in terms.items():
-            coeff = Fraction(coeff)
-            if coeff == 0:
+            coeff = exact(coeff)
+            if not coeff:
                 continue
             if signature is None:
                 signature = mono.signature
@@ -355,7 +383,7 @@ class OperadElement:
 
     @classmethod
     def monomial(cls, mono: TreeMonomial, coeff=1):
-        return cls(mono.gens, {mono: Fraction(coeff)})
+        return cls(mono.gens, {mono: coeff})
 
     @classmethod
     def from_generator(cls, gens, name, coeff=1):
@@ -368,8 +396,9 @@ class OperadElement:
         """Term pairs in the fixed display order (largest trees first)."""
         return sorted(self.terms.items(), key=lambda mc: (-mc[0].nvertices, mc[0].sort_key[1]))
 
-    def coeff(self, mono) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
+    def coeff(self, mono) -> int | Fraction:
+        """The coefficient of `mono`, in the `exact` normal form (0 if absent)."""
+        return self.terms.get(mono, 0)
 
     def __add__(self, other):
         if not isinstance(other, OperadElement):
@@ -385,7 +414,7 @@ class OperadElement:
         return self.scale(-1)
 
     def scale(self, c) -> "OperadElement":
-        c = Fraction(c)
+        c = exact(c)
         return OperadElement(
             self.gens,
             {m: c * v for m, v in self.terms.items()},
@@ -451,7 +480,7 @@ def graft(outer: TreeMonomial, slot: int, inner: TreeMonomial) -> OperadElement:
     inner = _checked_over(outer.gens, inner)
     pieces = list(outer.signature.inputs)
     pieces[slot - 1] = inner.shape
-    shape = _plug_leaves(outer.shape, pieces, [0])
+    shape = _plug(outer.shape, iter(pieces))
     mono = TreeMonomial._assembled(outer.gens, shape, sig, degree, outer.nvertices + inner.nvertices)
     return OperadElement.monomial(mono)
 
@@ -520,7 +549,7 @@ def compose_full(outer: TreeMonomial, inners) -> OperadElement:
     gens = outer.gens
 
     def term(combo):
-        shape = _plug_leaves(outer.shape, [m.shape for m, _ in combo], [0])
+        shape = _plug(outer.shape, (m.shape for m, _ in combo))
         nvert = outer.nvertices + sum(m.nvertices for m, _ in combo)
         return TreeMonomial._assembled(gens, shape, sig, degree, nvert), prod(c for _, c in combo)
 
@@ -740,7 +769,7 @@ def parse_element(text: str, gens: GeneratorSet, signature=None, degree=None) ->
     if text == "0":
         return OperadElement.zero(gens, signature, degree)
     terms = collect_terms(
-        (parse_tree(mono_s, gens), Fraction(coeff_s) * sign)
+        (parse_tree(mono_s, gens), exact(coeff_s) * sign)
         for sign, coeff_s, mono_s in _split_terms(text)
     )
     return OperadElement(gens, terms, signature=signature, degree=degree)
@@ -795,5 +824,5 @@ def element_from_json(obj, gens: GeneratorSet) -> OperadElement:
     sig = None
     if obj.get("signature"):
         sig = Signature(obj["signature"]["output"], tuple(obj["signature"]["inputs"]))
-    terms = collect_terms((tree_from_json(t["tree"], gens), Fraction(t["coeff"])) for t in obj["terms"])
+    terms = collect_terms((tree_from_json(t["tree"], gens), exact(t["coeff"])) for t in obj["terms"])
     return OperadElement(gens, terms, signature=sig, degree=obj.get("degree"))

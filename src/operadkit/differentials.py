@@ -24,7 +24,7 @@ from .core import (
     OperadElement,
     Signature,
     TreeMonomial,
-    _plug_leaves,
+    _plug,
     _replace_at,
     _checked_over,
     _combination_terms,
@@ -85,30 +85,39 @@ def extend_derivation(diff: DerivationDifferential, elem: OperadElement) -> Oper
     """
     base = diff.base
     deg = None if elem.degree is None else elem.degree - 1
-    suffix_cache = {}
+    splices = {}
+
+    def splice_table(name):
+        """(degree parity of `name`, one row per monomial u of its image).
+
+        A row holds u's shape, the leaves of u whose suffix degree is odd
+        (only they change the orientation sign), u's vertex count and its
+        coefficient."""
+        table = splices.get(name)
+        if table is None:
+            rows = [
+                (m.shape, [i for i, s in enumerate(leaf_suffix_degrees(base, m.shape)) if s % 2], m.nvertices, c)
+                for m, c in diff.of(name).terms.items()
+            ]
+            table = splices[name] = (base.spec(name).degree % 2, rows)
+        return table
 
     def pairs():
         for mono, coeff in elem.terms.items():
             mono = _checked_over(base, mono)
+            shape, sig, out_deg, nvert = mono.shape, mono.signature, mono.degree - 1, mono.nvertices - 1
             odd = 0
             for path, name, children in mono.vertices():
-                spec = base.spec(name)
-                image = diff.of(name)
-                if not image.is_zero():
+                gen_odd, rows = splice_table(name)
+                if rows:
                     child_degrees = [shape_degree(base, c) for c in children]
-                    for im_mono, im_coeff in image.terms.items():
-                        if im_mono.shape not in suffix_cache:
-                            suffix_cache[im_mono.shape] = leaf_suffix_degrees(base, im_mono.shape)
-                        suffixes = suffix_cache[im_mono.shape]
-                        reorder = sum(d * s for d, s in zip(child_degrees, suffixes))
-                        new_sub = _plug_leaves(im_mono.shape, list(children), [0])
-                        new_shape = _replace_at(mono.shape, path, new_sub)
-                        nvert = mono.nvertices - 1 + im_mono.nvertices
-                        new_mono = TreeMonomial._assembled(base, new_shape, mono.signature, mono.degree - 1, nvert)
+                    for im_shape, odd_leaves, im_nvert, im_coeff in rows:
+                        reorder = sum([child_degrees[i] for i in odd_leaves])
+                        new_shape = _replace_at(shape, path, _plug(im_shape, iter(children)))
+                        new_mono = TreeMonomial._assembled(base, new_shape, sig, out_deg, nvert + im_nvert)
                         c = coeff * im_coeff
                         yield new_mono, (-c if (odd + reorder) % 2 else c)
-                if spec.degree % 2:
-                    odd ^= 1
+                odd ^= gen_odd
 
     return OperadElement(base, collect_terms(pairs()), signature=elem.signature, degree=deg)
 

@@ -23,6 +23,7 @@ from .core import (
     _combination_terms,
     collect_terms,
     compose_full,
+    exact,
     leaf_suffix_degrees,
 )
 from .differentials import DerivationDifferential, extend_derivation
@@ -74,7 +75,8 @@ class ForestMonomial:
 
 
 class ForestElement:
-    """Rational combination of forest monomials, homogeneous per component shape."""
+    """Rational combination of forest monomials, homogeneous per component
+    shape, with coefficients in the `core.exact` normal form."""
 
     __slots__ = ("gens", "terms", "outputs", "inputs", "degree")
 
@@ -82,8 +84,8 @@ class ForestElement:
         self.gens = gens
         self.terms = {}
         for mono, coeff in terms.items():
-            coeff = Fraction(coeff)
-            if coeff == 0:
+            coeff = exact(coeff)
+            if not coeff:
                 continue
             if outputs is None:
                 outputs, inputs, degree = mono.outputs, mono.inputs, mono.degree
@@ -100,7 +102,7 @@ class ForestElement:
 
     @classmethod
     def monomial(cls, mono: ForestMonomial, coeff=1):
-        return cls(mono.gens, {mono: Fraction(coeff)})
+        return cls(mono.gens, {mono: coeff})
 
     @classmethod
     def word(cls, gens, trees, coeff=1):
@@ -128,7 +130,7 @@ class ForestElement:
         return self.scale(-1)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = exact(c)
         return ForestElement(
             self.gens, {m: c * v for m, v in self.terms.items()}, self.outputs, self.inputs, self.degree
         )
@@ -187,7 +189,7 @@ def _compose_monomials(outer: ForestMonomial, inner: ForestMonomial):
         sign += block_deg * outer_deg_after
         outer_deg_after += outer.components[i].degree
     new_components = []
-    coeff = Fraction(-1 if sign % 2 else 1)
+    coeff = -1 if sign % 2 else 1
     for t, block in zip(outer.components, blocks):
         for leaf_color, b in zip(t.signature.inputs, block):
             if b.signature.output != leaf_color:

@@ -162,10 +162,13 @@ def _sparse_rows(a: RationalMatrix):
 def _echelon(rows) -> dict:
     """Row echelon form of sparse rows, as {pivot column: row}.
 
-    Each row is a dict column -> nonzero Fraction and is consumed.  It is
-    reduced left to right against the pivot rows found so far; its leftmost
-    surviving column becomes a new pivot, and the row is scaled so that its
-    entry there is 1.  A row that reduces to nothing is dropped.
+    Each row is a dict column -> nonzero rational (int or Fraction) and is
+    consumed.  It is reduced left to right against the pivot rows found so
+    far; its leftmost surviving column becomes a new pivot, and the row is
+    scaled so that its entry there is 1.  The pivot is inverted as a
+    Fraction, so the pivot rows, and everything derived from them, are
+    Fractions even when the input entries are ints.  A row that reduces to
+    nothing is dropped.
     """
     pivots = {}
     for row in rows:
@@ -173,7 +176,7 @@ def _echelon(rows) -> dict:
             col = min(row)
             prow = pivots.get(col)
             if prow is None:
-                inv = 1 / row[col]
+                inv = Fraction(1) / row[col]
                 pivots[col] = {j: x * inv for j, x in row.items()}
                 break
             f = row.pop(col)

@@ -2,12 +2,12 @@
 
 All rationals are serialized as strings ("p/q"), so round trips are
 bit-exact; term order inside elements and key order inside objects are
-fixed, so emitting the same object twice gives identical bytes.
+fixed, so emitting the same object twice gives identical bytes.  Loading
+also accepts ints, and rejects a float coefficient or matrix entry with
+TypeError (see `core.exact`).
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .core import (
     GeneratorSet,
@@ -16,6 +16,7 @@ from .core import (
     Signature,
     element_from_json,
     element_to_json,
+    exact,
 )
 from .differentials import DerivationDifferential
 from .linalg import ChainComplex, RationalMatrix
@@ -30,7 +31,7 @@ def _matrix_to_json(mat: RationalMatrix):
 
 
 def _matrix_from_json(rows, ncols=None):
-    return RationalMatrix([[Fraction(x) for x in row] for row in rows], cols=ncols)
+    return RationalMatrix([[exact(x) for x in row] for row in rows], cols=ncols)
 
 
 # ---------------------------------------------------------------------------

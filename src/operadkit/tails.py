@@ -109,7 +109,7 @@ def solve_tail(problem: TailProblem, max_vertices=None) -> OperadElement:
     a = RationalMatrix.zero(len(support), len(candidates))
     for j, img in enumerate(images):
         for mono, coeff in img.terms.items():
-            a.entries[index[mono]][j] = coeff
+            a.entries[index[mono]][j] = Fraction(coeff)
     b = [Fraction(0)] * len(support)
     for mono, coeff in rhs.terms.items():
         b[index[mono]] = coeff

@@ -175,3 +175,36 @@ def test_internal_error_is_not_a_usage_error(tmp_path, monkeypatch):
     setup.write_text(json.dumps(_setup_json()))
     with pytest.raises(ValueError, match="internal"):
         run(["extend", "--setup", str(setup), "--target-arity", "2"])
+
+
+def _float_rep_json():
+    from operadkit.differentials import build_ainf
+    from operadkit.reps import ChainComplex, MultilinearMap, Representation
+
+    u = ChainComplex({0: 1}, {}, "B")
+    rep = Representation(build_ainf(2), {"B": u}, {"mu_2": MultilinearMap((u, u), u, 0, {(0, 0): [["1"]]})})
+    obj = representation_to_json(rep)
+    obj["images"]["mu_2"]["blocks"]["0,0"] = [[0.25]]
+    return obj
+
+
+def _float_setup_json():
+    obj = _setup_json()
+    obj["f"]["1"]["blocks"]["0"] = [[0.25]]
+    return obj
+
+
+@pytest.mark.parametrize(
+    "argv, obj",
+    [
+        (["check-rep", "--model", "ainf", "--max-arity", "2", "--rep"], _float_rep_json),
+        (["extend", "--target-arity", "2", "--setup"], _float_setup_json),
+    ],
+    ids=["check-rep", "extend"],
+)
+def test_float_coefficient_is_usage_error(tmp_path, capsys, argv, obj):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj()))
+    assert run(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "TypeError" in err and "inexact coefficient 0.25" in err

@@ -1,8 +1,11 @@
 """Source hygiene that needs no linter: no unused imports in the package,
 no linear combination grown term by term with `x = x + ...` in a loop
 (each step copies the whole sum; `core.collect_terms` merges in one pass),
-and no package import inside a function (the package has no import cycle
-that would need one, and a module's dependencies belong at its top)."""
+no package import inside a function (the package has no import cycle
+that would need one, and a module's dependencies belong at its top), and
+no true division outside `linalg` (`/` on two ints is a float, the one
+operator that silently breaks the exact coefficient contract; `linalg`
+holds the one exact pivot inversion)."""
 
 import ast
 from pathlib import Path
@@ -106,3 +109,31 @@ def test_checker_finds_local_package_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_local_package_imports(path):
     assert local_package_imports(path.read_text()) == []
+
+
+def true_divisions(source: str):
+    """Line numbers of `/` and `/=` operations."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_checker_finds_true_divisions():
+    source = (
+        "half = Fraction(1, 2)\n"
+        "q = a // b\n"
+        "r = a / b\n"
+        "text = '1/2'  # a / b\n"
+        "c /= 2\n"
+        "c //= 2\n"
+    )
+    assert true_divisions(source) == [3, 5]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "linalg.py"], ids=lambda p: p.name
+)
+def test_no_true_division_outside_linalg(path):
+    assert true_divisions(path.read_text()) == []

@@ -221,6 +221,35 @@ def test_rank_kernel_and_solve_match_sympy():
     assert inconsistent > 20
 
 
+def test_int_written_entries_give_exact_fraction_answers():
+    # Entries written past the constructor stay ints; the eliminator must
+    # still invert its pivots exactly and answer in Fractions.
+    a = RationalMatrix.zero(1, 2)
+    a.entries[0] = [3, 1]
+    x = solve_linear(a, [1])
+    assert x == [Fraction(1, 3), Fraction(0)]
+    assert kernel_basis(a) == [[Fraction(-1, 3), Fraction(1)]]
+    assert rank(a) == 1
+
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(12)
+    for _ in range(100):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        a = RationalMatrix.zero(rows, cols)
+        a.entries = [[rng.choice((0, 0, 1, -1, 2, 3, -5)) for _ in range(cols)] for _ in range(rows)]
+        b = [rng.randint(-3, 3) for _ in range(rows)]
+        s = sympy.Matrix(a.entries)
+        assert rank(a) == s.rank()
+        kernel = kernel_basis(a)
+        assert kernel == [_from_sympy(v) for v in s.nullspace()]
+        x = solve_linear(a, b)
+        if s.row_join(sympy.Matrix(b)).rank() > s.rank():
+            assert x is None
+            continue
+        assert a.mul_vec(x) == b
+        assert all(type(v) is Fraction for v in x + [v for vec in kernel for v in vec])
+
+
 _small = st.one_of(st.just(0), st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, max_denominator=3))
 
 
