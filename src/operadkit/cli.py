@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from contextlib import contextmanager
 
@@ -37,13 +36,6 @@ from .transfer import ExtensionObstructionError, extend_to_arity
 PASS, MATH_FAIL, USAGE = 0, 1, 2
 
 MODEL_CHOICES = ("ainf", "ainf-morphism", "homotopy", "iso")
-
-
-def default_max_vertices() -> int:
-    try:
-        return int(os.environ.get("OPERADKIT_MAX_VERTICES", "8"))
-    except ValueError:
-        return 8
 
 
 def _build_model(args):
@@ -116,7 +108,7 @@ def cmd_verify_dsq(args):
 def cmd_solve_tail(args):
     with _reading("--max-arity"):
         base = build_ainf(args.max_arity)
-    bw = build_model_btow(base, args.max_arity, max_vertices=args.max_vertices)
+    bw = build_model_btow(base, args.max_arity)
     if args.format == "text":
         lines = []
         for x in bw.generator_order:
@@ -157,9 +149,7 @@ def cmd_extend(args):
         return MATH_FAIL
     report = final.check()
     if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(state_to_json(final), fh, indent=2)
-            fh.write("\n")
+        _write_output(args, json.dumps(state_to_json(final), indent=2) + "\n")
     print(str(report))
     return PASS if report.ok else MATH_FAIL
 
@@ -171,12 +161,11 @@ def cmd_polarization(args):
     if args.symmetrize:
         fams = {k: {d: symmetrize_forest(v) for d, v in tab.items()} for k, tab in fams.items()}
     report = verify_polarization(fams, args.max_degree + 1, iso)
-    if args.format == "text":
-        lines = []
-        for kind in ("f", "g", "h", "l"):
-            for deg in sorted(fams[kind]):
-                lines.append(f"<{kind}.>[{deg}] = {fams[kind][deg].text()}")
-        _write_output(args, "\n".join(lines) + "\n")
+    lines = []
+    for kind in ("f", "g", "h", "l"):
+        for deg in sorted(fams[kind]):
+            lines.append(f"<{kind}.>[{deg}] = {fams[kind][deg].text()}")
+    _write_output(args, "\n".join(lines) + "\n")
     return _emit_report(report)
 
 
@@ -206,7 +195,6 @@ def build_parser():
 
     p = sub.add_parser("solve-tail", help="solve the morphism-model tails over the structure-map base")
     p.add_argument("--max-arity", type=int, required=True)
-    p.add_argument("--max-vertices", type=int, default=default_max_vertices())
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_solve_tail)
@@ -225,7 +213,6 @@ def build_parser():
     p = sub.add_parser("polarization", help="emit and verify the width-2 polarization family")
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--symmetrize", action="store_true")
-    p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_polarization)
 

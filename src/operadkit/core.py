@@ -96,9 +96,6 @@ class GeneratorSet:
     def by_output(self, color):
         return self._by_output.get(color, [])
 
-    def extended(self, extra) -> "GeneratorSet":
-        return GeneratorSet(self.colors, self.generators + list(extra))
-
 
 # A tree shape is a nested structure: a leaf is its color (a str), an
 # internal vertex is a tuple (generator_name, child, ..., child).
@@ -210,7 +207,9 @@ class TreeMonomial:
         return self.shape == other.shape and self.signature == other.signature
 
     def __hash__(self):
-        return hash((self.shape, self.signature))
+        # Equal monomials have equal shapes, and hashing the shape alone
+        # skips the dataclass hash of the signature.
+        return hash(self.shape)
 
     def __repr__(self):
         return f"TreeMonomial({self.canonical()})"

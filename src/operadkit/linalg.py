@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Matrices are dense (``RationalMatrix``); elimination is sparse.  One
-eliminator, ``_echelon``, brings rows held as dicts of their nonzero
-Fraction entries to row echelon form, and ``rank``, ``solve_linear``,
-``kernel_basis``, ``boundary_basis`` and ``homology_representatives`` all
-go through it.  Its answers are canonical:
+Matrices are dense (``RationalMatrix``); elimination is sparse.  This is
+the one module that knows a matrix's dense layout: other modules build a
+matrix from sparse rows with ``RationalMatrix.from_rows`` (or from columns
+or lists) and only read ``entries``.  One eliminator, ``_echelon``, brings
+rows held as dicts of their nonzero Fraction entries to row echelon form,
+and ``rank``, ``solve_linear``, ``kernel_basis``, ``boundary_basis`` and
+``homology_representatives`` all go through it.  Its answers are canonical:
 
 - the pivot columns are the columns not in the span of the columns to
   their left;
@@ -21,12 +23,17 @@ for bit.
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Rational
 
 
 def _frac(x) -> Fraction:
+    """`x` as a Fraction.  Ints, rationals and exact strings are accepted; a
+    float, or any other number that is not a rational, raises TypeError."""
     if isinstance(x, Fraction):
         return x
-    return Fraction(x)
+    if isinstance(x, (Rational, str)):
+        return Fraction(x)
+    raise TypeError(f"inexact matrix entry {x!r}: give an int, a Fraction or a 'p/q' string")
 
 
 class RationalMatrix:
@@ -57,9 +64,17 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        m = cls.zero(n, n)
-        for i in range(n):
-            m.entries[i][i] = Fraction(1)
+        return cls.from_rows([{i: Fraction(1)} for i in range(n)], n)
+
+    @classmethod
+    def from_rows(cls, rows, cols: int) -> "RationalMatrix":
+        """The matrix whose row i holds the dict rows[i] (column -> entry),
+        zero elsewhere.  Entries are stored as given, so they must already
+        be Fractions."""
+        m = cls.zero(len(rows), cols)
+        for dense, row in zip(m.entries, rows):
+            for j, x in row.items():
+                dense[j] = x
         return m
 
     @classmethod

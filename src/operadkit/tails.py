@@ -106,10 +106,11 @@ def solve_tail(problem: TailProblem, max_vertices=None) -> OperadElement:
     support = sorted(support, key=lambda m: m.sort_key)
     index = {m: i for i, m in enumerate(support)}
 
-    a = RationalMatrix.zero(len(support), len(candidates))
+    rows = [{} for _ in support]
     for j, img in enumerate(images):
         for mono, coeff in img.terms.items():
-            a.entries[index[mono]][j] = Fraction(coeff)
+            rows[index[mono]][j] = Fraction(coeff)
+    a = RationalMatrix.from_rows(rows, len(candidates))
     b = [Fraction(0)] * len(support)
     for mono, coeff in rhs.terms.items():
         b[index[mono]] = coeff
@@ -335,6 +336,10 @@ def build_model_iso_principal(
 
     Only bases with generators of arity <= 2 are supported: the closed
     polarization formulas used by the principal parts exist in width 2.
+    The tail ideal is empty: it would be spanned by the super-family copies
+    of base generators of lower arity, and an arity-2 base has none.  Each
+    tail solve therefore checks that a principal part is closed, and
+    records "tail 0" or a failure.
     """
     _check_base(base)
     picked = _picked(base, max_arity)
@@ -396,17 +401,10 @@ def build_model_iso_principal(
                 images[name] = _image(gens, name, parts)
         # solve tails for this index level before moving up
         for g in picked:
-            ideal = [
-                f"{h.name}_{fam}{kk}"
-                for h in picked
-                if h.signature.arity < g.signature.arity
-                for kk in range(0, max_index + 1)
-                for fam in ("f", "g")
-            ]
             for fam in ("f", "g"):
                 name = f"{g.name}_{fam}{k}"
                 try:
-                    _solve_into(gens, images, tails, report, name, images[name], ideal, max_vertices)
+                    _solve_into(gens, images, tails, report, name, images[name], [], max_vertices)
                 except TailError as exc:
                     report.add(name, False, str(exc))
 

@@ -18,9 +18,10 @@ quasi-isomorphism hypothesis fails the system can be infeasible, which is
 reported as an obstruction.
 
 The system is assembled as sparse rows written straight from stored
-blocks.  Every term is blockwise X -> L X R, and vec(L X R) =
-(R^T (x) L) vec(X): the column of the unit E_rc is column r of L times
-row c of R.  The Hom differential contributes d o X (R the identity) and
+blocks, and ``RationalMatrix.from_rows`` makes it a matrix.  Every term is
+blockwise X -> L X R, and vec(L X R) = (R^T (x) L) vec(X): the column of
+the unit E_rc is column r of L times row c of R, where R is a Kronecker
+product from ``linalg.kron_all``.  The Hom differential contributes d o X (R the identity) and
 the terms X o (1 (x) ... (x) d_i (x) ... (x) 1) with the Koszul sign from
 ``reps.hom_differential_terms``, the one place that sign rule is written;
 the F-equation adds the principal term X o f_1^{(x)K+1} (L a scalar).
@@ -40,6 +41,7 @@ from .linalg import (
     RationalMatrix,
     homology_coordinates,
     homology_representatives,
+    kron_all,
     rank,
     solve_linear,
 )
@@ -170,23 +172,6 @@ def _layouts(template: MultilinearMap):
     return _Layout(template), _Layout(eq)
 
 
-def _kron_row(mats, c):
-    """Row c of kron_all(mats), as {column: nonzero entry}."""
-    digits = []
-    for m in reversed(mats):
-        c, digit = divmod(c, m.rows)
-        digits.append(digit)
-    row = {0: Fraction(1)}
-    for m, digit in zip(mats, reversed(digits)):
-        row = {
-            j * m.cols + t: v * x
-            for j, v in row.items()
-            for t, x in enumerate(m.entries[digit])
-            if x
-        }
-    return row
-
-
 def _write_right(eq_rows, col0, rows, cols, row0, factors, scale):
     """Columns of X -> scale * X o kron(factors), X a unit of one rows x cols block.
 
@@ -194,14 +179,12 @@ def _write_right(eq_rows, col0, rows, cols, row0, factors, scale):
     equation row row0: the unit E_rc puts row c of the Kronecker product,
     times scale, in row r of the image block.
     """
-    eq_cols = 1
-    for m in factors:
-        eq_cols *= m.cols
-    for c in range(cols):
-        entries = [(k, scale * x) for k, x in _kron_row(factors, c).items()]
+    kron = kron_all(factors)
+    for c, krow in enumerate(kron.entries):
+        entries = [(k, scale * x) for k, x in enumerate(krow) if x]
         for r in range(rows):
             col = col0 + r * cols + c
-            base = row0 + r * eq_cols
+            base = row0 + r * kron.cols
             for k, x in entries:
                 eq_rows[base + k][col] = x
 
@@ -227,14 +210,6 @@ def _write_hom_differential(eq_rows, unknowns: _Layout, eq: _Layout, col0, row0)
                             eq_rows[base + i * cols + c][col0 + off + r * cols + c] = lrow[r]
         for key2, factors, sign in hom_differential_terms(t.sources, t.degree, key):
             _write_right(eq_rows, col0 + off, rows, cols, row0 + eq.offsets[key2], factors, sign)
-
-
-def _matrix(eq_rows, ncols) -> RationalMatrix:
-    a = RationalMatrix.zero(len(eq_rows), ncols)
-    for dense, row in zip(a.entries, eq_rows):
-        for j, x in row.items():
-            dense[j] = x
-    return a
 
 
 def _extension_system(state: ExtensionState):
@@ -269,7 +244,7 @@ def _extension_system(state: ExtensionState):
                 row0 = eq_n.size + eq_f.offsets[key]
                 _write_right(eq_rows, off, rows, cols, row0, inner, -principal_coeff)
     _write_hom_differential(eq_rows, f, eq_f, n.size, eq_n.size)
-    return _matrix(eq_rows, n.size + f.size), b, n, f
+    return RationalMatrix.from_rows(eq_rows, n.size + f.size), b, n, f
 
 
 def extension_step(state: ExtensionState) -> ExtensionState:
@@ -321,7 +296,7 @@ def _homotopy_system(g: MultilinearMap):
     b = eq.flatten(g)
     eq_rows = [{} for _ in b]
     _write_hom_differential(eq_rows, h, eq, 0, 0)
-    return _matrix(eq_rows, h.size), b, h
+    return RationalMatrix.from_rows(eq_rows, h.size), b, h
 
 
 def find_homotopy(g: MultilinearMap):
@@ -362,11 +337,9 @@ def scenario_abelization(
 
 
 def _swap_matrix(dim_a, dim_b):
-    out = RationalMatrix.zero(dim_a * dim_b, dim_b * dim_a)
-    for i in range(dim_b):
-        for j in range(dim_a):
-            out.entries[j * dim_b + i][i * dim_a + j] = Fraction(1)
-    return out
+    """The permutation u (x) v -> v (x) u, u in a space of dim_a, v of dim_b."""
+    rows = [{(r % dim_b) * dim_a + r // dim_b: Fraction(1)} for r in range(dim_a * dim_b)]
+    return RationalMatrix.from_rows(rows, dim_b * dim_a)
 
 
 def _swapped(mu: MultilinearMap) -> MultilinearMap:
@@ -398,27 +371,14 @@ def homology_complex(u: ChainComplex, color=None) -> tuple:
 
 
 def induced_product(u: ChainComplex, mu: MultilinearMap, h: ChainComplex, iota: MultilinearMap) -> MultilinearMap:
-    """The product induced on homology, in the representative basis."""
+    """The product induced on homology, in the representative basis: the
+    homology coordinates of each column of mu o (iota (x) iota)."""
     star_blocks = {}
-    for key in zero_map((h, h), h, 0).multidegrees():
-        k1, k2 = key
-        target_k = k1 + k2
-        # tensor-basis columns, first factor most significant
-        cols = []
-        for i in range(h.dim(k1)):
-            zi = [iota.block((k1,)).entries[r][i] for r in range(u.dim(k1))]
-            for j in range(h.dim(k2)):
-                zj = [iota.block((k2,)).entries[r][j] for r in range(u.dim(k2))]
-                prod_vec = _apply_bilinear(mu, k1, k2, zi, zj)
-                cols.append(homology_coordinates(u, target_k, prod_vec))
+    for key, block in compose_maps(mu, [iota, iota]).blocks.items():
+        target_k = sum(key)
+        cols = [homology_coordinates(u, target_k, col) for col in zip(*block.entries)]
         star_blocks[key] = RationalMatrix.from_columns(cols, h.dim(target_k))
     return MultilinearMap((h, h), h, 0, star_blocks)
-
-
-def _apply_bilinear(mu, k1, k2, x, y):
-    block = mu.block((k1, k2))
-    tensor = [xi * yj for xi in x for yj in y]
-    return block.mul_vec(tensor)
 
 
 def is_commutative(star: MultilinearMap) -> bool:

@@ -118,6 +118,7 @@ def test_extend_cli_round_trip(tmp_path, capsys):
     final = state_from_json(json.loads(out.read_text()))
     assert final.k == 4
     assert final.check().ok
+    assert out.read_text() == json.dumps(state_to_json(final), indent=2) + "\n"
 
 
 def test_polarization_cli(capsys):
@@ -127,6 +128,29 @@ def test_polarization_cli(capsys):
     # the symmetrized family genuinely fails the coupled equations, which is
     # a mathematical failure, not a usage error
     assert run(["polarization", "--max-degree", "3", "--symmetrize"]) == 1
+
+
+def test_polarization_family_goes_to_output_file(tmp_path, capsys):
+    path = tmp_path / "family.txt"
+    assert run(["polarization", "--max-degree", "3", "-o", str(path)]) == 0
+    assert "<f.>[0] = 1 * f_0 (x) f_0" in path.read_text().splitlines()
+    out = capsys.readouterr().out
+    assert "<f.>[0]" not in out and "PASS" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["polarization", "--max-degree", "2", "--format", "json"],
+        ["solve-tail", "--max-arity", "3", "--max-vertices", "6"],
+    ],
+    ids=["polarization-format", "solve-tail-max-vertices"],
+)
+def test_removed_options_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_representation_json_round_trip(tmp_path):

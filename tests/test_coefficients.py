@@ -32,6 +32,7 @@ from operadkit.differentials import (
     verify_d_squared,
 )
 from operadkit.forests import ForestElement, ForestMonomial, polarization_iso_m2, symmetrize_forest
+from operadkit.reps import MultilinearMap
 from operadkit.serialize import complex_from_json
 from operadkit.tails import build_model_btow, build_model_homotopy
 
@@ -118,6 +119,36 @@ def test_json_loaders_reject_float_coefficients():
     assert complex_from_json({"dims": {"0": 1, "1": 1}, "d": {"1": [[2]]}}).d[1].entries == [[Fraction(2)]]
     with pytest.raises(TypeError, match="0.5"):
         complex_from_json({"dims": {"0": 1, "1": 1}, "d": {"1": [[0.5]]}})
+
+
+def _one_dim():
+    return linalg.ChainComplex({0: 1})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: linalg.RationalMatrix([[0.5]]),
+        lambda: linalg.RationalMatrix.from_columns([[0.5]], 1),
+        lambda: linalg.RationalMatrix.identity(1).scale(0.5),
+        lambda: linalg.solve_linear(linalg.RationalMatrix.identity(1), [0.5]),
+        lambda: linalg.ChainComplex({0: 1, 1: 1}, {1: [[0.5]]}),
+        lambda: MultilinearMap((_one_dim(),), _one_dim(), 0, {(0,): [[0.5]]}),
+        lambda: MultilinearMap((_one_dim(),), _one_dim(), 0, {(0,): [[1]]}).scale(0.5),
+    ],
+    ids=["matrix", "from_columns", "scale", "solve_rhs", "complex", "map", "map_scale"],
+)
+def test_matrix_entry_points_reject_floats(build):
+    with pytest.raises(TypeError, match="inexact matrix entry 0.5"):
+        build()
+
+
+def test_matrix_entry_points_keep_exact_input():
+    m = linalg.RationalMatrix([[1, Fraction(1, 2), "-1/3", True]])
+    assert m.entries == [[1, Fraction(1, 2), Fraction(-1, 3), 1]]
+    assert {type(x) for x in m.entries[0]} == {Fraction}
+    assert linalg.solve_linear(linalg.RationalMatrix.identity(1), [2]) == [Fraction(2)]
+    assert type(m.scale(2).entries[0][0]) is Fraction
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ no package import inside a function (the package has no import cycle
 that would need one, and a module's dependencies belong at its top), and
 no true division outside `linalg` (`/` on two ints is a float, the one
 operator that silently breaks the exact coefficient contract; `linalg`
-holds the one exact pivot inversion)."""
+holds the one exact pivot inversion), and no write into a matrix's
+`entries` outside `linalg` (the one module that knows the dense layout;
+others build with `RationalMatrix.from_rows` and only read)."""
 
 import ast
 from pathlib import Path
@@ -137,3 +139,49 @@ def test_checker_finds_true_divisions():
 )
 def test_no_true_division_outside_linalg(path):
     assert true_divisions(path.read_text()) == []
+
+
+def _writes_entries(target):
+    """Is `target` `<expr>.entries[...]`, possibly subscripted further, or a
+    tuple or list holding one?"""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return any(_writes_entries(t) for t in target.elts)
+    while isinstance(target, ast.Subscript):
+        target = target.value
+        if isinstance(target, ast.Attribute) and target.attr == "entries":
+            return True
+    return False
+
+
+def entries_writes(source: str):
+    """Line numbers of assignments into `<expr>.entries[...]`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AugAssign):
+            targets = [node.target]
+        else:
+            continue
+        if any(_writes_entries(t) for t in targets):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_checker_finds_entries_writes():
+    source = (
+        "m.entries[0][1] = x\n"
+        "a.b.entries[i] = row\n"
+        "m.entries[0][0] += 1\n"
+        "y, m.entries[1][2] = 1, 2\n"
+        "x = m.entries[0][1]\n"
+        "rows[m.entries[0][0]] = 1\n"
+        "report.entries = []\n"
+        "entries[0] = 1\n"
+    )
+    assert entries_writes(source) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"], ids=lambda p: p.name)
+def test_no_entries_writes_outside_linalg(path):
+    assert entries_writes(path.read_text()) == []
