@@ -101,8 +101,7 @@ def cmd_emit_model(args):
 
 def cmd_verify_dsq(args):
     model = _build_model(args)
-    report = verify_d_squared(model, max_vertices=args.max_vertices)
-    return _emit_report(report)
+    return _emit_report(verify_d_squared(model))
 
 
 def cmd_solve_tail(args):
@@ -190,7 +189,6 @@ def build_parser():
 
     p = sub.add_parser("verify-dsq", help="check D^2 = 0 generator by generator")
     add_model_args(p)
-    p.add_argument("--max-vertices", type=int, default=None)
     p.set_defaults(func=cmd_verify_dsq)
 
     p = sub.add_parser("solve-tail", help="solve the morphism-model tails over the structure-map base")

@@ -81,9 +81,6 @@ class GeneratorSet:
     def generators(self):
         return list(self._specs.values())
 
-    def names(self):
-        return list(self._specs)
-
     def spec(self, name: str) -> GeneratorSpec:
         try:
             return self._specs[name]
@@ -178,9 +175,6 @@ class TreeMonomial:
     @property
     def arity(self) -> int:
         return self.signature.arity
-
-    def is_identity(self) -> bool:
-        return isinstance(self.shape, str)
 
     def vertices(self):
         return _shape_walk(self.shape)
@@ -501,21 +495,6 @@ def _checked_over(gens: GeneratorSet, mono: TreeMonomial) -> TreeMonomial:
 
 def _grafted_signature(outer: Signature, slot: int, inner: Signature) -> Signature:
     return Signature(outer.output, outer.inputs[: slot - 1] + inner.inputs + outer.inputs[slot:])
-
-
-def graft_elements(a: OperadElement, slot: int, b: OperadElement) -> OperadElement:
-    """Bilinear extension of graft to elements."""
-    sig = deg = None
-    if a.signature is not None and b.signature is not None:
-        sig = _grafted_signature(a.signature, slot, b.signature)
-        deg = a.degree + b.degree
-    terms = collect_terms(
-        (m, ca * cb * c)
-        for ma, ca in a.terms.items()
-        for mb, cb in b.terms.items()
-        for m, c in graft(ma, slot, mb).terms.items()
-    )
-    return OperadElement(a.gens, terms, signature=sig, degree=deg)
 
 
 def compose_full(outer: TreeMonomial, inners) -> OperadElement:

@@ -310,11 +310,6 @@ def polarization_sym(gens: GeneratorSet, m: int, p="p", q="q", h="h") -> ForestE
     return symmetrize_forest(polarization_ns(gens, m, p, q, h))
 
 
-def power_word(gens: GeneratorSet, name: str, m: int) -> ForestElement:
-    t = TreeMonomial.generator(gens, name)
-    return ForestElement.word(gens, [t] * m)
-
-
 def _iso_chain(gens, top_family, length, degrees):
     """Unary word of `length` letters alternating f/g families from the top,
     with the given even indices (top to bottom)."""

@@ -56,7 +56,7 @@ class RationalMatrix:
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RationalMatrix":
         # Filled directly: the entries are Fractions and the rows even by
-        # construction, so __init__'s conversion and checks are skipped.
+        # construction, so __init__'s conversion and checks are not needed.
         m = cls.__new__(cls)
         m.rows, m.cols = rows, cols
         m.entries = [[Fraction(0)] * cols for _ in range(rows)]
@@ -91,9 +91,6 @@ class RationalMatrix:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
         return (self.rows, self.cols) == (other.rows, other.cols) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.entries)))
 
     def __repr__(self):
         return f"RationalMatrix({self.entries!r})"
@@ -275,6 +272,8 @@ class ChainComplex:
     def __init__(self, dims: dict, d: dict | None = None, color: str | None = None):
         self.color = color
         self.dims = {int(k): int(n) for k, n in dims.items() if n}
+        if any(n < 0 for n in self.dims.values()):
+            raise ValueError(f"negative dimension in {self.dims}")
         self.d = {}
         for k, mat in (d or {}).items():
             k = int(k)

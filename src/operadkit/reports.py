@@ -11,14 +11,9 @@ class ReportEntry:
     ok: bool
     detail: str = ""
     residual: object = None
-    skipped: bool = False
 
     def line(self) -> str:
-        if self.skipped:
-            status = "SKIP"
-        else:
-            status = "PASS" if self.ok else "FAIL"
-        msg = f"{status}  {self.name}"
+        msg = f"{'PASS' if self.ok else 'FAIL'}  {self.name}"
         if self.detail:
             msg += f"  {self.detail}"
         return msg
@@ -28,17 +23,14 @@ class ReportEntry:
 class Report:
     title: str
     entries: list = field(default_factory=list)
-    first_failure: object = None  # set by checks that rank their failures
+    first_failure: object = None  # set by checks that rank their failing entries
 
-    def add(self, name, ok, detail="", residual=None, skipped=False):
-        self.entries.append(ReportEntry(name, ok, detail, residual, skipped))
+    def add(self, name, ok, detail="", residual=None):
+        self.entries.append(ReportEntry(name, ok, detail, residual))
 
     @property
     def ok(self) -> bool:
-        return all(e.ok for e in self.entries if not e.skipped)
-
-    def failures(self):
-        return [e for e in self.entries if not e.skipped and not e.ok]
+        return all(e.ok for e in self.entries)
 
     def lines(self):
         out = [self.title]

@@ -34,6 +34,8 @@ class MultilinearMap:
         self.blocks = {}
         for key, mat in (blocks or {}).items():
             key = tuple(int(k) for k in key)
+            if len(key) != self.arity:
+                raise ValueError(f"block key {key} has {len(key)} degrees for an arity-{self.arity} map")
             if not isinstance(mat, RationalMatrix):
                 mat = RationalMatrix(mat)
             rows, cols = self.block_shape(key)

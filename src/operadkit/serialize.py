@@ -71,14 +71,6 @@ def model_from_json(obj: dict) -> DerivationDifferential:
     return DerivationDifferential(gens, images)
 
 
-def models_equal(a: DerivationDifferential, b: DerivationDifferential) -> bool:
-    if a.base.colors != b.base.colors:
-        return False
-    if a.base.generators != b.base.generators:
-        return False
-    return all(a.of(g.name) == b.of(g.name) for g in a.base.generators)
-
-
 def model_to_text(model: DerivationDifferential) -> str:
     lines = []
     for g in model.base.generators:

@@ -91,13 +91,15 @@ def solve_tail(problem: TailProblem, max_vertices=None) -> OperadElement:
 
     ideal = set(problem.ideal_generators)
     cutoff_limited = False
-    try:
-        basis = enumerate_basis(problem.ambient, spec.signature, spec.degree - 1)
-    except UnboundedEnumerationError:
-        if max_vertices is None:
-            raise
-        cutoff_limited = True
-        basis = enumerate_basis(problem.ambient, spec.signature, spec.degree - 1, max_vertices)
+    basis = []  # no monomial lies in an empty ideal, however large the component
+    if ideal:
+        try:
+            basis = enumerate_basis(problem.ambient, spec.signature, spec.degree - 1)
+        except UnboundedEnumerationError:
+            if max_vertices is None:
+                raise
+            cutoff_limited = True
+            basis = enumerate_basis(problem.ambient, spec.signature, spec.degree - 1, max_vertices)
     candidates = [m for m in basis if ideal.intersection(m.vertex_names())]
     images = [extend_derivation(problem.partial, OperadElement.monomial(m)) for m in candidates]
     support = set(rhs.terms)
@@ -121,7 +123,7 @@ def solve_tail(problem: TailProblem, max_vertices=None) -> OperadElement:
             raise TailNotFoundError(
                 f"tail not found within cutoff (max_vertices={max_vertices})", True
             )
-        raise TailNotFoundError("no tail exists in this (finite) component", False)
+        raise TailNotFoundError("no tail exists in the ideal", False)
 
     omega = OperadElement(problem.ambient, collect_terms(zip(candidates, x)), spec.signature, spec.degree - 1)
     # Exact post-check: the solver's arithmetic is not trusted silently.
@@ -201,7 +203,7 @@ def _copy_images(base: DerivationDifferential, picked, gens) -> dict:
     return images
 
 
-def _solve_into(gens, images, tails, report, name, principal, ideal, max_vertices):
+def _solve_into(gens, images, tails, report, name, principal, ideal, max_vertices=None):
     """Solve the tail of `name` against the images so far; record its tail,
     its image principal + tail, and a report entry."""
     partial = DerivationDifferential(gens, images)
@@ -329,17 +331,16 @@ def build_model_iso_principal(
     base: DerivationDifferential,
     max_arity: int,
     max_index: int,
-    max_vertices: int = 8,
 ) -> TailedModel:
     """Principal parts of the iso-resolution model over a minimal base, with
-    tails attempted per generator (failures recorded, not fatal).
+    tails attempted per generator (a failed solve is recorded, not fatal).
 
     Only bases with generators of arity <= 2 are supported: the closed
     polarization formulas used by the principal parts exist in width 2.
     The tail ideal is empty: it would be spanned by the super-family copies
     of base generators of lower arity, and an arity-2 base has none.  Each
-    tail solve therefore checks that a principal part is closed, and
-    records "tail 0" or a failure.
+    tail solve therefore enumerates no basis: it checks that a principal part
+    is closed, and records "tail 0" or a failure.
     """
     _check_base(base)
     picked = _picked(base, max_arity)
@@ -404,7 +405,7 @@ def build_model_iso_principal(
             for fam in ("f", "g"):
                 name = f"{g.name}_{fam}{k}"
                 try:
-                    _solve_into(gens, images, tails, report, name, images[name], [], max_vertices)
+                    _solve_into(gens, images, tails, report, name, images[name], [])
                 except TailError as exc:
                     report.add(name, False, str(exc))
 

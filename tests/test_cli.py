@@ -7,7 +7,6 @@ from operadkit.differentials import build_ainf_morphism
 from operadkit.serialize import (
     model_from_json,
     model_to_json,
-    models_equal,
     representation_from_json,
     representation_to_json,
     state_from_json,
@@ -31,7 +30,7 @@ def test_emit_model_json_round_trip(tmp_path, capsys):
     obj = json.loads(path.read_text())
     assert obj["schema"] == 1
     back = model_from_json(obj)
-    assert models_equal(back, build_ainf_morphism(3))
+    assert model_to_json(back) == model_to_json(build_ainf_morphism(3))
     # byte-exact re-emission
     assert json.dumps(model_to_json(back), indent=2) + "\n" == path.read_text()
 
@@ -143,8 +142,10 @@ def test_polarization_family_goes_to_output_file(tmp_path, capsys):
     [
         ["polarization", "--max-degree", "2", "--format", "json"],
         ["solve-tail", "--max-arity", "3", "--max-vertices", "6"],
+        # a skipped generator printed SKIP while the report still said PASS
+        ["verify-dsq", "--model", "ainf", "--max-arity", "4", "--max-vertices", "0"],
     ],
-    ids=["polarization-format", "solve-tail-max-vertices"],
+    ids=["polarization-format", "solve-tail-max-vertices", "verify-dsq-max-vertices"],
 )
 def test_removed_options_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -199,6 +200,24 @@ def test_internal_error_is_not_a_usage_error(tmp_path, monkeypatch):
     setup.write_text(json.dumps(_setup_json()))
     with pytest.raises(ValueError, match="internal"):
         run(["extend", "--setup", str(setup), "--target-arity", "2"])
+
+
+@pytest.mark.parametrize(
+    "model_args, dim, images",
+    [
+        (["ainf-morphism", "--max-arity", "1"], 1, {"f_1": {"degree": 0, "blocks": {"0,0": [["1"]]}}}),
+        (["ainf", "--max-arity", "2"], 1, {"mu_2": {"degree": 0, "blocks": {"0": [["1"]]}}}),
+        (["ainf", "--max-arity", "2"], -1, {}),
+    ],
+    ids=["key-too-long", "key-too-short", "negative-dimension"],
+)
+def test_malformed_representation_is_usage_error(tmp_path, capsys, model_args, dim, images):
+    complex_ = {"dims": {"0": dim}}
+    obj = {"schema": 1, "complexes": {"B": complex_, "W": complex_}, "images": images}
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(obj))
+    assert run(["check-rep", "--model"] + model_args + ["--rep", str(path)]) == 2
+    assert "ValueError" in capsys.readouterr().err
 
 
 def _float_rep_json():

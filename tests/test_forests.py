@@ -15,7 +15,6 @@ from operadkit.forests import (
     polarization_iso_m2,
     polarization_ns,
     polarization_sym,
-    power_word,
     symmetrize_forest,
     tensor_forests,
     verify_polarization,
@@ -66,7 +65,8 @@ def test_polarization_sym_m2(dull):
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_polarization_differential(dull, m):
     gens = dull.base
-    want = power_word(gens, "p", m) - power_word(gens, "q", m)
+    p, q = (TreeMonomial.generator(gens, name) for name in "pq")
+    want = ForestElement.word(gens, [p] * m) - ForestElement.word(gens, [q] * m)
     assert forest_differential(dull, polarization_ns(gens, m)) == want
     assert forest_differential(dull, polarization_sym(gens, m)) == want
 
@@ -158,7 +158,7 @@ def test_iso_polarization_identities_pass():
     iso = build_iso_resolution(6)
     fams = polarization_iso_m2(iso, 5)
     report = verify_polarization(fams, 5, iso)
-    assert report.ok, "\n".join(e.line() for e in report.failures())
+    assert report.ok, str(report)
 
 
 def test_verify_polarization_zeroed_h_fails_at_degree_zero():

@@ -5,17 +5,22 @@ no package import inside a function (the package has no import cycle
 that would need one, and a module's dependencies belong at its top), and
 no true division outside `linalg` (`/` on two ints is a float, the one
 operator that silently breaks the exact coefficient contract; `linalg`
-holds the one exact pivot inversion), and no write into a matrix's
+holds the one exact pivot inversion), no write into a matrix's
 `entries` outside `linalg` (the one module that knows the dense layout;
-others build with `RationalMatrix.from_rows` and only read)."""
+others build with `RationalMatrix.from_rows` and only read), and no
+top-level re-export that the benchmark does not read (the modules are the
+public surface; `operadkit` itself re-exports exactly what `perfbench/`
+takes from it)."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "operadkit"
-# __init__.py imports names only to re-export them.
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "operadkit"
+# __init__.py imports names only to re-export them; the last check below
+# holds those names to the ones the benchmark reads.
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -185,3 +190,52 @@ def test_checker_finds_entries_writes():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"], ids=lambda p: p.name)
 def test_no_entries_writes_outside_linalg(path):
     assert entries_writes(path.read_text()) == []
+
+
+def reexported_names(source: str):
+    """The names an ``__init__`` imports from its own package, sorted."""
+    return sorted(
+        a.asname or a.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for a in node.names
+    )
+
+
+def top_level_reads(source: str, submodules):
+    """The names a script reads from the top-level ``operadkit`` package: the
+    ``from operadkit import ...`` names and the ``operadkit.<name>``
+    attributes that are not submodules."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "operadkit" and not node.level:
+            found.update(a.name for a in node.names)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "operadkit"
+            and node.attr not in submodules
+        ):
+            found.add(node.attr)
+    return found
+
+
+def test_checker_finds_reexports_and_top_level_reads():
+    init = "from .core import A, B as C\nfrom . import sub\nimport os\n__version__ = '1'\n"
+    assert reexported_names(init) == ["A", "C", "sub"]
+    script = (
+        "import operadkit\n"
+        "import operadkit.cli as cli\n"
+        "from operadkit import a, b as c\n"
+        "from operadkit.core import d\n"
+        "x = operadkit.e(operadkit.tails.f, cli.g, c)\n"
+    )
+    assert top_level_reads(script, {"cli", "tails"}) == {"a", "b", "e"}
+
+
+def test_top_level_reexports_are_what_the_benchmark_reads():
+    submodules = {p.stem for p in MODULES}
+    read = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        read |= top_level_reads(path.read_text(), submodules)
+    assert reexported_names((SRC / "__init__.py").read_text()) == sorted(read)

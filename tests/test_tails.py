@@ -173,6 +173,20 @@ def test_solve_tail_not_found_is_classified():
     assert not err.value.cutoff_limited
 
 
+@pytest.mark.parametrize("max_vertices", [None, 6])
+def test_solve_tail_empty_ideal_enumerates_nothing(max_vertices):
+    # f_0 is closed and nonzero, and an empty ideal has no candidates, so the
+    # answer is "no tail" whether or not the (infinite) component has a cutoff
+    iso = build_iso_resolution(3)
+    gens = iso.base
+    rhs = OperadElement.from_generator(gens, "f_0")
+    assert extend_derivation(iso, rhs).is_zero() and not rhs.is_zero()
+    with pytest.raises(TailNotFoundError) as err:
+        solve_tail(TailProblem(gens, iso, "f_2", [], rhs), max_vertices)
+    assert not err.value.cutoff_limited
+    assert "cutoff" not in str(err.value)
+
+
 def test_solve_tail_zero_rhs_needs_no_basis():
     # the iso generators compose without bound, so a basis with no cutoff
     # cannot be enumerated; a zero obstruction has the zero tail regardless
@@ -344,18 +358,18 @@ def test_homotopy_symmetrized_variant():
 
 
 def test_iso_principal_degree_bookkeeping():
-    model = build_model_iso_principal(magmatic(0), 2, 2, max_vertices=6)
+    model = build_model_iso_principal(magmatic(0), 2, 2)
     for k in (0, 1, 2):
         assert model.base.spec(f"m_f{k}").degree == 0 + k + 1
         assert model.base.spec(f"m_g{k}").degree == 0 + k + 1
-    model1 = build_model_iso_principal(magmatic(1), 2, 1, max_vertices=6)
+    model1 = build_model_iso_principal(magmatic(1), 2, 1)
     assert model1.base.spec("m_f1").degree == 1 + 1 + 1
 
 
 @pytest.mark.parametrize("degree", [0, 1])
 @pytest.mark.parametrize("K", [0, 2, 5])
 def test_iso_principal_d_squared(degree, K):
-    model = build_model_iso_principal(magmatic(degree), 2, K, max_vertices=6)
+    model = build_model_iso_principal(magmatic(degree), 2, K)
     assert model.tail_report.ok
     # Over an arity-2 base the tail ideal is empty, so every solve only
     # checks that a principal part is closed.
@@ -364,7 +378,7 @@ def test_iso_principal_d_squared(degree, K):
 
 
 def test_iso_principal_records_outcomes():
-    model = build_model_iso_principal(magmatic(0), 2, 0, max_vertices=6)
+    model = build_model_iso_principal(magmatic(0), 2, 0)
     names = {e.name for e in model.tail_report.entries}
     assert names == {"m_f0", "m_g0"}
     assert all(e.ok for e in model.tail_report.entries)
@@ -372,4 +386,33 @@ def test_iso_principal_records_outcomes():
 
 def test_iso_principal_rejects_higher_arity():
     with pytest.raises(ValueError):
-        build_model_iso_principal(build_ainf(3), 3, 1, max_vertices=6)
+        build_model_iso_principal(build_ainf(3), 3, 1)
+
+
+# ---------------------------------------------------------------------------
+# a base with negative-degree generators: the vertex cutoff is required
+
+
+def suspended_ainf(n):
+    """mu_2..mu_n all of degree -1, D(mu_m) = sum of mu_i o_s mu_j over
+    i + j = m + 1 with coefficient +1; this squares to zero."""
+    specs = [GeneratorSpec(f"mu_{k}", Signature("A", ("A",) * k), -1) for k in range(2, n + 1)]
+    gens = GeneratorSet(("A",), specs)
+    mu = {k: TreeMonomial.generator(gens, f"mu_{k}") for k in range(2, n + 1)}
+    images = {}
+    for m in range(2, n + 1):
+        parts = (graft(mu[i], s, mu[m + 1 - i]) for i in range(2, m) for s in range(1, i + 1))
+        images[f"mu_{m}"] = sum(parts, OperadElement.zero(gens, Signature("A", ("A",) * m), -2))
+    return DerivationDifferential(gens, images)
+
+
+def test_btow_over_negative_degrees_needs_a_cutoff():
+    base = suspended_ainf(4)
+    assert verify_d_squared(base).ok
+    with pytest.raises(UnboundedEnumerationError):
+        build_model_btow(base, 4)
+    models = [build_model_btow(base, 4, max_vertices=v) for v in (4, 5, 6, 8)]
+    assert len({json.dumps(model_to_json(m)) for m in models}) == 1
+    model = models[0]
+    assert verify_d_squared(model).ok
+    assert [len(model.tails[f"mu_{k}_bar"].terms) for k in (2, 3, 4)] == [0, 4, 11]
