@@ -1,12 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Matrices are dense (``RationalMatrix``); elimination is sparse.  This is
-the one module that knows a matrix's dense layout: other modules build a
-matrix from sparse rows with ``RationalMatrix.from_rows`` (or from columns
-or lists) and only read ``entries``.  One eliminator, ``_echelon``, brings
-rows held as dicts of their nonzero Fraction entries to row echelon form,
-and ``rank``, ``solve_linear``, ``kernel_basis``, ``boundary_basis`` and
-``homology_representatives`` all go through it.  Its answers are canonical:
+A matrix (``RationalMatrix``) stores one dict of its nonzero entries per
+row, column -> entry, and nothing else: arithmetic and every solve touch
+only stored entries.  Other modules build a matrix with
+``RationalMatrix.from_rows`` (or from columns or lists) and read it with
+``row_items``; ``entries`` is a dense view built when read, for
+serialization and display.  One eliminator, ``_echelon``, brings the rows
+to row echelon form, taking them sparsest first, and ``rank``,
+``solve_linear``, ``kernel_basis``, ``boundary_basis`` and
+``homology_representatives`` all go through it.  Its answers are
+canonical:
 
 - the pivot columns are the columns not in the span of the columns to
   their left;
@@ -15,15 +18,17 @@ and ``rank``, ``solve_linear``, ``kernel_basis``, ``boundary_basis`` and
 - ``kernel_basis`` has one vector per free column, equal to 1 there and 0
   at the other free columns (the rows of the reduced row echelon form).
 
-None of these depend on the order in which rows are eliminated, so every
-downstream computation (tail solving, transfer steps) is reproducible bit
-for bit.
+None of these depend on the order in which rows are eliminated, so the
+sparsest-first order changes only the cost, and every downstream
+computation (tail solving, transfer steps) is reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from numbers import Rational
+
+_ZERO = Fraction(0)
 
 
 def _frac(x) -> Fraction:
@@ -36,46 +41,71 @@ def _frac(x) -> Fraction:
     raise TypeError(f"inexact matrix entry {x!r}: give an int, a Fraction or a 'p/q' string")
 
 
-class RationalMatrix:
-    """A dense matrix with Fraction entries, stored row-major."""
+class _DenseRow(list):
+    """One row of the dense ``entries`` view.  An item write also lands in
+    the matrix's sparse row, so ``m.entries[i][j] = x`` sets an entry."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("_sparse",)
+
+    def __init__(self, values, sparse: dict):
+        super().__init__(values)
+        self._sparse = sparse
+
+    def __setitem__(self, j, x):
+        x = _frac(x)
+        super().__setitem__(j, x)  # checks the index
+        j %= len(self)
+        if x:
+            self._sparse[j] = x
+        else:
+            self._sparse.pop(j, None)
+
+
+class _DenseView(list):
+    """The dense ``entries`` view: a whole row cannot be assigned, since
+    the view is rebuilt on every read and the write would be lost."""
+
+    __slots__ = ()
+
+    def __setitem__(self, i, row):
+        raise TypeError("set matrix entries one at a time: m.entries[i][j] = x")
+
+
+class RationalMatrix:
+    """A matrix with rational entries, stored as one dict per row of its
+    nonzero entries (column -> entry, never a stored zero)."""
+
+    __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, entries, cols=None):
         entries = [[_frac(x) for x in row] for row in entries]
         self.rows = len(entries)
-        if entries:
-            self.cols = len(entries[0])
-        else:
-            self.cols = 0 if cols is None else cols
-        for row in entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged rows in matrix")
-        self.entries = entries
+        self.cols = len(entries[0]) if entries else cols or 0
+        if any(len(row) != self.cols for row in entries):
+            raise ValueError("ragged rows in matrix")
+        self._rows = [{j: x for j, x in enumerate(row) if x} for row in entries]
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "RationalMatrix":
-        # Filled directly: the entries are Fractions and the rows even by
-        # construction, so __init__'s conversion and checks are not needed.
+    def _of(cls, rows: list, cols: int) -> "RationalMatrix":
+        """The matrix holding `rows`, dicts without zeros, as its storage."""
         m = cls.__new__(cls)
-        m.rows, m.cols = rows, cols
-        m.entries = [[Fraction(0)] * cols for _ in range(rows)]
+        m.rows, m.cols, m._rows = len(rows), cols, rows
         return m
 
     @classmethod
+    def zero(cls, rows: int, cols: int) -> "RationalMatrix":
+        return cls._of([{} for _ in range(rows)], cols)
+
+    @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls.from_rows([{i: Fraction(1)} for i in range(n)], n)
+        return cls._of([{i: Fraction(1)} for i in range(n)], n)
 
     @classmethod
     def from_rows(cls, rows, cols: int) -> "RationalMatrix":
         """The matrix whose row i holds the dict rows[i] (column -> entry),
-        zero elsewhere.  Entries are stored as given, so they must already
-        be Fractions."""
-        m = cls.zero(len(rows), cols)
-        for dense, row in zip(m.entries, rows):
-            for j, x in row.items():
-                dense[j] = x
-        return m
+        zero elsewhere.  Zero values are dropped; the others are stored as
+        given, so they must be ints or Fractions."""
+        return cls._of([{j: x for j, x in row.items() if x} for row in rows], cols)
 
     @classmethod
     def from_columns(cls, columns, rows: int) -> "RationalMatrix":
@@ -83,75 +113,88 @@ class RationalMatrix:
         for j, col in enumerate(columns):
             if len(col) != rows:
                 raise ValueError("column length mismatch")
-            for i, x in enumerate(col):
-                m.entries[i][j] = _frac(x)
+            for row, x in zip(m._rows, col):
+                x = _frac(x)
+                if x:
+                    row[j] = x
         return m
+
+    def row_items(self, i: int):
+        """The (column, entry) pairs of row i's nonzero entries."""
+        return self._rows[i].items()
+
+    @property
+    def entries(self) -> list:
+        """The dense rows, built on each read; item writes set entries."""
+        dense = _DenseView()
+        for row in self._rows:
+            values = [_ZERO] * self.cols
+            for j, x in row.items():
+                values[j] = x
+            dense.append(_DenseRow(values, row))
+        return dense
 
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self.entries == other.entries
+        return (self.rows, self.cols) == (other.rows, other.cols) and self._rows == other._rows
 
     def __repr__(self):
         return f"RationalMatrix({self.entries!r})"
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(self._rows)
 
     def add(self, other: "RationalMatrix") -> "RationalMatrix":
         self._check_same_shape(other)
-        return RationalMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-            cols=self.cols,
-        )
+        out = []
+        for r1, r2 in zip(self._rows, other._rows):
+            row = dict(r1)
+            for j, y in r2.items():
+                x = row.get(j, 0) + y
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+            out.append(row)
+        return RationalMatrix._of(out, self.cols)
 
     def sub(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._check_same_shape(other)
-        return RationalMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-            cols=self.cols,
-        )
+        return self.add(other.scale(-1))
 
     def scale(self, c) -> "RationalMatrix":
         c = _frac(c)
-        return RationalMatrix([[c * x for x in row] for row in self.entries], cols=self.cols)
+        if not c:
+            return RationalMatrix.zero(self.rows, self.cols)
+        return RationalMatrix._of([{j: c * x for j, x in row.items()} for row in self._rows], self.cols)
 
     def mul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = RationalMatrix.zero(self.rows, other.cols)
-        for i in range(self.rows):
-            srow = self.entries[i]
-            orow = out.entries[i]
-            for k in range(self.cols):
-                a = srow[k]
-                if a == 0:
-                    continue
-                brow = other.entries[k]
-                for j in range(other.cols):
-                    if brow[j] != 0:
-                        orow[j] += a * brow[j]
-        return out
+        out = []
+        for srow in self._rows:
+            row = {}
+            for k, a in srow.items():
+                for j, b in other._rows[k].items():
+                    row[j] = row.get(j, 0) + a * b
+            out.append({j: x for j, x in row.items() if x})
+        return RationalMatrix._of(out, other.cols)
 
     def mul_vec(self, v):
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return [sum((row[j] * v[j] for j in range(self.cols)), Fraction(0)) for row in self.entries]
+        return [sum((x * v[j] for j, x in row.items()), _ZERO) for row in self._rows]
 
     def kron(self, other: "RationalMatrix") -> "RationalMatrix":
-        # Leftmost tensor factor is the most significant index.
-        out = RationalMatrix.zero(self.rows * other.rows, self.cols * other.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                a = self.entries[i][j]
-                if a == 0:
-                    continue
-                for k in range(other.rows):
-                    for l in range(other.cols):
-                        b = other.entries[k][l]
-                        if b != 0:
-                            out.entries[i * other.rows + k][j * other.cols + l] = a * b
-        return out
+        # Leftmost tensor factor is the most significant index.  A product
+        # of nonzero rationals is nonzero, so no zero is ever stored.
+        width = other.cols
+        out = [
+            {j * width + l: a * b for j, a in srow.items() for l, b in orow.items()}
+            for srow in self._rows
+            for orow in other._rows
+        ]
+        return RationalMatrix._of(out, self.cols * width)
 
     def _check_same_shape(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -167,23 +210,24 @@ def kron_all(mats) -> RationalMatrix:
     return out
 
 
-def _sparse_rows(a: RationalMatrix):
-    return [{j: x for j, x in enumerate(row) if x} for row in a.entries]
+def _copy_rows(a: RationalMatrix) -> list:
+    return [dict(row) for row in a._rows]
 
 
 def _echelon(rows) -> dict:
     """Row echelon form of sparse rows, as {pivot column: row}.
 
     Each row is a dict column -> nonzero rational (int or Fraction) and is
-    consumed.  It is reduced left to right against the pivot rows found so
-    far; its leftmost surviving column becomes a new pivot, and the row is
-    scaled so that its entry there is 1.  The pivot is inverted as a
-    Fraction, so the pivot rows, and everything derived from them, are
-    Fractions even when the input entries are ints.  A row that reduces to
-    nothing is dropped.
+    consumed.  Rows are taken sparsest first, ties in their given order
+    (the structural pivot order of sparse eliminators, Markowitz 1957).
+    Each is reduced left to right against the pivot rows found so far; its
+    leftmost surviving column becomes a new pivot, and the row is scaled so
+    that its entry there is 1.  The pivot is inverted as a Fraction, so the
+    pivot rows, and everything derived from them, are Fractions even when
+    the input entries are ints.  A row that reduces to nothing is dropped.
     """
     pivots = {}
-    for row in rows:
+    for row in sorted(rows, key=len):
         while row:
             col = min(row)
             prow = pivots.get(col)
@@ -216,7 +260,7 @@ def _back_substitute(pivots: dict, x: list) -> list:
 
 
 def rank(a: RationalMatrix) -> int:
-    return len(_echelon(_sparse_rows(a)))
+    return len(_echelon(_copy_rows(a)))
 
 
 def solve_linear(a: RationalMatrix, b):
@@ -226,7 +270,7 @@ def solve_linear(a: RationalMatrix, b):
     """
     if len(b) != a.rows:
         raise ValueError(f"rhs length {len(b)} != row count {a.rows}")
-    rows = _sparse_rows(a)
+    rows = _copy_rows(a)
     for row, rhs in zip(rows, b):
         if rhs:
             row[a.cols] = _frac(rhs)
@@ -244,7 +288,7 @@ def kernel_basis(a: RationalMatrix):
     Each basis vector has one free coordinate equal to 1 (the others zero),
     with free columns taken left to right.
     """
-    pivots = _echelon(_sparse_rows(a))
+    pivots = _echelon(_copy_rows(a))
     basis = []
     for free in range(a.cols):
         if free in pivots:
@@ -309,7 +353,7 @@ def cycle_basis(c: ChainComplex, k: int):
 def boundary_basis(c: ChainComplex, k: int):
     """A basis of the boundaries in degree k: the pivot columns of d_{k+1}."""
     d = c.differential(k + 1)
-    return [[row[j] for row in d.entries] for j in sorted(_echelon(_sparse_rows(d)))]
+    return [[row.get(j, _ZERO) for row in d._rows] for j in sorted(_echelon(_copy_rows(d)))]
 
 
 def homology_representatives(c: ChainComplex, k: int):
@@ -331,8 +375,7 @@ def homology_coordinates(c: ChainComplex, k: int, vector):
     """Coordinates of a cycle's class in the fixed representative basis."""
     reps, bounds = homology_representatives(c, k)
     cols = bounds + reps
-    a = RationalMatrix.from_columns(cols, c.dim(k)) if cols else RationalMatrix.zero(c.dim(k), 0)
-    x = solve_linear(a, vector)
+    x = solve_linear(RationalMatrix.from_columns(cols, c.dim(k)), vector)
     if x is None:
         raise ValueError("vector is not a cycle (or not in the chain space)")
     return x[len(bounds):]

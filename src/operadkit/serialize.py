@@ -4,7 +4,8 @@ All rationals are serialized as strings ("p/q"), so round trips are
 bit-exact; term order inside elements and key order inside objects are
 fixed, so emitting the same object twice gives identical bytes.  Loading
 also accepts ints, and rejects a float coefficient or matrix entry with
-TypeError (see `core.exact`).
+TypeError (see `core.exact`); an integer field (a dimension, a degree, the
+state's arity) that holds a float or a bool raises TypeError too.
 """
 
 from __future__ import annotations
@@ -24,6 +25,14 @@ from .reps import MultilinearMap, Representation
 from .transfer import ExtensionState
 
 SCHEMA = 1
+
+
+def _integer(x) -> int:
+    """The value of a JSON integer field.  A float or a bool raises
+    TypeError instead of being truncated; a string is parsed like a key."""
+    if isinstance(x, (bool, float)):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return int(x)
 
 
 def _matrix_to_json(mat: RationalMatrix):
@@ -58,7 +67,7 @@ def model_to_json(model: DerivationDifferential) -> dict:
 
 def model_from_json(obj: dict) -> DerivationDifferential:
     specs = [
-        GeneratorSpec(g["name"], Signature(g["output"], tuple(g["inputs"])), int(g["degree"]))
+        GeneratorSpec(g["name"], Signature(g["output"], tuple(g["inputs"])), _integer(g["degree"]))
         for g in obj["generators"]
     ]
     gens = GeneratorSet(tuple(obj["colors"]), specs)
@@ -96,7 +105,7 @@ def complex_to_json(c: ChainComplex) -> dict:
 
 
 def complex_from_json(obj: dict, color=None) -> ChainComplex:
-    dims = {int(k): int(v) for k, v in obj["dims"].items()}
+    dims = {int(k): _integer(v) for k, v in obj["dims"].items()}
     d = {}
     for k, rows in obj.get("d", {}).items():
         k = int(k)
@@ -123,7 +132,7 @@ def map_from_json(obj: dict, sources, target) -> MultilinearMap:
         for c, k in zip(sources, key):
             cols *= c.dim(k)
         blocks[key] = _matrix_from_json(rows, ncols=cols)
-    return MultilinearMap(sources, target, int(obj["degree"]), blocks)
+    return MultilinearMap(sources, target, _integer(obj["degree"]), blocks)
 
 
 def representation_to_json(rep: Representation) -> dict:
@@ -170,4 +179,4 @@ def state_from_json(obj: dict) -> ExtensionState:
     m = {int(i): map_from_json(e, (v,) * int(i), v) for i, e in obj.get("m", {}).items()}
     n = {int(i): map_from_json(e, (w,) * int(i), w) for i, e in obj.get("n", {}).items()}
     f = {int(i): map_from_json(e, (v,) * int(i), w) for i, e in obj.get("f", {}).items()}
-    return ExtensionState(v=v, w=w, m=m, n=n, f=f, k=int(obj["k"]))
+    return ExtensionState(v=v, w=w, m=m, n=n, f=f, k=_integer(obj["k"]))

@@ -147,14 +147,13 @@ class _Layout:
             self.size += rows * cols
 
     def flatten(self, m: MultilinearMap):
-        out = []
-        for key, rows, cols, _ in self.blocks:
+        out = [Fraction(0)] * self.size
+        for key, rows, cols, off in self.blocks:
             block = m.blocks.get(key)
-            if block is None:
-                out.extend([Fraction(0)] * (rows * cols))
-            else:
-                for row in block.entries:
-                    out.extend(row)
+            if block is not None:
+                for r in range(rows):
+                    for j, x in block.row_items(r):
+                        out[off + r * cols + j] = x
         return out
 
     def map_from_vector(self, vec) -> MultilinearMap:
@@ -180,8 +179,8 @@ def _write_right(eq_rows, col0, rows, cols, row0, factors, scale):
     times scale, in row r of the image block.
     """
     kron = kron_all(factors)
-    for c, krow in enumerate(kron.entries):
-        entries = [(k, scale * x) for k, x in enumerate(krow) if x]
+    for c in range(kron.rows):
+        entries = [(k, scale * x) for k, x in kron.row_items(c)]
         for r in range(rows):
             col = col0 + r * cols + c
             base = row0 + r * kron.cols
@@ -203,11 +202,10 @@ def _write_hom_differential(eq_rows, unknowns: _Layout, eq: _Layout, col0, row0)
         left = t.target.d.get(sum(key) + t.degree)
         if left is not None:
             base = row0 + eq.offsets[key]
-            for r in range(rows):
-                for i, lrow in enumerate(left.entries):
-                    if lrow[r]:
-                        for c in range(cols):
-                            eq_rows[base + i * cols + c][col0 + off + r * cols + c] = lrow[r]
+            for i in range(left.rows):
+                for r, x in left.row_items(i):
+                    for c in range(cols):
+                        eq_rows[base + i * cols + c][col0 + off + r * cols + c] = x
         for key2, factors, sign in hom_differential_terms(t.sources, t.degree, key):
             _write_right(eq_rows, col0 + off, rows, cols, row0 + eq.offsets[key2], factors, sign)
 
@@ -376,7 +374,11 @@ def induced_product(u: ChainComplex, mu: MultilinearMap, h: ChainComplex, iota: 
     star_blocks = {}
     for key, block in compose_maps(mu, [iota, iota]).blocks.items():
         target_k = sum(key)
-        cols = [homology_coordinates(u, target_k, col) for col in zip(*block.entries)]
+        columns = [[Fraction(0)] * block.rows for _ in range(block.cols)]
+        for i in range(block.rows):
+            for j, x in block.row_items(i):
+                columns[j][i] = x
+        cols = [homology_coordinates(u, target_k, col) for col in columns]
         star_blocks[key] = RationalMatrix.from_columns(cols, h.dim(target_k))
     return MultilinearMap((h, h), h, 0, star_blocks)
 

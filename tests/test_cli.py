@@ -251,3 +251,42 @@ def test_float_coefficient_is_usage_error(tmp_path, capsys, argv, obj):
     assert run(argv + [str(path)]) == 2
     err = capsys.readouterr().err
     assert "TypeError" in err and "inexact coefficient 0.25" in err
+
+
+def _rep_json(dim, degree):
+    return {
+        "complexes": {"B": {"dims": {"0": dim}}},
+        "images": {"mu_2": {"degree": degree, "blocks": {"0,0": [["1"]]}}},
+    }
+
+
+def _setup_json_with_k(k):
+    obj = _setup_json()
+    obj["k"] = k
+    return obj
+
+
+@pytest.mark.parametrize(
+    "argv, obj, shown",
+    [
+        (["check-rep", "--model", "ainf", "--max-arity", "2", "--rep"], _rep_json(1.7, 0), "1.7"),
+        (["check-rep", "--model", "ainf", "--max-arity", "2", "--rep"], _rep_json(1, 0.4), "0.4"),
+        (["check-rep", "--model", "ainf", "--max-arity", "2", "--rep"], _rep_json(True, 0), "True"),
+        (["extend", "--target-arity", "2", "--setup"], _setup_json_with_k(2.5), "2.5"),
+    ],
+    ids=["float-dim", "float-degree", "bool-dim", "float-k"],
+)
+def test_float_integer_field_is_usage_error(tmp_path, capsys, argv, obj, shown):
+    # int() would truncate these to a valid-looking input and a PASS.
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    assert run(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "TypeError" in err and f"expected an integer, got {shown}" in err
+
+
+def test_float_generator_degree_is_rejected():
+    obj = model_to_json(build_ainf_morphism(2))
+    obj["generators"][0]["degree"] = 0.5
+    with pytest.raises(TypeError, match="expected an integer, got 0.5"):
+        model_from_json(obj)

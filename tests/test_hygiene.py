@@ -6,8 +6,9 @@ that would need one, and a module's dependencies belong at its top), and
 no true division outside `linalg` (`/` on two ints is a float, the one
 operator that silently breaks the exact coefficient contract; `linalg`
 holds the one exact pivot inversion), no write into a matrix's
-`entries` outside `linalg` (the one module that knows the dense layout;
-others build with `RationalMatrix.from_rows` and only read), and no
+`entries` outside `linalg` (a matrix stores sparse rows, and `entries`
+is a dense view built on each read; others build with
+`RationalMatrix.from_rows` and read with `row_items`), and no
 top-level re-export that the benchmark does not read (the modules are the
 public surface; `operadkit` itself re-exports exactly what `perfbench/`
 takes from it)."""

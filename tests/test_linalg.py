@@ -9,6 +9,7 @@ from operadkit.linalg import (
     ChainComplex,
     ComplexValidationError,
     RationalMatrix,
+    _back_substitute,
     homology_dims,
     kernel_basis,
     rank,
@@ -222,10 +223,9 @@ def test_rank_kernel_and_solve_match_sympy():
 
 
 def test_int_written_entries_give_exact_fraction_answers():
-    # Entries written past the constructor stay ints; the eliminator must
-    # still invert its pivots exactly and answer in Fractions.
-    a = RationalMatrix.zero(1, 2)
-    a.entries[0] = [3, 1]
+    # from_rows stores int entries as given; the eliminator must still
+    # invert its pivots exactly and answer in Fractions.
+    a = RationalMatrix.from_rows([{0: 3, 1: 1}], 2)
     x = solve_linear(a, [1])
     assert x == [Fraction(1, 3), Fraction(0)]
     assert kernel_basis(a) == [[Fraction(-1, 3), Fraction(1)]]
@@ -235,10 +235,10 @@ def test_int_written_entries_give_exact_fraction_answers():
     rng = random.Random(12)
     for _ in range(100):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-        a = RationalMatrix.zero(rows, cols)
-        a.entries = [[rng.choice((0, 0, 1, -1, 2, 3, -5)) for _ in range(cols)] for _ in range(rows)]
+        dense = [[rng.choice((0, 0, 1, -1, 2, 3, -5)) for _ in range(cols)] for _ in range(rows)]
+        a = RationalMatrix.from_rows([dict(enumerate(row)) for row in dense], cols)
         b = [rng.randint(-3, 3) for _ in range(rows)]
-        s = sympy.Matrix(a.entries)
+        s = sympy.Matrix(dense)
         assert rank(a) == s.rank()
         kernel = kernel_basis(a)
         assert kernel == [_from_sympy(v) for v in s.nullspace()]
@@ -270,6 +270,145 @@ def test_row_order_is_free(system):
     assert solve_linear(permuted, [b[i] for i in order]) == solve_linear(a, b)
     assert kernel_basis(permuted) == kernel_basis(a)
     assert rank(permuted) == rank(a)
+
+
+# ---------------------------------------------------------------------------
+# Sparse against dense: the list-of-lists arithmetic and the dense-scan
+# solve path (every entry tested, rows eliminated in their given order)
+# that the sparse rows replaced, kept as the reference
+
+
+def _ref_mul(a, b, cols):
+    return [[sum((x * b[k][j] for k, x in enumerate(row)), Fraction(0)) for j in range(cols)] for row in a]
+
+
+def _ref_kron(a, b):
+    # Leftmost factor most significant, in rows and in columns.
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def _ref_add(a, b, sign=1):
+    return [[x + sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _scan_echelon(dense):
+    pivots = {}
+    for row in ({j: x for j, x in enumerate(r) if x} for r in dense):
+        while row:
+            col = min(row)
+            prow = pivots.get(col)
+            if prow is None:
+                pivots[col] = {j: Fraction(x) / row[col] for j, x in row.items()}
+                break
+            f = row.pop(col)
+            for j, y in prow.items():
+                if j != col:
+                    x = row.get(j, 0) - f * y
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+    return pivots
+
+
+def _scan_answers(dense, cols, b):
+    """(rank, solution, kernel basis) by the dense-scan path."""
+    pivots = _scan_echelon(dense)
+    kernel = []
+    for free in range(cols):
+        if free not in pivots:
+            v = [Fraction(0)] * cols
+            v[free] = Fraction(1)
+            kernel.append(_back_substitute(pivots, v))
+    augmented = _scan_echelon([row + [rhs] for row, rhs in zip(dense, b)])
+    x = None
+    if cols not in augmented:
+        x = _back_substitute(augmented, [Fraction(0)] * cols + [Fraction(-1)])[:cols]
+    return len(pivots), x, kernel
+
+
+@st.composite
+def _dense_case(draw):
+    """Dense r x c matrices A and B, a c x k matrix M, a vector of length c,
+    a right-hand side of length r and a scalar, with explicit zeros and int
+    or Fraction entries; A, B and M also as matrices, stored from the dense
+    lists by the constructor (Fractions) or by from_rows (as given)."""
+    r, c, k = draw(st.integers(0, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 4))
+
+    def dense(rows, cols):
+        return draw(st.lists(st.lists(_small, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+    def matrix(d, cols):
+        if draw(st.booleans()):
+            return RationalMatrix(d, cols=cols)
+        return RationalMatrix.from_rows([dict(enumerate(row)) for row in d], cols)
+
+    da, db, dm = dense(r, c), dense(r, c), dense(c, k)
+    vec, rhs, scalar = draw(st.lists(_small, min_size=c, max_size=c)), dense(1, r)[0], draw(_small)
+    return (da, db, dm, vec, rhs, scalar), (matrix(da, c), matrix(db, c), matrix(dm, k))
+
+
+def _agrees(m, dense, shape):
+    # == compares the stored rows, so a stored zero shows here.
+    return (m.rows, m.cols) == shape and m.entries == dense and m == RationalMatrix(dense, cols=shape[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_dense_case())
+def test_sparse_rows_agree_with_dense_reference(case):
+    (da, db, dm, vec, rhs, scalar), (a, b, m) = case
+    r, c, k = a.rows, a.cols, m.cols
+    assert _agrees(a, da, (r, c))
+    assert _agrees(a.mul(m), _ref_mul(da, dm, k), (r, k))
+    assert _agrees(a.kron(m), _ref_kron(da, dm), (r * c, c * k))
+    assert _agrees(a.add(b), _ref_add(da, db), (r, c))
+    assert _agrees(a.sub(b), _ref_add(da, db, -1), (r, c))
+    assert _agrees(a.scale(scalar), [[scalar * x for x in row] for row in da], (r, c))
+    assert a.mul_vec(vec) == [sum((x * y for x, y in zip(row, vec)), Fraction(0)) for row in da]
+    assert a.is_zero() == all(x == 0 for row in da for x in row)
+    assert (a == b) == (da == db)
+    assert a.sub(b).add(b) == a
+    assert (rank(a), solve_linear(a, rhs), kernel_basis(a)) == _scan_answers(da, c, rhs)
+    with_zeros = RationalMatrix.from_rows([dict(enumerate(row)) for row in da], c)
+    without = RationalMatrix.from_rows([{j: x for j, x in enumerate(row) if x} for row in da], c)
+    assert with_zeros == without == a
+
+
+def test_entries_item_writes_land_in_the_matrix():
+    # Seeded generators outside the package set entries this way.
+    m = RationalMatrix.identity(3)
+    m.entries[0][1] = Fraction(2)
+    assert m == RationalMatrix([[1, 2, 0], [0, 1, 0], [0, 0, 1]])
+    assert m.mul(m) == RationalMatrix([[1, 4, 0], [0, 1, 0], [0, 0, 1]])
+    assert rank(m) == 3
+    z = RationalMatrix.zero(2, 2)
+    z.entries[1][0] = Fraction(1)
+    assert z == RationalMatrix([[0, 0], [1, 0]])
+    assert z.mul(z).is_zero() and rank(z) == 1
+    z.entries[1][-2] = 0  # a zero write removes the entry
+    assert z == RationalMatrix.zero(2, 2) and rank(z) == 0
+    with pytest.raises(TypeError):
+        z.entries[0] = [1, 1]  # the view is rebuilt on each read: whole rows would be lost
+    with pytest.raises(TypeError):
+        z.entries[0][0] = 0.5
+    with pytest.raises(IndexError):
+        z.entries[0][2] = 1
+
+
+def test_hot_paths_never_build_the_dense_view(monkeypatch):
+    import operadkit.transfer as transfer
+    from operadkit.differentials import build_ainf
+    from operadkit.tails import build_model_btow
+    from test_transfer import koszul_dga
+
+    state = transfer.scenario_symmetrization(*koszul_dga(), 2)
+
+    def dense_view(m):
+        raise AssertionError("a solve path built the dense entries view")
+
+    monkeypatch.setattr(RationalMatrix, "entries", property(dense_view))
+    build_model_btow(build_ainf(5), 5)
+    assert transfer.extend_to_arity(state, 4).k == 4
 
 
 # ---------------------------------------------------------------------------

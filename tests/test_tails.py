@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -336,6 +337,21 @@ def test_homotopy_principal_parts_match_printed(hm4, n):
         assert ideal.intersection(mono.vertex_names()), mono.compact()
     assert extend_derivation(printed, diff).is_zero()
     assert verify_d_squared(printed).ok
+
+
+def test_homotopy_model_arity_five():
+    # The arity-5 homotopy model, pinned by the digest of its JSON; its
+    # largest tail system (3,990 x 1,051) is where the row order matters.
+    m = build_model_homotopy(build_model_btow(build_ainf(5), 5), 5)
+    assert verify_d_squared(m).ok
+    assert [e.detail for e in m.tail_report.entries] == [
+        "tail 0",
+        "tail with 6 terms",
+        "tail with 20 terms",
+        "tail with 51 terms",
+    ]
+    digest = hashlib.sha256(json.dumps(model_to_json(m), indent=2).encode()).hexdigest()
+    assert digest == "c4a23515d436c0ce62cc4beaec18e1c177bdcf91aee16800da30959501ed6d72"
 
 
 def test_homotopy_symmetrized_variant():
