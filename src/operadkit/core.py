@@ -114,16 +114,10 @@ def _plug(shape, pieces):
     of the iterator `pieces`."""
     if shape.__class__ is str:
         return next(pieces)
-    return (shape[0], *[next(pieces) if c.__class__ is str else _plug(c, pieces) for c in shape[1:]])
-
-
-def _replace_at(shape, path, new_subshape):
-    if not path:
-        return new_subshape
-    i = path[0]
-    children = list(shape[1:])
-    children[i] = _replace_at(children[i], path[1:], new_subshape)
-    return (shape[0],) + tuple(children)
+    out = [shape[0]]
+    for c in shape[1:]:  # a loop, not a comprehension: no extra frame per vertex
+        out.append(next(pieces) if c.__class__ is str else _plug(c, pieces))
+    return tuple(out)
 
 
 class TreeMonomial:
@@ -133,10 +127,11 @@ class TreeMonomial:
     color equals the matching input color of its parent's generator) and
     caches signature, degree and vertex count.  It is the trust boundary:
     parsing, JSON, `generator`, `enumerate_basis`, `normalize_bw` and
-    renaming all go through it.  Trees that `graft`, `compose_full` and
-    `extend_derivation` assemble from already-validated monomials of the same
-    generator set skip it: they take their invariants from those parts
-    through `_assembled`.
+    renaming all go through it.  Trees that grafting and the Leibniz rule
+    assemble from already-validated monomials of the same generator set skip
+    it: they take their invariants from those parts through `_assembled`.
+    Only this module calls it; other modules assemble through `_graft_word`
+    and `_element_of_shapes`.
     """
 
     __slots__ = ("gens", "shape", "signature", "degree", "nvertices", "_key")
@@ -232,12 +227,6 @@ def _validate_shape(gens, shape):
     return spec.signature.output, leaves, degree, nvert
 
 
-def shape_degree(gens, shape) -> int:
-    if isinstance(shape, str):
-        return 0
-    return gens.spec(shape[0]).degree + sum(shape_degree(gens, c) for c in shape[1:])
-
-
 def leaf_suffix_degrees(gens, shape):
     """For each leaf (planar order), the total degree of the vertices that
     come after it in the preorder of `shape`.
@@ -320,12 +309,13 @@ def exact(c):
 
 
 def collect_terms(pairs) -> dict:
-    """Merge (monomial, coeff) pairs into one term map.
+    """Merge (key, coeff) pairs into one term map.
 
-    The first occurrence of a monomial is stored as given and fixes its
-    position; the coefficients of later occurrences are added to it.  Sums
-    that cancel stay in the map as zeros, which the element constructors
-    drop.
+    A key is a monomial, or a bare tree shape when every term lies in one
+    known component (see `_element_of_shapes`).  The first occurrence of a
+    key is stored as given and fixes its position; the coefficients of later
+    occurrences are added to it.  Sums that cancel stay in the map as zeros,
+    which the element constructors drop.
     """
     terms = {}
     for mono, coeff in pairs:
@@ -497,6 +487,62 @@ def _grafted_signature(outer: Signature, slot: int, inner: Signature) -> Signatu
     return Signature(outer.output, outer.inputs[: slot - 1] + inner.inputs + outer.inputs[slot:])
 
 
+def _slot_component(outer: TreeMonomial, parts):
+    """(signature, degree, colors match) of `outer` with one part grafted
+    into each slot.  A part is a monomial or an element; an element without
+    a component (a bare zero) leaves its slot's color."""
+    inputs = []
+    degree = outer.degree
+    match = True
+    for slot_color, part in zip(outer.signature.inputs, parts):
+        sig = part.signature
+        if sig is None:
+            inputs.append(slot_color)
+            continue
+        inputs.extend(sig.inputs)
+        degree += part.degree
+        match = match and sig.output == slot_color
+    return Signature(outer.signature.output, tuple(inputs)), degree, match
+
+
+def _graft_word(outer: TreeMonomial, inners) -> TreeMonomial | None:
+    """`outer` with the monomial inners[i] grafted into slot i+1, or None on
+    a color mismatch: one term of `compose_full`, with coefficient 1."""
+    sig, degree, match = _slot_component(outer, inners)
+    if not match:
+        return None
+    gens = outer.gens
+    inners = [_checked_over(gens, m) for m in inners]
+    shape = _plug(outer.shape, (m.shape for m in inners))
+    return TreeMonomial._assembled(gens, shape, sig, degree, outer.nvertices + sum([m.nvertices for m in inners]))
+
+
+def _shape_nvertices(shape) -> int:
+    if shape.__class__ is str:
+        return 0
+    n = 1
+    for c in shape[1:]:
+        if c.__class__ is not str:
+            n += _shape_nvertices(c)
+    return n
+
+
+def _element_of_shapes(gens, shape_terms: dict, signature, degree) -> OperadElement:
+    """The element with the shape -> coeff map `shape_terms`, in the
+    component (signature, degree).
+
+    A tree is assembled only for a nonzero coefficient, so sums that cancel
+    cost no monomial.  Every shape must be a graft or splice of monomials
+    validated over `gens` that lies in that component; nothing is checked.
+    """
+    terms = {
+        TreeMonomial._assembled(gens, shape, signature, degree, _shape_nvertices(shape)): c
+        for shape, c in shape_terms.items()
+        if c
+    }
+    return OperadElement(gens, terms, signature=signature, degree=degree)
+
+
 def compose_full(outer: TreeMonomial, inners) -> OperadElement:
     """Multilinear simultaneous grafting into all slots of `outer`.
 
@@ -507,33 +553,18 @@ def compose_full(outer: TreeMonomial, inners) -> OperadElement:
     inners = list(inners)
     if len(inners) != outer.arity:
         raise ValueError(f"expected {outer.arity} arguments, got {len(inners)}")
-    inputs = []
-    mismatch = False
-    degree = outer.degree
-    for slot_color, elem in zip(outer.signature.inputs, inners):
-        if elem.signature is None:
-            inputs.append(slot_color)
-            continue
-        inputs.extend(elem.signature.inputs)
-        degree += elem.degree
-        if elem.signature.output != slot_color:
-            mismatch = True
-    sig = Signature(outer.signature.output, tuple(inputs))
-    if mismatch:
+    sig, degree, match = _slot_component(outer, inners)
+    if not match:
         return OperadElement.zero(outer.gens, sig, degree)
     if any(e.is_zero() for e in inners):
         return OperadElement.zero(outer.gens, sig if all(e.signature for e in inners) else None)
 
     gens = outer.gens
-
-    def term(combo):
-        shape = _plug(outer.shape, (m.shape for m, _ in combo))
-        nvert = outer.nvertices + sum(m.nvertices for m, _ in combo)
-        return TreeMonomial._assembled(gens, shape, sig, degree, nvert), prod(c for _, c in combo)
-
-    slots = ([(_checked_over(gens, m), c) for m, c in e.terms.items()] for e in inners)
-    terms = collect_terms(map(term, product(*slots)))
-    return OperadElement(gens, terms, signature=sig, degree=degree)
+    slots = ([(_checked_over(gens, m).shape, c) for m, c in e.terms.items()] for e in inners)
+    terms = collect_terms(
+        (_plug(outer.shape, (s for s, _ in combo)), prod(c for _, c in combo)) for combo in product(*slots)
+    )
+    return _element_of_shapes(gens, terms, sig, degree)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,13 @@ preorder).  This single convention is the only sign locus on the symbolic
 side, and squares to zero on every model built here, which is the working
 consistency certificate for it.
 
+A `DerivationDifferential` keeps its images in a read-only mapping and
+builds the splice table of each generator (image shapes, the leaves whose
+orientation sign is odd, coefficients) once, on first use; every Leibniz
+extension on that differential reuses it.  The extension merges its terms
+by bare shape and builds a monomial only for each sum that survives, so a
+D^2 = 0 check builds none.
+
 Model builders cover the associahedron-type operad (structure maps mu_n with
 the classical quadratic differential), its two-colored morphism version
 (mu, nu, f families), the homotopy-through-homomorphisms operad (p, q, h
@@ -17,6 +24,7 @@ families), and the resolution of the two-mutually-inverse-maps operad
 from __future__ import annotations
 
 from itertools import chain, combinations
+from types import MappingProxyType
 
 from .core import (
     GeneratorSet,
@@ -24,15 +32,14 @@ from .core import (
     OperadElement,
     Signature,
     TreeMonomial,
-    _plug,
-    _replace_at,
     _checked_over,
     _combination_terms,
+    _element_of_shapes,
+    _plug,
     collect_terms,
     compose_full,
     graft,
     leaf_suffix_degrees,
-    shape_degree,
 )
 from .reports import Report
 
@@ -40,11 +47,19 @@ B, W = "B", "W"
 
 
 class DerivationDifferential:
-    """A degree -1 derivation, given by its generator images."""
+    """A degree -1 derivation, given by its generator images.
+
+    `images` is a read-only mapping with one image per generator (a missing
+    one is zero).  The Leibniz rule splices each image through a table built
+    from it once and cached, which a later write would leave stale.
+    """
 
     def __init__(self, base: GeneratorSet, images: dict):
+        unknown = sorted(name for name in images if name not in base)
+        if unknown:
+            raise ValueError(f"images for names that are not generators: {', '.join(unknown)}")
         self.base = base
-        self.images = {}
+        table = {}
         for g in base.generators:
             img = images.get(g.name)
             if img is None or img.is_zero():
@@ -57,7 +72,9 @@ class DerivationDifferential:
                 if any(m.gens is not base for m in img.terms):
                     terms = {_checked_over(base, m): c for m, c in img.terms.items()}
                     img = OperadElement(base, terms, signature=img.signature, degree=img.degree)
-            self.images[g.name] = img
+            table[g.name] = img
+        self.images = MappingProxyType(table)
+        self._splices = {}
 
     def of(self, name: str) -> OperadElement:
         try:
@@ -67,6 +84,28 @@ class DerivationDifferential:
 
     def __call__(self, elem: OperadElement) -> OperadElement:
         return extend_derivation(self, elem)
+
+    def _splice(self, name: str):
+        """The splice table of generator `name`, built on first use."""
+        table = self._splices.get(name)
+        if table is None:
+            table = self._splices[name] = self._splice_table(name)
+        return table
+
+    def _splice_table(self, name: str):
+        """(degree of `name`, one row per monomial u of its image, the
+        derivative terms of the bare generator).
+
+        A row holds u's shape, the leaves of u whose suffix degree is odd
+        (only they change the orientation sign) and u's coefficient.  The
+        bare generator's terms are (u's shape, even sign, u's coefficient):
+        its children are leaves, which carry no degree and are u's leaves."""
+        image = self.of(name).terms.items()
+        rows = [
+            (m.shape, [i for i, s in enumerate(leaf_suffix_degrees(self.base, m.shape)) if s % 2], c)
+            for m, c in image
+        ]
+        return self.base.spec(name).degree, rows, [(m.shape, 0, c) for m, c in image]
 
 
 def extend_derivation(diff: DerivationDifferential, elem: OperadElement) -> OperadElement:
@@ -82,44 +121,50 @@ def extend_derivation(diff: DerivationDifferential, elem: OperadElement) -> Oper
     convention at all makes the quadratic differentials square to zero
     (two root-replacement terms with a pair of odd generators would always
     survive), so D^2 = 0 across the models pins the convention.
+
+    Terms are merged by shape, and a monomial is built only for each sum
+    that does not cancel.
     """
     base = diff.base
-    deg = None if elem.degree is None else elem.degree - 1
-    splices = {}
+    splice = diff._splice
 
-    def splice_table(name):
-        """(degree parity of `name`, one row per monomial u of its image).
-
-        A row holds u's shape, the leaves of u whose suffix degree is odd
-        (only they change the orientation sign), u's vertex count and its
-        coefficient."""
-        table = splices.get(name)
-        if table is None:
-            rows = [
-                (m.shape, [i for i, s in enumerate(leaf_suffix_degrees(base, m.shape)) if s % 2], m.nvertices, c)
-                for m, c in diff.of(name).terms.items()
-            ]
-            table = splices[name] = (base.spec(name).degree % 2, rows)
-        return table
+    def derive(shape):
+        """(degree of `shape`, the terms (shape', sign parity, coeff) of its
+        derivative), with the hit vertex in preorder and the sign counted
+        from the root of `shape`."""
+        degree, rows, bare = splice(shape[0])
+        children = shape[1:]
+        for c in children:
+            if c.__class__ is not str:
+                break
+        else:
+            return degree, bare  # shared with the table: callers only read it
+        subs = [(0, ()) if c.__class__ is str else derive(c) for c in children]
+        out = []
+        for im_shape, odd_leaves, c in rows:
+            reorder = 0
+            for i in odd_leaves:
+                reorder += subs[i][0]
+            out.append((_plug(im_shape, iter(children)), reorder % 2, c))
+        for i, (d, terms) in enumerate(subs, 1):
+            if terms:
+                head, tail = shape[:i], shape[i + 1 :]
+                for new, odd, c in terms:
+                    out.append((head + (new,) + tail, (odd + degree) % 2, c))
+            degree += d
+        return degree, out
 
     def pairs():
         for mono, coeff in elem.terms.items():
-            mono = _checked_over(base, mono)
-            shape, sig, out_deg, nvert = mono.shape, mono.signature, mono.degree - 1, mono.nvertices - 1
-            odd = 0
-            for path, name, children in mono.vertices():
-                gen_odd, rows = splice_table(name)
-                if rows:
-                    child_degrees = [shape_degree(base, c) for c in children]
-                    for im_shape, odd_leaves, im_nvert, im_coeff in rows:
-                        reorder = sum([child_degrees[i] for i in odd_leaves])
-                        new_shape = _replace_at(shape, path, _plug(im_shape, iter(children)))
-                        new_mono = TreeMonomial._assembled(base, new_shape, sig, out_deg, nvert + im_nvert)
-                        c = coeff * im_coeff
-                        yield new_mono, (-c if (odd + reorder) % 2 else c)
-                odd ^= gen_odd
+            shape = _checked_over(base, mono).shape
+            if shape.__class__ is str:
+                continue  # an identity strand has no vertex to differentiate
+            for new, odd, c in derive(shape)[1]:
+                c = coeff * c
+                yield new, (-c if odd else c)
 
-    return OperadElement(base, collect_terms(pairs()), signature=elem.signature, degree=deg)
+    deg = None if elem.degree is None else elem.degree - 1
+    return _element_of_shapes(base, collect_terms(pairs()), elem.signature, deg)
 
 
 def compositions(n: int, k: int):

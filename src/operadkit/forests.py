@@ -21,8 +21,8 @@ from .core import (
     Signature,
     TreeMonomial,
     _combination_terms,
+    _graft_word,
     collect_terms,
-    compose_full,
     exact,
     leaf_suffix_degrees,
 )
@@ -33,7 +33,7 @@ from .reports import Report
 class ForestMonomial:
     """An ordered tuple of tree monomials over one generator set."""
 
-    __slots__ = ("gens", "components", "outputs", "inputs", "degree", "nvertices", "_key")
+    __slots__ = ("gens", "components", "outputs", "inputs", "degree", "nvertices", "_key", "_hash")
 
     def __init__(self, gens: GeneratorSet, components):
         self.gens = gens
@@ -48,6 +48,7 @@ class ForestMonomial:
         self.degree = sum(t.degree for t in self.components)
         self.nvertices = sum(t.nvertices for t in self.components)
         self._key = None
+        self._hash = None
 
     @property
     def width(self) -> int:
@@ -68,7 +69,9 @@ class ForestMonomial:
         return self.components == other.components
 
     def __hash__(self):
-        return hash(self.components)
+        if self._hash is None:
+            self._hash = hash(self.components)
+        return self._hash
 
     def __repr__(self):
         return f"ForestMonomial({self.text()})"
@@ -171,8 +174,10 @@ def tensor_forests(a: ForestElement, b: ForestElement) -> ForestElement:
     return ForestElement(a.gens, terms)
 
 
-def _compose_monomials(outer: ForestMonomial, inner: ForestMonomial):
-    """Oriented composition of two forest monomials; None on color mismatch."""
+def _compose_monomials(outer: ForestMonomial, inner: ForestMonomial, suffixes):
+    """Oriented composition of two forest monomials; None on color mismatch.
+
+    suffixes[i] holds the `leaf_suffix_degrees` of outer component i."""
     blocks = []
     pos = 0
     for t in outer.components:
@@ -190,18 +195,13 @@ def _compose_monomials(outer: ForestMonomial, inner: ForestMonomial):
         outer_deg_after += outer.components[i].degree
     new_components = []
     coeff = -1 if sign % 2 else 1
-    for t, block in zip(outer.components, blocks):
-        for leaf_color, b in zip(t.signature.inputs, block):
-            if b.signature.output != leaf_color:
-                return None
-        suffixes = leaf_suffix_degrees(t.gens, t.shape)
-        reorder = sum(b.degree * s for b, s in zip(block, suffixes))
-        if reorder % 2:
+    for t, block, leaf_suffixes in zip(outer.components, blocks, suffixes):
+        tree = _graft_word(t, block)
+        if tree is None:
+            return None
+        if sum(b.degree * s for b, s in zip(block, leaf_suffixes)) % 2:
             coeff = -coeff
-        composed = compose_full(t, [OperadElement.monomial(b) for b in block])
-        ((mono, c),) = composed.terms.items()
-        coeff *= c
-        new_components.append(mono)
+        new_components.append(tree)
     return ForestMonomial(outer.gens, new_components), coeff
 
 
@@ -210,8 +210,9 @@ def compose_forests(outer: ForestElement, inner: ForestElement) -> ForestElement
 
     def pairs():
         for mo, co in outer.terms.items():
+            suffixes = [leaf_suffix_degrees(t.gens, t.shape) for t in mo.components]
             for mi, ci in inner.terms.items():
-                res = _compose_monomials(mo, mi)
+                res = _compose_monomials(mo, mi, suffixes)
                 if res is not None:
                     mono, extra = res
                     yield mono, co * ci * extra
@@ -220,15 +221,23 @@ def compose_forests(outer: ForestElement, inner: ForestElement) -> ForestElement
 
 
 def forest_differential(diff: DerivationDifferential, elem: ForestElement) -> ForestElement:
-    """Componentwise derivation with the component-prefix Koszul signs."""
+    """Componentwise derivation with the component-prefix Koszul signs.
+
+    D of each distinct component tree is computed once per call."""
+    derived = {}
+
+    def derivative(tree):
+        dt = derived.get(tree)
+        if dt is None:
+            dt = derived[tree] = extend_derivation(diff, OperadElement.monomial(tree)).terms
+        return dt
 
     def pairs():
         for mono, coeff in elem.terms.items():
             prefix = 0
             for i, t in enumerate(mono.components):
-                dt = extend_derivation(diff, OperadElement.monomial(t))
                 sign = -1 if prefix % 2 else 1
-                for new_tree, c in dt.terms.items():
+                for new_tree, c in derivative(t).items():
                     comps = list(mono.components)
                     comps[i] = new_tree
                     yield ForestMonomial(mono.gens, comps), coeff * c * sign

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -28,6 +29,8 @@ from operadkit.differentials import (
     verify_d_squared,
     verify_minimality,
 )
+from operadkit.serialize import model_from_json, model_to_json
+from operadkit.tails import build_model_btow
 from test_core import graft_elements
 
 B, W = "B", "W"
@@ -397,8 +400,6 @@ def _graft_oriented_elem(x, slot, y):
 
 
 def test_rename_model_matches_printed_morphism():
-    from operadkit.tails import build_model_btow
-
     bw = build_model_btow(build_ainf(4), 4)
     name_map = {"f": "f_1"}
     for k in (2, 3, 4):
@@ -455,3 +456,61 @@ def test_rename_element_recolors_nonzero_and_zero_images():
     zero = rename_element(base.of("mu_2"), target, names, {B: W})
     assert zero.is_zero()
     assert (zero.signature, zero.degree) == (Signature(W, (W, W)), -1)
+
+
+def test_image_for_a_name_that_is_not_a_generator_is_rejected():
+    d = build_ainf(3)
+    img = d.of("mu_3")
+    with pytest.raises(ValueError, match="mu_9"):
+        DerivationDifferential(d.base, {"mu_3": img, "mu_9": img})
+
+
+def test_images_are_read_only():
+    d = build_ainf(3)
+    with pytest.raises(TypeError):
+        d.images["mu_2"] = d.of("mu_3")
+    # the tailed models, renaming and serialization only read images
+    bw = build_model_btow(d, 3)
+    with pytest.raises(TypeError):
+        bw.images["f"] = bw.of("mu_3_bar")
+    assert verify_d_squared(bw).ok
+    renamed = rename_model(bw, {"f": "g"})
+    assert renamed.of("g").is_zero() and verify_d_squared(renamed).ok
+    loaded = model_from_json(json.loads(json.dumps(model_to_json(bw))))
+    assert dict(loaded.images) == dict(bw.images)
+    with pytest.raises(TypeError):
+        loaded.images["f"] = bw.of("f")
+
+
+def test_d_squared_check_assembles_no_monomial(monkeypatch):
+    # Terms are merged by shape, and a tree is built only for a sum that
+    # survives: D^2 = 0, so none is.
+    model = build_ainf_morphism(8)
+    built = []
+    assembled = TreeMonomial._assembled
+
+    def spy(cls, *args):
+        built.append(args[1])
+        return assembled(*args)
+
+    monkeypatch.setattr(TreeMonomial, "_assembled", classmethod(spy))
+    assert verify_d_squared(model).ok
+    assert built == []
+    # the spy is live: a nonzero derivative builds one tree per term
+    d_f3 = model(elem(model.base, "f_3"))
+    assert len(built) == len(d_f3.terms) > 0
+
+
+def test_each_splice_table_is_built_once_per_differential(monkeypatch):
+    built = []  # holds the differentials, so their ids stay distinct
+    splice_table = DerivationDifferential._splice_table
+
+    def spy(self, name):
+        built.append((self, name))
+        return splice_table(self, name)
+
+    monkeypatch.setattr(DerivationDifferential, "_splice_table", spy)
+    build_model_btow(build_ainf(6), 6)
+    keys = [(id(diff), name) for diff, name in built]
+    assert keys and len(set(keys)) == len(keys)
+    assert len({id(diff) for diff, _ in built}) > 1

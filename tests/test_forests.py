@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import operadkit.forests as forests
 from operadkit.core import TreeMonomial, collect_terms
 from operadkit.differentials import build_iso_resolution
 from operadkit.forests import (
@@ -216,3 +217,20 @@ def _rename_shape(shape):
         return shape
     name = "p" if shape[0] == "q" else shape[0]
     return (name,) + tuple(_rename_shape(c) for c in shape[1:])
+
+
+def test_forest_differential_derives_each_distinct_tree_once(monkeypatch):
+    iso = build_iso_resolution(6)
+    elem = polarization_iso_m2(iso, 6)["h"][5]
+    occurrences = [t for mono in elem.terms for t in mono.components]
+    derived = []
+    extend = forests.extend_derivation
+
+    def spy(diff, tree_elem):
+        derived.append(next(iter(tree_elem.terms)))
+        return extend(diff, tree_elem)
+
+    monkeypatch.setattr(forests, "extend_derivation", spy)
+    forest_differential(iso, elem)
+    assert sorted(derived, key=lambda t: t.sort_key) == sorted(set(occurrences), key=lambda t: t.sort_key)
+    assert len(occurrences) > len(derived)

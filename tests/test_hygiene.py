@@ -11,7 +11,9 @@ is a dense view built on each read; others build with
 `RationalMatrix.from_rows` and read with `row_items`), and no
 top-level re-export that the benchmark does not read (the modules are the
 public surface; `operadkit` itself re-exports exactly what `perfbench/`
-takes from it)."""
+takes from it), and no use of `TreeMonomial._assembled` outside `core`
+(it builds a tree without checking it; other modules assemble through
+`core._graft_word` and `core._element_of_shapes`)."""
 
 import ast
 from pathlib import Path
@@ -240,3 +242,26 @@ def test_top_level_reexports_are_what_the_benchmark_reads():
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         read |= top_level_reads(path.read_text(), submodules)
     assert reexported_names((SRC / "__init__.py").read_text()) == sorted(read)
+
+
+def assembled_reads(source: str):
+    """Line numbers that read `<expr>._assembled`, to call it or to alias it."""
+    return sorted(
+        {n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Attribute) and n.attr == "_assembled"}
+    )
+
+
+def test_checker_finds_assembled_reads():
+    source = (
+        "m = TreeMonomial._assembled(gens, shape, sig, 0, 1)\n"
+        "make = core.TreeMonomial._assembled\n"
+        "_assembled = 1\n"
+        "x = mono.assembled\n"
+        "y = _graft_word(outer, inners)  # TreeMonomial._assembled\n"
+    )
+    assert assembled_reads(source) == [1, 2]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name)
+def test_no_trusted_assembly_outside_core(path):
+    assert assembled_reads(path.read_text()) == []
