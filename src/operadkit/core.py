@@ -25,11 +25,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 from math import prod
-from numbers import Rational
+from numbers import Integral, Rational
 
 
 class UnboundedEnumerationError(ValueError):
-    """The requested basis component is infinite without a vertex cutoff."""
+    """The generator set has infinite basis components: a unary generator of
+    negative degree, or degree-0 unary generators that form a cycle."""
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,9 @@ class GeneratorSpec:
     name: str
     signature: Signature
     degree: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "degree", integer(self.degree))
 
 
 class GeneratorSet:
@@ -306,6 +310,21 @@ def exact(c):
         else:
             raise TypeError(f"inexact coefficient {c!r}: give an int, a Fraction or a 'p/q' string")
     return c.numerator if c.denominator == 1 else c
+
+
+def integer(x) -> int:
+    """The value of an integer field: a degree, a dimension, an arity.
+
+    A string is parsed ("3"), as JSON keys are.  A float, a Fraction or a
+    bool raises TypeError instead of being truncated or read as 0 or 1.
+    """
+    if x.__class__ is int:
+        return x
+    if isinstance(x, str):
+        return int(x)
+    if isinstance(x, bool) or not isinstance(x, Integral):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return int(x)
 
 
 def collect_terms(pairs) -> dict:
@@ -571,117 +590,103 @@ def compose_full(outer: TreeMonomial, inners) -> OperadElement:
 # Basis enumeration
 
 
-def _needs_cutoff(gens: GeneratorSet) -> bool:
-    if any(g.degree < 0 for g in gens.generators):
-        return True
-    # Directed cycle search in the unary degree-0 color graph.
-    edges = {}
+def _weight_shift(gens: GeneratorSet) -> int:
+    """The least s >= 0 that makes every generator of arity >= 2 weigh
+    degree + s * (arity - 1) >= 0.  Raises UnboundedEnumerationError, naming
+    the case, for the generator sets that `enumerate_basis` rejects."""
+    shift = 0
+    edges = {}  # the colour graph of the degree-0 unary generators
     for g in gens.generators:
-        if g.degree == 0 and g.signature.arity == 1:
+        arity = g.signature.arity
+        if arity > 1:
+            shift = max(shift, -(g.degree // (arity - 1)))
+        elif g.degree < 0:
+            raise UnboundedEnumerationError(
+                f"unary generator {g.name} has negative degree {g.degree}: components holding it may be infinite"
+            )
+        elif g.degree == 0:
             edges.setdefault(g.signature.inputs[0], set()).add(g.signature.output)
-    state = {}
-    def visit(c):
-        state[c] = 1
-        for nxt in edges.get(c, ()):
-            if state.get(nxt) == 1:
-                return True
-            if state.get(nxt) is None and visit(nxt):
-                return True
-        state[c] = 2
-        return False
-    return any(state.get(c) is None and visit(c) for c in list(edges))
+    while edges:  # drop the colours whose edges all lead out of the graph
+        leaving = [c for c, outputs in edges.items() if not outputs & edges.keys()]
+        if not leaving:
+            raise UnboundedEnumerationError(
+                "degree-0 unary generators form a cycle of colours: their words make components infinite"
+            )
+        for c in leaving:
+            del edges[c]
+    return shift
 
 
-def enumerate_basis(gens: GeneratorSet, signature: Signature, degree: int, max_vertices=None):
+def enumerate_basis(gens: GeneratorSet, signature: Signature, degree: int):
     """All tree monomials in one (signature, degree) component, in canonical order.
 
-    The order is (vertex count, serialization) ascending and is stable across
-    runs.  When the component is infinite (degree-0 unary loops, as in the
-    iso resolution), a vertex cutoff is required.
+    The order is (vertex count, serialization) ascending and is stable
+    across runs.  Every component is finite, and listed whole, unless a
+    unary generator has negative degree or the degree-0 unary generators
+    form a cycle of colours (as in the iso resolution); then
+    UnboundedEnumerationError is raised, for any component.
     """
-    if max_vertices is None:
-        if _needs_cutoff(gens):
-            raise UnboundedEnumerationError("enumeration requires vertex cutoff")
-        shapes = _enum_by_degree(gens, signature.output, tuple(signature.inputs), degree, {})
-    else:
-        memo = {}
-        shapes = [
-            s
-            for s, d, _ in _enum_by_budget(gens, signature.output, tuple(signature.inputs), max_vertices, memo)
-            if d == degree
-        ]
-    monos = [TreeMonomial(gens, s) for s in set(shapes)]
+    shift = _weight_shift(gens)
+    leaves = tuple(signature.inputs)
+    shapes = _BasisEnumerator(gens, shift).shapes(signature.output, leaves, degree + shift * (len(leaves) - 1))
+    monos = [TreeMonomial(gens, s) for s in shapes]
     monos.sort(key=lambda t: t.sort_key)
     return monos
 
 
-def _enum_by_degree(gens, color, leaves, degree, memo):
-    """Shapes with given output color, leaf colors and degree (no cutoff).
+class _BasisEnumerator:
+    """The tree shapes over one generator set by output colour, leaf colours
+    and weight, each list built once.
 
-    Only valid when all generator degrees are >= 0 and degree-0 unary
-    generators form an acyclic color graph.
+    A generator of arity k and degree d weighs d + shift * (k - 1), and a
+    tree weighs the sum over its vertices, which is its degree plus
+    shift * (leaves - 1).  With the shift of `_weight_shift` no generator
+    weighs less than 0, so no subtree weighs more than its tree.
     """
-    key = (color, leaves, degree)
-    if key in memo:
-        return memo[key]
-    memo[key] = out = []
-    if len(leaves) == 1 and leaves[0] == color and degree == 0:
-        out.append(color)
-    for g in gens.by_output(color):
-        if g.degree > degree:
-            continue
-        k = g.signature.arity
-        if k > len(leaves):
-            continue
-        rem = degree - g.degree
-        for blocks in _splits(leaves, k):
-            for combo in _child_combos_deg(gens, g.signature.inputs, blocks, rem, memo):
-                out.append((g.name,) + combo)
-    return out
 
+    def __init__(self, gens: GeneratorSet, shift: int):
+        self.by_output = {
+            c: [(g.name, g.signature.inputs, g.degree + shift * (g.signature.arity - 1)) for g in gens.by_output(c)]
+            for c in gens.colors
+        }
+        self._shapes = {}
+        self._combos = {}
 
-def _child_combos_deg(gens, in_colors, blocks, rem, memo):
-    if not blocks:
-        if rem == 0:
-            yield ()
-        return
-    c0, b0 = in_colors[0], blocks[0]
-    for d0 in range(rem + 1):
-        heads = _enum_by_degree(gens, c0, b0, d0, memo)
-        if not heads:
-            continue
-        for tail in _child_combos_deg(gens, in_colors[1:], blocks[1:], rem - d0, memo):
-            for h in heads:
-                yield (h,) + tail
+    def shapes(self, color, leaves, weight):
+        """The shapes with output `color`, leaf colours `leaves` and weight `weight`."""
+        key = (color, leaves, weight)
+        out = self._shapes.get(key)
+        if out is None:
+            out = self._shapes[key] = self._build_shapes(color, leaves, weight)
+        return out
 
+    def combos(self, colors, blocks, weight):
+        """The tuples of one shape per input colour in `colors`, with the leaf
+        colours in `blocks` and weights adding up to `weight`."""
+        key = (colors, blocks, weight)
+        out = self._combos.get(key)
+        if out is None:
+            out = self._combos[key] = self._build_combos(colors, blocks, weight)
+        return out
 
-def _enum_by_budget(gens, color, leaves, vmax, memo):
-    """All (shape, degree, nvertices) with <= vmax vertices."""
-    key = (color, leaves, vmax)
-    if key in memo:
-        return memo[key]
-    out = []
-    if len(leaves) == 1 and leaves[0] == color:
-        out.append((color, 0, 0))
-    if vmax > 0:
-        for g in gens.by_output(color):
-            k = g.signature.arity
-            if k > len(leaves):
-                continue
-            for blocks in _splits(leaves, k):
-                for combo, d, v in _child_combos_budget(gens, g.signature.inputs, blocks, vmax - 1, memo):
-                    out.append(((g.name,) + combo, d + g.degree, v + 1))
-    memo[key] = out
-    return out
+    def _build_shapes(self, color, leaves, weight):
+        out = [color] if weight == 0 and leaves == (color,) else []
+        for name, inputs, w in self.by_output[color]:
+            if w <= weight and len(inputs) <= len(leaves):
+                for blocks in _splits(leaves, len(inputs)):
+                    out.extend((name,) + combo for combo in self.combos(inputs, blocks, weight - w))
+        return out
 
-
-def _child_combos_budget(gens, in_colors, blocks, budget, memo):
-    if not blocks:
-        yield (), 0, 0
-        return
-    for head, hd, hv in _enum_by_budget(gens, in_colors[0], blocks[0], budget, memo):
-        for tail, td, tv in _child_combos_budget(gens, in_colors[1:], blocks[1:], budget - hv, memo):
-            yield (head,) + tail, hd + td, hv + tv
+    def _build_combos(self, colors, blocks, weight):
+        if len(blocks) == 1:
+            return [(s,) for s in self.shapes(colors[0], blocks[0], weight)]
+        out = []
+        for w in range(weight + 1):
+            heads = self.shapes(colors[0], blocks[0], w)
+            if heads:
+                for rest in self.combos(colors[1:], blocks[1:], weight - w):
+                    out.extend((h,) + rest for h in heads)
+        return out
 
 
 def _splits(seq, k):

@@ -28,6 +28,8 @@ from __future__ import annotations
 from fractions import Fraction
 from numbers import Rational
 
+from .core import integer
+
 _ZERO = Fraction(0)
 
 
@@ -315,12 +317,13 @@ class ChainComplex:
 
     def __init__(self, dims: dict, d: dict | None = None, color: str | None = None):
         self.color = color
-        self.dims = {int(k): int(n) for k, n in dims.items() if n}
+        dims = {integer(k): integer(n) for k, n in dims.items()}
+        self.dims = {k: n for k, n in dims.items() if n}
         if any(n < 0 for n in self.dims.values()):
             raise ValueError(f"negative dimension in {self.dims}")
         self.d = {}
         for k, mat in (d or {}).items():
-            k = int(k)
+            k = integer(k)
             if not isinstance(mat, RationalMatrix):
                 mat = RationalMatrix(mat)
             expected = (self.dim(k - 1), self.dim(k))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .core import OperadElement, Signature
+from .core import OperadElement, Signature, integer
 from .differentials import DerivationDifferential, build_ainf_morphism
 from .linalg import ChainComplex, RationalMatrix, kron_all
 from .reports import Report
@@ -30,10 +30,10 @@ class MultilinearMap:
     def __init__(self, sources, target, degree, blocks=None):
         self.sources = tuple(sources)
         self.target = target
-        self.degree = int(degree)
+        self.degree = integer(degree)
         self.blocks = {}
         for key, mat in (blocks or {}).items():
-            key = tuple(int(k) for k in key)
+            key = tuple([integer(k) for k in key])
             if len(key) != self.arity:
                 raise ValueError(f"block key {key} has {len(key)} degrees for an arity-{self.arity} map")
             if not isinstance(mat, RationalMatrix):

@@ -5,7 +5,8 @@ bit-exact; term order inside elements and key order inside objects are
 fixed, so emitting the same object twice gives identical bytes.  Loading
 also accepts ints, and rejects a float coefficient or matrix entry with
 TypeError (see `core.exact`); an integer field (a dimension, a degree, the
-state's arity) that holds a float or a bool raises TypeError too.
+state's arity) that holds a float or a bool raises TypeError too (see
+`core.integer`, which the constructors apply to the fields they store).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .core import (
     element_from_json,
     element_to_json,
     exact,
+    integer,
 )
 from .differentials import DerivationDifferential
 from .linalg import ChainComplex, RationalMatrix
@@ -25,14 +27,6 @@ from .reps import MultilinearMap, Representation
 from .transfer import ExtensionState
 
 SCHEMA = 1
-
-
-def _integer(x) -> int:
-    """The value of a JSON integer field.  A float or a bool raises
-    TypeError instead of being truncated; a string is parsed like a key."""
-    if isinstance(x, (bool, float)):
-        raise TypeError(f"expected an integer, got {x!r}")
-    return int(x)
 
 
 def _matrix_to_json(mat: RationalMatrix):
@@ -67,7 +61,7 @@ def model_to_json(model: DerivationDifferential) -> dict:
 
 def model_from_json(obj: dict) -> DerivationDifferential:
     specs = [
-        GeneratorSpec(g["name"], Signature(g["output"], tuple(g["inputs"])), _integer(g["degree"]))
+        GeneratorSpec(g["name"], Signature(g["output"], tuple(g["inputs"])), g["degree"])
         for g in obj["generators"]
     ]
     gens = GeneratorSet(tuple(obj["colors"]), specs)
@@ -105,7 +99,7 @@ def complex_to_json(c: ChainComplex) -> dict:
 
 
 def complex_from_json(obj: dict, color=None) -> ChainComplex:
-    dims = {int(k): _integer(v) for k, v in obj["dims"].items()}
+    dims = {int(k): integer(v) for k, v in obj["dims"].items()}
     d = {}
     for k, rows in obj.get("d", {}).items():
         k = int(k)
@@ -132,7 +126,7 @@ def map_from_json(obj: dict, sources, target) -> MultilinearMap:
         for c, k in zip(sources, key):
             cols *= c.dim(k)
         blocks[key] = _matrix_from_json(rows, ncols=cols)
-    return MultilinearMap(sources, target, _integer(obj["degree"]), blocks)
+    return MultilinearMap(sources, target, obj["degree"], blocks)
 
 
 def representation_to_json(rep: Representation) -> dict:
@@ -179,4 +173,4 @@ def state_from_json(obj: dict) -> ExtensionState:
     m = {int(i): map_from_json(e, (v,) * int(i), v) for i, e in obj.get("m", {}).items()}
     n = {int(i): map_from_json(e, (w,) * int(i), w) for i, e in obj.get("n", {}).items()}
     f = {int(i): map_from_json(e, (v,) * int(i), w) for i, e in obj.get("f", {}).items()}
-    return ExtensionState(v=v, w=w, m=m, n=n, f=f, k=_integer(obj["k"]))
+    return ExtensionState(v=v, w=w, m=m, n=n, f=f, k=integer(obj["k"]))

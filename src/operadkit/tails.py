@@ -24,7 +24,6 @@ from .core import (
     OperadElement,
     Signature,
     TreeMonomial,
-    UnboundedEnumerationError,
     _combination_terms,
     collect_terms,
     compose_full,
@@ -56,9 +55,7 @@ class ObstructionNotCycleError(TailError):
 
 
 class TailNotFoundError(TailError):
-    def __init__(self, message, cutoff_limited: bool):
-        super().__init__(message)
-        self.cutoff_limited = cutoff_limited
+    """No element of the ideal solves the tail equation."""
 
 
 @dataclass
@@ -75,8 +72,16 @@ class TailProblem:
         return self.ambient.spec(self.target)
 
 
-def solve_tail(problem: TailProblem, max_vertices=None) -> OperadElement:
-    """One exact tail, or raise; deterministic for a fixed basis order."""
+def solve_tail(problem: TailProblem) -> OperadElement:
+    """One exact tail, or raise; deterministic for a fixed basis order.
+
+    The candidates are the ideal's monomials in the tail's component, which
+    `enumerate_basis` lists whole, so TailNotFoundError means that no tail
+    exists.  An ideal entry that is not a generator raises ValueError.
+    """
+    unknown = [name for name in problem.ideal_generators if name not in problem.ambient]
+    if unknown:
+        raise ValueError(f"ideal entries {unknown} are not generators of the ambient set")
     spec = problem.target_spec()
     rhs = problem.rhs
     if rhs.is_zero():
@@ -90,16 +95,8 @@ def solve_tail(problem: TailProblem, max_vertices=None) -> OperadElement:
         raise ObstructionNotCycleError("obstruction not a cycle")
 
     ideal = set(problem.ideal_generators)
-    cutoff_limited = False
-    basis = []  # no monomial lies in an empty ideal, however large the component
-    if ideal:
-        try:
-            basis = enumerate_basis(problem.ambient, spec.signature, spec.degree - 1)
-        except UnboundedEnumerationError:
-            if max_vertices is None:
-                raise
-            cutoff_limited = True
-            basis = enumerate_basis(problem.ambient, spec.signature, spec.degree - 1, max_vertices)
+    # no monomial lies in an empty ideal, however large the component
+    basis = enumerate_basis(problem.ambient, spec.signature, spec.degree - 1) if ideal else []
     candidates = [m for m in basis if ideal.intersection(m.vertex_names())]
     images = [extend_derivation(problem.partial, OperadElement.monomial(m)) for m in candidates]
     support = set(rhs.terms)
@@ -119,11 +116,7 @@ def solve_tail(problem: TailProblem, max_vertices=None) -> OperadElement:
 
     x = solve_linear(a, b)
     if x is None:
-        if cutoff_limited:
-            raise TailNotFoundError(
-                f"tail not found within cutoff (max_vertices={max_vertices})", True
-            )
-        raise TailNotFoundError("no tail exists in the ideal", False)
+        raise TailNotFoundError("no tail exists in the ideal")
 
     omega = OperadElement(problem.ambient, collect_terms(zip(candidates, x)), spec.signature, spec.degree - 1)
     # Exact post-check: the solver's arithmetic is not trusted silently.
@@ -203,18 +196,18 @@ def _copy_images(base: DerivationDifferential, picked, gens) -> dict:
     return images
 
 
-def _solve_into(gens, images, tails, report, name, principal, ideal, max_vertices=None):
+def _solve_into(gens, images, tails, report, name, principal, ideal):
     """Solve the tail of `name` against the images so far; record its tail,
     its image principal + tail, and a report entry."""
     partial = DerivationDifferential(gens, images)
     phi = extend_derivation(partial, principal).scale(-1)
-    omega = solve_tail(TailProblem(gens, partial, name, ideal, phi), max_vertices)
+    omega = solve_tail(TailProblem(gens, partial, name, ideal, phi))
     tails[name] = omega
     images[name] = principal + omega
     report.add(name, True, f"tail with {len(omega.terms)} terms" if omega.terms else "tail 0")
 
 
-def build_model_btow(base: DerivationDifferential, max_arity: int, max_vertices=None) -> TailedModel:
+def build_model_btow(base: DerivationDifferential, max_arity: int) -> TailedModel:
     """Arity-by-arity construction of the morphism model with solved tails."""
     _check_base(base)
     picked = _picked(base, max_arity)
@@ -230,7 +223,7 @@ def build_model_btow(base: DerivationDifferential, max_arity: int, max_vertices=
     for g in picked:
         principal = principal_part_btow(gens, f"{g.name}_B", f"{g.name}_W", "f")
         ideal = [f"{h.name}_bar" for h in picked if h.signature.arity < g.signature.arity]
-        _solve_into(gens, images, tails, report, f"{g.name}_bar", principal, ideal, max_vertices)
+        _solve_into(gens, images, tails, report, f"{g.name}_bar", principal, ideal)
 
     return TailedModel(gens, images, base, [g.name for g in picked], tails, report)
 
@@ -271,7 +264,7 @@ def _staircase_into(gens, w_name: str, n: int, variant: str) -> OperadElement:
     return _forest_into(gens, w_name, word)
 
 
-def build_model_homotopy(bw: TailedModel, max_arity: int, polarization: str = "ns", max_vertices=None) -> TailedModel:
+def build_model_homotopy(bw: TailedModel, max_arity: int, polarization: str = "ns") -> TailedModel:
     """The homotopy-through-homomorphisms model over bw's base.
 
     D(x^p), D(x^q) are the two renamings of D(bar x); D(x^h) has principal
@@ -318,7 +311,7 @@ def build_model_homotopy(bw: TailedModel, max_arity: int, polarization: str = "n
             + _staircase_into(gens, f"{g.name}_W", n, polarization).scale(-1 if g.degree % 2 else 1)
         )
         ideal = [f"{h.name}_{letter}" for h in picked if h.signature.arity < n for letter in "pqh"]
-        _solve_into(gens, images, tails, report, f"{g.name}_h", principal, ideal, max_vertices)
+        _solve_into(gens, images, tails, report, f"{g.name}_h", principal, ideal)
 
     return TailedModel(gens, images, base, [g.name for g in picked], tails, report)
 

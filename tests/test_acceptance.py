@@ -53,6 +53,7 @@ from operadkit.transfer import (
     scenario_symmetrization,
 )
 
+from test_core import enumerate_up_to
 from test_reps import random_map
 
 B, W = "B", "W"
@@ -272,7 +273,7 @@ def _model_pool(model, rng, max_vertices=4):
     for sig in seen_sigs:
         for d in range(0, max(degrees) * 2 + 2):
             try:
-                pool.extend(enumerate_basis(model.base, sig, d, max_vertices=max_vertices))
+                pool.extend(enumerate_up_to(model.base, sig, d, max_vertices))
             except Exception:
                 continue
     return [m for m in pool if m.nvertices >= 1]

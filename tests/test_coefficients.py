@@ -22,6 +22,7 @@ from operadkit.core import (
     element_to_json,
     enumerate_basis,
     exact,
+    integer,
 )
 from operadkit.differentials import (
     DerivationDifferential,
@@ -141,6 +142,45 @@ def _one_dim():
 def test_matrix_entry_points_reject_floats(build):
     with pytest.raises(TypeError, match="inexact matrix entry 0.5"):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, shown",
+    [
+        (lambda: linalg.ChainComplex({0: 1.7, 1: 1}), "1.7"),
+        (lambda: linalg.ChainComplex({0: 1, 1.5: 1}), "1.5"),
+        (lambda: linalg.ChainComplex({0: True}), "True"),
+        (lambda: linalg.ChainComplex({0: Fraction(3, 2)}), "Fraction"),
+        (lambda: linalg.ChainComplex({0: 1, 1: 1}, {1.0: [[1]]}), "1.0"),
+        (lambda: MultilinearMap((_one_dim(),), _one_dim(), 0.5, {(0,): [[1]]}), "0.5"),
+        (lambda: MultilinearMap((_one_dim(),), _one_dim(), 0, {(0.9,): [[1]]}), "0.9"),
+        (lambda: GeneratorSpec("m", Signature(B, (B, B)), 0.5), "0.5"),
+        (lambda: GeneratorSpec("m", Signature(B, (B, B)), False), "False"),
+    ],
+    ids=[
+        "complex-dim",
+        "complex-degree",
+        "complex-bool-dim",
+        "complex-fraction-dim",
+        "complex-d-key",
+        "map-degree",
+        "map-key",
+        "spec-degree",
+        "spec-bool-degree",
+    ],
+)
+def test_integer_fields_reject_floats_and_bools(build, shown):
+    # int() would truncate these to a valid-looking object
+    with pytest.raises(TypeError, match=f"expected an integer, got {shown}"):
+        build()
+
+
+def test_integer_fields_keep_integers():
+    assert integer(3) == 3 and integer("-2") == -2
+    assert linalg.ChainComplex({"0": 1, 1: "2", 2: 0}).dims == {0: 1, 1: 2}
+    m = MultilinearMap((_one_dim(),), _one_dim(), "0", {("0",): [[1]]})
+    assert m.degree == 0 and list(m.blocks) == [(0,)]
+    assert GeneratorSpec("m", Signature(B, (B, B)), -1).degree == -1
 
 
 def test_matrix_entry_points_keep_exact_input():

@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -237,9 +238,48 @@ def iso_small_gens():
     )
 
 
-def test_enumerate_basis_unary_loop_words():
+def enumerate_up_to(gens, signature, degree, max_vertices):
+    """The monomials of one (signature, degree) component with at most
+    `max_vertices` vertices, in canonical order.
+
+    The vertex-budget enumerator: it lists every tree of at most that many
+    vertices over the leaf colours, of any degree, and keeps the requested
+    degree, so it also reaches into infinite components.  It is the oracle
+    for `enumerate_basis`, and the tests draw their monomial pools from it.
+    """
+    memo = {}
+
+    def trees(color, leaves, budget):
+        """(shape, degree, vertices) of every tree with at most `budget` vertices."""
+        key = (color, leaves, budget)
+        if key not in memo:
+            out = [(color, 0, 0)] if leaves == (color,) else []
+            if budget > 0:
+                for g in gens.by_output(color):
+                    k = g.signature.arity
+                    for cuts in combinations(range(1, len(leaves)), k - 1):
+                        bounds = (0,) + cuts + (len(leaves),)
+                        blocks = [leaves[a:b] for a, b in zip(bounds, bounds[1:])]
+                        for kids, d, v in children(g.signature.inputs, blocks, budget - 1):
+                            out.append(((g.name,) + kids, d + g.degree, v + 1))
+            memo[key] = out
+        return memo[key]
+
+    def children(colors, blocks, budget):
+        if not blocks:
+            yield (), 0, 0
+            return
+        for head, hd, hv in trees(colors[0], blocks[0], budget):
+            for rest, rd, rv in children(colors[1:], blocks[1:], budget - hv):
+                yield (head,) + rest, hd + rd, hv + rv
+
+    shapes = {s for s, d, _ in trees(signature.output, tuple(signature.inputs), max_vertices) if d == degree}
+    return sorted((TreeMonomial(gens, s) for s in shapes), key=lambda t: t.sort_key)
+
+
+def test_enumerate_up_to_unary_loop_words():
     gens = iso_small_gens()
-    out = enumerate_basis(gens, Signature(W, (B,)), 0, max_vertices=5)
+    out = enumerate_up_to(gens, Signature(W, (B,)), 0, 5)
     assert [m.compact() for m in out] == [
         "f_0",
         "f_0(g_0(f_0))",
@@ -249,8 +289,92 @@ def test_enumerate_basis_unary_loop_words():
 
 def test_enumerate_basis_requires_cutoff_on_loops():
     gens = iso_small_gens()
-    with pytest.raises(UnboundedEnumerationError):
+    with pytest.raises(UnboundedEnumerationError, match="degree-0 unary generators form a cycle"):
         enumerate_basis(gens, Signature(W, (B,)), 0)
+
+
+def test_enumerate_basis_rejects_a_negative_unary_generator():
+    gens = GeneratorSet(
+        (B, W),
+        [GeneratorSpec("m", Signature(B, (B, B)), 0), GeneratorSpec("u", Signature(W, (B,)), -1)],
+    )
+    with pytest.raises(UnboundedEnumerationError, match="unary generator u has negative degree -1"):
+        enumerate_basis(gens, Signature(B, (B, B)), 0)
+
+
+@pytest.mark.parametrize("m_degree, t_degree", [(-1, 1), (1, -1)])
+def test_enumerate_basis_lists_negative_degree_components(m_degree, t_degree):
+    # a binary and a ternary generator, one of degree -1 and one of degree
+    # 1: the degree-0 component on four leaves holds each tree with one of
+    # each, whichever of them is the negative one
+    gens = GeneratorSet(
+        (B,),
+        [GeneratorSpec("m", Signature(B, (B, B)), m_degree), GeneratorSpec("t", Signature(B, (B, B, B)), t_degree)],
+    )
+    out = enumerate_basis(gens, Signature(B, (B,) * 4), 0)
+    assert [m.compact() for m in out] == [
+        "m(t, @4:B)",
+        "m(@1:B, t)",
+        "t(m, @3:B, @4:B)",
+        "t(@1:B, m, @4:B)",
+        "t(@1:B, @2:B, m)",
+    ]
+    assert len(enumerate_basis(gens, Signature(B, (B,) * 4), 3 * m_degree)) == 5  # three m's: Catalan(3)
+    assert enumerate_basis(gens, Signature(B, (B,) * 3), t_degree) == [TreeMonomial.generator(gens, "t")]
+
+
+def _has_degree_zero_unary_cycle(gens):
+    """Whether the degree-0 unary generators over the colours B and W close a cycle."""
+    unary = [g.signature for g in gens.generators if g.signature.arity == 1 and g.degree == 0]
+    edges = {(sig.inputs[0], sig.output) for sig in unary}
+    return bool({(B, B), (W, W)} & edges) or {(B, W), (W, B)} <= edges
+
+
+@st.composite
+def two_colour_components(draw):
+    """A random generator set over B and W (arities 1 to 3, binary and
+    ternary degrees -2 to 3, unary degrees 0 to 3, so positive loops occur)
+    and the component, shifted by up to one degree, of a random tree of up
+    to four vertices and five leaves, so that few components are empty."""
+    colour = st.sampled_from((B, W))
+    specs = []
+    for i in range(draw(st.integers(1, 4))):
+        arity = draw(st.integers(1, 3))
+        degree = draw(st.integers(0, 3) if arity == 1 else st.integers(-2, 3))
+        inputs = tuple(draw(colour) for _ in range(arity))
+        specs.append(GeneratorSpec(f"g{i}", Signature(draw(colour), inputs), degree))
+    gens = GeneratorSet((B, W), specs)
+    tree = TreeMonomial.generator(gens, draw(st.sampled_from(specs)).name)
+    for _ in range(draw(st.integers(0, 3))):
+        slot = draw(st.integers(1, tree.arity))
+        fits = [g for g in specs if g.signature.output == tree.signature.inputs[slot - 1]]
+        if not fits or tree.arity > 3:
+            break
+        inner = TreeMonomial.generator(gens, draw(st.sampled_from(fits)).name)
+        ((tree, _),) = graft(tree, slot, inner).terms.items()
+    return gens, tree.signature, tree.degree + draw(st.integers(-1, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_colour_components())
+def test_enumerate_basis_equals_the_vertex_budget_enumerator(case):
+    # the whole component, in the same order, as the budget enumerator's
+    # output once raising the budget by three more vertices adds nothing
+    gens, signature, degree = case
+    try:
+        basis = enumerate_basis(gens, signature, degree)
+    except UnboundedEnumerationError:
+        assert _has_degree_zero_unary_cycle(gens)
+        return
+    assert not _has_degree_zero_unary_cycle(gens)
+    budget = max((m.nvertices for m in basis), default=0)
+    while True:
+        listed = enumerate_up_to(gens, signature, degree, budget + 3)
+        top = max((m.nvertices for m in listed), default=0)
+        if top <= budget:
+            break
+        budget = top
+    assert basis == listed
 
 
 def test_enumerate_basis_counts_match_brute_force():

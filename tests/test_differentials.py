@@ -11,7 +11,6 @@ from operadkit.core import (
     Signature,
     TreeMonomial,
     compose_full,
-    enumerate_basis,
     graft,
     graft_oriented,
     parse_element,
@@ -31,7 +30,7 @@ from operadkit.differentials import (
 )
 from operadkit.serialize import model_from_json, model_to_json
 from operadkit.tails import build_model_btow
-from test_core import graft_elements
+from test_core import enumerate_up_to, graft_elements
 
 B, W = "B", "W"
 
@@ -344,7 +343,7 @@ def _random_elements(gens, rng, count, max_arity=4):
     for sig in sigs:
         for d in range(0, max(degrees) * 2 + 2):
             try:
-                pool.extend(enumerate_basis(gens, sig, d, max_vertices=4))
+                pool.extend(enumerate_up_to(gens, sig, d, 4))
             except Exception:
                 pass
     pool = [m for m in pool if m.nvertices >= 1]

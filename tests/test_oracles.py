@@ -26,7 +26,6 @@ from operadkit.core import (
     TreeMonomial,
     collect_terms,
     compose_full,
-    enumerate_basis,
     leaf_suffix_degrees,
 )
 from operadkit.differentials import (
@@ -45,6 +44,7 @@ from operadkit.forests import (
     polarization_iso_m2,
 )
 from operadkit.tails import build_model_btow
+from test_core import enumerate_up_to
 
 # ---------------------------------------------------------------------------
 # References
@@ -194,7 +194,7 @@ def components(name):
     out = []
     for g in d.base.generators:
         for deg in (g.degree, g.degree - 1):
-            monos = enumerate_basis(d.base, g.signature, deg, max_vertices=4)
+            monos = enumerate_up_to(d.base, g.signature, deg, 4)
             if deg < g.degree:
                 monos = list(dict.fromkeys(list(d.of(g.name).terms) + monos))
             if monos:

@@ -1,8 +1,10 @@
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
+from operadkit import core
 from operadkit.core import (
     BwRelations,
     GeneratorSet,
@@ -169,22 +171,50 @@ def test_solve_tail_not_found_is_classified():
     ).scale(-1)
     assert not phi.is_zero()
     problem = TailProblem(gens, partial, "mu_3_bar", [], phi)
-    with pytest.raises(TailNotFoundError) as err:
+    with pytest.raises(TailNotFoundError):
         solve_tail(problem)
-    assert not err.value.cutoff_limited
 
 
-@pytest.mark.parametrize("max_vertices", [None, 6])
-def test_solve_tail_empty_ideal_enumerates_nothing(max_vertices):
+def test_solve_tail_rejects_ideal_names_that_are_not_generators():
+    # a misspelled ideal generator must not shrink the ideal to nothing and
+    # report that no tail exists: the same problem with "mu_2_bar" has one
+    bw = build_model_btow(build_ainf(3), 3)
+    gens = bw.base
+    partial = DerivationDifferential(gens, dict(bw.images))
+    phi = extend_derivation(partial, principal_part_btow(gens, "mu_3_B", "mu_3_W", "f")).scale(-1)
+    assert len(solve_tail(TailProblem(gens, partial, "mu_3_bar", ["mu_2_bar"], phi)).terms) == 4
+    with pytest.raises(ValueError, match=r"\['mu_2_bra', 'nu'\] are not generators"):
+        solve_tail(TailProblem(gens, partial, "mu_3_bar", ["mu_2_bar", "mu_2_bra", "nu"], phi))
+
+
+def test_enumerate_basis_builds_each_subproblem_once(monkeypatch):
+    # Within one enumeration, the shapes of each (colour, leaves, weight)
+    # and the child combinations of each (input colours, blocks, weight)
+    # are built once and then reused.
+    builds = Counter()
+    for method in ("_build_shapes", "_build_combos"):
+        real = getattr(core._BasisEnumerator, method)
+
+        def spy(self, *key, real=real, method=method):
+            builds[self, method, key] += 1
+            return real(self, *key)
+
+        monkeypatch.setattr(core._BasisEnumerator, method, spy)
+    bw = build_model_btow(build_ainf(8), 8)
+    assert [len(t.terms) for t in bw.tails.values()] == [0, 4, 11, 23, 44, 82, 153]
+    assert len({enumerator for enumerator, _, _ in builds}) == 6  # mu_3_bar .. mu_8_bar
+    assert max(builds.values()) == 1
+
+
+def test_solve_tail_empty_ideal_enumerates_nothing():
     # f_0 is closed and nonzero, and an empty ideal has no candidates, so the
-    # answer is "no tail" whether or not the (infinite) component has a cutoff
+    # answer is "no tail" although the component is infinite
     iso = build_iso_resolution(3)
     gens = iso.base
     rhs = OperadElement.from_generator(gens, "f_0")
     assert extend_derivation(iso, rhs).is_zero() and not rhs.is_zero()
     with pytest.raises(TailNotFoundError) as err:
-        solve_tail(TailProblem(gens, iso, "f_2", [], rhs), max_vertices)
-    assert not err.value.cutoff_limited
+        solve_tail(TailProblem(gens, iso, "f_2", [], rhs))
     assert "cutoff" not in str(err.value)
 
 
@@ -362,9 +392,8 @@ def test_homotopy_symmetrized_variant():
     # ... but at arity 3 the tail equation for the symmetrized choice is
     # exactly unsolvable in the planar setting (only the staircase works);
     # the solver proves there is no tail in the whole finite component.
-    with pytest.raises(TailNotFoundError) as err:
+    with pytest.raises(TailNotFoundError):
         build_model_homotopy(bw, 3, polarization="sym")
-    assert not err.value.cutoff_limited
     with pytest.raises(ValueError):
         build_model_homotopy(bw, 3, polarization="nope")
 
@@ -406,7 +435,7 @@ def test_iso_principal_rejects_higher_arity():
 
 
 # ---------------------------------------------------------------------------
-# a base with negative-degree generators: the vertex cutoff is required
+# a base with negative-degree generators
 
 
 def suspended_ainf(n):
@@ -422,13 +451,19 @@ def suspended_ainf(n):
     return DerivationDifferential(gens, images)
 
 
-def test_btow_over_negative_degrees_needs_a_cutoff():
+def test_btow_over_negative_degrees_builds_without_a_cutoff():
+    # Every component over this base is finite, although mu_k has degree
+    # -1.  The digests are those of the models built by listing each
+    # component up to eight vertices.
     base = suspended_ainf(4)
     assert verify_d_squared(base).ok
-    with pytest.raises(UnboundedEnumerationError):
-        build_model_btow(base, 4)
-    models = [build_model_btow(base, 4, max_vertices=v) for v in (4, 5, 6, 8)]
-    assert len({json.dumps(model_to_json(m)) for m in models}) == 1
-    model = models[0]
+    model = build_model_btow(base, 4)
     assert verify_d_squared(model).ok
     assert [len(model.tails[f"mu_{k}_bar"].terms) for k in (2, 3, 4)] == [0, 4, 11]
+    digest = hashlib.sha256(json.dumps(model_to_json(model), indent=2).encode()).hexdigest()
+    assert digest == "1dd2d32e50e4ac73c3f179a42c71d812a3408cd835593089abbe947810a504aa"
+    hm = build_model_homotopy(model, 4)
+    assert verify_d_squared(hm).ok
+    assert [e.detail for e in hm.tail_report.entries] == ["tail 0", "tail with 6 terms", "tail with 20 terms"]
+    digest = hashlib.sha256(json.dumps(model_to_json(hm), indent=2).encode()).hexdigest()
+    assert digest == "f5302fe40a29cf0d020cbc6d44d76476099d36b6ed45b192d9f4c09f9f9f4b1e"
