@@ -12,7 +12,6 @@ import json
 import sys
 from contextlib import contextmanager
 
-from .core import element_to_json
 from .differentials import (
     build_ainf,
     build_ainf_morphism,
@@ -24,11 +23,13 @@ from .forests import polarization_iso_m2, symmetrize_forest, verify_polarization
 from .reports import Report
 from .reps import check_homotopy, check_representation, check_sh_equivalence, check_sh_morphism
 from .serialize import (
+    dumps,
     model_to_json,
     model_to_text,
     representation_from_json,
     state_from_json,
     state_to_json,
+    tails_to_json,
 )
 from .tails import build_model_btow
 from .transfer import ExtensionObstructionError, extend_to_arity
@@ -95,7 +96,7 @@ def cmd_emit_model(args):
     if args.format == "text":
         _write_output(args, model_to_text(model))
     else:
-        _write_output(args, json.dumps(model_to_json(model), indent=2) + "\n")
+        _write_output(args, dumps(model_to_json(model)))
     return PASS
 
 
@@ -115,11 +116,7 @@ def cmd_solve_tail(args):
             lines.append(f"omega({bar}) = {bw.tails[bar].text(compact=True)}")
         _write_output(args, "\n".join(lines) + "\n")
     else:
-        payload = {
-            "schema": 1,
-            "tails": {f"{x}_bar": element_to_json(bw.tails[f"{x}_bar"]) for x in bw.generator_order},
-        }
-        _write_output(args, json.dumps(payload, indent=2) + "\n")
+        _write_output(args, dumps(tails_to_json(bw)))
     return PASS
 
 
@@ -148,7 +145,7 @@ def cmd_extend(args):
         return MATH_FAIL
     report = final.check()
     if args.output:
-        _write_output(args, json.dumps(state_to_json(final), indent=2) + "\n")
+        _write_output(args, dumps(state_to_json(final)))
     print(str(report))
     return PASS if report.ok else MATH_FAIL
 

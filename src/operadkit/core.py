@@ -20,7 +20,6 @@ constant term of differentials like d(f_1) = g_0 f_0 - 1.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
@@ -130,7 +129,7 @@ class TreeMonomial:
     The constructor validates the color rule (each child subtree's output
     color equals the matching input color of its parent's generator) and
     caches signature, degree and vertex count.  It is the trust boundary:
-    parsing, JSON, `generator`, `enumerate_basis`, `normalize_bw` and
+    JSON loading, `generator`, `enumerate_basis`, `normalize_bw` and
     renaming all go through it.  Trees that grafting and the Leibniz rule
     assemble from already-validated monomials of the same generator set skip
     it: they take their invariants from those parts through `_assembled`.
@@ -188,7 +187,11 @@ class TreeMonomial:
         return self._key
 
     def canonical(self) -> str:
-        """Unique text form: `gen(child,...)` with leaves as `@i:Color`."""
+        """Unique text form: `gen(child,...)` with leaves as `@i:Color`.
+
+        The text forms are output only (display, sort keys, error
+        messages); files are JSON, written and read by `serialize`.
+        """
         return _render(self.shape, [1], leaf_mark="@")
 
     def compact(self) -> str:
@@ -738,105 +741,3 @@ def normalize_bw(elem: OperadElement, relations: BwRelations) -> OperadElement:
 
     terms = collect_terms((TreeMonomial(elem.gens, nf(m.shape)), c) for m, c in elem.terms.items())
     return OperadElement(elem.gens, terms, signature=elem.signature, degree=elem.degree)
-
-
-# ---------------------------------------------------------------------------
-# Text and JSON round-trip forms
-
-_LEAF_RE = re.compile(r"@(\d+):([A-Za-z_][A-Za-z0-9_]*)")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-
-def parse_tree(text: str, gens: GeneratorSet) -> TreeMonomial:
-    shape, pos = _parse_shape(text.strip(), 0)
-    if pos != len(text.strip()):
-        raise ValueError(f"trailing input in tree text at {pos}: {text!r}")
-    return TreeMonomial(gens, shape)
-
-
-def _parse_shape(s, pos):
-    m = _LEAF_RE.match(s, pos)
-    if m:
-        return m.group(2), m.end()
-    m = _NAME_RE.match(s, pos)
-    if not m:
-        raise ValueError(f"expected generator or leaf at {pos} in {s!r}")
-    name = m.group(0)
-    pos = m.end()
-    if pos >= len(s) or s[pos] != "(":
-        raise ValueError(f"expected '(' after {name} at {pos}")
-    pos += 1
-    children = []
-    while True:
-        child, pos = _parse_shape(s, pos)
-        children.append(child)
-        if pos < len(s) and s[pos] == ",":
-            pos += 1
-            continue
-        if pos < len(s) and s[pos] == ")":
-            return (name,) + tuple(children), pos + 1
-        raise ValueError(f"expected ',' or ')' at {pos} in {s!r}")
-
-
-def parse_element(text: str, gens: GeneratorSet, signature=None, degree=None) -> OperadElement:
-    text = text.strip()
-    if text == "0":
-        return OperadElement.zero(gens, signature, degree)
-    terms = collect_terms(
-        (parse_tree(mono_s, gens), exact(coeff_s) * sign)
-        for sign, coeff_s, mono_s in _split_terms(text)
-    )
-    return OperadElement(gens, terms, signature=signature, degree=degree)
-
-
-def _split_terms(text):
-    # Terms look like `c * tree` joined by ` + ` / ` - `.
-    chunks = re.split(r"\s([+-])\s", text)
-    signs = [1]
-    for s in chunks[1::2]:
-        signs.append(1 if s == "+" else -1)
-    for sign, chunk in zip(signs, chunks[::2]):
-        coeff_s, _, mono_s = chunk.partition("*")
-        yield sign, coeff_s.strip(), mono_s.strip()
-
-
-def tree_to_json(mono: TreeMonomial):
-    counter = [1]
-
-    def enc(shape):
-        if isinstance(shape, str):
-            i = counter[0]
-            counter[0] += 1
-            return {"leaf": i, "color": shape}
-        return {"gen": shape[0], "children": [enc(c) for c in shape[1:]]}
-
-    return enc(mono.shape)
-
-
-def tree_from_json(obj, gens: GeneratorSet) -> TreeMonomial:
-    def dec(o):
-        if "leaf" in o:
-            return o["color"]
-        return (o["gen"],) + tuple(dec(c) for c in o["children"])
-
-    return TreeMonomial(gens, dec(obj))
-
-
-def element_to_json(elem: OperadElement):
-    return {
-        "terms": [
-            {"coeff": str(c), "tree": tree_to_json(m)} for m, c in elem.items()
-        ],
-        "signature": None
-        if elem.signature is None
-        else {"output": elem.signature.output, "inputs": list(elem.signature.inputs)},
-        "degree": elem.degree,
-    }
-
-
-def element_from_json(obj, gens: GeneratorSet) -> OperadElement:
-    sig = None
-    if obj.get("signature"):
-        sig = Signature(obj["signature"]["output"], tuple(obj["signature"]["inputs"]))
-    terms = collect_terms((tree_from_json(t["tree"], gens), exact(t["coeff"])) for t in obj["terms"])
-    return OperadElement(gens, terms, signature=sig, degree=obj.get("degree"))

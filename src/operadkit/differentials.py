@@ -179,10 +179,6 @@ def compositions(n: int, k: int):
         yield tuple(parts)
 
 
-def _gen_elem(gens, name):
-    return OperadElement.monomial(TreeMonomial.generator(gens, name))
-
-
 def _letter_over(gens, letter: str, inner_name: str) -> OperadElement:
     """The generator `inner_name` grafted into the first leaf of `letter`."""
     return graft(TreeMonomial.generator(gens, letter), 1, TreeMonomial.generator(gens, inner_name))
@@ -235,7 +231,7 @@ def _morphism_image(gens, m, f_family, mu_family, nu_family) -> OperadElement:
             nu_k = TreeMonomial.generator(gens, f"{nu_family}_{k}")
             for r in compositions(m, k):
                 e = sum(r[i] * (r[j] + 1) for i in range(k) for j in range(i + 1, k))
-                word = [_gen_elem(gens, f"{f_family}_{ri}") for ri in r]
+                word = [OperadElement.from_generator(gens, f"{f_family}_{ri}") for ri in r]
                 yield (-1 if e % 2 == 0 else 1), compose_full(nu_k, word)
 
     insertions = _insertions(gens, f_family, mu_family, m, 1, sign=-1)
@@ -266,8 +262,8 @@ def _homotopy_image(gens, m) -> OperadElement:
     """D(h_m) = p_m - q_m + the signed nu_k(p..p h q..q) sum + the h_i(mu_j) sum."""
 
     def parts():
-        yield 1, _gen_elem(gens, f"p_{m}")
-        yield -1, _gen_elem(gens, f"q_{m}")
+        yield 1, OperadElement.from_generator(gens, f"p_{m}")
+        yield -1, OperadElement.from_generator(gens, f"q_{m}")
         for k in range(2, m + 1):
             nu_k = TreeMonomial.generator(gens, f"nu_{k}")
             for r in compositions(m, k):
@@ -275,9 +271,9 @@ def _homotopy_image(gens, m) -> OperadElement:
                 for s in range(0, k):
                     # s leading p's, then h at slot s+1, then q's
                     eps = base + sum(r[:s]) + k + s
-                    word = [_gen_elem(gens, f"p_{ri}") for ri in r[:s]]
-                    word.append(_gen_elem(gens, f"h_{r[s]}"))
-                    word.extend(_gen_elem(gens, f"q_{ri}") for ri in r[s + 1 :])
+                    word = [OperadElement.from_generator(gens, f"p_{ri}") for ri in r[:s]]
+                    word.append(OperadElement.from_generator(gens, f"h_{r[s]}"))
+                    word.extend(OperadElement.from_generator(gens, f"q_{ri}") for ri in r[s + 1 :])
                     yield (-1 if eps % 2 else 1), compose_full(nu_k, word)
         yield from _insertions(gens, "h", "mu", m, 1)
 

@@ -303,20 +303,20 @@ def build_dull_operad() -> DerivationDifferential:
     return DerivationDifferential(gens, {"h": p - q})
 
 
-def polarization_ns(gens: GeneratorSet, m: int, p="p", q="q", h="h") -> ForestElement:
+def polarization_ns(gens: GeneratorSet, m: int) -> ForestElement:
     """The staircase word h(x)q..q + p(x)h(x)q..q + ... + p..p(x)h."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    pt = TreeMonomial.generator(gens, p)
-    qt = TreeMonomial.generator(gens, q)
-    ht = TreeMonomial.generator(gens, h)
+    pt = TreeMonomial.generator(gens, "p")
+    qt = TreeMonomial.generator(gens, "q")
+    ht = TreeMonomial.generator(gens, "h")
     words = ([pt] * s + [ht] + [qt] * (m - 1 - s) for s in range(m))
     return ForestElement(gens, collect_terms((ForestMonomial(gens, w), 1) for w in words))
 
 
-def polarization_sym(gens: GeneratorSet, m: int, p="p", q="q", h="h") -> ForestElement:
+def polarization_sym(gens: GeneratorSet, m: int) -> ForestElement:
     """Symmetrization of the staircase word over simultaneous slot permutations."""
-    return symmetrize_forest(polarization_ns(gens, m, p, q, h))
+    return symmetrize_forest(polarization_ns(gens, m))
 
 
 def _iso_chain(gens, top_family, length, degrees):
@@ -369,17 +369,15 @@ def polarization_iso_m2(iso: DerivationDifferential, max_degree: int) -> dict:
             f"iso resolution truncated at index {max_index}, below requested degree {max_degree}"
         )
 
-    for kind, top, second in (("f", "f", "f"), ("g", "g", "g")):
-        other = "g" if top == "f" else "f"
+    # Every index below is at most max_degree <= max_index, so every
+    # generator named exists.
+    for kind in ("f", "g"):
         i = 0
         while 2 * i <= max_degree:
             length = 2 * i + 1
             for degs in _even_tuples(length, max_degree - 2 * i):
-                names_ok = all(d <= max_index for d in degs) and 2 * i <= max_index
-                if not names_ok:
-                    continue
-                letters = _iso_chain(gens, top, length, degs)
-                pair = TreeMonomial.generator(gens, f"{second}_{2 * i}")
+                letters = _iso_chain(gens, kind, length, degs)
+                pair = TreeMonomial.generator(gens, f"{kind}_{2 * i}")
                 total = sum(degs) + 2 * i
                 put(kind, total, [letters, pair])
             i += 1
@@ -388,16 +386,13 @@ def polarization_iso_m2(iso: DerivationDifferential, max_degree: int) -> dict:
         home = "B" if kind == "h" else "W"
         # leading term: odd-index letters tensor the identity strand
         for k in range(1, max_degree + 1, 2):
-            if k <= max_index:
-                letter = TreeMonomial.generator(gens, f"{fam}_{k}")
-                unit = TreeMonomial.identity(gens, home)
-                put(kind, k, [letter, unit])
+            letter = TreeMonomial.generator(gens, f"{fam}_{k}")
+            unit = TreeMonomial.identity(gens, home)
+            put(kind, k, [letter, unit])
         i = 1
         while 2 * i - 1 <= max_degree:
             length = 2 * i
             for degs in _even_tuples(length, max_degree - (2 * i - 1)):
-                if any(d > max_index for d in degs) or 2 * i - 1 > max_index:
-                    continue
                 letters = _iso_chain(gens, other, length, degs)
                 pair = TreeMonomial.generator(gens, f"{fam}_{2 * i - 1}")
                 total = sum(degs) + 2 * i - 1

@@ -99,9 +99,6 @@ class MultilinearMap:
             and self.blocks == other.blocks
         )
 
-    def __hash__(self):
-        return hash((self.degree, tuple(sorted(self.blocks))))
-
     def __repr__(self):
         nz = {k: "..." for k in sorted(self.blocks)}
         return f"MultilinearMap(arity={self.arity}, degree={self.degree}, blocks={nz})"
@@ -228,6 +225,9 @@ class Representation:
     images: dict
 
     def __post_init__(self):
+        unknown = sorted(name for name in self.images if name not in self.model.base)
+        if unknown:
+            raise ValueError(f"images for names that are not generators: {', '.join(unknown)}")
         self.images = dict(self.images)
         for g in self.model.base.generators:
             img = self.images.get(g.name)

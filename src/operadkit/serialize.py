@@ -1,4 +1,6 @@
-"""JSON and text forms for models, representations and transfer setups.
+"""Every file format of the package: the JSON documents for trees and
+elements, models, solved tails, representations and transfer setups, and
+the one writer, `dumps`.
 
 All rationals are serialized as strings ("p/q"), so round trips are
 bit-exact; term order inside elements and key order inside objects are
@@ -7,26 +9,45 @@ also accepts ints, and rejects a float coefficient or matrix entry with
 TypeError (see `core.exact`); an integer field (a dimension, a degree, the
 state's arity) that holds a float or a bool raises TypeError too (see
 `core.integer`, which the constructors apply to the fields they store).
+A top-level document whose `schema` is present and is not `SCHEMA` raises
+ValueError; a missing `schema` is read as 1.
 """
 
 from __future__ import annotations
+
+import json
+from itertools import count
 
 from .core import (
     GeneratorSet,
     GeneratorSpec,
     OperadElement,
     Signature,
-    element_from_json,
-    element_to_json,
+    TreeMonomial,
+    collect_terms,
     exact,
     integer,
 )
 from .differentials import DerivationDifferential
 from .linalg import ChainComplex, RationalMatrix
 from .reps import MultilinearMap, Representation
+from .tails import TailedModel
 from .transfer import ExtensionState
 
 SCHEMA = 1
+
+
+def dumps(obj) -> str:
+    """The text of a JSON document as the package writes it to a file."""
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def _check_schema(obj):
+    if not isinstance(obj, dict):
+        raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+    schema = obj.get("schema", SCHEMA)
+    if type(schema) is not int or schema != SCHEMA:
+        raise ValueError(f"unsupported schema {schema!r}, expected {SCHEMA}")
 
 
 def _matrix_to_json(mat: RationalMatrix):
@@ -35,6 +56,50 @@ def _matrix_to_json(mat: RationalMatrix):
 
 def _matrix_from_json(rows, ncols=None):
     return RationalMatrix([[exact(x) for x in row] for row in rows], cols=ncols)
+
+
+# ---------------------------------------------------------------------------
+# Trees and elements
+
+
+def tree_to_json(mono: TreeMonomial):
+    leaves = count(1)
+
+    def enc(shape):
+        if isinstance(shape, str):
+            return {"leaf": next(leaves), "color": shape}
+        return {"gen": shape[0], "children": [enc(c) for c in shape[1:]]}
+
+    return enc(mono.shape)
+
+
+def tree_from_json(obj, gens: GeneratorSet) -> TreeMonomial:
+    def dec(o):
+        if "leaf" in o:
+            return o["color"]
+        return (o["gen"],) + tuple(dec(c) for c in o["children"])
+
+    return TreeMonomial(gens, dec(obj))
+
+
+def element_to_json(elem: OperadElement):
+    return {
+        "terms": [
+            {"coeff": str(c), "tree": tree_to_json(m)} for m, c in elem.items()
+        ],
+        "signature": None
+        if elem.signature is None
+        else {"output": elem.signature.output, "inputs": list(elem.signature.inputs)},
+        "degree": elem.degree,
+    }
+
+
+def element_from_json(obj, gens: GeneratorSet) -> OperadElement:
+    sig = None
+    if obj.get("signature"):
+        sig = Signature(obj["signature"]["output"], tuple(obj["signature"]["inputs"]))
+    terms = collect_terms((tree_from_json(t["tree"], gens), exact(t["coeff"])) for t in obj["terms"])
+    return OperadElement(gens, terms, signature=sig, degree=obj.get("degree"))
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +125,7 @@ def model_to_json(model: DerivationDifferential) -> dict:
 
 
 def model_from_json(obj: dict) -> DerivationDifferential:
+    _check_schema(obj)
     specs = [
         GeneratorSpec(g["name"], Signature(g["output"], tuple(g["inputs"])), g["degree"])
         for g in obj["generators"]
@@ -84,6 +150,14 @@ def model_to_text(model: DerivationDifferential) -> str:
     for g in model.base.generators:
         lines.append(f"D({g.name}) = {model.of(g.name).text(compact=True)}")
     return "\n".join(lines) + "\n"
+
+
+def tails_to_json(bw: TailedModel) -> dict:
+    """The solved tails omega(x_bar) of a morphism model, in generator order."""
+    return {
+        "schema": SCHEMA,
+        "tails": {f"{x}_bar": element_to_json(bw.tails[f"{x}_bar"]) for x in bw.generator_order},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -138,16 +212,19 @@ def representation_to_json(rep: Representation) -> dict:
 
 
 def representation_from_json(obj: dict, model: DerivationDifferential) -> Representation:
+    _check_schema(obj)
     complexes = {
         color: complex_from_json(c, color) for color, c in obj["complexes"].items()
     }
     images = {}
-    for g in model.base.generators:
-        entry = obj["images"].get(g.name)
-        if entry is None:
-            continue
-        sources = tuple(complexes[c] for c in g.signature.inputs)
-        images[g.name] = map_from_json(entry, sources, complexes[g.signature.output])
+    for name, entry in obj["images"].items():
+        # A name that is not a generator stays undecoded: Representation
+        # rejects it, with every other such name.
+        if name in model.base:
+            sig = model.base.spec(name).signature
+            sources = tuple(complexes[c] for c in sig.inputs)
+            entry = map_from_json(entry, sources, complexes[sig.output])
+        images[name] = entry
     return Representation(model, complexes, images)
 
 
@@ -168,6 +245,7 @@ def state_to_json(state: ExtensionState) -> dict:
 
 
 def state_from_json(obj: dict) -> ExtensionState:
+    _check_schema(obj)
     v = complex_from_json(obj["v"], "B")
     w = complex_from_json(obj["w"], "W")
     m = {int(i): map_from_json(e, (v,) * int(i), v) for i, e in obj.get("m", {}).items()}

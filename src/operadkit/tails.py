@@ -15,7 +15,6 @@ deterministic even where they are far from unique.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
@@ -58,47 +57,36 @@ class TailNotFoundError(TailError):
     """No element of the ideal solves the tail equation."""
 
 
-@dataclass
-class TailProblem:
-    """One tail equation D(omega) = rhs, with omega in a generator ideal."""
+def solve_tail(partial: DerivationDifferential, target: str, ideal, rhs: OperadElement) -> OperadElement:
+    """One exact tail omega of `target` with D(omega) = rhs, in the ideal of
+    the generators named in `ideal`, or raise; deterministic for a fixed
+    basis order.
 
-    ambient: GeneratorSet
-    partial: DerivationDifferential
-    target: str
-    ideal_generators: list
-    rhs: OperadElement
-
-    def target_spec(self) -> GeneratorSpec:
-        return self.ambient.spec(self.target)
-
-
-def solve_tail(problem: TailProblem) -> OperadElement:
-    """One exact tail, or raise; deterministic for a fixed basis order.
-
-    The candidates are the ideal's monomials in the tail's component, which
+    D is `partial`, and its generator set is the ambient one.  The candidates
+    are the ideal's monomials in the tail's component, which
     `enumerate_basis` lists whole, so TailNotFoundError means that no tail
     exists.  An ideal entry that is not a generator raises ValueError.
     """
-    unknown = [name for name in problem.ideal_generators if name not in problem.ambient]
+    gens = partial.base
+    unknown = [name for name in ideal if name not in gens]
     if unknown:
         raise ValueError(f"ideal entries {unknown} are not generators of the ambient set")
-    spec = problem.target_spec()
-    rhs = problem.rhs
+    spec = gens.spec(target)
     if rhs.is_zero():
-        return OperadElement.zero(problem.ambient, spec.signature, spec.degree - 1)
+        return OperadElement.zero(gens, spec.signature, spec.degree - 1)
     if rhs.signature != spec.signature or rhs.degree != spec.degree - 2:
         raise ValueError(
             f"rhs lives in {rhs.signature} degree {rhs.degree}, "
             f"expected {spec.signature} degree {spec.degree - 2}"
         )
-    if not extend_derivation(problem.partial, rhs).is_zero():
+    if not extend_derivation(partial, rhs).is_zero():
         raise ObstructionNotCycleError("obstruction not a cycle")
 
-    ideal = set(problem.ideal_generators)
+    ideal = set(ideal)
     # no monomial lies in an empty ideal, however large the component
-    basis = enumerate_basis(problem.ambient, spec.signature, spec.degree - 1) if ideal else []
+    basis = enumerate_basis(gens, spec.signature, spec.degree - 1) if ideal else []
     candidates = [m for m in basis if ideal.intersection(m.vertex_names())]
-    images = [extend_derivation(problem.partial, OperadElement.monomial(m)) for m in candidates]
+    images = [extend_derivation(partial, OperadElement.monomial(m)) for m in candidates]
     support = set(rhs.terms)
     for img in images:
         support.update(img.terms)
@@ -118,9 +106,9 @@ def solve_tail(problem: TailProblem) -> OperadElement:
     if x is None:
         raise TailNotFoundError("no tail exists in the ideal")
 
-    omega = OperadElement(problem.ambient, collect_terms(zip(candidates, x)), spec.signature, spec.degree - 1)
+    omega = OperadElement(gens, collect_terms(zip(candidates, x)), spec.signature, spec.degree - 1)
     # Exact post-check: the solver's arithmetic is not trusted silently.
-    if extend_derivation(problem.partial, omega) != rhs:
+    if extend_derivation(partial, omega) != rhs:
         raise AssertionError("internal error: solved tail fails D(omega) = rhs")
     return omega
 
@@ -201,7 +189,7 @@ def _solve_into(gens, images, tails, report, name, principal, ideal):
     its image principal + tail, and a report entry."""
     partial = DerivationDifferential(gens, images)
     phi = extend_derivation(partial, principal).scale(-1)
-    omega = solve_tail(TailProblem(gens, partial, name, ideal, phi))
+    omega = solve_tail(partial, name, ideal, phi)
     tails[name] = omega
     images[name] = principal + omega
     report.add(name, True, f"tail with {len(omega.terms)} terms" if omega.terms else "tail 0")
@@ -256,9 +244,9 @@ def _forest_into(gens, outer_name: str, forest: ForestElement) -> OperadElement:
 def _staircase_into(gens, w_name: str, n: int, variant: str) -> OperadElement:
     """x_W composed with the width-n staircase word over (p, q, h)."""
     if variant == "ns":
-        word = polarization_ns(gens, n, "p", "q", "h")
+        word = polarization_ns(gens, n)
     elif variant == "sym":
-        word = polarization_sym(gens, n, "p", "q", "h")
+        word = polarization_sym(gens, n)
     else:
         raise ValueError(f"unknown polarization variant {variant!r}")
     return _forest_into(gens, w_name, word)

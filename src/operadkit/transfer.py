@@ -74,6 +74,16 @@ class ExtensionState:
     f: dict  # arity -> MultilinearMap V^k -> W, arities 1..K
     k: int
 
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"truncation level k = {self.k}, expected k >= 1")
+        if 1 not in self.f:
+            raise ValueError("f has no arity-1 map F_1")
+        for name, table, low in (("n", self.n, 2), ("f", self.f, 1)):
+            outside = sorted(i for i in table if not low <= i <= self.k)
+            if outside:
+                raise ValueError(f"{name} has arities {outside} outside {low}..{self.k}")
+
     def representation(self, max_arity=None) -> Representation:
         """The state as a representation of the morphism model.
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from operadkit.cli import main
-from operadkit.differentials import build_ainf_morphism
+from operadkit.differentials import build_ainf, build_ainf_morphism
 from operadkit.serialize import (
     model_from_json,
     model_to_json,
@@ -82,6 +82,38 @@ def test_check_rep_pass_and_fail(tmp_path, capsys):
     bad.write_text(json.dumps(representation_to_json(broken)))
     assert run(["check-rep", "--model", "ainf", "--max-arity", "3", "--rep", str(bad)]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+GOOD_PRODUCT = {(0, 0): [[1, 0, 0, 0], [0, 1, 0, 0]], (0, 1): [[1, 0]], (1, 0): [[0, 0]]}
+BROKEN_PRODUCT = {(1, 0): [[1, 0]]}
+
+
+def _dga_json(product):
+    """A representation of build_ainf(3) with mu_2 given by its blocks."""
+    from operadkit.linalg import RationalMatrix
+    from operadkit.reps import ChainComplex, MultilinearMap, Representation
+
+    u = ChainComplex({0: 2, 1: 1}, {1: RationalMatrix([[0], [1]])}, "B")
+    mu = MultilinearMap((u, u), u, 0, product)
+    return representation_to_json(Representation(build_ainf(3), {"B": u}, {"mu_2": mu}))
+
+
+def _broken_dga_json():
+    return _dga_json(BROKEN_PRODUCT)
+
+
+@pytest.mark.parametrize("name", ["mu2", "mu_4"], ids=["misspelled", "above-max-arity"])
+def test_check_rep_rejects_images_that_are_not_generators(tmp_path, capsys, name):
+    # Under a name that is not a generator of the model, the broken mu_2 was
+    # dropped, mu_2 read as zero, and the check printed PASS.
+    obj = _broken_dga_json()
+    obj["images"][name] = obj["images"].pop("mu_2")
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(obj))
+    assert run(["check-rep", "--model", "ainf", "--max-arity", "3", "--rep", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert f"ValueError: images for names that are not generators: {name}" in captured.err
 
 
 def test_check_rep_parse_error(tmp_path, capsys):
@@ -189,6 +221,40 @@ def test_malformed_input_is_usage_error(tmp_path, capsys):
     assert run(["verify-dsq", "--model", "ainf", "--max-arity", "1"]) == 2
 
 
+def _setup_without_f1():
+    obj = _setup_json()
+    del obj["f"]["1"]
+    return obj
+
+
+def _setup_with(field, value):
+    def make():
+        obj = _setup_json()
+        obj[field] = value
+        return obj
+
+    return make
+
+
+@pytest.mark.parametrize(
+    "obj, shown",
+    [
+        (_setup_without_f1, "f has no arity-1 map F_1"),
+        (_setup_with("k", 0), "truncation level k = 0, expected k >= 1"),
+        (_setup_with("n", {"2": {"degree": 0}}), "n has arities [2] outside 2..1"),
+        (_setup_with("f", {"1": _setup_json()["f"]["1"], "2": {"degree": 1}}), "f has arities [2] outside 1..1"),
+    ],
+    ids=["no-f1", "k-zero", "n-above-k", "f-above-k"],
+)
+def test_malformed_setup_is_usage_error(tmp_path, capsys, obj, shown):
+    # A missing F_1 and k = 0 ended in a KeyError traceback with exit 1, which
+    # reads as a failed check; data above K was overwritten without a word.
+    setup = tmp_path / "setup.json"
+    setup.write_text(json.dumps(obj()))
+    assert run(["extend", "--setup", str(setup), "--target-arity", "2"]) == 2
+    assert f"ValueError: {shown}" in capsys.readouterr().err
+
+
 def test_internal_error_is_not_a_usage_error(tmp_path, monkeypatch):
     import operadkit.cli as cli
 
@@ -283,6 +349,45 @@ def test_float_integer_field_is_usage_error(tmp_path, capsys, argv, obj, shown):
     assert run(argv + [str(path)]) == 2
     err = capsys.readouterr().err
     assert "TypeError" in err and f"expected an integer, got {shown}" in err
+
+
+@pytest.mark.parametrize(
+    "load, obj",
+    [
+        (model_from_json, lambda: model_to_json(build_ainf_morphism(2))),
+        (lambda obj: representation_from_json(obj, build_ainf(3)), _broken_dga_json),
+        (state_from_json, _setup_json),
+    ],
+    ids=["model", "representation", "state"],
+)
+def test_loaders_check_the_schema(load, obj):
+    document = obj()
+    del document["schema"]
+    load(document)  # a missing schema is read as 1
+    for foreign in (7, "1", 1.0, True):
+        document["schema"] = foreign
+        with pytest.raises(ValueError, match=f"unsupported schema {foreign!r}, expected 1"):
+            load(document)
+    with pytest.raises(TypeError, match="expected a JSON object, got list"):
+        load([document])
+
+
+@pytest.mark.parametrize(
+    "argv, obj",
+    [
+        (["check-rep", "--model", "ainf", "--max-arity", "3", "--rep"], lambda: _dga_json(GOOD_PRODUCT)),
+        (["extend", "--target-arity", "2", "--setup"], _setup_json),
+    ],
+    ids=["check-rep", "extend"],
+)
+def test_foreign_schema_is_usage_error(tmp_path, capsys, argv, obj):
+    # Both were read as schema 1: check-rep printed PASS and extend ran.
+    document = obj()
+    document["schema"] = 7
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    assert run(argv + [str(path)]) == 2
+    assert "ValueError: unsupported schema 7, expected 1" in capsys.readouterr().err
 
 
 def test_float_generator_degree_is_rejected():

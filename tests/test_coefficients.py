@@ -18,8 +18,6 @@ from operadkit.core import (
     OperadElement,
     Signature,
     TreeMonomial,
-    element_from_json,
-    element_to_json,
     enumerate_basis,
     exact,
     integer,
@@ -34,7 +32,7 @@ from operadkit.differentials import (
 )
 from operadkit.forests import ForestElement, ForestMonomial, polarization_iso_m2, symmetrize_forest
 from operadkit.reps import MultilinearMap
-from operadkit.serialize import complex_from_json
+from operadkit.serialize import complex_from_json, element_from_json, element_to_json
 from operadkit.tails import build_model_btow, build_model_homotopy
 
 B = "B"

@@ -18,14 +18,11 @@ from operadkit.core import (
     UnboundedEnumerationError,
     collect_terms,
     compose_full,
-    element_from_json,
-    element_to_json,
     enumerate_basis,
     graft,
     normalize_bw,
-    parse_element,
-    parse_tree,
 )
+from operadkit.serialize import element_from_json, element_to_json
 
 B, W = "B", "W"
 
@@ -554,7 +551,7 @@ def test_output_b_with_w_inputs_is_empty():
 # round trips
 
 
-def test_text_and_json_round_trip():
+def test_element_json_round_trip():
     gens = morphism_gens(3)
     rng = random.Random(7)
     basis = enumerate_basis(gens, Signature(W, (B, B, B)), 1)
@@ -563,26 +560,16 @@ def test_text_and_json_round_trip():
         for m in rng.sample(basis, k=min(4, len(basis))):
             terms[m] = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
         elem = OperadElement(gens, terms)
-        # canonical text form
-        parsed = parse_element(elem.text(), gens)
-        assert parsed == elem
-        # JSON form, bit-exact through dumps/loads
+        # bit-exact through dumps/loads
         blob = json.dumps(element_to_json(elem))
         back = element_from_json(json.loads(blob), gens)
         assert back == elem
         assert json.dumps(element_to_json(back)) == blob
 
 
-def test_parse_tree_round_trip():
-    gens = morphism_gens(3)
-    mono = enumerate_basis(gens, Signature(W, (B, B, B)), 1)[0]
-    assert parse_tree(mono.canonical(), gens) == mono
-
-
 def test_zero_element_text():
     gens = ainf_gens()
     assert OperadElement.zero(gens).text() == "0"
-    assert parse_element("0", gens).is_zero()
 
 
 # ---------------------------------------------------------------------------

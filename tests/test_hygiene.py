@@ -13,7 +13,9 @@ top-level re-export that the benchmark does not read (the modules are the
 public surface; `operadkit` itself re-exports exactly what `perfbench/`
 takes from it), and no use of `TreeMonomial._assembled` outside `core`
 (it builds a tree without checking it; other modules assemble through
-`core._graft_word` and `core._element_of_shapes`)."""
+`core._graft_word` and `core._element_of_shapes`), and no JSON written
+outside `serialize` (it owns every file format, and its `dumps` is the one
+writer; others may still read with `json.load`)."""
 
 import ast
 from pathlib import Path
@@ -265,3 +267,41 @@ def test_checker_finds_assembled_reads():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name)
 def test_no_trusted_assembly_outside_core(path):
     assert assembled_reads(path.read_text()) == []
+
+
+def json_writes(source: str):
+    """Line numbers that call `json.dump` or `json.dumps`, or import either
+    from `json`."""
+    writers = {"dump", "dumps"}
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            if writers.intersection(a.name for a in node.names):
+                found.add(node.lineno)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in writers
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "json"
+        ):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_checker_finds_json_writes():
+    source = (
+        "import json\n"
+        "text = json.dumps(obj, indent=2)\n"
+        "json.dump(obj, fh)\n"
+        "obj = json.load(fh)\n"
+        "from json import dumps\n"
+        "from json import JSONDecodeError, loads\n"
+        "text = serialize.dumps(obj)\n"
+    )
+    assert json_writes(source) == [2, 3, 5]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "serialize.py"], ids=lambda p: p.name)
+def test_no_json_written_outside_serialize(path):
+    assert json_writes(path.read_text()) == []

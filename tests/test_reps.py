@@ -501,6 +501,14 @@ def test_representation_rejects_wrong_colors():
         Representation(model, {B: u, W: w}, {"f_1": MultilinearMap((w,), w, 0, {(0,): [[1]]})})
 
 
+def test_representation_rejects_images_that_are_not_generators():
+    model = build_ainf(2)
+    u = ChainComplex({0: 1}, {}, B)
+    mu = MultilinearMap((u, u), u, 0, {(0, 0): [[1]]})
+    with pytest.raises(ValueError, match="not generators: mu2, mu_3$"):
+        Representation(model, {B: u}, {"mu_2": mu, "mu2": mu, "mu_3": mu})
+
+
 def test_one_complex_serves_both_colors():
     # the identity morphism of k[x]/(x^2): the same complex is B and W
     model = build_ainf_morphism(2)

@@ -33,7 +33,6 @@ from operadkit.serialize import model_to_json
 from operadkit.tails import (
     ObstructionNotCycleError,
     TailNotFoundError,
-    TailProblem,
     build_model_btow,
     build_model_homotopy,
     build_model_iso_principal,
@@ -156,9 +155,8 @@ def test_solve_tail_rejects_non_cycle(bw4):
     rhs = graft(TreeMonomial.generator(gens, "f"), 1, inner_mono)
     assert not extend_derivation(partial, rhs).is_zero()
     assert rhs.degree == gens.spec("mu_4_bar").degree - 2
-    problem = TailProblem(gens, partial, "mu_4_bar", ["mu_2_bar", "mu_3_bar"], rhs)
     with pytest.raises(ObstructionNotCycleError):
-        solve_tail(problem)
+        solve_tail(partial, "mu_4_bar", ["mu_2_bar", "mu_3_bar"], rhs)
 
 
 def test_solve_tail_not_found_is_classified():
@@ -170,9 +168,8 @@ def test_solve_tail_not_found_is_classified():
         partial, principal_part_btow(gens, "mu_3_B", "mu_3_W", "f")
     ).scale(-1)
     assert not phi.is_zero()
-    problem = TailProblem(gens, partial, "mu_3_bar", [], phi)
     with pytest.raises(TailNotFoundError):
-        solve_tail(problem)
+        solve_tail(partial, "mu_3_bar", [], phi)
 
 
 def test_solve_tail_rejects_ideal_names_that_are_not_generators():
@@ -182,9 +179,9 @@ def test_solve_tail_rejects_ideal_names_that_are_not_generators():
     gens = bw.base
     partial = DerivationDifferential(gens, dict(bw.images))
     phi = extend_derivation(partial, principal_part_btow(gens, "mu_3_B", "mu_3_W", "f")).scale(-1)
-    assert len(solve_tail(TailProblem(gens, partial, "mu_3_bar", ["mu_2_bar"], phi)).terms) == 4
+    assert len(solve_tail(partial, "mu_3_bar", ["mu_2_bar"], phi).terms) == 4
     with pytest.raises(ValueError, match=r"\['mu_2_bra', 'nu'\] are not generators"):
-        solve_tail(TailProblem(gens, partial, "mu_3_bar", ["mu_2_bar", "mu_2_bra", "nu"], phi))
+        solve_tail(partial, "mu_3_bar", ["mu_2_bar", "mu_2_bra", "nu"], phi)
 
 
 def test_enumerate_basis_builds_each_subproblem_once(monkeypatch):
@@ -214,7 +211,7 @@ def test_solve_tail_empty_ideal_enumerates_nothing():
     rhs = OperadElement.from_generator(gens, "f_0")
     assert extend_derivation(iso, rhs).is_zero() and not rhs.is_zero()
     with pytest.raises(TailNotFoundError) as err:
-        solve_tail(TailProblem(gens, iso, "f_2", [], rhs))
+        solve_tail(iso, "f_2", [], rhs)
     assert "cutoff" not in str(err.value)
 
 
@@ -227,7 +224,7 @@ def test_solve_tail_zero_rhs_needs_no_basis():
     with pytest.raises(UnboundedEnumerationError):
         enumerate_basis(gens, spec.signature, spec.degree - 1)
     rhs = OperadElement.zero(gens, spec.signature, spec.degree - 2)
-    omega = solve_tail(TailProblem(gens, iso, "f_2", ["f_0", "g_0"], rhs))
+    omega = solve_tail(iso, "f_2", ["f_0", "g_0"], rhs)
     assert omega.is_zero()
     assert (omega.signature, omega.degree) == (spec.signature, spec.degree - 1)
 
