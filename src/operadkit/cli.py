@@ -24,6 +24,7 @@ from .reports import Report
 from .reps import check_homotopy, check_representation, check_sh_equivalence, check_sh_morphism
 from .serialize import (
     dumps,
+    load,
     model_to_json,
     model_to_text,
     representation_from_json,
@@ -122,8 +123,8 @@ def cmd_solve_tail(args):
 
 def cmd_check_rep(args):
     model = _build_model(args)
-    with open(args.rep) as fh, _reading(args.rep):
-        rep = representation_from_json(json.load(fh), model)
+    with _reading(args.rep):
+        rep = representation_from_json(load(args.rep), model)
     if args.model == "ainf-morphism":
         report = check_sh_morphism(rep)
     elif args.model == "homotopy":
@@ -136,8 +137,8 @@ def cmd_check_rep(args):
 
 
 def cmd_extend(args):
-    with open(args.setup) as fh, _reading(args.setup):
-        state = state_from_json(json.load(fh))
+    with _reading(args.setup):
+        state = state_from_json(load(args.setup))
     try:
         final = extend_to_arity(state, args.target_arity)
     except ExtensionObstructionError as exc:

@@ -263,18 +263,6 @@ def leaf_suffix_degrees(gens, shape):
     return out
 
 
-def graft_oriented(outer: TreeMonomial, slot: int, inner: TreeMonomial) -> OperadElement:
-    """Koszul-oriented grafting: (-1)^(|inner| * suffix_outer(slot)) * graft.
-
-    This is the composition of the underlying graded operad read in the
-    preorder orientation of the planar basis; the plain graft differs from
-    it by the orientation sign.
-    """
-    suffixes = leaf_suffix_degrees(outer.gens, outer.shape)
-    sign = -1 if (inner.degree * suffixes[slot - 1]) % 2 else 1
-    return graft(outer, slot, inner).scale(sign)
-
-
 def _render(shape, counter, leaf_mark):
     if isinstance(shape, str):
         s = f"{leaf_mark}{counter[0]}:{shape}"
@@ -301,13 +289,17 @@ def exact(c):
     a Fraction.
 
     Accepts ints, rationals and exact strings ("3", "-1/2", "0.25").  A
-    float, or any other number that is not a rational, raises TypeError.
+    float, or any other number that is not a rational, raises TypeError;
+    a string with a zero denominator ("1/0") raises ValueError.
     """
     if c.__class__ is int:
         return c
     if c.__class__ is not Fraction:
         if isinstance(c, str):
-            c = Fraction(c)
+            try:
+                c = Fraction(c)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {c!r}") from None
         elif isinstance(c, Rational):
             c = Fraction(int(c.numerator), int(c.denominator))
         else:

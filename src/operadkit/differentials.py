@@ -403,16 +403,3 @@ def rename_element(elem: OperadElement, target: GeneratorSet, name_map: dict, co
         sig = Signature(colors.get(sig.output, sig.output), tuple(colors.get(c, c) for c in sig.inputs))
     terms = collect_terms((TreeMonomial(target, rename_shape(m.shape)), c) for m, c in elem.terms.items())
     return OperadElement(target, terms, signature=sig, degree=elem.degree)
-
-
-def rename_model(diff: DerivationDifferential, name_map: dict) -> DerivationDifferential:
-    specs = [
-        GeneratorSpec(name_map.get(g.name, g.name), g.signature, g.degree)
-        for g in diff.base.generators
-    ]
-    gens = GeneratorSet(diff.base.colors, specs)
-    images = {
-        name_map.get(name, name): rename_element(img, gens, name_map)
-        for name, img in diff.images.items()
-    }
-    return DerivationDifferential(gens, images)

@@ -16,9 +16,7 @@ from math import factorial
 
 from .core import (
     GeneratorSet,
-    GeneratorSpec,
     OperadElement,
-    Signature,
     TreeMonomial,
     _combination_terms,
     _graft_word,
@@ -164,16 +162,6 @@ class ForestElement:
         return f"ForestElement({self.text()})"
 
 
-def tensor_forests(a: ForestElement, b: ForestElement) -> ForestElement:
-    """Juxtaposition a (x) b; bilinear, no sign (plain basis concatenation)."""
-    terms = collect_terms(
-        (ForestMonomial(a.gens, ma.components + mb.components), ca * cb)
-        for ma, ca in a.terms.items()
-        for mb, cb in b.terms.items()
-    )
-    return ForestElement(a.gens, terms)
-
-
 def _compose_monomials(outer: ForestMonomial, inner: ForestMonomial, suffixes):
     """Oriented composition of two forest monomials; None on color mismatch.
 
@@ -286,21 +274,6 @@ def symmetrize_forest(elem: ForestElement) -> ForestElement:
 
 # ---------------------------------------------------------------------------
 # Polarizations
-
-
-def build_dull_operad() -> DerivationDifferential:
-    """Two parallel maps with a homotopy: p, q (degree 0) and h (degree 1), d(h) = p - q."""
-    gens = GeneratorSet(
-        ("B", "W"),
-        [
-            GeneratorSpec("p", Signature("W", ("B",)), 0),
-            GeneratorSpec("q", Signature("W", ("B",)), 0),
-            GeneratorSpec("h", Signature("W", ("B",)), 1),
-        ],
-    )
-    p = OperadElement.from_generator(gens, "p")
-    q = OperadElement.from_generator(gens, "q")
-    return DerivationDifferential(gens, {"h": p - q})
 
 
 def polarization_ns(gens: GeneratorSet, m: int) -> ForestElement:

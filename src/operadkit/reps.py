@@ -155,14 +155,6 @@ def compose_maps(outer: MultilinearMap, inners) -> MultilinearMap:
     return MultilinearMap(sources, outer.target, degree, blocks)
 
 
-def compose_at(outer: MultilinearMap, slot: int, inner: MultilinearMap) -> MultilinearMap:
-    """Partial composition: identity maps in every slot except `slot` (1-based)."""
-    inners = []
-    for i, c in enumerate(outer.sources, start=1):
-        inners.append(inner if i == slot else identity_map(c))
-    return compose_maps(outer, inners)
-
-
 def hom_differential_terms(sources, degree, src):
     """The terms of -(-1)^{|F|} F o (sum_i 1...d_i...1) on the block of F at `src`.
 

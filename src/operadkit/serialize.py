@@ -1,33 +1,38 @@
-"""Every file format of the package: the JSON documents for trees and
-elements, models, solved tails, representations and transfer setups, and
-the one writer, `dumps`.
+"""Every file format of the package, with its one reader, `load`, and its
+one writer, `dumps`: no other module reads or writes JSON.  The documents
+are models and solved tails, which are only written, representations,
+which `check-rep` reads, and transfer setups, which `extend` reads and
+writes.
 
 All rationals are serialized as strings ("p/q"), so round trips are
 bit-exact; term order inside elements and key order inside objects are
-fixed, so emitting the same object twice gives identical bytes.  Loading
-also accepts ints, and rejects a float coefficient or matrix entry with
-TypeError (see `core.exact`); an integer field (a dimension, a degree, the
-state's arity) that holds a float or a bool raises TypeError too (see
-`core.integer`, which the constructors apply to the fields they store).
-A top-level document whose `schema` is present and is not `SCHEMA` raises
-ValueError; a missing `schema` is read as 1.
+fixed, so emitting the same object twice gives identical bytes.
+
+A document is read whole or not at all:
+
+- a key repeated within one object raises ValueError (`load`);
+- each object has its required keys, its optional ones and an optional
+  `schema`: a missing required key raises KeyError, any other key raises
+  ValueError naming it, and a `schema` other than `SCHEMA` raises
+  ValueError (a missing one is read as 1);
+- an integer key (a degree, an arity, a block's multidegree) must be
+  written as `str(n)`: "01" or "+1" raise ValueError, so that no two keys
+  name one integer;
+- a matrix is a JSON array of rows, each a JSON array of entries, and a
+  complex's `degrees`, when given, equal its sorted `dims` keys;
+- an entry is an int or an exact string: a float or a bool raises
+  TypeError and a zero denominator ValueError (see `core.exact`); an
+  integer field (a dimension, a degree, the state's `k`) that holds a
+  float or a bool raises TypeError (see `core.integer`).
 """
 
 from __future__ import annotations
 
 import json
 from itertools import count
+from math import prod
 
-from .core import (
-    GeneratorSet,
-    GeneratorSpec,
-    OperadElement,
-    Signature,
-    TreeMonomial,
-    collect_terms,
-    exact,
-    integer,
-)
+from .core import OperadElement, TreeMonomial, exact, integer
 from .differentials import DerivationDifferential
 from .linalg import ChainComplex, RationalMatrix
 from .reps import MultilinearMap, Representation
@@ -42,20 +47,84 @@ def dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _check_schema(obj):
+def load(path):
+    """The JSON document in the file at `path`, as the package reads it.
+
+    A key repeated within one object raises ValueError naming it; plain
+    `json.load` would keep the last value and drop the others unseen.
+    """
+    with open(path) as fh:
+        return json.load(fh, object_pairs_hook=_unique_keys)
+
+
+def _unique_keys(pairs) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def _object(obj) -> dict:
     if not isinstance(obj, dict):
         raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def _array(obj) -> list:
+    if not isinstance(obj, list):
+        raise TypeError(f"expected a JSON array, got {obj!r}")
+    return obj
+
+
+def _fields(obj, required, optional) -> list:
+    """The values of the JSON object `obj` under the keys `required`, then
+    under the keys of `optional`, a dict that maps each to its default.
+
+    A missing required key raises KeyError; a key outside these and
+    `schema` raises ValueError naming it; a `schema` other than SCHEMA
+    raises ValueError, and a missing one is read as SCHEMA.
+    """
+    unknown = set(_object(obj)).difference(required, optional, ("schema",))
+    if unknown:
+        raise ValueError(f"unknown key {', '.join(map(repr, sorted(unknown)))}")
     schema = obj.get("schema", SCHEMA)
     if type(schema) is not int or schema != SCHEMA:
         raise ValueError(f"unsupported schema {schema!r}, expected {SCHEMA}")
+    return [obj[key] for key in required] + [obj.get(key, default) for key, default in optional.items()]
+
+
+def _int_key(key: str) -> int:
+    """The integer that a JSON key spells.  Only the canonical spelling
+    `str(n)` is accepted, so that no two keys ("1", "01", "+1") name one
+    integer."""
+    try:
+        canonical = str(int(key)) == key
+    except ValueError:
+        canonical = False
+    if not canonical:
+        raise ValueError(f"key {key!r} is not an integer in canonical form")
+    return int(key)
+
+
+def _int_keyed(obj) -> dict:
+    return {_int_key(key): value for key, value in _object(obj).items()}
 
 
 def _matrix_to_json(mat: RationalMatrix):
     return [[str(x) for x in row] for row in mat.entries]
 
 
-def _matrix_from_json(rows, ncols=None):
-    return RationalMatrix([[exact(x) for x in row] for row in rows], cols=ncols)
+def _entry(x):
+    if isinstance(x, bool):
+        raise TypeError(f"expected a matrix entry, got {x!r}")
+    return exact(x)
+
+
+def _matrix_from_json(rows, ncols):
+    """A matrix from its JSON array of rows, each a JSON array of entries."""
+    return RationalMatrix([[_entry(x) for x in _array(row)] for row in _array(rows)], cols=ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -73,15 +142,6 @@ def tree_to_json(mono: TreeMonomial):
     return enc(mono.shape)
 
 
-def tree_from_json(obj, gens: GeneratorSet) -> TreeMonomial:
-    def dec(o):
-        if "leaf" in o:
-            return o["color"]
-        return (o["gen"],) + tuple(dec(c) for c in o["children"])
-
-    return TreeMonomial(gens, dec(obj))
-
-
 def element_to_json(elem: OperadElement):
     return {
         "terms": [
@@ -92,14 +152,6 @@ def element_to_json(elem: OperadElement):
         else {"output": elem.signature.output, "inputs": list(elem.signature.inputs)},
         "degree": elem.degree,
     }
-
-
-def element_from_json(obj, gens: GeneratorSet) -> OperadElement:
-    sig = None
-    if obj.get("signature"):
-        sig = Signature(obj["signature"]["output"], tuple(obj["signature"]["inputs"]))
-    terms = collect_terms((tree_from_json(t["tree"], gens), exact(t["coeff"])) for t in obj["terms"])
-    return OperadElement(gens, terms, signature=sig, degree=obj.get("degree"))
 
 
 # ---------------------------------------------------------------------------
@@ -122,22 +174,6 @@ def model_to_json(model: DerivationDifferential) -> dict:
         ],
         "images": {g.name: element_to_json(model.of(g.name)) for g in gens.generators},
     }
-
-
-def model_from_json(obj: dict) -> DerivationDifferential:
-    _check_schema(obj)
-    specs = [
-        GeneratorSpec(g["name"], Signature(g["output"], tuple(g["inputs"])), g["degree"])
-        for g in obj["generators"]
-    ]
-    gens = GeneratorSet(tuple(obj["colors"]), specs)
-    images = {}
-    for name, elem in obj["images"].items():
-        spec = gens.spec(name)
-        images[name] = element_from_json(elem, gens)
-        if images[name].is_zero():
-            images[name] = OperadElement.zero(gens, spec.signature, spec.degree - 1)
-    return DerivationDifferential(gens, images)
 
 
 def model_to_text(model: DerivationDifferential) -> str:
@@ -173,12 +209,11 @@ def complex_to_json(c: ChainComplex) -> dict:
 
 
 def complex_from_json(obj: dict, color=None) -> ChainComplex:
-    dims = {int(k): integer(v) for k, v in obj["dims"].items()}
-    d = {}
-    for k, rows in obj.get("d", {}).items():
-        k = int(k)
-        cols = dims.get(k, 0)
-        d[k] = _matrix_from_json(rows, ncols=cols)
+    dims, degrees, d = _fields(obj, ("dims",), {"degrees": None, "d": {}})
+    dims = {k: integer(n) for k, n in _int_keyed(dims).items()}
+    if degrees is not None and [integer(k) for k in _array(degrees)] != sorted(dims):
+        raise ValueError(f"degrees {degrees} differ from the dims keys {sorted(dims)}")
+    d = {k: _matrix_from_json(rows, ncols=dims.get(k, 0)) for k, rows in _int_keyed(d).items()}
     return ChainComplex(dims, d, color)
 
 
@@ -193,39 +228,28 @@ def map_to_json(m: MultilinearMap) -> dict:
 
 
 def map_from_json(obj: dict, sources, target) -> MultilinearMap:
-    blocks = {}
-    for key_s, rows in obj.get("blocks", {}).items():
-        key = tuple(int(k) for k in key_s.split(","))
-        cols = 1
-        for c, k in zip(sources, key):
-            cols *= c.dim(k)
-        blocks[key] = _matrix_from_json(rows, ncols=cols)
-    return MultilinearMap(sources, target, obj["degree"], blocks)
-
-
-def representation_to_json(rep: Representation) -> dict:
-    return {
-        "schema": SCHEMA,
-        "complexes": {color: complex_to_json(c) for color, c in sorted(rep.complexes.items())},
-        "images": {name: map_to_json(m) for name, m in sorted(rep.images.items())},
-    }
+    degree, blocks = _fields(obj, ("degree",), {"blocks": {}})
+    decoded = {}
+    for key_s, rows in _object(blocks).items():
+        key = tuple(_int_key(k) for k in key_s.split(","))
+        cols = prod(c.dim(k) for c, k in zip(sources, key))
+        decoded[key] = _matrix_from_json(rows, ncols=cols)
+    return MultilinearMap(sources, target, degree, decoded)
 
 
 def representation_from_json(obj: dict, model: DerivationDifferential) -> Representation:
-    _check_schema(obj)
-    complexes = {
-        color: complex_from_json(c, color) for color, c in obj["complexes"].items()
-    }
-    images = {}
-    for name, entry in obj["images"].items():
+    complexes, images = _fields(obj, ("complexes", "images"), {})
+    complexes = {color: complex_from_json(c, color) for color, c in _object(complexes).items()}
+    decoded = {}
+    for name, entry in _object(images).items():
         # A name that is not a generator stays undecoded: Representation
         # rejects it, with every other such name.
         if name in model.base:
             sig = model.base.spec(name).signature
             sources = tuple(complexes[c] for c in sig.inputs)
             entry = map_from_json(entry, sources, complexes[sig.output])
-        images[name] = entry
-    return Representation(model, complexes, images)
+        decoded[name] = entry
+    return Representation(model, complexes, decoded)
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +269,11 @@ def state_to_json(state: ExtensionState) -> dict:
 
 
 def state_from_json(obj: dict) -> ExtensionState:
-    _check_schema(obj)
-    v = complex_from_json(obj["v"], "B")
-    w = complex_from_json(obj["w"], "W")
-    m = {int(i): map_from_json(e, (v,) * int(i), v) for i, e in obj.get("m", {}).items()}
-    n = {int(i): map_from_json(e, (w,) * int(i), w) for i, e in obj.get("n", {}).items()}
-    f = {int(i): map_from_json(e, (v,) * int(i), w) for i, e in obj.get("f", {}).items()}
-    return ExtensionState(v=v, w=w, m=m, n=n, f=f, k=integer(obj["k"]))
+    v, w, k, m, n, f = _fields(obj, ("v", "w", "k"), {"m": {}, "n": {}, "f": {}})
+    v = complex_from_json(v, "B")
+    w = complex_from_json(w, "W")
+
+    def maps(table, source, target):
+        return {i: map_from_json(e, (source,) * i, target) for i, e in _int_keyed(table).items()}
+
+    return ExtensionState(v=v, w=w, m=maps(m, v, v), n=maps(n, w, w), f=maps(f, v, w), k=integer(k))

@@ -17,7 +17,6 @@ from operadkit.core import (
     TreeMonomial,
     enumerate_basis,
     graft,
-    graft_oriented,
     normalize_bw,
     BwRelations,
 )
@@ -27,7 +26,6 @@ from operadkit.differentials import (
     build_homotopy_model,
     build_iso_resolution,
     extend_derivation,
-    rename_model,
     verify_d_squared,
 )
 from operadkit.forests import polarization_iso_m2, symmetrize_forest, verify_polarization
@@ -36,7 +34,6 @@ from operadkit.reps import (
     ChainComplex,
     MultilinearMap,
     Representation,
-    compose_at,
     compose_maps,
     evaluate_element,
     hom_differential,
@@ -53,8 +50,9 @@ from operadkit.transfer import (
     scenario_symmetrization,
 )
 
-from test_core import enumerate_up_to
-from test_reps import random_map
+from test_core import enumerate_up_to, graft_oriented
+from test_differentials import rename_model
+from test_reps import compose_at, random_map
 
 B, W = "B", "W"
 

@@ -1,17 +1,36 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from operadkit.cli import main
 from operadkit.differentials import build_ainf, build_ainf_morphism
+from operadkit.reps import MultilinearMap
 from operadkit.serialize import (
-    model_from_json,
+    SCHEMA,
+    complex_to_json,
+    load,
+    map_to_json,
     model_to_json,
     representation_from_json,
-    representation_to_json,
     state_from_json,
     state_to_json,
 )
+
+from test_differentials import model_from_json
+
+
+def representation_to_json(rep):
+    """The document `check-rep` reads; the package only reads it."""
+    return {
+        "schema": SCHEMA,
+        "complexes": {color: complex_to_json(c) for color, c in sorted(rep.complexes.items())},
+        "images": {name: map_to_json(m) for name, m in sorted(rep.images.items())},
+    }
 
 
 def run(argv):
@@ -395,3 +414,231 @@ def test_float_generator_degree_is_rejected():
     obj["generators"][0]["degree"] = 0.5
     with pytest.raises(TypeError, match="expected an integer, got 0.5"):
         model_from_json(obj)
+
+
+class Pairs(list):
+    """A JSON object as its list of (key, value) pairs, which may repeat a key."""
+
+
+def as_pairs(doc):
+    if isinstance(doc, dict):
+        return Pairs((key, as_pairs(value)) for key, value in doc.items())
+    if isinstance(doc, list):
+        return [as_pairs(value) for value in doc]
+    return doc
+
+
+def json_text(doc):
+    """The JSON text of `doc`, whose objects are dicts or `Pairs`."""
+    if isinstance(doc, dict):
+        doc = Pairs(doc.items())
+    if isinstance(doc, Pairs):
+        return "{" + ", ".join(f"{json.dumps(key)}: {json_text(value)}" for key, value in doc) + "}"
+    if isinstance(doc, list):
+        return "[" + ", ".join(map(json_text, doc)) + "]"
+    return json.dumps(doc)
+
+
+def _rename_blocks(obj):
+    mu = obj["images"]["mu_2"]
+    mu["Blocks"] = mu.pop("blocks")
+    return obj
+
+
+def _alias_block_key(obj):
+    obj["images"]["mu_2"]["blocks"]["01,0"] = [["0", "0"]]
+    return obj
+
+
+def _repeat_mu_2_as_zero(obj):
+    obj["images"] = Pairs([("mu_2", obj["images"]["mu_2"]), ("mu_2", {"degree": 0, "blocks": {}})])
+    return obj
+
+
+def _block_rows(rows):
+    def mutate(obj):
+        obj["images"]["mu_2"]["blocks"]["1,0"] = rows
+        return obj
+
+    return mutate
+
+
+def _other_degrees(obj):
+    obj["complexes"]["B"]["degrees"] = [0, 2]
+    return obj
+
+
+@pytest.mark.parametrize(
+    "mutate, shown",
+    [
+        (_rename_blocks, "unknown key 'Blocks'"),
+        (_alias_block_key, "key '01' is not an integer in canonical form"),
+        (_repeat_mu_2_as_zero, "repeated key 'mu_2'"),
+        (_block_rows([["1/0", "0"]]), "zero denominator in '1/0'"),
+        (_block_rows(["10"]), "expected a JSON array, got '10'"),
+        (_block_rows([{"1": "0", "0": "1"}]), "expected a JSON array, got {'1': '0', '0': '1'}"),
+        (_other_degrees, "degrees [0, 2] differ from the dims keys [0, 1]"),
+    ],
+    ids=["renamed-blocks", "aliased-block-key", "repeated-image", "zero-denominator", "string-row",
+         "object-row", "degrees-not-dims"],
+)
+def test_check_rep_reads_the_file_whole(tmp_path, capsys, mutate, shown):
+    # Each of these printed PASS or FAIL from a part of the file (the
+    # renamed, aliased or repeated entry read as zero or dropped, a row read
+    # from its characters or keys), or ended in a traceback with exit 1.
+    path = tmp_path / "rep.json"
+    path.write_text(json_text(mutate(_broken_dga_json())))
+    assert run(["check-rep", "--model", "ainf", "--max-arity", "3", "--rep", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+    assert shown in captured.err
+
+
+def _number(leaf):
+    """The rational a JSON int or string spells; None for any other value."""
+    if type(leaf) is int:
+        return Fraction(leaf)
+    if type(leaf) is str:
+        try:
+            return Fraction(leaf)
+        except (ValueError, ZeroDivisionError):
+            return None
+    return None
+
+
+def _is_zero(doc):
+    """Do all numbers in `doc` read as zero?"""
+    if isinstance(doc, Pairs):
+        return all(_is_zero(value) for _, value in doc)
+    if isinstance(doc, list):
+        return all(map(_is_zero, doc))
+    return _number(doc) == 0
+
+
+def read_whole(doc, back):
+    """Is every key and value of `doc` (objects as `Pairs`) in `back`, the
+    document that was loaded from it, written back?
+
+    Numbers compare by value.  A key missing from `back` is allowed only
+    with a zero value, as a zero block is not written; `schema` is checked
+    by the loader.
+    """
+    if isinstance(doc, Pairs):
+        keys = [key for key, _ in doc]
+        return (
+            isinstance(back, dict)
+            and len(set(keys)) == len(keys)
+            and all(
+                key == "schema" or (read_whole(value, back[key]) if key in back else _is_zero(value))
+                for key, value in doc
+            )
+        )
+    if isinstance(doc, list):
+        return isinstance(back, list) and len(doc) == len(back) and all(map(read_whole, doc, back))
+    return _number(doc) is not None and _number(doc) == _number(back)
+
+
+def _positions(doc):
+    """(container, index) of every value below the root of `doc`."""
+    found = []
+
+    def walk(node):
+        if isinstance(node, list):
+            for i, item in enumerate(node):
+                found.append((node, i))
+                walk(item[1] if isinstance(node, Pairs) else item)
+
+    walk(doc)
+    return found
+
+
+def _retyped(value):
+    """`value` as another JSON type: an object as the array of its values,
+    an array as an object, an int as a string and a string as an int."""
+    if isinstance(value, Pairs):
+        return [item for _, item in value]
+    if isinstance(value, list):
+        return Pairs((str(i), item) for i, item in enumerate(value))
+    if isinstance(value, str):
+        return int(value) if value.lstrip("-").isdigit() else [value]
+    return str(value)
+
+
+KEY_MUTATIONS = ("drop", "rename", "repeat", "alias")
+NEW_VALUES = {"1/0": "1/0", "float": 0.5, "bool": True, "object": {"x": "1"}}
+VALUE_MUTATIONS = ("retype",) + tuple(NEW_VALUES)
+
+
+def _mutated(data, doc):
+    """`doc` in `Pairs` form with one key or one value mutated."""
+    doc = as_pairs(doc)
+    kind = data.draw(st.sampled_from(KEY_MUTATIONS + VALUE_MUTATIONS))
+    positions = [p for p in _positions(doc) if kind in VALUE_MUTATIONS or isinstance(p[0], Pairs)]
+    node, i = data.draw(st.sampled_from(positions))
+    if kind in KEY_MUTATIONS:
+        key, value = node[i]
+        if kind == "drop":
+            del node[i]
+        elif kind == "rename":
+            node[i] = (key.capitalize() if key != key.capitalize() else key + "0", value)
+        elif kind == "repeat":
+            node.insert(i + 1, (key, value))
+        else:  # "1" and "01", "1,0" and "01,0"
+            node.insert(i + 1, ("0" + key, value))
+        return doc
+    value = node[i][1] if isinstance(node, Pairs) else node[i]
+    new = _retyped(value) if kind == "retype" else as_pairs(NEW_VALUES[kind])
+    node[i] = (node[i][0], new) if isinstance(node, Pairs) else new
+    return doc
+
+
+def _extend_setup_json():
+    """The setup of `test_extend_cli_round_trip`."""
+    from operadkit.linalg import RationalMatrix
+    from operadkit.reps import ChainComplex, identity_map, zero_map
+    from operadkit.transfer import ExtensionState
+
+    u = ChainComplex({0: 2, 1: 1}, {1: RationalMatrix([[0], [1]])}, "B")
+    mu = MultilinearMap((u, u), u, 0, GOOD_PRODUCT)
+    f = {1: identity_map(u), 2: zero_map((u, u), u, 1)}
+    return state_to_json(ExtensionState(v=u, w=u, m={2: mu}, n={2: mu}, f=f, k=2))
+
+
+LOADERS = {
+    "check-rep": (
+        ["check-rep", "--model", "ainf", "--max-arity", "3", "--rep"],
+        (_dga_json(GOOD_PRODUCT), _broken_dga_json()),
+        lambda doc: representation_to_json(representation_from_json(doc, build_ainf(3))),
+    ),
+    "extend": (
+        ["extend", "--target-arity", "3", "--setup"],
+        (_extend_setup_json(),),
+        lambda doc: state_to_json(state_from_json(doc)),
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore:F_1 is not a quasi-isomorphism")
+@pytest.mark.parametrize("command", sorted(LOADERS))
+def test_a_mutated_input_is_read_whole_or_refused(tmp_path_factory, command):
+    # One structural mutation of a valid document: the command refuses it
+    # with exit 2, or it reads every key and value of it.  It never ends in a
+    # traceback, and exit 1 comes with a FAIL line.
+    argv, documents, round_trip = LOADERS[command]
+    path = tmp_path_factory.mktemp(command) / "input.json"
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        doc = _mutated(data, data.draw(st.sampled_from(documents)))
+        path.write_text(json_text(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(argv + [str(path)])
+        assert code in (0, 1, 2), code
+        if code == 1:
+            assert "FAIL" in out.getvalue()
+        if code != 2:
+            assert read_whole(doc, round_trip(load(path))), json_text(doc)
+
+    check()

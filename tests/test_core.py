@@ -19,10 +19,12 @@ from operadkit.core import (
     collect_terms,
     compose_full,
     enumerate_basis,
+    exact,
     graft,
+    leaf_suffix_degrees,
     normalize_bw,
 )
-from operadkit.serialize import element_from_json, element_to_json
+from operadkit.serialize import element_to_json
 
 B, W = "B", "W"
 
@@ -188,6 +190,18 @@ def graft_elements(a, slot, b):
         for m, c in graft(ma, slot, mb).terms.items()
     )
     return OperadElement(a.gens, terms, signature=sig, degree=a.degree + b.degree)
+
+
+def graft_oriented(outer, slot, inner):
+    """Koszul-oriented grafting: (-1)^(|inner| * suffix_outer(slot)) * graft.
+
+    This is the composition of the underlying graded operad read in the
+    preorder orientation of the planar basis; the plain graft differs from
+    it by the orientation sign.
+    """
+    suffixes = leaf_suffix_degrees(outer.gens, outer.shape)
+    sign = -1 if (inner.degree * suffixes[slot - 1]) % 2 else 1
+    return graft(outer, slot, inner).scale(sign)
 
 
 def _graft_elem(elem, slot, inner):
@@ -549,6 +563,26 @@ def test_output_b_with_w_inputs_is_empty():
 
 # ---------------------------------------------------------------------------
 # round trips
+
+
+def tree_from_json(obj, gens):
+    """The reader of `serialize.tree_to_json`."""
+
+    def dec(o):
+        if "leaf" in o:
+            return o["color"]
+        return (o["gen"],) + tuple(dec(c) for c in o["children"])
+
+    return TreeMonomial(gens, dec(obj))
+
+
+def element_from_json(obj, gens):
+    """The reader of `serialize.element_to_json`."""
+    sig = None
+    if obj.get("signature"):
+        sig = Signature(obj["signature"]["output"], tuple(obj["signature"]["inputs"]))
+    terms = collect_terms((tree_from_json(t["tree"], gens), exact(t["coeff"])) for t in obj["terms"])
+    return OperadElement(gens, terms, signature=sig, degree=obj.get("degree"))
 
 
 def test_element_json_round_trip():

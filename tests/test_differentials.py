@@ -12,7 +12,6 @@ from operadkit.core import (
     TreeMonomial,
     compose_full,
     graft,
-    graft_oriented,
 )
 from operadkit.differentials import (
     DerivationDifferential,
@@ -23,13 +22,12 @@ from operadkit.differentials import (
     compositions,
     extend_derivation,
     rename_element,
-    rename_model,
     verify_d_squared,
     verify_minimality,
 )
-from operadkit.serialize import model_from_json, model_to_json
+from operadkit.serialize import _fields, model_to_json
 from operadkit.tails import build_model_btow
-from test_core import enumerate_up_to, graft_elements
+from test_core import element_from_json, enumerate_up_to, graft_elements, graft_oriented
 
 B, W = "B", "W"
 
@@ -395,6 +393,37 @@ def _graft_oriented_elem(x, slot, y):
     if out is None:
         return OperadElement.zero(x.gens)
     return out
+
+
+def rename_model(diff, name_map):
+    """`diff` with its generators renamed by `name_map`."""
+    specs = [
+        GeneratorSpec(name_map.get(g.name, g.name), g.signature, g.degree)
+        for g in diff.base.generators
+    ]
+    gens = GeneratorSet(diff.base.colors, specs)
+    images = {
+        name_map.get(name, name): rename_element(img, gens, name_map)
+        for name, img in diff.images.items()
+    }
+    return DerivationDifferential(gens, images)
+
+
+def model_from_json(obj):
+    """The reader of `serialize.model_to_json`; no command reads a model."""
+    colors, generators, images = _fields(obj, ("colors", "generators", "images"), {})
+    specs = [
+        GeneratorSpec(g["name"], Signature(g["output"], tuple(g["inputs"])), g["degree"])
+        for g in generators
+    ]
+    gens = GeneratorSet(tuple(colors), specs)
+    decoded = {}
+    for name, elem in images.items():
+        spec = gens.spec(name)
+        decoded[name] = element_from_json(elem, gens)
+        if decoded[name].is_zero():
+            decoded[name] = OperadElement.zero(gens, spec.signature, spec.degree - 1)
+    return DerivationDifferential(gens, decoded)
 
 
 def test_rename_model_matches_printed_morphism():

@@ -4,12 +4,11 @@ from fractions import Fraction
 import pytest
 
 import operadkit.forests as forests
-from operadkit.core import TreeMonomial, collect_terms
-from operadkit.differentials import build_iso_resolution
+from operadkit.core import GeneratorSet, GeneratorSpec, OperadElement, Signature, TreeMonomial, collect_terms
+from operadkit.differentials import DerivationDifferential, build_iso_resolution
 from operadkit.forests import (
     ForestElement,
     ForestMonomial,
-    build_dull_operad,
     compose_forests,
     conjugate_forest,
     forest_differential,
@@ -17,11 +16,35 @@ from operadkit.forests import (
     polarization_ns,
     polarization_sym,
     symmetrize_forest,
-    tensor_forests,
     verify_polarization,
 )
 
 B, W = "B", "W"
+
+
+def build_dull_operad():
+    """Two parallel maps with a homotopy: p, q (degree 0) and h (degree 1), d(h) = p - q."""
+    gens = GeneratorSet(
+        ("B", "W"),
+        [
+            GeneratorSpec("p", Signature("W", ("B",)), 0),
+            GeneratorSpec("q", Signature("W", ("B",)), 0),
+            GeneratorSpec("h", Signature("W", ("B",)), 1),
+        ],
+    )
+    p = OperadElement.from_generator(gens, "p")
+    q = OperadElement.from_generator(gens, "q")
+    return DerivationDifferential(gens, {"h": p - q})
+
+
+def tensor_forests(a, b):
+    """Juxtaposition a (x) b; bilinear, no sign (plain basis concatenation)."""
+    terms = collect_terms(
+        (ForestMonomial(a.gens, ma.components + mb.components), ca * cb)
+        for ma, ca in a.terms.items()
+        for mb, cb in b.terms.items()
+    )
+    return ForestElement(a.gens, terms)
 
 
 @pytest.fixture(scope="module")

@@ -13,9 +13,9 @@ top-level re-export that the benchmark does not read (the modules are the
 public surface; `operadkit` itself re-exports exactly what `perfbench/`
 takes from it), and no use of `TreeMonomial._assembled` outside `core`
 (it builds a tree without checking it; other modules assemble through
-`core._graft_word` and `core._element_of_shapes`), and no JSON written
-outside `serialize` (it owns every file format, and its `dumps` is the one
-writer; others may still read with `json.load`)."""
+`core._graft_word` and `core._element_of_shapes`), and no JSON written or
+read outside `serialize` (it owns every file format: its `dumps` is the one
+writer, and its `load` the one reader)."""
 
 import ast
 from pathlib import Path
@@ -269,24 +269,35 @@ def test_no_trusted_assembly_outside_core(path):
     assert assembled_reads(path.read_text()) == []
 
 
-def json_writes(source: str):
-    """Line numbers that call `json.dump` or `json.dumps`, or import either
-    from `json`."""
-    writers = {"dump", "dumps"}
+def json_calls(source: str, names):
+    """Line numbers that call `json.<name>` for one of `names`, or import
+    one of them from `json`."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and node.module == "json":
-            if writers.intersection(a.name for a in node.names):
+            if set(names).intersection(a.name for a in node.names):
                 found.add(node.lineno)
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in writers
+            and node.func.attr in names
             and isinstance(node.func.value, ast.Name)
             and node.func.value.id == "json"
         ):
             found.add(node.lineno)
     return sorted(found)
+
+
+def json_writes(source: str):
+    """Line numbers that call `json.dump` or `json.dumps`, or import either
+    from `json`."""
+    return json_calls(source, ("dump", "dumps"))
+
+
+def json_reads(source: str):
+    """Line numbers that call `json.load` or `json.loads`, or import either
+    from `json`."""
+    return json_calls(source, ("load", "loads"))
 
 
 def test_checker_finds_json_writes():
@@ -305,3 +316,22 @@ def test_checker_finds_json_writes():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "serialize.py"], ids=lambda p: p.name)
 def test_no_json_written_outside_serialize(path):
     assert json_writes(path.read_text()) == []
+
+
+def test_checker_finds_json_reads():
+    source = (
+        "import json\n"
+        "obj = json.load(fh)\n"
+        "obj = json.loads(text)\n"
+        "text = json.dumps(obj)\n"
+        "from json import load\n"
+        "from json import JSONDecodeError, loads\n"
+        "error = json.JSONDecodeError\n"
+        "obj = serialize.load(path)\n"
+    )
+    assert json_reads(source) == [2, 3, 5, 6]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "serialize.py"], ids=lambda p: p.name)
+def test_no_json_read_outside_serialize(path):
+    assert json_reads(path.read_text()) == []

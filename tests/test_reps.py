@@ -26,7 +26,6 @@ from operadkit.reps import (
     check_representation,
     check_sh_equivalence,
     check_sh_morphism,
-    compose_at,
     compose_maps,
     evaluate_element,
     hom_differential,
@@ -49,6 +48,12 @@ def random_map(rng, sources, target, degree, lo=-3, hi=3) -> MultilinearMap:
         rows, cols = out.block_shape(key)
         blocks[key] = random_matrix(rng, rows, cols, lo, hi)
     return MultilinearMap(sources, target, degree, blocks)
+
+
+def compose_at(outer, slot, inner):
+    """Partial composition: identity maps in every slot except `slot` (1-based)."""
+    inners = [inner if i == slot else identity_map(c) for i, c in enumerate(outer.sources, start=1)]
+    return compose_maps(outer, inners)
 
 
 def rand_complex(rng, color, dims=(1, 1, 1)):

@@ -26,7 +26,6 @@ from operadkit.differentials import (
     build_iso_resolution,
     extend_derivation,
     rename_element,
-    rename_model,
     verify_d_squared,
 )
 from operadkit.serialize import model_to_json
@@ -40,6 +39,8 @@ from operadkit.tails import (
     solve_tail,
     theta_substitution,
 )
+
+from test_differentials import rename_model
 
 B, W = "B", "W"
 
