@@ -73,6 +73,8 @@ def _reading(what):
     """
     try:
         yield
+    except OSError as exc:  # a missing file, a directory, no permission
+        raise UsageError(f"cannot read {what}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"parse error in {what}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:

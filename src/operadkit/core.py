@@ -10,8 +10,8 @@ derivation calculus and in evaluation on chain complexes.
 Coefficients have one normal form, set by `exact`: a Python int when the
 value is integral, and a Fraction otherwise.  Element constructors store
 only that form, so almost all arithmetic in the models is on small ints.
-Ints, rationals and exact strings ("3", "-1/2") are accepted; a float is
-rejected with TypeError, since it is already rounded.
+Ints, rationals and exact strings ("3", "-1/2", "0.25") are accepted; a
+float is rejected with TypeError, since it is already rounded.
 
 A tree with zero vertices (a bare strand) is the operadic identity 1_c of
 its color; it is a legitimate monomial and shows up, for instance, as the
@@ -20,6 +20,7 @@ constant term of differentials like d(f_1) = g_0 f_0 - 1.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
@@ -284,18 +285,28 @@ def _render_compact(shape, counter):
     return f"{shape[0]}({', '.join(parts)})"
 
 
-def exact(c):
+# The strings `exact` reads: "p/q" or a plain decimal, with an optional sign.
+# Fraction alone would also read exponents ("1e400000000", whose digits it
+# would expand) and underscores.
+_EXACT_STRING = re.compile(r"[-+]?(?:[0-9]+/[0-9]+|[0-9]+(?:\.[0-9]*)?|\.[0-9]+)")
+
+
+def exact(c, what="coefficient"):
     """`c` in the coefficient normal form: an int when it is integral, else
     a Fraction.
 
-    Accepts ints, rationals and exact strings ("3", "-1/2", "0.25").  A
-    float, or any other number that is not a rational, raises TypeError;
-    a string with a zero denominator ("1/0") raises ValueError.
+    Accepts ints, rationals and exact strings: "p/q" or a plain decimal
+    ("3", "-1/2", "0.25").  A float, or any other number that is not a
+    rational, raises TypeError that calls `c` an inexact `what`; a string
+    of another form (an exponent, an underscore) or with a zero denominator
+    ("1/0") raises ValueError.
     """
     if c.__class__ is int:
         return c
     if c.__class__ is not Fraction:
         if isinstance(c, str):
+            if not _EXACT_STRING.fullmatch(c):
+                raise ValueError(f"{c!r} is not an exact number: write 'p/q' or a plain decimal")
             try:
                 c = Fraction(c)
             except ZeroDivisionError:
@@ -303,7 +314,7 @@ def exact(c):
         elif isinstance(c, Rational):
             c = Fraction(int(c.numerator), int(c.denominator))
         else:
-            raise TypeError(f"inexact coefficient {c!r}: give an int, a Fraction or a 'p/q' string")
+            raise TypeError(f"inexact {what} {c!r}: give an int, a Fraction or a 'p/q' string")
     return c.numerator if c.denominator == 1 else c
 
 

@@ -5,11 +5,17 @@ row, column -> entry, and nothing else: arithmetic and every solve touch
 only stored entries.  Other modules build a matrix with
 ``RationalMatrix.from_rows`` (or from columns or lists) and read it with
 ``row_items``; ``entries`` is a dense view built when read, for
-serialization and display.  One eliminator, ``_echelon``, brings the rows
-to row echelon form, taking them sparsest first, and ``rank``,
-``solve_linear``, ``kernel_basis``, ``boundary_basis`` and
-``homology_representatives`` all go through it.  Its answers are
-canonical:
+serialization and display.  Entries that enter a matrix (through the
+constructor, ``from_columns``, an ``entries`` item write, the factor of
+``scale`` or the right-hand side of ``solve_linear``) are put in the
+coefficient normal form of ``core.exact``: an int when the value is
+integral, else a Fraction, so the arithmetic on integral data is on ints.
+``from_rows`` stores its ints and Fractions as given.
+
+One eliminator, ``_echelon``, brings the rows to row echelon form, taking
+them sparsest first, and ``rank``, ``solve_linear``, ``kernel_basis``,
+``boundary_basis`` and ``homology_representatives`` all go through it.
+Its answers are canonical:
 
 - the pivot columns are the columns not in the span of the columns to
   their left;
@@ -26,21 +32,8 @@ computation (tail solving, transfer steps) is reproducible bit for bit.
 from __future__ import annotations
 
 from fractions import Fraction
-from numbers import Rational
 
-from .core import integer
-
-_ZERO = Fraction(0)
-
-
-def _frac(x) -> Fraction:
-    """`x` as a Fraction.  Ints, rationals and exact strings are accepted; a
-    float, or any other number that is not a rational, raises TypeError."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (Rational, str)):
-        return Fraction(x)
-    raise TypeError(f"inexact matrix entry {x!r}: give an int, a Fraction or a 'p/q' string")
+from .core import exact, integer
 
 
 class _DenseRow(list):
@@ -54,7 +47,7 @@ class _DenseRow(list):
         self._sparse = sparse
 
     def __setitem__(self, j, x):
-        x = _frac(x)
+        x = exact(x, "matrix entry")
         super().__setitem__(j, x)  # checks the index
         j %= len(self)
         if x:
@@ -80,7 +73,7 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, entries, cols=None):
-        entries = [[_frac(x) for x in row] for row in entries]
+        entries = [[exact(x, "matrix entry") for x in row] for row in entries]
         self.rows = len(entries)
         self.cols = len(entries[0]) if entries else cols or 0
         if any(len(row) != self.cols for row in entries):
@@ -100,7 +93,7 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls._of([{i: Fraction(1)} for i in range(n)], n)
+        return cls._of([{i: 1} for i in range(n)], n)
 
     @classmethod
     def from_rows(cls, rows, cols: int) -> "RationalMatrix":
@@ -116,7 +109,7 @@ class RationalMatrix:
             if len(col) != rows:
                 raise ValueError("column length mismatch")
             for row, x in zip(m._rows, col):
-                x = _frac(x)
+                x = exact(x, "matrix entry")
                 if x:
                     row[j] = x
         return m
@@ -130,7 +123,7 @@ class RationalMatrix:
         """The dense rows, built on each read; item writes set entries."""
         dense = _DenseView()
         for row in self._rows:
-            values = [_ZERO] * self.cols
+            values = [0] * self.cols
             for j, x in row.items():
                 values[j] = x
             dense.append(_DenseRow(values, row))
@@ -165,7 +158,7 @@ class RationalMatrix:
         return self.add(other.scale(-1))
 
     def scale(self, c) -> "RationalMatrix":
-        c = _frac(c)
+        c = exact(c, "matrix entry")
         if not c:
             return RationalMatrix.zero(self.rows, self.cols)
         return RationalMatrix._of([{j: c * x for j, x in row.items()} for row in self._rows], self.cols)
@@ -185,7 +178,7 @@ class RationalMatrix:
     def mul_vec(self, v):
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return [sum((x * v[j] for j, x in row.items()), _ZERO) for row in self._rows]
+        return [sum((x * v[j] for j, x in row.items()), 0) for row in self._rows]
 
     def kron(self, other: "RationalMatrix") -> "RationalMatrix":
         # Leftmost tensor factor is the most significant index.  A product
@@ -275,7 +268,7 @@ def solve_linear(a: RationalMatrix, b):
     rows = _copy_rows(a)
     for row, rhs in zip(rows, b):
         if rhs:
-            row[a.cols] = _frac(rhs)
+            row[a.cols] = exact(rhs, "matrix entry")
     pivots = _echelon(rows)
     if a.cols in pivots:
         return None
@@ -356,7 +349,7 @@ def cycle_basis(c: ChainComplex, k: int):
 def boundary_basis(c: ChainComplex, k: int):
     """A basis of the boundaries in degree k: the pivot columns of d_{k+1}."""
     d = c.differential(k + 1)
-    return [[row.get(j, _ZERO) for row in d._rows] for j in sorted(_echelon(_copy_rows(d)))]
+    return [[row.get(j, 0) for row in d._rows] for j in sorted(_echelon(_copy_rows(d)))]
 
 
 def homology_representatives(c: ChainComplex, k: int):

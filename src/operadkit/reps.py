@@ -63,11 +63,33 @@ class MultilinearMap:
         return RationalMatrix.zero(rows, cols)
 
     def multidegrees(self):
-        """All input multidegrees with nonzero domain and codomain."""
-        for key in product(*(c.degrees() for c in self.sources)):
-            rows, cols = self.block_shape(key)
-            if rows and cols:
-                yield key
+        """All input multidegrees with nonzero domain and codomain, in
+        lexicographic order: the column order of every system built on them.
+
+        A prefix is dropped as soon as no choice of the remaining degrees
+        sums to one where the target is nonzero, so the walk visits only
+        prefixes of keys that are yielded.
+        """
+        degrees = [c.degrees() for c in self.sources]
+        # reachable[i]: the prefix sums over sources 0..i-1 that some choice
+        # of the remaining degrees completes to a degree of the target.
+        reachable = [{k - self.degree for k in self.target.dims}]
+        for ds in reversed(degrees):
+            reachable.append({t - k for t in reachable[-1] for k in ds})
+        reachable.reverse()
+
+        def walk(i, prefix, total):
+            if i == len(degrees):
+                rows, cols = self.block_shape(prefix)
+                if rows and cols:
+                    yield prefix
+                return
+            for k in degrees[i]:
+                if total + k in reachable[i + 1]:
+                    yield from walk(i + 1, prefix + (k,), total + k)
+
+        if 0 in reachable[0]:
+            yield from walk(0, (), 0)
 
     def is_zero(self):
         return not self.blocks
@@ -137,21 +159,28 @@ def compose_maps(outer: MultilinearMap, inners) -> MultilinearMap:
         acc += t.degree
     deg_after.reverse()  # deg_after[i] = sum of |T_j| for j > i
 
-    # Only stored blocks contribute: a block that is missing is zero.
-    for parts in product(*(t.blocks.items() for t in inners)):
-        key = ()
-        mids = []
-        sign = 0
-        for (chunk, _), t, after in zip(parts, inners, deg_after):
-            key += chunk
-            mids.append(sum(chunk) + t.degree)
-            sign += sum(chunk) * after
-        fblock = outer.blocks.get(tuple(mids))
-        if fblock is None:
+    # Only stored blocks contribute: a block that is missing is zero.  Each
+    # inner map's blocks are grouped by the degree they land in, so that
+    # only combinations that meet a stored outer block are multiplied.
+    landing = []
+    for t in inners:
+        groups = {}
+        for chunk, block in t.blocks.items():
+            groups.setdefault(sum(chunk) + t.degree, []).append((chunk, block))
+        landing.append(groups)
+    for mids, fblock in outer.blocks.items():
+        choices = [groups.get(m) for groups, m in zip(landing, mids)]
+        if None in choices:
             continue
-        mat = fblock.mul(kron_all([block for _, block in parts]))
-        if not mat.is_zero():
-            blocks[key] = mat.scale(-1 if sign % 2 else 1)
+        for parts in product(*choices):
+            key = ()
+            sign = 0
+            for (chunk, _), after in zip(parts, deg_after):
+                key += chunk
+                sign += sum(chunk) * after
+            mat = fblock.mul(kron_all([block for _, block in parts]))
+            if not mat.is_zero():
+                blocks[key] = mat.scale(-1) if sign % 2 else mat
     return MultilinearMap(sources, outer.target, degree, blocks)
 
 

@@ -478,9 +478,11 @@ def _other_degrees(obj):
         (_block_rows(["10"]), "expected a JSON array, got '10'"),
         (_block_rows([{"1": "0", "0": "1"}]), "expected a JSON array, got {'1': '0', '0': '1'}"),
         (_other_degrees, "degrees [0, 2] differ from the dims keys [0, 1]"),
+        (_block_rows([["1e400000000", "0"]]), "'1e400000000' is not an exact number"),
+        (_block_rows([["1_0", "0"]]), "'1_0' is not an exact number"),
     ],
     ids=["renamed-blocks", "aliased-block-key", "repeated-image", "zero-denominator", "string-row",
-         "object-row", "degrees-not-dims"],
+         "object-row", "degrees-not-dims", "exponent", "underscore"],
 )
 def test_check_rep_reads_the_file_whole(tmp_path, capsys, mutate, shown):
     # Each of these printed PASS or FAIL from a part of the file (the
@@ -492,6 +494,32 @@ def test_check_rep_reads_the_file_whole(tmp_path, capsys, mutate, shown):
     captured = capsys.readouterr()
     assert "PASS" not in captured.out and "FAIL" not in captured.out
     assert shown in captured.err
+
+
+def test_check_rep_reads_plain_decimals_and_fractions(tmp_path, capsys):
+    # Only exponents and underscores are refused: these entries are read,
+    # and the broken product still fails its check.
+    path = tmp_path / "rep.json"
+    path.write_text(json_text(_block_rows([["0.25", "-1/2"]])(_broken_dga_json())))
+    assert run(["check-rep", "--model", "ainf", "--max-arity", "3", "--rep", str(path)]) == 1
+    assert "FAIL" in capsys.readouterr().out
+    rep = representation_from_json(load(path), build_ainf(3))
+    assert rep.images["mu_2"].blocks[(1, 0)].entries == [[Fraction(1, 4), Fraction(-1, 2)]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check-rep", "--model", "ainf", "--max-arity", "3", "--rep"], ["extend", "--target-arity", "3", "--setup"]],
+    ids=["rep", "setup"],
+)
+def test_unreadable_input_is_usage_error(tmp_path, capsys, argv):
+    # A directory ended in an IsADirectoryError traceback with exit 1, the
+    # code of a failed check.
+    assert run(argv + [str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"usage error: cannot read {tmp_path}" in err and "Is a directory" in err
+    assert run(argv + [str(tmp_path / "missing.json")]) == 2
+    assert "No such file or directory" in capsys.readouterr().err
 
 
 def _number(leaf):

@@ -89,6 +89,24 @@ def test_exact_normal_form():
     assert exact("0.25") == Fraction(1, 4)
 
 
+@pytest.mark.parametrize(
+    "value", ["1e400000000", "1E3", "2.5e-1", "1_000", "1/2_0", "inf", "nan", " 1", "1 /2", "", "-"]
+)
+def test_exact_reads_only_plain_strings(value):
+    # Fraction would read the first five; "1e400000000" would expand to
+    # 400 million digits before any check could look at it.
+    with pytest.raises(ValueError, match="is not an exact number"):
+        exact(value)
+    with pytest.raises(ValueError, match="is not an exact number"):
+        linalg.RationalMatrix([[value]])
+
+
+def test_exact_reads_plain_decimals_and_fractions():
+    read = {"0.25": Fraction(1, 4), "-1/2": Fraction(-1, 2), "+3": 3, "5.": 5, ".5": Fraction(1, 2), "-0.0": 0, "10/5": 2}
+    for text, value in read.items():
+        assert exact(text) == value and type(exact(text)) is type(value)
+
+
 @pytest.mark.parametrize("value", [0.1, 1.0, float("nan"), complex(1, 0)])
 def test_exact_rejects_inexact_numbers(value):
     with pytest.raises(TypeError, match="inexact coefficient"):
@@ -183,12 +201,30 @@ def test_integer_fields_keep_integers():
     assert GeneratorSpec("m", Signature(B, (B, B)), -1).degree == -1
 
 
+def _stored(m):
+    """The stored entries of `m`, row by row, in column order."""
+    return [x for i in range(m.rows) for _, x in sorted(m.row_items(i))]
+
+
 def test_matrix_entry_points_keep_exact_input():
-    m = linalg.RationalMatrix([[1, Fraction(1, 2), "-1/3", True]])
-    assert m.entries == [[1, Fraction(1, 2), Fraction(-1, 3), 1]]
-    assert {type(x) for x in m.entries[0]} == {Fraction}
+    # An entry enters a matrix in the `exact` normal form: an int exactly
+    # when its value is integral, a Fraction otherwise; a bool is read as
+    # its int and never stored.
+    given = [1, Fraction(1, 2), "-1/3", True, Fraction(4, 2), "6/3", "0.25", "-2"]
+    want = [1, Fraction(1, 2), Fraction(-1, 3), 1, 2, 2, Fraction(1, 4), -2]
+    for m in (linalg.RationalMatrix([given]), linalg.RationalMatrix.from_columns([[x] for x in given], 1)):
+        assert _stored(m) == want
+        assert [type(x) for x in _stored(m)] == [type(x) for x in want]
+    assert all(type(x) is int and x == 1 for x in _stored(linalg.RationalMatrix.identity(3)))
+    # The factor of `scale` enters in the normal form too.
+    ints = linalg.RationalMatrix([[1, -3]])
+    for c in (2, Fraction(2), "2", "4/2"):
+        assert [type(x) for x in _stored(ints.scale(c))] == [int, int]
+    assert _stored(ints.scale("1/2")) == [Fraction(1, 2), Fraction(-3, 2)]
+    assert _stored(ints.scale(True)) == [1, -3] and type(_stored(ints.scale(True))[0]) is int
+    # Answers still come out of the eliminator as Fractions.
     assert linalg.solve_linear(linalg.RationalMatrix.identity(1), [2]) == [Fraction(2)]
-    assert type(m.scale(2).entries[0][0]) is Fraction
+    assert type(linalg.solve_linear(linalg.RationalMatrix.identity(1), ["2"])[0]) is Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +327,13 @@ def test_symmetrized_polarization_is_in_normal_form():
 
 
 def test_no_float_reaches_or_leaves_the_eliminator(monkeypatch):
-    # Tail systems hold Fraction entries, and the pivot rows are Fractions.
+    # Tail systems hold Fraction entries, and systems built from integral
+    # matrices hold ints.  Nothing else enters, and the pivot rows are
+    # Fractions.
+    from operadkit.transfer import extend_to_arity, scenario_symmetrization
+
+    from test_transfer import koszul_dga
+
     echelon = linalg._echelon
     seen_in, seen_out = set(), set()
 
@@ -305,4 +347,5 @@ def test_no_float_reaches_or_leaves_the_eliminator(monkeypatch):
     monkeypatch.setattr(linalg, "_echelon", spy)
     model = build_model_homotopy(build_model_btow(rescaled_ainf(4, seed=3), 4), 4)
     assert verify_d_squared(model).ok
-    assert seen_in == seen_out == {Fraction}
+    assert extend_to_arity(scenario_symmetrization(*koszul_dga(), 2), 4).check().ok
+    assert seen_in == {int, Fraction} and seen_out == {Fraction}

@@ -1,4 +1,5 @@
-"""The Leibniz rule and forest grafting against plain reference versions.
+"""The Leibniz rule, forest grafting and multilinear composition against
+plain reference versions.
 
 `reference_extend_derivation` walks the vertex paths of each monomial,
 recomputes every splice table and builds one validated monomial per term;
@@ -9,15 +10,27 @@ merge terms by shape, cache splice tables per differential, graft single
 monomials directly and differentiate each distinct tree once.  Both sides
 must give the same element: the same terms in the same insertion order,
 with the same coefficients (type included), signature and degree.
+
+`reference_compose_maps` walks the product of all stored inner blocks and
+drops the combinations whose middle degrees meet no stored outer block;
+`reference_multidegrees` filters the full product of source degrees.  The
+package versions take only the inner blocks that land on a stored outer
+block, and prune a prefix that no suffix can complete.  Both sides must
+give equal maps, and the same multidegrees in the same order, since that
+order is the column order of every transfer and homotopy system.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+from math import prod
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import operadkit.reps as reps
 from operadkit.core import (
     GeneratorSet,
     GeneratorSpec,
@@ -43,6 +56,8 @@ from operadkit.forests import (
     forest_differential,
     polarization_iso_m2,
 )
+from operadkit.linalg import ChainComplex, kron_all
+from operadkit.reps import MultilinearMap, compose_maps, identity_map
 from operadkit.tails import build_model_btow
 from test_core import enumerate_up_to
 
@@ -143,6 +158,34 @@ def reference_forest_differential(diff, elem):
             prefix += t.degree
     deg = None if elem.degree is None else elem.degree - 1
     return ForestElement(elem.gens, collect_terms(pairs), elem.outputs, elem.inputs, deg)
+
+
+def reference_multidegrees(m):
+    for key in product(*(c.degrees() for c in m.sources)):
+        rows, cols = m.block_shape(key)
+        if rows and cols:
+            yield key
+
+
+def reference_compose_maps(outer, inners):
+    inners = list(inners)
+    sources = tuple(c for t in inners for c in t.sources)
+    degree = outer.degree + sum(t.degree for t in inners)
+    deg_after = [sum(t.degree for t in inners[i + 1 :]) for i in range(len(inners))]
+    blocks = {}
+    for parts in product(*(t.blocks.items() for t in inners)):
+        key, mids, sign = (), [], 0
+        for (chunk, _), t, after in zip(parts, inners, deg_after):
+            key += chunk
+            mids.append(sum(chunk) + t.degree)
+            sign += sum(chunk) * after
+        fblock = outer.blocks.get(tuple(mids))
+        if fblock is None:
+            continue
+        mat = fblock.mul(kron_all([block for _, block in parts]))
+        if not mat.is_zero():
+            blocks[key] = mat.scale(-1 if sign % 2 else 1)
+    return MultilinearMap(sources, outer.target, degree, blocks)
 
 
 def tree_snapshot(elem):
@@ -262,6 +305,53 @@ def forest_pairs(draw):
     return d, _forest(draw, d, outer_slots), _forest(draw, d, inner_slots)
 
 
+@st.composite
+def graded_spaces(draw):
+    """A complex over one to three degrees in -3..2, with gaps, and
+    sometimes over none.  Composition never reads the differential, so it is
+    zero."""
+    if not draw(st.integers(0, 7)):
+        return ChainComplex({})
+    degrees = draw(st.lists(st.integers(-3, 2), min_size=1, max_size=3, unique=True))
+    return ChainComplex({k: draw(st.integers(1, 2)) for k in degrees})
+
+
+def _random_map(draw, sources, target):
+    """A map with each block stored or missing, and entries drawn from -1,
+    0, 1, 2 and 1/2 (a block that is all zeros is not stored either).  Its
+    degree mostly puts some block on a degree of the target."""
+    sums = {sum(key) for key in product(*(c.degrees() for c in sources))}
+    landing = sorted({k - s for k in target.dims for s in sums})
+    degree = draw(st.sampled_from(landing) if landing and draw(st.integers(0, 3)) else st.integers(-2, 2))
+    rng = draw(st.randoms(use_true_random=False))
+    template = MultilinearMap(sources, target, degree)
+    blocks = {}
+    for key in reference_multidegrees(template):
+        if rng.random() < 0.8:
+            rows, cols = template.block_shape(key)
+            blocks[key] = [[rng.choice((0, 1, -1, 2, Fraction(1, 2))) for _ in range(cols)] for _ in range(rows)]
+    return MultilinearMap(sources, target, degree, blocks)
+
+
+@st.composite
+def compositions(draw):
+    """(outer, inners): an outer map of arity 0-4 over a pool of complexes,
+    and one inner map per slot whose target is that slot's complex, of
+    arity 0-2 and at most four sources in all; some inners are identities."""
+    pool = draw(st.lists(graded_spaces(), min_size=1, max_size=3))
+    arity = draw(st.sampled_from((2, 3, 1, 4, 0)))
+    outer = _random_map(draw, [draw(st.sampled_from(pool)) for _ in range(arity)], draw(st.sampled_from(pool)))
+    inners, budget = [], 4
+    for c in outer.sources:
+        n = draw(st.sampled_from([n for n in (1, 2, 0) if n <= budget]))
+        if n == 1 and draw(st.booleans()):
+            inners.append(identity_map(c))
+        else:
+            inners.append(_random_map(draw, [draw(st.sampled_from(pool)) for _ in range(n)], c))
+        budget -= n
+    return outer, inners
+
+
 # ---------------------------------------------------------------------------
 # Properties
 
@@ -321,3 +411,27 @@ def test_look_alike_forest_component_is_rejected():
         compose_forests(outer, inner)
     with pytest.raises(ValueError):
         reference_compose_forests(outer, inner)
+
+
+@settings(max_examples=300, deadline=None)
+@given(compositions())
+def test_compose_maps_matches_reference(drawn):
+    outer, inners = drawn
+    calls = []
+
+    def counting(mats):
+        calls.append(len(mats))
+        return kron_all(mats)
+
+    with mock.patch.object(reps, "kron_all", counting):
+        got = compose_maps(outer, inners)
+    ref = reference_compose_maps(outer, inners)
+    assert got == ref and got.sources == ref.sources and got.target is ref.target
+    # One Kronecker product per combination of inner blocks under a stored
+    # outer block, and none for a combination that meets no stored block.
+    assert len(calls) == sum(
+        prod(sum(sum(chunk) + t.degree == mid for chunk in t.blocks) for t, mid in zip(inners, mids))
+        for mids in outer.blocks
+    )
+    for m in (outer, *inners, got):
+        assert list(m.multidegrees()) == list(reference_multidegrees(m))

@@ -1,9 +1,11 @@
+import hashlib
 import random
 import warnings
 from fractions import Fraction
 
 import pytest
 
+import operadkit.serialize as serialize
 import operadkit.transfer as T
 from operadkit.linalg import (
     RationalMatrix,
@@ -498,3 +500,18 @@ def test_koszul_symmetrization_to_five():
     assert state.k == 5
     assert not state.n[3].is_zero()
     assert state.check().ok
+
+
+# SHA-256 of the serialized state of test_koszul_symmetrization_to_six,
+# pinned from the product-walk compose_maps and the full-product
+# multidegrees, before either was pruned.
+KOSZUL_SIX_DIGEST = "5f80834b0a5581edc754f750f99f0bc8f5c9114a0936acc2a44e436ec4df4bef"
+
+
+def test_koszul_symmetrization_to_six():
+    state = scenario_symmetrization(*koszul_dga(), 6)
+    assert state.k == 6
+    assert not state.n[3].is_zero()
+    assert state.check().ok
+    text = serialize.dumps(serialize.state_to_json(state))
+    assert hashlib.sha256(text.encode()).hexdigest() == KOSZUL_SIX_DIGEST
