@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 
@@ -81,10 +82,23 @@ def _reading(what):
         raise UsageError(f"invalid {what}: {type(exc).__name__}: {exc}") from exc
 
 
+def _check_output(path):
+    """Refuse an output path that cannot be a file before any work is done:
+    a directory, or a file in a directory that does not exist."""
+    if os.path.isdir(path):
+        raise UsageError(f"cannot write {path}: it is a directory")
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise UsageError(f"cannot write {path}: no directory {directory}")
+
+
 def _write_output(args, text):
     if getattr(args, "output", None):
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:  # no permission, a full disk
+            raise UsageError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -221,11 +235,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "output", None):
+            _check_output(args.output)
         return args.func(args)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE
-    except FileNotFoundError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE
 

@@ -130,12 +130,13 @@ class TreeMonomial:
     The constructor validates the color rule (each child subtree's output
     color equals the matching input color of its parent's generator) and
     caches signature, degree and vertex count.  It is the trust boundary:
-    JSON loading, `generator`, `enumerate_basis`, `normalize_bw` and
-    renaming all go through it.  Trees that grafting and the Leibniz rule
-    assemble from already-validated monomials of the same generator set skip
-    it: they take their invariants from those parts through `_assembled`.
-    Only this module calls it; other modules assemble through `_graft_word`
-    and `_element_of_shapes`.
+    JSON loading, `generator`, `normalize_bw` and renaming all go through
+    it.  Trees that grafting and the Leibniz rule assemble from
+    already-validated monomials of the same generator set skip it: they take
+    their invariants from those parts through `_assembled`, and so do the
+    shapes of `enumerate_basis`, which follow the colour rule by
+    construction.  Only this module calls `_assembled`; other modules
+    assemble through `_graft_word` and `_element_of_shapes`.
     """
 
     __slots__ = ("gens", "shape", "signature", "degree", "nvertices", "_key")
@@ -623,7 +624,7 @@ def _weight_shift(gens: GeneratorSet) -> int:
     return shift
 
 
-def enumerate_basis(gens: GeneratorSet, signature: Signature, degree: int):
+def enumerate_basis(gens: GeneratorSet, signature: Signature, degree: int, ideal=None):
     """All tree monomials in one (signature, degree) component, in canonical order.
 
     The order is (vertex count, serialization) ascending and is stable
@@ -631,13 +632,35 @@ def enumerate_basis(gens: GeneratorSet, signature: Signature, degree: int):
     unary generator has negative degree or the degree-0 unary generators
     form a cycle of colours (as in the iso resolution); then
     UnboundedEnumerationError is raised, for any component.
+
+    With `ideal`, a collection of generator names, only the monomials with
+    a vertex named in it are listed (the component's part of the ideal),
+    in the same relative order; the others are dropped as shapes, before
+    any monomial is built.
     """
     shift = _weight_shift(gens)
     leaves = tuple(signature.inputs)
     shapes = _BasisEnumerator(gens, shift).shapes(signature.output, leaves, degree + shift * (len(leaves) - 1))
-    monos = [TreeMonomial(gens, s) for s in shapes]
+    if ideal is not None:
+        ideal = frozenset(ideal)
+        shapes = [s for s in shapes if _mentions(s, ideal)]
+    # The enumerator follows the colour rule by construction, and every
+    # shape lies in the requested component.
+    monos = [TreeMonomial._assembled(gens, s, signature, degree, _shape_nvertices(s)) for s in shapes]
     monos.sort(key=lambda t: t.sort_key)
     return monos
+
+
+def _mentions(shape, names) -> bool:
+    """Whether a vertex of `shape` carries one of `names`."""
+    if shape.__class__ is str:
+        return False
+    if shape[0] in names:
+        return True
+    for c in shape[1:]:
+        if c.__class__ is not str and _mentions(c, names):
+            return True
+    return False
 
 
 class _BasisEnumerator:

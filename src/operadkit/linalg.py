@@ -15,7 +15,12 @@ integral, else a Fraction, so the arithmetic on integral data is on ints.
 One eliminator, ``_echelon``, brings the rows to row echelon form, taking
 them sparsest first, and ``rank``, ``solve_linear``, ``kernel_basis``,
 ``boundary_basis`` and ``homology_representatives`` all go through it.
-Its answers are canonical:
+It is fraction free: each row is made integral as it is taken in, rows
+are combined with integer factors, and each pivot row is stored
+primitive, so the elimination runs on ints whatever the entries were.
+``_back_substitute`` divides by the pivot entries, and the answers are in
+the normal form of ``core.exact``: ints where they are integral, and a
+Fraction only where a value is not.  The answers are canonical:
 
 - the pivot columns are the columns not in the span of the columns to
   their left;
@@ -32,6 +37,7 @@ computation (tail solving, transfer steps) is reproducible bit for bit.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .core import exact, integer
 
@@ -209,28 +215,65 @@ def _copy_rows(a: RationalMatrix) -> list:
     return [dict(row) for row in a._rows]
 
 
+def _integral(row: dict) -> dict:
+    """`row` times the lcm of the denominators of its entries: a row of ints
+    with the same span.  A row of ints is returned as is."""
+    dens = {x.denominator for x in row.values() if x.__class__ is not int}
+    if not dens:
+        return row
+    m = lcm(*dens)
+    return {j: x.numerator * (m // x.denominator) for j, x in row.items()}
+
+
+def _primitive(row: dict, col: int) -> dict:
+    """`row` divided by the gcd of its entries, signed so that its entry at
+    `col` is positive."""
+    lead = row[col]
+    if lead == 1:
+        return row
+    if lead == -1:
+        return {j: -x for j, x in row.items()}
+    g = gcd(*row.values())
+    if lead < 0:
+        g = -g
+    if g == 1:
+        return row
+    return {j: x // g for j, x in row.items()}
+
+
 def _echelon(rows) -> dict:
     """Row echelon form of sparse rows, as {pivot column: row}.
 
     Each row is a dict column -> nonzero rational (int or Fraction) and is
     consumed.  Rows are taken sparsest first, ties in their given order
     (the structural pivot order of sparse eliminators, Markowitz 1957).
-    Each is reduced left to right against the pivot rows found so far; its
-    leftmost surviving column becomes a new pivot, and the row is scaled so
-    that its entry there is 1.  The pivot is inverted as a Fraction, so the
-    pivot rows, and everything derived from them, are Fractions even when
-    the input entries are ints.  A row that reduces to nothing is dropped.
+    The elimination is fraction free (after Bareiss 1968): a row is taken
+    in as ints, multiplied by the lcm of its denominators, and reduced left
+    to right against the pivot rows found so far as row <- a*row - f*prow,
+    where a : f is the ratio of the pivot entry to the row's entry, in
+    lowest terms.  Its leftmost surviving column becomes a new pivot, and
+    the row is stored primitive: divided by the gcd of its entries, with a
+    positive entry at the pivot.  So every pivot row holds ints, and no
+    Fraction is built.  A row that reduces to nothing is dropped.
     """
     pivots = {}
     for row in sorted(rows, key=len):
+        row = _integral(row)
         while row:
             col = min(row)
             prow = pivots.get(col)
             if prow is None:
-                inv = Fraction(1) / row[col]
-                pivots[col] = {j: x * inv for j, x in row.items()}
+                pivots[col] = _primitive(row, col)
                 break
             f = row.pop(col)
+            p = prow[col]
+            if p != 1:
+                g = gcd(f, p)
+                f //= g
+                p //= g
+                if p != 1:
+                    for j in row:
+                        row[j] *= p
             for j, y in prow.items():
                 if j == col:
                     continue
@@ -246,11 +289,26 @@ def _echelon(rows) -> dict:
     return pivots
 
 
+def _quotient(s, p):
+    """s / p in the coefficient normal form of ``core.exact``."""
+    if s.__class__ is int and p.__class__ is int:
+        q, r = divmod(s, p)
+        return Fraction(s, p) if r else q
+    return exact(s / p)
+
+
 def _back_substitute(pivots: dict, x: list) -> list:
     """Set x at every pivot column, right to left, so that each pivot row
-    annihilates x; the other entries of x are kept as given."""
+    annihilates x; the other entries of x are kept as given.
+
+    The value at a pivot column is the row's other terms divided by the
+    pivot entry, kept in the normal form of ``core.exact``: integral data
+    over pivot rows of ints gives ints, and a Fraction is built only where
+    a quotient is not integral.
+    """
     for col in sorted(pivots, reverse=True):
-        x[col] = -sum((y * x[j] for j, y in pivots[col].items() if j != col), Fraction(0))
+        row = pivots[col]
+        x[col] = _quotient(-sum([y * x[j] for j, y in row.items() if j != col]), row[col])
     return x
 
 
@@ -273,7 +331,7 @@ def solve_linear(a: RationalMatrix, b):
     if a.cols in pivots:
         return None
     # The right-hand side is column a.cols with x = -1 there.
-    x = _back_substitute(pivots, [Fraction(0)] * a.cols + [Fraction(-1)])
+    x = _back_substitute(pivots, [0] * a.cols + [-1])
     return x[: a.cols]
 
 
@@ -288,8 +346,8 @@ def kernel_basis(a: RationalMatrix):
     for free in range(a.cols):
         if free in pivots:
             continue
-        v = [Fraction(0)] * a.cols
-        v[free] = Fraction(1)
+        v = [0] * a.cols
+        v[free] = 1
         basis.append(_back_substitute(pivots, v))
     return basis
 

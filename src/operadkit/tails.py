@@ -11,11 +11,17 @@ D(tail).  We enumerate the candidate monomials containing at least one
 ideal generator, express D on that basis, and solve the resulting exact
 rational system with free variables pinned to zero, so tails come out
 deterministic even where they are far from unique.
+
+The system is streamed: each candidate is derived in turn and its terms
+are written straight into sparse rows, indexed by monomial in first-seen
+order, with coefficients in the normal form of `core.exact` (ints over an
+integral base).  The rows are never sorted and no list of images is kept:
+the answer depends on the column order, the basis order, and not on the
+row order.  The eliminator in `linalg` is fraction free, so a tail over an
+integral base is solved on ints throughout.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .core import (
     GeneratorSet,
@@ -82,26 +88,9 @@ def solve_tail(partial: DerivationDifferential, target: str, ideal, rhs: OperadE
     if not extend_derivation(partial, rhs).is_zero():
         raise ObstructionNotCycleError("obstruction not a cycle")
 
-    ideal = set(ideal)
     # no monomial lies in an empty ideal, however large the component
-    basis = enumerate_basis(gens, spec.signature, spec.degree - 1) if ideal else []
-    candidates = [m for m in basis if ideal.intersection(m.vertex_names())]
-    images = [extend_derivation(partial, OperadElement.monomial(m)) for m in candidates]
-    support = set(rhs.terms)
-    for img in images:
-        support.update(img.terms)
-    support = sorted(support, key=lambda m: m.sort_key)
-    index = {m: i for i, m in enumerate(support)}
-
-    rows = [{} for _ in support]
-    for j, img in enumerate(images):
-        for mono, coeff in img.terms.items():
-            rows[index[mono]][j] = Fraction(coeff)
-    a = RationalMatrix.from_rows(rows, len(candidates))
-    b = [Fraction(0)] * len(support)
-    for mono, coeff in rhs.terms.items():
-        b[index[mono]] = coeff
-
+    candidates = enumerate_basis(gens, spec.signature, spec.degree - 1, ideal) if ideal else []
+    a, b = _tail_system(partial, candidates, rhs)
     x = solve_linear(a, b)
     if x is None:
         raise TailNotFoundError("no tail exists in the ideal")
@@ -111,6 +100,36 @@ def solve_tail(partial: DerivationDifferential, target: str, ideal, rhs: OperadE
     if extend_derivation(partial, omega) != rhs:
         raise AssertionError("internal error: solved tail fails D(omega) = rhs")
     return omega
+
+
+def _tail_system(partial: DerivationDifferential, candidates, rhs: OperadElement):
+    """(A, b): D on the candidates, one column each, and the right-hand side.
+
+    Each candidate is derived in turn and its terms are written straight into
+    the rows, which are indexed by monomial shape in first-seen order, and
+    the monomials of `rhs` are added the same way.  The answer of
+    `solve_linear` does not depend on the row order, only on the column
+    order, which is the order of `candidates`.
+    """
+    index = {}
+    rows = []
+    for j, m in enumerate(candidates):
+        for mono, coeff in extend_derivation(partial, OperadElement.monomial(m)).terms.items():
+            i = index.setdefault(mono.shape, len(rows))
+            if i == len(rows):
+                rows.append({j: coeff})
+            else:
+                rows[i][j] = coeff
+    b = [0] * len(rows)
+    for mono, coeff in rhs.terms.items():
+        i = index.get(mono.shape)
+        if i is None:
+            rows.append({})
+            b.append(coeff)
+        else:
+            b[i] = coeff
+    del index  # the row shapes are a large share of the memory; free them first
+    return RationalMatrix.from_rows(rows, len(candidates)), b
 
 
 # ---------------------------------------------------------------------------

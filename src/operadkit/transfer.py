@@ -167,10 +167,12 @@ class _Layout:
         return out
 
     def map_from_vector(self, vec) -> MultilinearMap:
+        """The map whose entries are `vec`; an all-zero block is not built."""
         t = self.template
         blocks = {
             key: [vec[off + r * cols : off + (r + 1) * cols] for r in range(rows)]
             for key, rows, cols, off in self.blocks
+            if any(vec[off : off + rows * cols])
         }
         return MultilinearMap(t.sources, t.target, t.degree, blocks)
 

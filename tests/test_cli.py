@@ -522,6 +522,48 @@ def test_unreadable_input_is_usage_error(tmp_path, capsys, argv):
     assert "No such file or directory" in capsys.readouterr().err
 
 
+OUTPUT_COMMANDS = {
+    "emit-model": ["emit-model", "--model", "ainf", "--max-arity", "2"],
+    "solve-tail": ["solve-tail", "--max-arity", "3"],
+    "extend": ["extend", "--target-arity", "2", "--setup"],
+    "polarization": ["polarization", "--max-degree", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+def test_an_unwritable_output_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command):
+    # A directory as -o ended in an IsADirectoryError traceback with exit 1,
+    # the code of a failed check, and `extend` ran the whole extension first.
+    import operadkit.cli as cli
+
+    def no_work(*args):
+        raise AssertionError("the command did its work before checking -o")
+
+    for builder in ("build_ainf", "build_model_btow", "extend_to_arity", "build_iso_resolution"):
+        monkeypatch.setattr(cli, builder, no_work)
+    argv = list(OUTPUT_COMMANDS[command])
+    if command == "extend":
+        setup = tmp_path / "setup.json"
+        setup.write_text(json.dumps(_setup_json()))
+        argv.append(str(setup))
+    for target, shown in ((tmp_path, "it is a directory"), (tmp_path / "missing" / "out", "no directory")):
+        assert run(argv + ["-o", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert f"usage error: cannot write {target}: {shown}" in err
+
+
+def test_a_failed_write_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    import operadkit.cli as cli
+
+    def refused(path, mode):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "open", refused, raising=False)
+    path = tmp_path / "model.json"
+    assert run(["emit-model", "--model", "ainf", "--max-arity", "2", "-o", str(path)]) == 2
+    assert f"usage error: cannot write {path}: [Errno 13] Permission denied" in capsys.readouterr().err
+
+
 def _number(leaf):
     """The rational a JSON int or string spells; None for any other value."""
     if type(leaf) is int:

@@ -5,7 +5,7 @@ no package import inside a function (the package has no import cycle
 that would need one, and a module's dependencies belong at its top), and
 no true division outside `linalg` (`/` on two ints is a float, the one
 operator that silently breaks the exact coefficient contract; `linalg`
-holds the one exact pivot inversion), no write into a matrix's
+holds the one exact division, in back-substitution), no write into a matrix's
 `entries` outside `linalg` (a matrix stores sparse rows, and `entries`
 is a dense view built on each read; others build with
 `RationalMatrix.from_rows` and read with `row_items`), and no

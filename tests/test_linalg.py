@@ -10,6 +10,7 @@ from operadkit.linalg import (
     ComplexValidationError,
     RationalMatrix,
     _back_substitute,
+    _echelon,
     homology_dims,
     kernel_basis,
     rank,
@@ -224,11 +225,12 @@ def test_rank_kernel_and_solve_match_sympy():
 
 def test_int_written_entries_give_exact_fraction_answers():
     # from_rows stores int entries as given; the eliminator must still
-    # invert its pivots exactly and answer in Fractions.
+    # divide exactly, and answer in the normal form of core.exact: a
+    # Fraction where a value is not integral, else an int.
     a = RationalMatrix.from_rows([{0: 3, 1: 1}], 2)
     x = solve_linear(a, [1])
-    assert x == [Fraction(1, 3), Fraction(0)]
-    assert kernel_basis(a) == [[Fraction(-1, 3), Fraction(1)]]
+    assert x == [Fraction(1, 3), 0] and [type(v) for v in x] == [Fraction, int]
+    assert kernel_basis(a) == [[Fraction(-1, 3), 1]]
     assert rank(a) == 1
 
     sympy = pytest.importorskip("sympy")
@@ -247,7 +249,8 @@ def test_int_written_entries_give_exact_fraction_answers():
             assert x is None
             continue
         assert a.mul_vec(x) == b
-        assert all(type(v) is Fraction for v in x + [v for vec in kernel for v in vec])
+        answers = x + [v for vec in kernel for v in vec]
+        assert all(type(v) is int or (type(v) is Fraction and v.denominator != 1) for v in answers)
 
 
 _small = st.one_of(st.just(0), st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, max_denominator=3))
@@ -488,3 +491,77 @@ def test_sparse_eliminator_matches_dense_reference_on_recorded_systems(monkeypat
     assert any(a.cols > rank(a) for a, _ in recorded[tail_systems:])  # free variables occur
     for a, b in recorded:
         assert (rank(a), solve_linear(a, b), kernel_basis(a)) == _dense_answers(a, b)
+
+
+# ---------------------------------------------------------------------------
+# A second route: the same elimination over GF(p), on recorded systems
+
+PRIMES = (2_147_483_647, 2_305_843_009_213_693_951)  # 2^31 - 1 and 2^61 - 1
+
+
+def _echelon_mod(rows, p):
+    """The pivot columns of `_echelon`'s structure run over GF(p): rows taken
+    sparsest first, each reduced left to right against the pivot rows so
+    far, its leftmost surviving column a new pivot.  Entries are rationals
+    whose denominators p does not divide."""
+    pivots = {}
+    for row in sorted(rows, key=len):
+        row = {j: x.numerator * pow(x.denominator, -1, p) % p for j, x in row.items()}
+        row = {j: v for j, v in row.items() if v}
+        while row:
+            col = min(row)
+            prow = pivots.get(col)
+            if prow is None:
+                inv = pow(row[col], -1, p)
+                pivots[col] = {j: v * inv % p for j, v in row.items()}
+                break
+            f = row.pop(col)
+            for j, y in prow.items():
+                if j != col:
+                    v = (row.get(j, 0) - f * y) % p
+                    if v:
+                        row[j] = v
+                    else:
+                        row.pop(j, None)
+    return sorted(pivots)
+
+
+def _pivot_columns(a, b, eliminate):
+    """The pivot columns of A and of [A | b] under `eliminate`."""
+    rows = [dict(a.row_items(i)) for i in range(a.rows)]
+    augmented = [{**row, a.cols: x} if x else dict(row) for row, x in zip(rows, b)]
+    return eliminate([dict(row) for row in rows]), eliminate(augmented)
+
+
+def test_modular_route_agrees_on_recorded_systems(monkeypatch):
+    # Rank mod p is at most the rank over Q for any system.  On these
+    # systems, with these primes, the ranks, the consistency verdicts and
+    # the pivot columns are equal: a fixed fact of fixed data, checked by an
+    # elimination that shares no arithmetic with the fraction-free one.
+    import operadkit.tails as tails
+    import operadkit.transfer as transfer
+    from operadkit.differentials import build_ainf
+    from test_coefficients import rescaled_ainf
+    from test_transfer import koszul_dga
+
+    recorded = []
+
+    def recording(a, b):
+        recorded.append((a, list(b)))
+        return solve_linear(a, b)
+
+    monkeypatch.setattr(tails, "solve_linear", recording)
+    monkeypatch.setattr(transfer, "solve_linear", recording)
+    tails.build_model_btow(build_ainf(8), 8)
+    tails.build_model_homotopy(tails.build_model_btow(build_ainf(5), 5), 5)
+    tails.build_model_homotopy(tails.build_model_btow(rescaled_ainf(4, seed=3), 4), 4)
+    transfer.extend_to_arity(transfer.scenario_symmetrization(*koszul_dga(), 2), 4)
+    assert len(recorded) == 19
+    assert any(isinstance(x, Fraction) for a, _ in recorded for i in range(a.rows) for _, x in a.row_items(i))
+    for a, b in recorded:
+        over_q = _pivot_columns(a, b, lambda rows: sorted(_echelon(rows)))
+        assert (a.cols not in over_q[1]) == (solve_linear(a, b) is not None)
+        for p in PRIMES:
+            mod_p = _pivot_columns(a, b, lambda rows: _echelon_mod(rows, p))
+            assert all(len(m) <= len(q) for m, q in zip(mod_p, over_q))
+            assert mod_p == over_q

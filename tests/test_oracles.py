@@ -18,12 +18,17 @@ package versions take only the inner blocks that land on a stored outer
 block, and prune a prefix that no suffix can complete.  Both sides must
 give equal maps, and the same multidegrees in the same order, since that
 order is the column order of every transfer and homotopy system.
+
+`reference_echelon` is the eliminator before it became fraction free: each
+pivot is inverted as a Fraction and its row scaled to 1 there.  The
+package's `_echelon` keeps every row as ints and stores each pivot row
+primitive; both must have the same pivot columns and the same row space.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import prod
+from math import gcd, prod
 from unittest import mock
 
 import pytest
@@ -56,7 +61,7 @@ from operadkit.forests import (
     forest_differential,
     polarization_iso_m2,
 )
-from operadkit.linalg import ChainComplex, kron_all
+from operadkit.linalg import ChainComplex, _echelon, kron_all
 from operadkit.reps import MultilinearMap, compose_maps, identity_map
 from operadkit.tails import build_model_btow
 from test_core import enumerate_up_to
@@ -435,3 +440,72 @@ def test_compose_maps_matches_reference(drawn):
     )
     for m in (outer, *inners, got):
         assert list(m.multidegrees()) == list(reference_multidegrees(m))
+
+
+# ---------------------------------------------------------------------------
+# The eliminator against its Fraction form
+
+
+def reference_echelon(rows) -> dict:
+    """{pivot column: row}, with every row scaled to 1 at its pivot by a
+    Fraction inverse; rows taken sparsest first and consumed."""
+    pivots = {}
+    for row in sorted(rows, key=len):
+        while row:
+            col = min(row)
+            prow = pivots.get(col)
+            if prow is None:
+                inv = Fraction(1) / row[col]
+                pivots[col] = {j: x * inv for j, x in row.items()}
+                break
+            f = row.pop(col)
+            for j, y in prow.items():
+                if j != col:
+                    x = row.get(j, 0) - f * y
+                    if x:
+                        row[j] = x
+                    else:
+                        row.pop(j, None)
+    return pivots
+
+
+def _in_span(pivots: dict, row: dict) -> bool:
+    """Whether `row` reduces to zero against pivot rows that are 1 at their pivots."""
+    row = dict(row)
+    while row:
+        col = min(row)
+        if col not in pivots:
+            return False
+        f = row.pop(col)
+        for j, y in pivots[col].items():
+            if j != col:
+                x = row.get(j, 0) - f * y
+                if x:
+                    row[j] = x
+                else:
+                    row.pop(j, None)
+    return True
+
+
+_entry = st.one_of(st.integers(-6, 6), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def sparse_rows(draw):
+    cols = draw(st.integers(1, 7))
+    row = st.dictionaries(st.integers(0, cols - 1), _entry.filter(bool), max_size=cols)
+    return draw(st.lists(row, max_size=7))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_rows())
+def test_pivot_rows_are_primitive_and_span_the_reference_rows(rows):
+    pivots = _echelon([dict(r) for r in rows])
+    ref = reference_echelon([dict(r) for r in rows])
+    assert sorted(pivots) == sorted(ref)
+    for col, row in pivots.items():
+        assert min(row) == col and row[col] > 0
+        assert all(type(x) is int and x for x in row.values())
+        assert gcd(*row.values()) == 1
+        # Same pivot columns, so equal dimensions: containment is equality.
+        assert _in_span(ref, row)

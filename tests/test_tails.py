@@ -382,6 +382,54 @@ def test_homotopy_model_arity_five():
     assert digest == "c4a23515d436c0ce62cc4beaec18e1c177bdcf91aee16800da30959501ed6d72"
 
 
+def test_tail_systems_are_streamed(monkeypatch):
+    # The rows of a tail system are never sorted: only the basis monomials,
+    # which give the column order, get a sort key, each once.  And each
+    # candidate's derivative is written into the rows and dropped before the
+    # next is derived, so no list of candidate images is held.
+    import weakref
+
+    import operadkit.tails as tails
+
+    keyed = Counter()
+    sort_key = TreeMonomial.sort_key
+
+    def counting_key(mono):
+        keyed[mono.shape] += 1
+        return sort_key.fget(mono)
+
+    basis = set()
+
+    def recording_basis(*args):
+        monos = enumerate_basis(*args)
+        basis.update(m.shape for m in monos)
+        return monos
+
+    class Derived(OperadElement):
+        __slots__ = ("__weakref__",)
+
+    live = weakref.WeakSet()
+    held = []
+
+    def tracking_derivation(diff, elem):
+        held.append(len(live))
+        out = Derived.__new__(Derived)
+        image = extend_derivation(diff, elem)
+        for slot in OperadElement.__slots__:
+            setattr(out, slot, getattr(image, slot))
+        live.add(out)
+        return out
+
+    monkeypatch.setattr(TreeMonomial, "sort_key", property(counting_key))
+    monkeypatch.setattr(tails, "enumerate_basis", recording_basis)
+    monkeypatch.setattr(tails, "extend_derivation", tracking_derivation)
+    bw = build_model_btow(build_ainf(6), 6)
+    assert [len(t.terms) for t in bw.tails.values()] == [0, 4, 11, 23, 44]
+    assert basis and len(held) > len(basis)
+    assert set(keyed) <= basis and max(keyed.values()) == 1
+    assert max(held) <= 1
+
+
 def test_homotopy_symmetrized_variant():
     bw = build_model_btow(build_ainf(3), 3)
     # width-2 symmetrized staircase still closes at arity 2 ...
