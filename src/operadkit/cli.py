@@ -177,7 +177,7 @@ def cmd_polarization(args):
     lines = []
     for kind in ("f", "g", "h", "l"):
         for deg in sorted(fams[kind]):
-            lines.append(f"<{kind}.>[{deg}] = {fams[kind][deg].text()}")
+            lines.append(f"<{kind}.>[{deg}] = {fams[kind][deg].text(compact=True)}")
     _write_output(args, "\n".join(lines) + "\n")
     return _emit_report(report)
 

@@ -124,34 +124,44 @@ def _plug(shape, pieces):
     return tuple(out)
 
 
+def _shape_nvertices(shape) -> int:
+    if shape.__class__ is str:
+        return 0
+    n = 1
+    for c in shape[1:]:
+        if c.__class__ is not str:
+            n += _shape_nvertices(c)
+    return n
+
+
 class TreeMonomial:
     """A planar rooted tree with generator-labeled vertices and colored edges.
 
     The constructor validates the color rule (each child subtree's output
     color equals the matching input color of its parent's generator) and
-    caches signature, degree and vertex count.  It is the trust boundary:
+    caches signature and degree.  It is the trust boundary:
     JSON loading, `generator`, `normalize_bw` and renaming all go through
     it.  Trees that grafting and the Leibniz rule assemble from
     already-validated monomials of the same generator set skip it: they take
     their invariants from those parts through `_assembled`, and so do the
     shapes of `enumerate_basis`, which follow the colour rule by
     construction.  Only this module calls `_assembled`; other modules
-    assemble through `_graft_word` and `_element_of_shapes`.
+    assemble through `_graft_word` and `_element_of_shapes`.  The vertex
+    count is read off the shape with the sort key, on first use.
     """
 
-    __slots__ = ("gens", "shape", "signature", "degree", "nvertices", "_key")
+    __slots__ = ("gens", "shape", "signature", "degree", "_key")
 
     def __init__(self, gens: GeneratorSet, shape):
-        out, leaves, degree, nvert = _validate_shape(gens, shape)
+        out, leaves, degree = _validate_shape(gens, shape)
         self.gens = gens
         self.shape = shape
         self.signature = Signature(out, tuple(leaves))
         self.degree = degree
-        self.nvertices = nvert
         self._key = None
 
     @classmethod
-    def _assembled(cls, gens, shape, signature, degree, nvertices) -> "TreeMonomial":
+    def _assembled(cls, gens, shape, signature, degree) -> "TreeMonomial":
         """A tree built from validated parts, with the invariants the caller
         computed from them.  Nothing is checked here."""
         self = object.__new__(cls)
@@ -159,7 +169,6 @@ class TreeMonomial:
         self.shape = shape
         self.signature = signature
         self.degree = degree
-        self.nvertices = nvertices
         self._key = None
         return self
 
@@ -185,8 +194,12 @@ class TreeMonomial:
     @property
     def sort_key(self):
         if self._key is None:
-            self._key = (self.nvertices, _render(self.shape, [1], leaf_mark="~"))
+            self._key = (_shape_nvertices(self.shape), _render(self.shape, [1], leaf_mark="~"))
         return self._key
+
+    @property
+    def nvertices(self) -> int:
+        return self.sort_key[0]
 
     def canonical(self) -> str:
         """Unique text form: `gen(child,...)` with leaves as `@i:Color`.
@@ -217,7 +230,7 @@ def _validate_shape(gens, shape):
     if isinstance(shape, str):
         if shape not in gens.colors:
             raise ValueError(f"undeclared color {shape!r}")
-        return shape, [shape], 0, 0
+        return shape, [shape], 0
     name = shape[0]
     spec = gens.spec(name)
     children = shape[1:]
@@ -225,15 +238,13 @@ def _validate_shape(gens, shape):
         raise ValueError(f"{name} has arity {spec.signature.arity}, got {len(children)} children")
     leaves = []
     degree = spec.degree
-    nvert = 1
     for child, want in zip(children, spec.signature.inputs):
-        out, sub_leaves, d, v = _validate_shape(gens, child)
+        out, sub_leaves, d = _validate_shape(gens, child)
         if out != want:
             raise ValueError(f"color mismatch under {name}: {out} into a {want} slot")
         leaves.extend(sub_leaves)
         degree += d
-        nvert += v
-    return spec.signature.output, leaves, degree, nvert
+    return spec.signature.output, leaves, degree
 
 
 def leaf_suffix_degrees(gens, shape):
@@ -363,6 +374,11 @@ class OperadElement:
     degree.  Coefficients are stored in the `exact` normal form and zero
     coefficients are never stored, and two elements are equal iff their term
     maps are equal (every zero element equals every other).
+
+    The arithmetic reads only a monomial's `signature`, `degree`,
+    `canonical()` and `compact()`, so `forests.ForestElement` reuses it over
+    forest monomials.  Elements of two different classes never add and
+    never compare equal.
     """
 
     __slots__ = ("gens", "signature", "degree", "terms")
@@ -410,11 +426,11 @@ class OperadElement:
         return self.terms.get(mono, 0)
 
     def __add__(self, other):
-        if not isinstance(other, OperadElement):
+        if other.__class__ is not self.__class__:
             return NotImplemented
         sig, deg = self._merged_component(other)
         terms = collect_terms(chain(self.terms.items(), other.terms.items()))
-        return OperadElement(self.gens, terms, signature=sig, degree=deg)
+        return self.__class__(self.gens, terms, signature=sig, degree=deg)
 
     def __sub__(self, other):
         return self + (-other)
@@ -424,7 +440,7 @@ class OperadElement:
 
     def scale(self, c) -> "OperadElement":
         c = exact(c)
-        return OperadElement(
+        return self.__class__(
             self.gens,
             {m: c * v for m, v in self.terms.items()},
             signature=self.signature,
@@ -437,7 +453,7 @@ class OperadElement:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if not isinstance(other, OperadElement):
+        if other.__class__ is not self.__class__:
             return NotImplemented
         return self.terms == other.terms
 
@@ -445,7 +461,7 @@ class OperadElement:
         return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
-        return f"OperadElement({self.text()})"
+        return f"{self.__class__.__name__}({self.text()})"
 
     def text(self, compact=False) -> str:
         """Render as `coeff * monomial +- ...` in display order."""
@@ -490,8 +506,7 @@ def graft(outer: TreeMonomial, slot: int, inner: TreeMonomial) -> OperadElement:
     pieces = list(outer.signature.inputs)
     pieces[slot - 1] = inner.shape
     shape = _plug(outer.shape, iter(pieces))
-    mono = TreeMonomial._assembled(outer.gens, shape, sig, degree, outer.nvertices + inner.nvertices)
-    return OperadElement.monomial(mono)
+    return OperadElement.monomial(TreeMonomial._assembled(outer.gens, shape, sig, degree))
 
 
 def _checked_over(gens: GeneratorSet, mono: TreeMonomial) -> TreeMonomial:
@@ -540,17 +555,7 @@ def _graft_word(outer: TreeMonomial, inners) -> TreeMonomial | None:
     gens = outer.gens
     inners = [_checked_over(gens, m) for m in inners]
     shape = _plug(outer.shape, (m.shape for m in inners))
-    return TreeMonomial._assembled(gens, shape, sig, degree, outer.nvertices + sum([m.nvertices for m in inners]))
-
-
-def _shape_nvertices(shape) -> int:
-    if shape.__class__ is str:
-        return 0
-    n = 1
-    for c in shape[1:]:
-        if c.__class__ is not str:
-            n += _shape_nvertices(c)
-    return n
+    return TreeMonomial._assembled(gens, shape, sig, degree)
 
 
 def _element_of_shapes(gens, shape_terms: dict, signature, degree) -> OperadElement:
@@ -562,7 +567,7 @@ def _element_of_shapes(gens, shape_terms: dict, signature, degree) -> OperadElem
     validated over `gens` that lies in that component; nothing is checked.
     """
     terms = {
-        TreeMonomial._assembled(gens, shape, signature, degree, _shape_nvertices(shape)): c
+        TreeMonomial._assembled(gens, shape, signature, degree): c
         for shape, c in shape_terms.items()
         if c
     }
@@ -646,7 +651,7 @@ def enumerate_basis(gens: GeneratorSet, signature: Signature, degree: int, ideal
         shapes = [s for s in shapes if _mentions(s, ideal)]
     # The enumerator follows the colour rule by construction, and every
     # shape lies in the requested component.
-    monos = [TreeMonomial._assembled(gens, s, signature, degree, _shape_nvertices(s)) for s in shapes]
+    monos = [TreeMonomial._assembled(gens, s, signature, degree) for s in shapes]
     monos.sort(key=lambda t: t.sort_key)
     return monos
 

@@ -2,10 +2,13 @@
 
 A forest is a tuple of tree monomials read left to right; its signature
 concatenates the component signatures (several outputs, several inputs).
-Composition of forests is componentwise grafting times the Koszul
-interchange sign: the blocks of the inner forest move left past the later
-components of the outer one.  These are the words ⟨h⟩, ⟨f•⟩, ... that the
-polarization identities multiply.
+A forest element is a `core.OperadElement` over forest monomials: it has
+the same constructor, coefficient normal form and arithmetic, and differs
+only in its display order (smallest forest first).  Composition of forests
+is componentwise grafting times the Koszul interchange sign: the blocks of
+the inner forest move left past the later components of the outer one.
+These are the words ⟨h⟩, ⟨f•⟩, ... that the polarization identities
+multiply.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .core import (
     _combination_terms,
     _graft_word,
     collect_terms,
-    exact,
     leaf_suffix_degrees,
 )
 from .differentials import DerivationDifferential, extend_derivation
@@ -29,22 +31,22 @@ from .reports import Report
 
 
 class ForestMonomial:
-    """An ordered tuple of tree monomials over one generator set."""
+    """An ordered tuple of tree monomials over one generator set.
 
-    __slots__ = ("gens", "components", "outputs", "inputs", "degree", "nvertices", "_key", "_hash")
+    Its `signature` is the pair (outputs, inputs) of colour tuples, and its
+    degree is the sum of the component degrees."""
+
+    __slots__ = ("gens", "components", "signature", "degree", "_key", "_hash")
 
     def __init__(self, gens: GeneratorSet, components):
         self.gens = gens
         self.components = tuple(components)
         if not self.components:
             raise ValueError("forest needs at least one component")
-        self.outputs = tuple(t.signature.output for t in self.components)
-        inputs = []
-        for t in self.components:
-            inputs.extend(t.signature.inputs)
-        self.inputs = tuple(inputs)
+        outputs = tuple(t.signature.output for t in self.components)
+        inputs = tuple(chain.from_iterable(t.signature.inputs for t in self.components))
+        self.signature = (outputs, inputs)
         self.degree = sum(t.degree for t in self.components)
-        self.nvertices = sum(t.nvertices for t in self.components)
         self._key = None
         self._hash = None
 
@@ -55,11 +57,15 @@ class ForestMonomial:
     @property
     def sort_key(self):
         if self._key is None:
-            self._key = (self.nvertices, tuple(t.sort_key[1] for t in self.components))
+            keys = [t.sort_key for t in self.components]
+            self._key = (sum(k[0] for k in keys), tuple(k[1] for k in keys))
         return self._key
 
-    def text(self, compact=True) -> str:
-        return " (x) ".join(t.compact() if compact else t.canonical() for t in self.components)
+    def canonical(self) -> str:
+        return " (x) ".join(t.canonical() for t in self.components)
+
+    def compact(self) -> str:
+        return " (x) ".join(t.compact() for t in self.components)
 
     def __eq__(self, other):
         if not isinstance(other, ForestMonomial):
@@ -72,38 +78,15 @@ class ForestMonomial:
         return self._hash
 
     def __repr__(self):
-        return f"ForestMonomial({self.text()})"
+        return f"ForestMonomial({self.compact()})"
 
 
-class ForestElement:
-    """Rational combination of forest monomials, homogeneous per component
-    shape, with coefficients in the `core.exact` normal form."""
+class ForestElement(OperadElement):
+    """A rational combination of forest monomials: an `OperadElement` whose
+    monomials are forests.  Only the display order differs: smallest
+    forest first."""
 
-    __slots__ = ("gens", "terms", "outputs", "inputs", "degree")
-
-    def __init__(self, gens, terms, outputs=None, inputs=None, degree=None):
-        self.gens = gens
-        self.terms = {}
-        for mono, coeff in terms.items():
-            coeff = exact(coeff)
-            if not coeff:
-                continue
-            if outputs is None:
-                outputs, inputs, degree = mono.outputs, mono.inputs, mono.degree
-            elif (mono.outputs, mono.inputs, mono.degree) != (outputs, inputs, degree):
-                raise ValueError(f"inhomogeneous forest term {mono.text()}")
-            self.terms[mono] = coeff
-        self.outputs = outputs
-        self.inputs = inputs
-        self.degree = degree
-
-    @classmethod
-    def zero(cls, gens, outputs=None, inputs=None, degree=None):
-        return cls(gens, {}, outputs, inputs, degree)
-
-    @classmethod
-    def monomial(cls, mono: ForestMonomial, coeff=1):
-        return cls(mono.gens, {mono: coeff})
+    __slots__ = ()
 
     @classmethod
     def word(cls, gens, trees, coeff=1):
@@ -113,53 +96,9 @@ class ForestElement:
     def identity(cls, gens, colors):
         return cls.word(gens, [TreeMonomial.identity(gens, c) for c in colors])
 
-    def is_zero(self):
-        return not self.terms
-
     def items(self):
+        """Term pairs in the fixed display order (smallest forests first)."""
         return sorted(self.terms.items(), key=lambda mc: mc[0].sort_key)
-
-    def __add__(self, other):
-        terms = collect_terms(chain(self.terms.items(), other.terms.items()))
-        out_meta = self if self.terms or other.outputs is None else other
-        return ForestElement(self.gens, terms, out_meta.outputs, out_meta.inputs, out_meta.degree)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c):
-        c = exact(c)
-        return ForestElement(
-            self.gens, {m: c * v for m, v in self.terms.items()}, self.outputs, self.inputs, self.degree
-        )
-
-    def __mul__(self, c):
-        return self.scale(c)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, ForestElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono, coeff in self.items():
-            piece = f"{coeff} * {mono.text()}"
-            parts.append(piece if not parts else (f"+ {piece}" if coeff > 0 else f"- {-coeff} * {mono.text()}"))
-        return " ".join(parts)
-
-    def __repr__(self):
-        return f"ForestElement({self.text()})"
 
 
 def _compose_monomials(outer: ForestMonomial, inner: ForestMonomial, suffixes):
@@ -232,7 +171,7 @@ def forest_differential(diff: DerivationDifferential, elem: ForestElement) -> Fo
                 prefix += t.degree
 
     deg = None if elem.degree is None else elem.degree - 1
-    return ForestElement(elem.gens, collect_terms(pairs()), elem.outputs, elem.inputs, deg)
+    return ForestElement(elem.gens, collect_terms(pairs()), elem.signature, deg)
 
 
 def conjugate_forest(elem: ForestElement, perm) -> ForestElement:
@@ -268,7 +207,7 @@ def symmetrize_forest(elem: ForestElement) -> ForestElement:
     terms = collect_terms(
         t for perm in permutations(range(width)) for t in conjugate_forest(elem, perm).terms.items()
     )
-    total = ForestElement(elem.gens, terms, elem.outputs, elem.inputs, elem.degree)
+    total = ForestElement(elem.gens, terms, elem.signature, elem.degree)
     return total.scale(Fraction(1, factorial(width)))
 
 
@@ -421,6 +360,6 @@ def verify_polarization(fams: dict, max_degree: int, iso: DerivationDifferential
             report.add(
                 f"d<{kind}.> equation, degree {t}",
                 ok,
-                "" if ok else f"residual {residual.text()}",
+                "" if ok else f"residual {residual.text(compact=True)}",
             )
     return report

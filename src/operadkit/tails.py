@@ -251,8 +251,8 @@ def _forest_into(gens, outer_name: str, forest: ForestElement) -> OperadElement:
     """Graft each forest word into the slots of a single-generator vertex."""
     outer = TreeMonomial.generator(gens, outer_name)
     sig = deg = None
-    if forest.inputs is not None:
-        sig, deg = Signature(outer.signature.output, forest.inputs), outer.degree + forest.degree
+    if forest.signature is not None:
+        sig, deg = Signature(outer.signature.output, forest.signature[1]), outer.degree + forest.degree
     parts = (
         (coeff, compose_full(outer, [OperadElement.monomial(t) for t in mono.components]))
         for mono, coeff in forest.terms.items()

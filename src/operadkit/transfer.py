@@ -157,7 +157,7 @@ class _Layout:
             self.size += rows * cols
 
     def flatten(self, m: MultilinearMap):
-        out = [Fraction(0)] * self.size
+        out = [0] * self.size
         for key, rows, cols, off in self.blocks:
             block = m.blocks.get(key)
             if block is not None:
@@ -277,7 +277,7 @@ def extension_step(state: ExtensionState) -> ExtensionState:
 
 def _split_principal(model, elem, knew):
     """Separate the nu_{K+1}(f_1,...,f_1) term from the rest of D(f_{K+1})."""
-    principal_coeff = Fraction(0)
+    principal_coeff = 0
     rest_terms = {}
     for mono, coeff in elem.terms.items():
         names = mono.vertex_names()
@@ -348,7 +348,7 @@ def scenario_abelization(
 
 def _swap_matrix(dim_a, dim_b):
     """The permutation u (x) v -> v (x) u, u in a space of dim_a, v of dim_b."""
-    rows = [{(r % dim_b) * dim_a + r // dim_b: Fraction(1)} for r in range(dim_a * dim_b)]
+    rows = [{(r % dim_b) * dim_a + r // dim_b: 1} for r in range(dim_a * dim_b)]
     return RationalMatrix.from_rows(rows, dim_b * dim_a)
 
 
@@ -386,7 +386,7 @@ def induced_product(u: ChainComplex, mu: MultilinearMap, h: ChainComplex, iota: 
     star_blocks = {}
     for key, block in compose_maps(mu, [iota, iota]).blocks.items():
         target_k = sum(key)
-        columns = [[Fraction(0)] * block.rows for _ in range(block.cols)]
+        columns = [[0] * block.rows for _ in range(block.cols)]
         for i in range(block.rows):
             for j, x in block.row_items(i):
                 columns[j][i] = x

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -178,6 +179,15 @@ def test_polarization_cli(capsys):
     # the symmetrized family genuinely fails the coupled equations, which is
     # a mathematical failure, not a usage error
     assert run(["polarization", "--max-degree", "3", "--symmetrize"]) == 1
+    capsys.readouterr()
+    # SHA-256 of the whole stdout: the forest families in their display
+    # order, then the report, whose FAIL lines print the residual forests
+    for flags, code, digest in (
+        ([], 0, "7970f2ae03f56f5efb8a864eacb6585243ab89d2b292847fff8df17c8b99d54a"),
+        (["--symmetrize"], 1, "4a4437fef88078a3b8ce0aa4b34af800211c65e85a2d1a45b15ca5ba3b965e2f"),
+    ):
+        assert run(["polarization", "--max-degree", "5", *flags]) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_polarization_family_goes_to_output_file(tmp_path, capsys):

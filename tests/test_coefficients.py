@@ -286,7 +286,7 @@ def test_arithmetic_stays_in_normal_form(ta, tb, s, fa, fb):
         assert result.text() == ref.text() and result.text(compact=True) == ref.text(compact=True)
         assert json.dumps(element_to_json(result)) == json.dumps(element_to_json(ref))
 
-    fmeta = (_FOREST_POOL[0].outputs, _FOREST_POOL[0].inputs, _FOREST_POOL[0].degree)
+    fmeta = (_FOREST_POOL[0].signature, _FOREST_POOL[0].degree)
     x, y = ForestElement(_GENS, fa, *fmeta), ForestElement(_GENS, fb, *fmeta)
     for result, parts in ((x + y, [(1, fa), (1, fb)]), (x - y, [(1, fa), (-1, fb)]), (x.scale(s), [(s, fa)])):
         assert_normal(result)

@@ -155,12 +155,29 @@ def test_forest_accumulator(dull):
     elem = ForestElement(gens, collect_terms([(pq, 1), (qp, 2), (pq, Fraction(1, 2)), (qp, -2)]))
     assert elem.terms == {pq: Fraction(3, 2)}
     # a sum that cancels completely keeps the component it was given
-    zero = ForestElement(gens, collect_terms([(pq, 1), (pq, -1)]), pq.outputs, pq.inputs, pq.degree)
+    zero = ForestElement(gens, collect_terms([(pq, 1), (pq, -1)]), pq.signature, pq.degree)
     assert zero.is_zero()
-    assert (zero.outputs, zero.inputs, zero.degree) == (pq.outputs, pq.inputs, 0)
+    assert (zero.signature, zero.degree) == (pq.signature, 0)
+    assert pq.signature == ((W, W), (B, B))
     # words of different degrees do not mix
     with pytest.raises(ValueError, match="inhomogeneous"):
         ForestElement(gens, collect_terms([(pq, 1), (ph, 1)]))
+
+
+def test_forests_and_trees_do_not_mix(dull):
+    # A forest element shares the arithmetic of a tree element, but the two
+    # are different kinds of combination: they never compare equal or add.
+    gens = dull.base
+    assert ForestElement.zero(gens) != OperadElement.zero(gens)
+    p = TreeMonomial.generator(gens, "p")
+    forest, tree = ForestElement.word(gens, [p]), OperadElement.monomial(p)
+    assert forest != tree and tree != forest
+    for left, right in ((forest, tree), (tree, forest)):
+        with pytest.raises(TypeError):
+            left + right
+        with pytest.raises(TypeError):
+            left - right
+    assert isinstance(forest + forest, ForestElement) and isinstance(forest.scale(2), ForestElement)
 
 
 def test_iso_polarization_components():

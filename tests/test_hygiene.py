@@ -15,7 +15,9 @@ takes from it), and no use of `TreeMonomial._assembled` outside `core`
 (it builds a tree without checking it; other modules assemble through
 `core._graft_word` and `core._element_of_shapes`), and no JSON written or
 read outside `serialize` (it owns every file format: its `dumps` is the one
-writer, and its `load` the one reader)."""
+writer, and its `load` the one reader), and no `Fraction(<int constant>)`
+in the package (the `core.exact` normal form of an integral value is the
+int itself, and a matrix stores its entries as given)."""
 
 import ast
 from pathlib import Path
@@ -335,3 +337,42 @@ def test_checker_finds_json_reads():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "serialize.py"], ids=lambda p: p.name)
 def test_no_json_read_outside_serialize(path):
     assert json_reads(path.read_text()) == []
+
+
+def _is_int_constant(node):
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def integral_fraction_literals(source: str):
+    """Line numbers that call `Fraction` with one argument, an int constant."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and len(node.args) == 1 and not node.keywords and _is_int_constant(node.args[0]):
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "Fraction") or (
+                isinstance(func, ast.Attribute) and func.attr == "Fraction"
+            ):
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_checker_finds_integral_fraction_literals():
+    source = (
+        "zero = Fraction(0)\n"
+        "half = Fraction(1, 2)\n"
+        "rows = [{0: Fraction(1)}]\n"
+        "w = Fraction(1, factorial(width))\n"
+        "m = fractions.Fraction(-3)\n"
+        "x = Fraction(n)\n"
+        "y = Fraction('1/2')\n"
+        "z = 1  # Fraction(1)\n"
+        "flag = Fraction(True)\n"
+    )
+    assert integral_fraction_literals(source) == [1, 3, 5]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_integral_fraction_literals(path):
+    assert integral_fraction_literals(path.read_text()) == []

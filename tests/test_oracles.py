@@ -162,7 +162,7 @@ def reference_forest_differential(diff, elem):
                 pairs.append((ForestMonomial(mono.gens, comps), coeff * c * sign))
             prefix += t.degree
     deg = None if elem.degree is None else elem.degree - 1
-    return ForestElement(elem.gens, collect_terms(pairs), elem.outputs, elem.inputs, deg)
+    return ForestElement(elem.gens, collect_terms(pairs), elem.signature, deg)
 
 
 def reference_multidegrees(m):
@@ -203,8 +203,7 @@ def tree_snapshot(elem):
 
 def forest_snapshot(elem):
     return (
-        elem.outputs,
-        elem.inputs,
+        elem.signature,
         elem.degree,
         [
             ([(t.shape, t.signature, t.degree, t.nvertices) for t in m.components], type(c), c)

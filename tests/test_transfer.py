@@ -38,6 +38,7 @@ from operadkit.transfer import (
     symmetrized_product,
 )
 
+from test_coefficients import _stored, is_normal
 from test_linalg import _conjugated_complex, _inverse
 from test_reps import random_map
 
@@ -270,6 +271,8 @@ def test_symmetrized_product_is_commutative():
     mixed = random_map(rng, (v, v), v, 0)
     for mu in (plain, mixed):
         assert not is_commutative(mu)
+        # an integral entry is stored as an int, also after the swap
+        assert all(is_normal(x) for block in T._swapped(mu).blocks.values() for x in _stored(block))
         mubar = symmetrized_product(mu)
         assert is_commutative(mubar)
         assert symmetrized_product(mubar) == mubar
@@ -462,6 +465,7 @@ def test_extension_system_matches_reference(start, top):
         ref_a, ref_b = reference_extension_system(state)
         assert (a.rows, a.cols) == (ref_a.rows, ref_a.cols)
         assert a.entries == ref_a.entries
+        assert all(is_normal(x) for x in _stored(a))
         assert b == ref_b
         state = extension_step(state)
     assert state.check().ok
@@ -490,6 +494,7 @@ def test_homotopy_system_matches_reference():
         ref_a, ref_b = reference_homotopy_system(g)
         assert (a.rows, a.cols) == (ref_a.rows, ref_a.cols)
         assert a.entries == ref_a.entries
+        assert all(is_normal(x) for x in _stored(a))
         assert b == ref_b
 
 
