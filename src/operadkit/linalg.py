@@ -5,12 +5,14 @@ row, column -> entry, and nothing else: arithmetic and every solve touch
 only stored entries.  Other modules build a matrix with
 ``RationalMatrix.from_rows`` (or from columns or lists) and read it with
 ``row_items``; ``entries`` is a dense view built when read, for
-serialization and display.  Entries that enter a matrix (through the
-constructor, ``from_columns``, an ``entries`` item write, the factor of
-``scale`` or the right-hand side of ``solve_linear``) are put in the
-coefficient normal form of ``core.exact``: an int when the value is
-integral, else a Fraction, so the arithmetic on integral data is on ints.
-``from_rows`` stores its ints and Fractions as given.
+serialization and display.  Every stored entry is in the coefficient
+normal form of ``core.exact``: an int when the value is integral, else a
+Fraction, so the arithmetic on integral data is on ints.  Each way in
+(the constructor, ``from_rows``, ``from_columns``, an ``entries`` item
+write, the factor of ``scale``, the right-hand side of ``solve_linear``)
+puts its entries in that form, and ``add``, ``scale``, ``mul`` and
+``kron`` keep it: an integral sum or product is stored as an int.  On
+int data this costs no function call per entry.
 
 One eliminator, ``_echelon``, brings the rows to row echelon form, taking
 them sparsest first, and ``rank``, ``solve_linear``, ``kernel_basis``,
@@ -104,9 +106,9 @@ class RationalMatrix:
     @classmethod
     def from_rows(cls, rows, cols: int) -> "RationalMatrix":
         """The matrix whose row i holds the dict rows[i] (column -> entry),
-        zero elsewhere.  Zero values are dropped; the others are stored as
-        given, so they must be ints or Fractions."""
-        return cls._of([{j: x for j, x in row.items() if x} for row in rows], cols)
+        zero elsewhere.  The values must be ints or Fractions: zeros are
+        dropped, and an integral Fraction is stored as an int."""
+        return cls._of([_normal(row) for row in rows], cols)
 
     @classmethod
     def from_columns(cls, columns, rows: int) -> "RationalMatrix":
@@ -154,7 +156,7 @@ class RationalMatrix:
             for j, y in r2.items():
                 x = row.get(j, 0) + y
                 if x:
-                    row[j] = x
+                    row[j] = x if x.__class__ is int else exact(x)
                 else:
                     del row[j]
             out.append(row)
@@ -167,7 +169,10 @@ class RationalMatrix:
         c = exact(c, "matrix entry")
         if not c:
             return RationalMatrix.zero(self.rows, self.cols)
-        return RationalMatrix._of([{j: c * x for j, x in row.items()} for row in self._rows], self.cols)
+        rows = [{j: c * x for j, x in row.items()} for row in self._rows]
+        if c.__class__ is not int or not _is_int(self):
+            rows = [_normal(row) for row in rows]
+        return RationalMatrix._of(rows, self.cols)
 
     def mul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
@@ -178,7 +183,7 @@ class RationalMatrix:
             for k, a in srow.items():
                 for j, b in other._rows[k].items():
                     row[j] = row.get(j, 0) + a * b
-            out.append({j: x for j, x in row.items() if x})
+            out.append({j: x if x.__class__ is int else exact(x) for j, x in row.items() if x})
         return RationalMatrix._of(out, other.cols)
 
     def mul_vec(self, v):
@@ -195,11 +200,24 @@ class RationalMatrix:
             for srow in self._rows
             for orow in other._rows
         ]
+        if not (_is_int(self) and _is_int(other)):
+            out = [_normal(row) for row in out]
         return RationalMatrix._of(out, self.cols * width)
 
     def _check_same_shape(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
+
+
+def _is_int(m: RationalMatrix) -> bool:
+    """Are all of m's entries ints?  Then its products are ints too."""
+    return all(x.__class__ is int for row in m._rows for x in row.values())
+
+
+def _normal(row: dict) -> dict:
+    """`row` without its zeros, and each entry in the normal form of
+    ``core.exact``."""
+    return {j: x if x.__class__ is int else exact(x) for j, x in row.items() if x}
 
 
 def kron_all(mats) -> RationalMatrix:
@@ -211,16 +229,12 @@ def kron_all(mats) -> RationalMatrix:
     return out
 
 
-def _copy_rows(a: RationalMatrix) -> list:
-    return [dict(row) for row in a._rows]
-
-
 def _integral(row: dict) -> dict:
-    """`row` times the lcm of the denominators of its entries: a row of ints
-    with the same span.  A row of ints is returned as is."""
+    """`row` times the lcm of the denominators of its entries: a new row of
+    ints with the same span.  A row of ints is copied."""
     dens = {x.denominator for x in row.values() if x.__class__ is not int}
     if not dens:
-        return row
+        return dict(row)
     m = lcm(*dens)
     return {j: x.numerator * (m // x.denominator) for j, x in row.items()}
 
@@ -245,10 +259,12 @@ def _echelon(rows) -> dict:
     """Row echelon form of sparse rows, as {pivot column: row}.
 
     Each row is a dict column -> nonzero rational (int or Fraction) and is
-    consumed.  Rows are taken sparsest first, ties in their given order
-    (the structural pivot order of sparse eliminators, Markowitz 1957).
-    The elimination is fraction free (after Bareiss 1968): a row is taken
-    in as ints, multiplied by the lcm of its denominators, and reduced left
+    left as it is: a row is copied as it is taken in, so only one working
+    row exists at a time besides the pivot rows, and callers pass a
+    matrix's own rows.  Rows are taken sparsest first, ties in their given
+    order (the structural pivot order of sparse eliminators, Markowitz
+    1957).  The elimination is fraction free (after Bareiss 1968): a row is
+    taken in as ints, multiplied by the lcm of its denominators, and reduced left
     to right against the pivot rows found so far as row <- a*row - f*prow,
     where a : f is the ratio of the pivot entry to the row's entry, in
     lowest terms.  Its leftmost surviving column becomes a new pivot, and
@@ -313,7 +329,7 @@ def _back_substitute(pivots: dict, x: list) -> list:
 
 
 def rank(a: RationalMatrix) -> int:
-    return len(_echelon(_copy_rows(a)))
+    return len(_echelon(a._rows))
 
 
 def solve_linear(a: RationalMatrix, b):
@@ -323,10 +339,12 @@ def solve_linear(a: RationalMatrix, b):
     """
     if len(b) != a.rows:
         raise ValueError(f"rhs length {len(b)} != row count {a.rows}")
-    rows = _copy_rows(a)
-    for row, rhs in zip(rows, b):
+    # The matrix's rows are shared; a row with a nonzero right-hand side
+    # is a new dict that holds it in column a.cols.
+    rows = list(a._rows)
+    for i, rhs in enumerate(b):
         if rhs:
-            row[a.cols] = exact(rhs, "matrix entry")
+            rows[i] = {**rows[i], a.cols: exact(rhs, "matrix entry")}
     pivots = _echelon(rows)
     if a.cols in pivots:
         return None
@@ -341,7 +359,7 @@ def kernel_basis(a: RationalMatrix):
     Each basis vector has one free coordinate equal to 1 (the others zero),
     with free columns taken left to right.
     """
-    pivots = _echelon(_copy_rows(a))
+    pivots = _echelon(a._rows)
     basis = []
     for free in range(a.cols):
         if free in pivots:
@@ -407,7 +425,7 @@ def cycle_basis(c: ChainComplex, k: int):
 def boundary_basis(c: ChainComplex, k: int):
     """A basis of the boundaries in degree k: the pivot columns of d_{k+1}."""
     d = c.differential(k + 1)
-    return [[row.get(j, 0) for row in d._rows] for j in sorted(_echelon(_copy_rows(d)))]
+    return [[row.get(j, 0) for row in d._rows] for j in sorted(_echelon(d._rows))]
 
 
 def homology_representatives(c: ChainComplex, k: int):

@@ -5,12 +5,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+def index_key(name: str):
+    """Sort key of a name by its trailing index: (0, k) for a name
+    `family_k`, and (1, 0), after every index, for a name without one."""
+    family, _, k = name.rpartition("_")
+    if family and k.isdecimal():
+        return 0, int(k)
+    return 1, 0
+
+
 @dataclass
 class ReportEntry:
     name: str
     ok: bool
     detail: str = ""
-    residual: object = None
 
     def line(self) -> str:
         msg = f"{'PASS' if self.ok else 'FAIL'}  {self.name}"
@@ -23,14 +31,20 @@ class ReportEntry:
 class Report:
     title: str
     entries: list = field(default_factory=list)
-    first_failure: object = None  # set by checks that rank their failing entries
 
-    def add(self, name, ok, detail="", residual=None):
-        self.entries.append(ReportEntry(name, ok, detail, residual))
+    def add(self, name, ok, detail=""):
+        self.entries.append(ReportEntry(name, ok, detail))
 
     @property
     def ok(self) -> bool:
         return all(e.ok for e in self.entries)
+
+    @property
+    def first_failure(self):
+        """The name of the failing entry with the least index (`index_key`),
+        ties in entry order; None when the report passes."""
+        failing = [e.name for e in self.entries if not e.ok]
+        return min(failing, key=index_key) if failing else None
 
     def lines(self):
         out = [self.title]

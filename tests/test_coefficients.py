@@ -228,6 +228,20 @@ def test_matrix_entry_points_keep_exact_input():
         assert x == want and type(x) is type(want)
 
 
+def test_matrix_arithmetic_keeps_the_normal_form():
+    # A sum or product that is integral is stored as an int.
+    half = linalg.RationalMatrix([[1, 1]]).scale(Fraction(1, 2))
+    total = half.add(linalg.RationalMatrix([[Fraction(1, 2), 0]]))
+    assert _stored(total) == [1, Fraction(1, 2)] and [type(x) for x in _stored(total)] == [int, Fraction]
+    assert all(type(x) is int for x in _stored(half.scale(2)))
+    assert _stored(half.sub(half.scale(-1))) == [1, 1] and all(type(x) is int for x in _stored(half.scale(4)))
+    two = linalg.RationalMatrix([[2], [4]])
+    assert [type(x) for x in _stored(half.mul(two))] == [int]
+    assert [type(x) for x in _stored(half.kron(two))] == [int] * 4
+    rows = linalg.RationalMatrix.from_rows([{0: Fraction(3), 1: Fraction(1, 3), 2: 0}], 3)
+    assert [type(x) for x in _stored(rows)] == [int, Fraction]
+
+
 # ---------------------------------------------------------------------------
 # The normal form against the all-Fraction form
 
@@ -292,6 +306,15 @@ def test_arithmetic_stays_in_normal_form(ta, tb, s, fa, fb):
         assert_normal(result)
         ref = _raw(ForestElement, _GENS, _reference(*parts), *fmeta)
         assert result == ref and hash(result) == hash(ref) and result.text() == ref.text()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(_coeffs, min_size=3, max_size=3), min_size=3, max_size=3), _coeffs)
+def test_matrix_arithmetic_stays_in_normal_form(dense, s):
+    a = linalg.RationalMatrix.from_rows([dict(enumerate(row)) for row in dense], 3)
+    b = linalg.RationalMatrix(dense).scale(Fraction(1, 2))
+    for m in (a, a.add(b), a.sub(b), a.scale(s), a.mul(b), a.kron(b)):
+        assert all(is_normal(x) for x in _stored(m))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Source hygiene that needs no linter: no unused imports in the package,
-no linear combination grown term by term with `x = x + ...` in a loop
-(each step copies the whole sum; `core.collect_terms` merges in one pass),
+no linear combination grown term by term with `x = x + ...` or
+`x = x.add(...)` in a loop (each step copies the whole sum;
+`core.collect_terms` merges terms in one pass, and `reps._bump` adds each
+matrix block into its own key),
 no package import inside a function (the package has no import cycle
 that would need one, and a module's dependencies belong at its top), and
 no true division outside `linalg` (`/` on two ints is a float, the one
@@ -17,7 +19,7 @@ takes from it), and no use of `TreeMonomial._assembled` outside `core`
 read outside `serialize` (it owns every file format: its `dumps` is the one
 writer, and its `load` the one reader), and no `Fraction(<int constant>)`
 in the package (the `core.exact` normal form of an integral value is the
-int itself, and a matrix stores its entries as given)."""
+int itself, and a matrix stores every entry in that normal form)."""
 
 import ast
 from pathlib import Path
@@ -56,20 +58,27 @@ def test_no_unused_imports(path):
 
 
 def _is_self_sum(node):
-    """`x = x + ...` or `x = x - ...`, also with further terms chained on."""
+    """`x = x + ...`, `x = x - ...`, `x = x.add(...)` or `x = x.sub(...)`,
+    also with further terms chained on."""
     if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
         return False
     target = node.targets[0]
     if not isinstance(target, ast.Name):
         return False
     value = node.value
-    while isinstance(value, ast.BinOp) and isinstance(value.op, (ast.Add, ast.Sub)):
-        value = value.left
+    while True:
+        if isinstance(value, ast.BinOp) and isinstance(value.op, (ast.Add, ast.Sub)):
+            value = value.left
+        elif isinstance(value, ast.Call) and isinstance(value.func, ast.Attribute) and value.func.attr in ("add", "sub"):
+            value = value.func.value
+        else:
+            break
     return value is not node.value and isinstance(value, ast.Name) and value.id == target.id
 
 
 def loop_self_sums(source: str):
-    """Line numbers of `x = x +/- ...` assignments inside a for/while body."""
+    """Line numbers of `x = x +/- ...` and `x = x.add/sub(...)` assignments
+    inside a for/while body."""
     found = set()
     for loop in ast.walk(ast.parse(source)):
         if isinstance(loop, (ast.For, ast.While)):
@@ -87,8 +96,13 @@ def test_checker_finds_loop_self_sums():
         "    total = other + t\n"
         "    if t:\n"
         "        out = out - t + t\n"
+        "    total = total.add(t.scale(2))\n"
+        "    total = total.sub(t).add(t)\n"
+        "    total = other.add(total)\n"
+        "    blocks[k] = blocks[k].add(t)\n"
+        "    seen = seen.union(t)\n"
     )
-    assert loop_self_sums(source) == [7]
+    assert loop_self_sums(source) == [7, 8, 9]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -23,8 +23,15 @@ order is the column order of every transfer and homotopy system.
 pivot is inverted as a Fraction and its row scaled to 1 there.  The
 package's `_echelon` keeps every row as ints and stores each pivot row
 primitive; both must have the same pivot columns and the same row space.
+
+`reference_check_homotopy` checks each endpoint of a homotopy by renaming
+p (or q) to f in a separate morphism model and checking that
+representation on its own, then checks the whole representation.  The
+package's `check_homotopy` reads both endpoint verdicts off its one axiom
+pass; both must give the same verdicts and the same generator entries.
 """
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -44,15 +51,18 @@ from operadkit.core import (
     TreeMonomial,
     collect_terms,
     compose_full,
+    graft,
     leaf_suffix_degrees,
 )
 from operadkit.differentials import (
+    DerivationDifferential,
     build_ainf,
     build_ainf_morphism,
     build_homotopy_model,
     build_iso_resolution,
     extend_derivation,
     rename_element,
+    verify_d_squared,
 )
 from operadkit.forests import (
     ForestElement,
@@ -65,6 +75,7 @@ from operadkit.linalg import ChainComplex, _echelon, kron_all
 from operadkit.reps import MultilinearMap, compose_maps, identity_map
 from operadkit.tails import build_model_btow
 from test_core import enumerate_up_to
+from test_reps import random_map, random_representation, strict_dga_rep
 
 # ---------------------------------------------------------------------------
 # References
@@ -499,7 +510,9 @@ def sparse_rows(draw):
 @settings(max_examples=200, deadline=None)
 @given(sparse_rows())
 def test_pivot_rows_are_primitive_and_span_the_reference_rows(rows):
-    pivots = _echelon([dict(r) for r in rows])
+    given_rows = [dict(r) for r in rows]
+    pivots = _echelon(given_rows)
+    assert given_rows == rows  # each row is copied as it is taken in
     ref = reference_echelon([dict(r) for r in rows])
     assert sorted(pivots) == sorted(ref)
     for col, row in pivots.items():
@@ -508,3 +521,141 @@ def test_pivot_rows_are_primitive_and_span_the_reference_rows(rows):
         assert gcd(*row.values()) == 1
         # Same pivot columns, so equal dimensions: containment is equality.
         assert _in_span(ref, row)
+
+
+# ---------------------------------------------------------------------------
+# The homotopy checker against its endpoint-restriction form
+
+
+def _reference_lowest(entries, order):
+    """The failing entry name least by (arity, family order), or None."""
+    failing = [e.name for e in entries if not e.ok]
+    if not failing:
+        return None
+
+    def key(name):
+        family, _, k = name.partition("_")
+        return int(k), order[family]
+
+    return min(failing, key=key)
+
+
+def reference_check_homotopy(rep):
+    """(side verdicts, generator entries) of the homotopy check, by
+    restriction: each endpoint family p or q is renamed f in a separate
+    morphism model, whose representation is checked on its own; the entries
+    of the full pass are sorted by (arity, family, name).  A side verdict is
+    (ok, its lowest failure renamed back to p or q)."""
+    max_arity = max(g.signature.arity for g in rep.model.base.generators)
+    morphism = build_ainf_morphism(max_arity)
+    sides = []
+    for letter in ("p", "q"):
+        images = {}
+        for g in morphism.base.generators:
+            family, _, k = g.name.partition("_")
+            images[g.name] = rep.images[f"{letter}_{k}" if family == "f" else g.name]
+        side = reps.check_representation(reps.Representation(morphism, rep.complexes, images))
+        lowest = _reference_lowest(side.entries, {"mu": 0, "nu": 1, "f": 2})
+        if lowest is not None and lowest.startswith("f_"):
+            lowest = letter + lowest[1:]
+        sides.append((side.ok, lowest or ""))
+    order = {"mu": 0, "nu": 1, "p": 2, "q": 3, "h": 4}
+
+    def sort_key(e):
+        family, _, k = e.name.partition("_")
+        return int(k), order[family], e.name
+
+    entries = sorted(reps.check_representation(rep).entries, key=sort_key)
+    return sides, [(e.name, e.ok, e.detail) for e in entries]
+
+
+def _reflexive_homotopy(max_arity):
+    """p = q = the identity of a strict dga, h = 0: every axiom holds."""
+    model = build_homotopy_model(max_arity)
+    u, mu, _ = strict_dga_rep(model)
+    w = ChainComplex(dict(u.dims), dict(u.d), "W")
+    images = {"mu_2": mu, "nu_2": MultilinearMap((w, w), w, 0, dict(mu.blocks))}
+    images["p_1"] = images["q_1"] = MultilinearMap((u,), w, 0, identity_map(u).blocks)
+    return reps.Representation(model, {"B": u, "W": w}, images)
+
+
+def _with_one_image_replaced(rng, rep):
+    g = rng.choice(rep.model.base.generators)
+    sources = rep.sources_for(g.signature)
+    images = dict(rep.images)
+    images[g.name] = random_map(rng, sources, rep.complexes[g.signature.output], g.degree, -1, 1)
+    return reps.Representation(rep.model, rep.complexes, images)
+
+
+def homotopy_cases():
+    """Seeded homotopy representations: reflexive ones, random ones, and
+    copies of both with one image replaced by a random map."""
+    rng = random.Random(20)
+    for max_arity in (3, 4):
+        valid = _reflexive_homotopy(max_arity)
+        yield valid
+        for _ in range(8):
+            yield _with_one_image_replaced(rng, valid)
+        rand = random_representation(rng, build_homotopy_model(max_arity), (1, 1, 1))
+        yield rand
+        yield _with_one_image_replaced(rng, rand)
+
+
+def test_check_homotopy_matches_the_restriction_reference():
+    verdicts = set()
+    for rep in homotopy_cases():
+        report = reps.check_homotopy(rep)
+        sides, entries = reference_check_homotopy(rep)
+        assert [(e.ok, e.detail) for e in report.entries[:2]] == sides
+        assert [(e.name, e.ok, e.detail) for e in report.entries[2:]] == entries
+        verdicts.add(tuple(ok for ok, _ in sides) + (report.ok,))
+    # The cases reach a passing report, a failing one with both sides
+    # passing, and failing sides.
+    assert {(True, True, True), (True, True, False)} <= verdicts
+    assert any(not (p and q) for p, q, _ in verdicts)
+
+
+def _lowest_failure(report):
+    """The first failing entry of least trailing index, names without one last."""
+    best = None
+    for e in report.entries:
+        if e.ok:
+            continue
+        family, _, k = e.name.rpartition("_")
+        key = (0, int(k)) if family and k.isdigit() else (1, 0)
+        if best is None or key < best[0]:
+            best = (key, e.name)
+    return None if best is None else best[1]
+
+
+def test_first_failure_names_the_lowest_failing_generator():
+    # D^2(mu_3) = 0 for any sign of D(mu_3), since D(mu_2) = 0; a flipped
+    # sign shows first in D^2(mu_4).
+    d = build_ainf(4)
+    mu2 = TreeMonomial.generator(d.base, "mu_2")
+    images = dict(d.images)
+    images["mu_3"] = graft(mu2, 1, mu2) + graft(mu2, 2, mu2)
+    dsq = verify_d_squared(DerivationDifferential(d.base, images))
+    assert dsq.first_failure == "mu_4"
+
+    valid = _reflexive_homotopy(3)
+    broken = dict(valid.images)
+    u, w = valid.complexes["B"], valid.complexes["W"]
+    broken["p_2"] = broken["q_2"] = MultilinearMap((u, u), w, 1, {(0, 0): [[1, 0, 0, 0]]})
+    homotopy = reps.check_homotopy(reps.Representation(valid.model, valid.complexes, broken))
+    assert homotopy.first_failure == "p_2"
+    assert [e.line() for e in homotopy.entries[:2]] == [
+        "FAIL  p-side morphism  p_2",
+        "FAIL  q-side morphism  q_2",
+    ]
+
+    rng = random.Random(7)
+    morphism = random_representation(rng, build_ainf_morphism(3), (1, 1))
+    iso = random_representation(rng, build_iso_resolution(3), (1, 1))
+    reports = [dsq, verify_d_squared(d), homotopy, reps.check_homotopy(valid)]
+    reports += [reps.check_sh_morphism(morphism), reps.check_sh_equivalence(iso)]
+    reports += [reps.check_homotopy(rep) for rep in homotopy_cases()]
+    assert {r.ok for r in reports} == {True, False}
+    for report in reports:
+        assert (report.first_failure is None) == report.ok
+        assert report.first_failure == _lowest_failure(report)

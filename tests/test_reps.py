@@ -1,7 +1,11 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+
+import operadkit.differentials as differentials
+import operadkit.reps as reps
 
 from operadkit.core import (
     OperadElement,
@@ -362,7 +366,7 @@ def test_check_sh_morphism_identity_and_negative():
     rep2 = Representation(model, {B: u, W: w}, broken)
     report2 = check_sh_morphism(rep2)
     assert not report2.ok
-    assert report2.first_failure == ("morphism", 1, "f_1")
+    assert report2.first_failure == "f_1"
 
 
 def test_check_homotopy_reflexivity_and_negative():
@@ -394,6 +398,19 @@ def test_check_homotopy_reflexivity_and_negative():
     report2 = check_homotopy(rep2)
     assert not report2.ok
     assert report2.first_failure == "h_1"
+
+
+def test_check_homotopy_makes_one_axiom_pass():
+    rng = random.Random(3)
+    rep = random_representation(rng, build_homotopy_model(3), (1, 1, 1))
+    with (
+        mock.patch.object(reps, "check_representation", wraps=reps.check_representation) as one_pass,
+        mock.patch.object(reps, "check_sh_morphism", wraps=reps.check_sh_morphism) as sh,
+        mock.patch.object(differentials, "build_ainf_morphism", wraps=differentials.build_ainf_morphism) as build,
+    ):
+        report = check_homotopy(rep)
+    assert (one_pass.call_count, sh.call_count, build.call_count) == (1, 0, 0)
+    assert [e.name for e in report.entries[2:]] == [e.name for e in check_representation(rep).entries]
 
 
 def test_check_homotopy_hand_built_example():
@@ -468,7 +485,7 @@ def test_check_sh_equivalence_restrictions():
     f0 = MultilinearMap((u,), w, 0, {(0,): [[1]]})
     g0 = MultilinearMap((w,), u, 0, {(0,): [[1]]})
     rep = Representation(model, {B: u, W: w}, {"f_0": f0, "g_0": g0})
-    report = check_sh_equivalence(rep, a_images={}, b_images={})
+    report = check_sh_equivalence(rep)
     assert report.ok
 
 

@@ -276,6 +276,11 @@ def test_symmetrized_product_is_commutative():
         mubar = symmetrized_product(mu)
         assert is_commutative(mubar)
         assert symmetrized_product(mubar) == mubar
+    # The Koszul dga's product has entries 0 and 1, and so has its
+    # symmetrization (mu is graded commutative): every entry is the int 1.
+    _, mu = koszul_dga()
+    entries = [x for block in symmetrized_product(mu).blocks.values() for x in _stored(block)]
+    assert entries and all(type(x) is int and x == 1 for x in entries)
 
 
 def test_is_quasi_iso_on_conjugated_complexes():
