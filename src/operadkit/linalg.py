@@ -16,7 +16,8 @@ int data this costs no function call per entry.
 
 One eliminator, ``_echelon``, brings the rows to row echelon form, taking
 them sparsest first, and ``rank``, ``solve_linear``, ``kernel_basis``,
-``boundary_basis`` and ``homology_representatives`` all go through it.
+``boundary_basis``, ``homology_representatives`` and
+``homology_projection`` all go through it.
 It is fraction free: each row is made integral as it is taken in, rows
 are combined with integer factors, and each pivot row is stored
 primitive, so the elimination runs on ints whatever the entries were.
@@ -418,10 +419,6 @@ class ChainComplex:
         return f"ChainComplex(dims={self.dims}, color={self.color!r})"
 
 
-def cycle_basis(c: ChainComplex, k: int):
-    return kernel_basis(c.differential(k))
-
-
 def boundary_basis(c: ChainComplex, k: int):
     """A basis of the boundaries in degree k: the pivot columns of d_{k+1}."""
     d = c.differential(k + 1)
@@ -435,7 +432,7 @@ def homology_representatives(c: ChainComplex, k: int):
     cycles before it: exactly the cycles that are pivot columns of the
     matrix [boundaries | cycles].
     """
-    cycles = cycle_basis(c, k)
+    cycles = kernel_basis(c.differential(k))
     bounds = boundary_basis(c, k)
     cols = bounds + cycles
     rows = [{j: v[i] for j, v in enumerate(cols) if v[i]} for i in range(c.dim(k))]
@@ -443,14 +440,17 @@ def homology_representatives(c: ChainComplex, k: int):
     return reps, bounds
 
 
-def homology_coordinates(c: ChainComplex, k: int, vector):
-    """Coordinates of a cycle's class in the fixed representative basis."""
+def homology_projection(c: ChainComplex, k: int):
+    """The rows of p_k: degree k -> H_k in the fixed representative basis.
+
+    p_k sends each boundary-basis vector to 0 and representative j to e_j,
+    so on a cycle it gives the coordinates of its class, and p o d = 0.
+    Row j is the canonical answer of [bounds | reps]^T y = e_{b+j}.
+    """
     reps, bounds = homology_representatives(c, k)
-    cols = bounds + reps
-    x = solve_linear(RationalMatrix.from_columns(cols, c.dim(k)), vector)
-    if x is None:
-        raise ValueError("vector is not a cycle (or not in the chain space)")
-    return x[len(bounds):]
+    transposed = RationalMatrix(bounds + reps, cols=c.dim(k))
+    n = transposed.rows
+    return [solve_linear(transposed, [int(i == j) for i in range(n)]) for j in range(len(bounds), n)]
 
 
 def homology_dims(c: ChainComplex) -> dict:

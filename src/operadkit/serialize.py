@@ -208,13 +208,13 @@ def complex_to_json(c: ChainComplex) -> dict:
     }
 
 
-def complex_from_json(obj: dict, color=None) -> ChainComplex:
+def complex_from_json(obj: dict) -> ChainComplex:
     dims, degrees, d = _fields(obj, ("dims",), {"degrees": None, "d": {}})
     dims = {k: integer(n) for k, n in _int_keyed(dims).items()}
     if degrees is not None and [integer(k) for k in _array(degrees)] != sorted(dims):
         raise ValueError(f"degrees {degrees} differ from the dims keys {sorted(dims)}")
     d = {k: _matrix_from_json(rows, ncols=dims.get(k, 0)) for k, rows in _int_keyed(d).items()}
-    return ChainComplex(dims, d, color)
+    return ChainComplex(dims, d)
 
 
 def map_to_json(m: MultilinearMap) -> dict:
@@ -239,7 +239,7 @@ def map_from_json(obj: dict, sources, target) -> MultilinearMap:
 
 def representation_from_json(obj: dict, model: DerivationDifferential) -> Representation:
     complexes, images = _fields(obj, ("complexes", "images"), {})
-    complexes = {color: complex_from_json(c, color) for color, c in _object(complexes).items()}
+    complexes = {color: complex_from_json(c) for color, c in _object(complexes).items()}
     decoded = {}
     for name, entry in _object(images).items():
         # A name that is not a generator stays undecoded: Representation
@@ -270,8 +270,8 @@ def state_to_json(state: ExtensionState) -> dict:
 
 def state_from_json(obj: dict) -> ExtensionState:
     v, w, k, m, n, f = _fields(obj, ("v", "w", "k"), {"m": {}, "n": {}, "f": {}})
-    v = complex_from_json(v, "B")
-    w = complex_from_json(w, "W")
+    v = complex_from_json(v)
+    w = complex_from_json(w)
 
     def maps(table, source, target):
         return {i: map_from_json(e, (source,) * i, target) for i, e in _int_keyed(table).items()}

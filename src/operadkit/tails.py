@@ -324,7 +324,7 @@ def build_model_homotopy(bw: TailedModel, max_arity: int, polarization: str = "n
 
 
 # ---------------------------------------------------------------------------
-# The iso-resolution model: principal parts and attempted tails
+# The iso-resolution model: principal parts and solved tails
 
 
 def build_model_iso_principal(
@@ -333,14 +333,15 @@ def build_model_iso_principal(
     max_index: int,
 ) -> TailedModel:
     """Principal parts of the iso-resolution model over a minimal base, with
-    tails attempted per generator (a failed solve is recorded, not fatal).
+    tails solved per generator (a failed solve raises, as in the other builders).
 
     Only bases with generators of arity <= 2 are supported: the closed
     polarization formulas used by the principal parts exist in width 2.
     The tail ideal is empty: it would be spanned by the super-family copies
     of base generators of lower arity, and an arity-2 base has none.  Each
     tail solve therefore enumerates no basis: it checks that a principal part
-    is closed, and records "tail 0" or a failure.
+    is closed and records "tail 0".  Over an arity-2 base the principal parts
+    are closed, as the polarization identities show.
     """
     _check_base(base)
     picked = _picked(base, max_arity)
@@ -404,9 +405,6 @@ def build_model_iso_principal(
         for g in picked:
             for fam in ("f", "g"):
                 name = f"{g.name}_{fam}{k}"
-                try:
-                    _solve_into(gens, images, tails, report, name, images[name], [])
-                except TailError as exc:
-                    report.add(name, False, str(exc))
+                _solve_into(gens, images, tails, report, name, images[name], [])
 
     return TailedModel(gens, images, base, [g.name for g in picked], tails, report)

@@ -34,12 +34,12 @@ import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .core import OperadElement
+from .core import OperadElement, TreeMonomial, compose_full
 from .differentials import build_ainf_morphism
 from .linalg import (
     ChainComplex,
     RationalMatrix,
-    homology_coordinates,
+    homology_projection,
     homology_representatives,
     kron_all,
     rank,
@@ -111,26 +111,20 @@ class ExtensionState:
 def is_quasi_iso(f1: MultilinearMap) -> bool:
     """Does the chain map F_1 induce an isomorphism on homology?
 
-    With equal homology dims, H_k(F_1) is an isomorphism exactly when the
-    images of V's representatives are independent modulo W's boundaries,
-    that is when [boundaries of W | F_1(representatives of V)] has full
-    column rank.
+    H(F_1) is the composition p_W o F_1 o iota_V of F_1 with the homology
+    retracts, and it is an isomorphism exactly when each degree's block is
+    square and of full rank.
     """
     if f1.arity != 1 or f1.degree != 0:
         raise ValueError("expected an arity-1 degree-0 map")
     if not hom_differential(f1).is_zero():
         return False
     (v,), w = f1.sources, f1.target
-    for k in sorted(set(v.degrees()) | set(w.degrees())):
-        reps_v, _ = homology_representatives(v, k)
-        reps_w, bounds_w = homology_representatives(w, k)
-        if len(reps_v) != len(reps_w):
-            return False
-        if not reps_v:
-            continue
-        block = f1.block((k,))
-        cols = bounds_w + [block.mul_vec(z) for z in reps_v]
-        if rank(RationalMatrix.from_columns(cols, w.dim(k))) != len(cols):
+    hv, iota_v, _ = homology_complex(v)
+    hw, _, p_w = homology_complex(w)
+    induced = compose_maps(p_w, [compose_maps(f1, [iota_v])])
+    for k in set(hv.degrees()) | set(hw.degrees()):
+        if hv.dim(k) != hw.dim(k) or rank(induced.block((k,))) != hv.dim(k):
             return False
     return True
 
@@ -276,17 +270,12 @@ def extension_step(state: ExtensionState) -> ExtensionState:
 
 
 def _split_principal(model, elem, knew):
-    """Separate the nu_{K+1}(f_1,...,f_1) term from the rest of D(f_{K+1})."""
-    principal_coeff = 0
-    rest_terms = {}
-    for mono, coeff in elem.terms.items():
-        names = mono.vertex_names()
-        if names[0] == f"nu_{knew}" and all(n == "f_1" for n in names[1:]) and len(names) == knew + 1:
-            principal_coeff += coeff
-            continue
-        rest_terms[mono] = coeff
-    rest = OperadElement(elem.gens, rest_terms, signature=elem.signature, degree=elem.degree)
-    return principal_coeff, rest
+    """(c, rest) with elem = c nu_{K+1}(f_1, ..., f_1) + rest, for elem = D(f_{K+1})."""
+    f1 = OperadElement.from_generator(model.base, "f_1")
+    principal = compose_full(TreeMonomial.generator(model.base, f"nu_{knew}"), [f1] * knew)
+    (mono,) = principal.terms
+    coeff = elem.coeff(mono)
+    return coeff, elem - principal.scale(coeff)
 
 
 def extend_to_arity(state: ExtensionState, target: int) -> ExtensionState:
@@ -366,33 +355,22 @@ def symmetrized_product(mu: MultilinearMap) -> MultilinearMap:
     return mu.add(_swapped(mu)).scale(Fraction(1, 2))
 
 
-def homology_complex(u: ChainComplex, color=None) -> tuple:
-    """(H as a zero-differential complex, the section iota: H -> U)."""
+def homology_complex(u: ChainComplex) -> tuple:
+    """(H, iota, p): H as a zero-differential complex, the section
+    iota: H -> U onto the fixed representatives, and the projection
+    p: U -> H that kills the boundary basis.  Both are chain maps, and
+    p o iota = 1."""
     dims = {}
-    blocks = {}
+    sections = {}
+    projections = {}
     for k in u.degrees():
         reps, _ = homology_representatives(u, k)
         if reps:
             dims[k] = len(reps)
-            blocks[(k,)] = RationalMatrix.from_columns(reps, u.dim(k))
-    h = ChainComplex(dims, {}, color or u.color)
-    iota = MultilinearMap((h,), u, 0, blocks)
-    return h, iota
-
-
-def induced_product(u: ChainComplex, mu: MultilinearMap, h: ChainComplex, iota: MultilinearMap) -> MultilinearMap:
-    """The product induced on homology, in the representative basis: the
-    homology coordinates of each column of mu o (iota (x) iota)."""
-    star_blocks = {}
-    for key, block in compose_maps(mu, [iota, iota]).blocks.items():
-        target_k = sum(key)
-        columns = [[0] * block.rows for _ in range(block.cols)]
-        for i in range(block.rows):
-            for j, x in block.row_items(i):
-                columns[j][i] = x
-        cols = [homology_coordinates(u, target_k, col) for col in columns]
-        star_blocks[key] = RationalMatrix.from_columns(cols, h.dim(target_k))
-    return MultilinearMap((h, h), h, 0, star_blocks)
+            sections[(k,)] = RationalMatrix.from_columns(reps, u.dim(k))
+            projections[(k,)] = RationalMatrix(homology_projection(u, k))
+    h = ChainComplex(dims)
+    return h, MultilinearMap((h,), u, 0, sections), MultilinearMap((u,), h, 0, projections)
 
 
 def is_commutative(star: MultilinearMap) -> bool:
@@ -402,16 +380,17 @@ def is_commutative(star: MultilinearMap) -> bool:
 def scenario_symmetrization(u: ChainComplex, mu: MultilinearMap, target_arity: int) -> ExtensionState:
     """Extend the symmetrized product of a homotopy-commutative dga.
 
-    Builds H with an explicit section iota, the induced product, the
-    symmetrization mubar, a homotopy h between iota(*) and mubar(iota, iota),
-    and runs the extension from (V, 0, *) --iota--> (W, d, mubar).
+    Builds the homology retract (H, iota, p), the induced product
+    * = p o mu o (iota (x) iota), the symmetrization mubar, a homotopy h
+    between iota(*) and mubar(iota, iota), and runs the extension from
+    (V, 0, *) --iota--> (W, d, mubar).
     """
     if not hom_differential(mu).is_zero():
         raise ValueError("mu must be a chain map")
     if not _associator(mu).is_zero():
         raise ValueError("mu must be strictly associative")
-    h_cx, iota = homology_complex(u, color="B")
-    star = induced_product(u, mu, h_cx, iota)
+    h_cx, iota, p = homology_complex(u)
+    star = compose_maps(p, [compose_maps(mu, [iota, iota])])
     if not is_commutative(star):
         raise ValueError("induced product on homology is not commutative")
     mubar = symmetrized_product(mu)

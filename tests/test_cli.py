@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -170,6 +171,97 @@ def test_extend_cli_round_trip(tmp_path, capsys):
     assert final.k == 4
     assert final.check().ok
     assert out.read_text() == json.dumps(state_to_json(final), indent=2) + "\n"
+
+
+def _identity_rep_json(model_args, identities):
+    """The identity of the three-dimensional dga as a representation of a
+    two-coloured model: the images named in `identities` are identity maps,
+    the products are the dga's own, and every other image is zero.  That is
+    a strict morphism, the zero homotopy from it to itself, or a strict
+    equivalence."""
+    from operadkit.differentials import build_homotopy_model, build_iso_resolution
+    from operadkit.linalg import RationalMatrix
+    from operadkit.reps import ChainComplex, Representation, identity_map
+
+    builders = {"ainf-morphism": build_ainf_morphism, "homotopy": build_homotopy_model, "iso": build_iso_resolution}
+    model = builders[model_args[1]](int(model_args[3]))
+    u = ChainComplex({0: 2, 1: 1}, {1: RationalMatrix([[0], [1]])}, "B")
+    w = ChainComplex(dict(u.dims), dict(u.d), "W")
+    images = {}
+    if "mu_2" in model.base:
+        images["mu_2"] = MultilinearMap((u, u), u, 0, GOOD_PRODUCT)
+        images["nu_2"] = MultilinearMap((w, w), w, 0, GOOD_PRODUCT)
+    for name in identities:
+        source, target = (w, u) if name == "g_0" else (u, w)
+        images[name] = MultilinearMap((source,), target, 0, identity_map(u).blocks)
+    return representation_to_json(Representation(model, {"B": u, "W": w}, images))
+
+
+@pytest.mark.parametrize(
+    "model_args, identities, title",
+    [
+        (["--model", "ainf-morphism", "--max-arity", "3"], ["f_1"], "sh-morphism axioms"),
+        (["--model", "homotopy", "--max-arity", "3"], ["p_1", "q_1"], "homotopy axioms"),
+        (["--model", "iso", "--max-index", "2"], ["f_0", "g_0"], "sh-equivalence axioms"),
+    ],
+    ids=["ainf-morphism", "homotopy", "iso"],
+)
+def test_check_rep_on_two_coloured_models(tmp_path, capsys, model_args, identities, title):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(_identity_rep_json(model_args, identities)))
+    assert run(["check-rep", *model_args, "--rep", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == title and out[-1] == "  => PASS"
+
+
+def test_solve_tail_json(tmp_path, capsys):
+    assert run(["solve-tail", "--max-arity", "4", "--format", "json"]) == 0
+    text = capsys.readouterr().out
+    obj = json.loads(text)
+    assert list(obj) == ["schema", "tails"] and obj["schema"] == SCHEMA
+    assert list(obj["tails"]) == ["mu_2_bar", "mu_3_bar", "mu_4_bar"]
+    assert obj["tails"]["mu_2_bar"]["terms"] == []
+    path = tmp_path / "tails.json"
+    path.write_text(text)
+    assert load(path) == obj
+
+
+def test_extend_cli_reports_an_obstruction(tmp_path, capsys):
+    # F_1 = 0 kills the homology of V, and the F_2 pairing leaves the
+    # arity-3 system infeasible.
+    from operadkit.reps import ChainComplex, zero_map
+    from operadkit.transfer import ExtensionState
+
+    v = ChainComplex({0: 2}, {}, "B")
+    w = ChainComplex({0: 1, 1: 1}, {}, "W")
+    state = ExtensionState(
+        v=v, w=w,
+        m={2: MultilinearMap((v, v), v, 0, {(0, 0): [[1, 0, 0, 0], [0, 1, 0, 0]]})},
+        n={2: MultilinearMap((w, w), w, 0, {(0, 0): [[1]]})},
+        f={1: zero_map((v,), w, 0), 2: MultilinearMap((v, v), w, 1, {(0, 0): [[0, 0, 0, 1]]})},
+        k=2,
+    )
+    setup = tmp_path / "setup.json"
+    setup.write_text(json.dumps(state_to_json(state)))
+    with pytest.warns(UserWarning, match="not a quasi-isomorphism"):
+        assert run(["extend", "--setup", str(setup), "--target-arity", "3"]) == 1
+    assert any(line.startswith("FAIL  extension obstruction") for line in capsys.readouterr().out.splitlines())
+
+
+def test_module_entry_point_runs_the_cli():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import operadkit
+
+    env = {**os.environ, "PYTHONPATH": str(Path(operadkit.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "operadkit", "verify-dsq", "--model", "ainf", "--max-arity", "3"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "  => PASS"
 
 
 def test_polarization_cli(capsys):

@@ -29,6 +29,14 @@ p (or q) to f in a separate morphism model and checking that
 representation on its own, then checks the whole representation.  The
 package's `check_homotopy` reads both endpoint verdicts off its one axiom
 pass; both must give the same verdicts and the same generator entries.
+
+`reference_homology_coordinates` solves for the coordinates of one cycle's
+class in the basis [boundaries | representatives], and
+`reference_is_quasi_iso` tests that [boundaries of W | F_1(representatives
+of V)] has full column rank.  The package computes the projection p of the
+homology retract (H, iota, p) once per degree and tests that
+p_W o F_1 o iota_V is square and of full rank; p must give the same
+coordinates on every cycle, and both tests the same verdict.
 """
 
 import random
@@ -71,11 +79,29 @@ from operadkit.forests import (
     forest_differential,
     polarization_iso_m2,
 )
-from operadkit.linalg import ChainComplex, _echelon, kron_all
-from operadkit.reps import MultilinearMap, compose_maps, identity_map
+from operadkit.linalg import (
+    ChainComplex,
+    RationalMatrix,
+    _echelon,
+    homology_representatives,
+    kernel_basis,
+    kron_all,
+    rank,
+    solve_linear,
+)
+from operadkit.reps import MultilinearMap, compose_maps, hom_differential, identity_map
 from operadkit.tails import build_model_btow
+from operadkit.transfer import homology_complex, is_quasi_iso
 from test_core import enumerate_up_to
+from test_linalg import _conjugated_complex
 from test_reps import random_map, random_representation, strict_dga_rep
+from test_transfer import (
+    class_killing_map,
+    four_dim_dga,
+    invertible_chain_map,
+    koszul_dga,
+    three_dim_dga,
+)
 
 # ---------------------------------------------------------------------------
 # References
@@ -659,3 +685,67 @@ def test_first_failure_names_the_lowest_failing_generator():
     for report in reports:
         assert (report.first_failure is None) == report.ok
         assert report.first_failure == _lowest_failure(report)
+
+
+# ---------------------------------------------------------------------------
+# The homology retract against per-vector coordinates and a rank test
+
+
+def reference_homology_coordinates(c, k, vector):
+    """Coordinates of a cycle's class in the fixed representative basis."""
+    reps_k, bounds = homology_representatives(c, k)
+    cols = bounds + reps_k
+    x = solve_linear(RationalMatrix.from_columns(cols, c.dim(k)), vector)
+    if x is None:
+        raise ValueError("vector is not a cycle (or not in the chain space)")
+    return x[len(bounds):]
+
+
+def reference_is_quasi_iso(f1):
+    """With equal homology dims, H_k(F_1) is an isomorphism exactly when
+    [boundaries of W | F_1(representatives of V)] has full column rank."""
+    if not hom_differential(f1).is_zero():
+        return False
+    (v,), w = f1.sources, f1.target
+    for k in sorted(set(v.degrees()) | set(w.degrees())):
+        reps_v, _ = homology_representatives(v, k)
+        reps_w, bounds_w = homology_representatives(w, k)
+        if len(reps_v) != len(reps_w):
+            return False
+        if not reps_v:
+            continue
+        cols = bounds_w + [f1.block((k,)).mul_vec(z) for z in reps_v]
+        if rank(RationalMatrix.from_columns(cols, w.dim(k))) != len(cols):
+            return False
+    return True
+
+
+def test_homology_retract_matches_the_coordinate_reference():
+    rng = random.Random(17)
+    complexes = [three_dim_dga()[0], four_dim_dga()[0], koszul_dga()[0]]
+    complexes += [_conjugated_complex(rng)[0] for _ in range(30)]
+    verdicts = []
+    cycles = 0
+    for c in complexes:
+        h, iota, p = homology_complex(c)
+        assert compose_maps(p, [iota]) == identity_map(h)
+        assert hom_differential(iota).is_zero() and hom_differential(p).is_zero()
+        for k in c.degrees():
+            p_k = p.block((k,))
+            reps_k, bounds = homology_representatives(c, k)
+            assert all(not any(p_k.mul_vec(b)) for b in bounds)
+            basis = kernel_basis(c.differential(k))
+            for _ in range(3):
+                coeffs = [rng.randint(-3, 3) for _ in basis]
+                z = [sum(a * v[i] for a, v in zip(coeffs, basis)) for i in range(c.dim(k))]
+                assert p_k.mul_vec(z) == reference_homology_coordinates(c, k, z)
+                cycles += any(z) and any(p_k.mul_vec(z))
+        maps = [invertible_chain_map(rng, c)]
+        killing = class_killing_map(rng, c)
+        if killing is not None:
+            maps.append(killing[0])
+        for f in maps:
+            verdicts.append(is_quasi_iso(f))
+            assert verdicts[-1] == reference_is_quasi_iso(f)
+    assert cycles >= 100
+    assert verdicts.count(True) >= 30 and verdicts.count(False) >= 20

@@ -30,7 +30,6 @@ from operadkit.transfer import (
     extension_step,
     find_homotopy,
     homology_complex,
-    induced_product,
     is_commutative,
     is_quasi_iso,
     scenario_abelization,
@@ -253,10 +252,10 @@ def test_homology_preservation():
     h = MultilinearMap((u, u), u, 1, {(0, 0): RationalMatrix([[0, 0, 1, 0]])})
     nu = mu.sub(hom_differential(h))
     state = scenario_abelization(u, mu, nu, h, 3)
-    hv, iota_v = homology_complex(state.v, B)
-    hw, iota_w = homology_complex(state.w, W)
-    star_v = induced_product(state.v, state.m[2], hv, iota_v)
-    star_w = induced_product(state.w, state.n[2], hw, iota_w)
+    _, iota_v, p_v = homology_complex(state.v)
+    _, iota_w, p_w = homology_complex(state.w)
+    star_v = compose_maps(p_v, [compose_maps(state.m[2], [iota_v, iota_v])])
+    star_w = compose_maps(p_w, [compose_maps(state.n[2], [iota_w, iota_w])])
     # F_1 = id here, so the induced products agree on the nose
     assert star_v.blocks == star_w.blocks
 
@@ -283,41 +282,55 @@ def test_symmetrized_product_is_commutative():
     assert entries and all(type(x) is int and x == 1 for x in entries)
 
 
+def invertible_chain_map(rng, c):
+    """An invertible chain map c -> c', with c' conjugated by a random p."""
+    p = {}
+    for k, n in c.dims.items():
+        while True:
+            m = RationalMatrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+            if rank(m) == n:
+                p[k] = m
+                break
+    d = {k: p[k - 1].mul(m).mul(_inverse(p[k])) for k, m in c.d.items()}
+    c2 = ChainComplex(dict(c.dims), d)
+    return MultilinearMap((c,), c2, 0, {(k,): m for k, m in p.items()})
+
+
+def class_killing_map(rng, c):
+    """(f, into a boundary) for a chain map c -> c that sends one homology
+    class [z] to zero, or None when c is acyclic.
+
+    f is 1 - w phi in degree k, with w = z - b for a boundary b (so z maps
+    to b, a nonzero vector when there are boundaries), phi(z) = 1 and
+    phi = 0 on boundaries.
+    """
+    classes = [k for k in c.degrees() if homology_representatives(c, k)[0]]
+    if not classes:
+        return None
+    k = rng.choice(classes)
+    reps, bounds = homology_representatives(c, k)
+    z = reps[0]
+    w = [zi - bi for zi, bi in zip(z, bounds[0])] if bounds else z
+    phi = solve_linear(RationalMatrix(bounds + [z], cols=c.dim(k)), [0] * len(bounds) + [1])
+    kill = RationalMatrix([[int(i == j) - w[i] * phi[j] for j in range(c.dim(k))] for i in range(c.dim(k))])
+    blocks = {(j,): kill if j == k else RationalMatrix.identity(c.dim(j)) for j in c.degrees()}
+    return MultilinearMap((c,), c, 0, blocks), bool(bounds)
+
+
 def test_is_quasi_iso_on_conjugated_complexes():
     rng = random.Random(11)
     killed = into_boundary = 0
     for _ in range(20):
         c, _ = _conjugated_complex(rng)
-        # an invertible chain map c -> c', with c' conjugated by p
-        p = {}
-        for k, n in c.dims.items():
-            while True:
-                m = RationalMatrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
-                if rank(m) == n:
-                    p[k] = m
-                    break
-        d = {k: p[k - 1].mul(m).mul(_inverse(p[k])) for k, m in c.d.items()}
-        c2 = ChainComplex(dict(c.dims), d)
-        assert is_quasi_iso(MultilinearMap((c,), c2, 0, {(k,): m for k, m in p.items()}))
-        # a chain map c -> c that sends one homology class [z] to zero:
-        # 1 - w phi in degree k, with w = z - b for a boundary b (so z maps
-        # to b, a nonzero vector when there are boundaries), phi(z) = 1 and
-        # phi = 0 on boundaries
-        classes = [k for k in c.degrees() if homology_representatives(c, k)[0]]
-        if not classes:
+        assert is_quasi_iso(invertible_chain_map(rng, c))
+        killing = class_killing_map(rng, c)
+        if killing is None:
             continue
-        k = rng.choice(classes)
-        reps, bounds = homology_representatives(c, k)
-        z = reps[0]
-        w = [zi - bi for zi, bi in zip(z, bounds[0])] if bounds else z
-        phi = solve_linear(RationalMatrix(bounds + [z], cols=c.dim(k)), [0] * len(bounds) + [1])
-        kill = RationalMatrix([[int(i == j) - w[i] * phi[j] for j in range(c.dim(k))] for i in range(c.dim(k))])
-        blocks = {(j,): kill if j == k else RationalMatrix.identity(c.dim(j)) for j in c.degrees()}
-        f = MultilinearMap((c,), c, 0, blocks)
+        f, into_bound = killing
         assert hom_differential(f).is_zero()
         assert not is_quasi_iso(f)
         killed += 1
-        into_boundary += bool(bounds)
+        into_boundary += into_bound
     assert killed >= 10 and into_boundary >= 3
 
 
@@ -477,8 +490,8 @@ def test_extension_system_matches_reference(start, top):
 
 
 def _symmetrization_gap(u, mu):
-    h_cx, iota = homology_complex(u, B)
-    star = induced_product(u, mu, h_cx, iota)
+    _, iota, p = homology_complex(u)
+    star = compose_maps(p, [compose_maps(mu, [iota, iota])])
     return compose_maps(iota, [star]).sub(compose_maps(symmetrized_product(mu), [iota, iota]))
 
 
