@@ -170,7 +170,7 @@ def cmd_extend(args):
 def cmd_polarization(args):
     with _reading("--max-degree"):
         iso = build_iso_resolution(args.max_degree + 1)
-    fams = polarization_iso_m2(iso, args.max_degree + 1)
+    fams = polarization_iso_m2(iso.base, args.max_degree + 1)
     if args.symmetrize:
         fams = {k: {d: symmetrize_forest(v) for d, v in tab.items()} for k, tab in fams.items()}
     report = verify_polarization(fams, args.max_degree + 1, iso)
@@ -189,11 +189,10 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_model_args(p, iso_too=True):
+    def add_model_args(p):
         p.add_argument("--model", choices=MODEL_CHOICES, required=True)
         p.add_argument("--max-arity", type=int, default=None)
-        if iso_too:
-            p.add_argument("--max-index", type=int, default=None)
+        p.add_argument("--max-index", type=int, default=None)
 
     p = sub.add_parser("emit-model", help="serialize a built model (JSON or text)")
     add_model_args(p)

@@ -407,12 +407,12 @@ class OperadElement:
         return cls(gens, {}, signature=signature, degree=degree)
 
     @classmethod
-    def monomial(cls, mono: TreeMonomial, coeff=1):
-        return cls(mono.gens, {mono: coeff})
+    def monomial(cls, mono: TreeMonomial):
+        return cls(mono.gens, {mono: 1})
 
     @classmethod
-    def from_generator(cls, gens, name, coeff=1):
-        return cls.monomial(TreeMonomial.generator(gens, name), coeff)
+    def from_generator(cls, gens, name):
+        return cls.monomial(TreeMonomial.generator(gens, name))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -446,11 +446,6 @@ class OperadElement:
             signature=self.signature,
             degree=self.degree,
         )
-
-    def __mul__(self, c):
-        return self.scale(c)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -588,7 +583,9 @@ def compose_full(outer: TreeMonomial, inners) -> OperadElement:
     if not match:
         return OperadElement.zero(outer.gens, sig, degree)
     if any(e.is_zero() for e in inners):
-        return OperadElement.zero(outer.gens, sig if all(e.signature for e in inners) else None)
+        if all(e.signature for e in inners):
+            return OperadElement.zero(outer.gens, sig, degree)
+        return OperadElement.zero(outer.gens)
 
     gens = outer.gens
     slots = ([(_checked_over(gens, m).shape, c) for m, c in e.terms.items()] for e in inners)

@@ -82,9 +82,6 @@ class DerivationDifferential:
         except KeyError:
             raise KeyError(f"no differential image for generator {name!r}") from None
 
-    def __call__(self, elem: OperadElement) -> OperadElement:
-        return extend_derivation(self, elem)
-
     def _splice(self, name: str):
         """The splice table of generator `name`, built on first use."""
         table = self._splices.get(name)
@@ -360,7 +357,7 @@ def verify_d_squared(diff: DerivationDifferential) -> Report:
     """Compute D(D(g)) for every generator exactly."""
     report = Report("D^2 = 0")
     for g in diff.base.generators:
-        residual = diff(diff.of(g.name))
+        residual = extend_derivation(diff, diff.of(g.name))
         ok = residual.is_zero()
         report.add(g.name, ok, "" if ok else f"D^2({g.name}) = {residual.text(compact=True)}")
     return report

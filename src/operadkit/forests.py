@@ -89,8 +89,8 @@ class ForestElement(OperadElement):
     __slots__ = ()
 
     @classmethod
-    def word(cls, gens, trees, coeff=1):
-        return cls.monomial(ForestMonomial(gens, trees), coeff)
+    def word(cls, gens, trees):
+        return cls.monomial(ForestMonomial(gens, trees))
 
     @classmethod
     def identity(cls, gens, colors):
@@ -226,11 +226,6 @@ def polarization_ns(gens: GeneratorSet, m: int) -> ForestElement:
     return ForestElement(gens, collect_terms((ForestMonomial(gens, w), 1) for w in words))
 
 
-def polarization_sym(gens: GeneratorSet, m: int) -> ForestElement:
-    """Symmetrization of the staircase word over simultaneous slot permutations."""
-    return symmetrize_forest(polarization_ns(gens, m))
-
-
 def _iso_chain(gens, top_family, length, degrees):
     """Unary word of `length` letters alternating f/g families from the top,
     with the given even indices (top to bottom)."""
@@ -255,8 +250,10 @@ def _even_tuples(length, max_total):
             yield (first,) + rest
 
 
-def polarization_iso_m2(iso: DerivationDifferential, max_degree: int) -> dict:
+def polarization_iso_m2(gens: GeneratorSet, max_degree: int) -> dict:
     """The width-2 integral polarization of the iso resolution, degree by degree.
+
+    `gens` holds the iso generators f_k, g_k (and may hold more).
 
     Returns {"f": {deg: ForestElement}, "g": ..., "h": ..., "l": ...}:
       <f> = sum_i f.(g.f.)^i (x) f_{2i}         <g> mirrored,
@@ -265,7 +262,6 @@ def polarization_iso_m2(iso: DerivationDifferential, max_degree: int) -> dict:
     """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    gens = iso.base if isinstance(iso, DerivationDifferential) else iso
     # kind -> degree -> the words of that component, each with coefficient 1
     words = {k: {} for k in ("f", "g", "h", "l")}
 

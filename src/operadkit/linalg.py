@@ -17,7 +17,7 @@ int data this costs no function call per entry.
 One eliminator, ``_echelon``, brings the rows to row echelon form, taking
 them sparsest first, and ``rank``, ``solve_linear``, ``kernel_basis``,
 ``boundary_basis``, ``homology_representatives`` and
-``homology_projection`` all go through it.
+``homology_retract`` all go through it.
 It is fraction free: each row is made integral as it is taken in, rows
 are combined with integer factors, and each pivot row is stored
 primitive, so the elimination runs on ints whatever the entries were.
@@ -440,8 +440,9 @@ def homology_representatives(c: ChainComplex, k: int):
     return reps, bounds
 
 
-def homology_projection(c: ChainComplex, k: int):
-    """The rows of p_k: degree k -> H_k in the fixed representative basis.
+def homology_retract(c: ChainComplex, k: int):
+    """(reps, rows): the `homology_representatives` of degree k, and the
+    rows of p_k: degree k -> H_k in that representative basis.
 
     p_k sends each boundary-basis vector to 0 and representative j to e_j,
     so on a cycle it gives the coordinates of its class, and p o d = 0.
@@ -450,7 +451,7 @@ def homology_projection(c: ChainComplex, k: int):
     reps, bounds = homology_representatives(c, k)
     transposed = RationalMatrix(bounds + reps, cols=c.dim(k))
     n = transposed.rows
-    return [solve_linear(transposed, [int(i == j) for i in range(n)]) for j in range(len(bounds), n)]
+    return reps, [solve_linear(transposed, [int(i == j) for i in range(n)]) for j in range(len(bounds), n)]
 
 
 def homology_dims(c: ChainComplex) -> dict:

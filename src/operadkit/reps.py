@@ -273,8 +273,8 @@ class Representation:
 
 def evaluate_element(rep: Representation, elem: OperadElement) -> MultilinearMap:
     """Evaluate a symbolic element to a multilinear map (bottom-up, signed)."""
-    if elem.signature is None:
-        raise ValueError("cannot evaluate a zero element with no declared signature")
+    if elem.signature is None or elem.degree is None:
+        raise ValueError("cannot evaluate a zero element without a declared signature and degree")
     sources = rep.sources_for(elem.signature)
     target = rep.complexes[elem.signature.output]
 
@@ -288,7 +288,7 @@ def evaluate_element(rep: Representation, elem: OperadElement) -> MultilinearMap
     for mono, coeff in elem.terms.items():
         for key, mat in eval_shape(mono.shape).blocks.items():
             _bump(blocks, key, mat.scale(coeff))
-    return MultilinearMap(sources, target, 0 if elem.degree is None else elem.degree, blocks)
+    return MultilinearMap(sources, target, elem.degree, blocks)
 
 
 def check_representation(rep: Representation) -> Report:
@@ -300,13 +300,7 @@ def check_representation(rep: Representation) -> Report:
     report = Report("representation axioms")
     for g in sorted(rep.model.base.generators, key=lambda g: index_key(g.name)):
         lhs = hom_differential(rep.image(g.name))
-        rhs_elem = rep.model.of(g.name)
-        if rhs_elem.is_zero():
-            sources = rep.sources_for(g.signature)
-            rhs = zero_map(sources, rep.complexes[g.signature.output], g.degree - 1)
-        else:
-            rhs = evaluate_element(rep, rhs_elem)
-        residual = lhs.sub(rhs)
+        residual = lhs.sub(evaluate_element(rep, rep.model.of(g.name)))
         ok = residual.is_zero()
         report.add(g.name, ok, "" if ok else f"residual on blocks {sorted(residual.blocks)}")
     return report

@@ -44,7 +44,7 @@ from .differentials import (
     rename_element,
     verify_d_squared,
 )
-from .forests import ForestElement, polarization_iso_m2, polarization_ns, polarization_sym
+from .forests import ForestElement, polarization_iso_m2, polarization_ns
 from .linalg import RationalMatrix, solve_linear
 from .reports import Report
 
@@ -260,18 +260,7 @@ def _forest_into(gens, outer_name: str, forest: ForestElement) -> OperadElement:
     return OperadElement(gens, collect_terms(_combination_terms(parts)), signature=sig, degree=deg)
 
 
-def _staircase_into(gens, w_name: str, n: int, variant: str) -> OperadElement:
-    """x_W composed with the width-n staircase word over (p, q, h)."""
-    if variant == "ns":
-        word = polarization_ns(gens, n)
-    elif variant == "sym":
-        word = polarization_sym(gens, n)
-    else:
-        raise ValueError(f"unknown polarization variant {variant!r}")
-    return _forest_into(gens, w_name, word)
-
-
-def build_model_homotopy(bw: TailedModel, max_arity: int, polarization: str = "ns") -> TailedModel:
+def build_model_homotopy(bw: TailedModel, max_arity: int) -> TailedModel:
     """The homotopy-through-homomorphisms model over bw's base.
 
     D(x^p), D(x^q) are the two renamings of D(bar x); D(x^h) has principal
@@ -315,7 +304,7 @@ def build_model_homotopy(bw: TailedModel, max_arity: int, polarization: str = "n
             OperadElement.from_generator(gens, f"{g.name}_p")
             - OperadElement.from_generator(gens, f"{g.name}_q")
             - _letter_over(gens, "h", f"{g.name}_B")
-            + _staircase_into(gens, f"{g.name}_W", n, polarization).scale(-1 if g.degree % 2 else 1)
+            + _forest_into(gens, f"{g.name}_W", polarization_ns(gens, n)).scale(-1 if g.degree % 2 else 1)
         )
         ideal = [f"{h.name}_{letter}" for h in picked if h.signature.arity < n for letter in "pqh"]
         _solve_into(gens, images, tails, report, f"{g.name}_h", principal, ideal)

@@ -39,8 +39,7 @@ from .differentials import build_ainf_morphism
 from .linalg import (
     ChainComplex,
     RationalMatrix,
-    homology_projection,
-    homology_representatives,
+    homology_retract,
     kron_all,
     rank,
     solve_linear,
@@ -100,8 +99,8 @@ class ExtensionState:
                 images[g.name] = image
         return Representation(model, {"B": self.v, "W": self.w}, images)
 
-    def check(self, max_arity=None) -> Report:
-        return check_sh_morphism(self.representation(max_arity))
+    def check(self) -> Report:
+        return check_sh_morphism(self.representation())
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +363,11 @@ def homology_complex(u: ChainComplex) -> tuple:
     sections = {}
     projections = {}
     for k in u.degrees():
-        reps, _ = homology_representatives(u, k)
+        reps, rows = homology_retract(u, k)
         if reps:
             dims[k] = len(reps)
             sections[(k,)] = RationalMatrix.from_columns(reps, u.dim(k))
-            projections[(k,)] = RationalMatrix(homology_projection(u, k))
+            projections[(k,)] = RationalMatrix(rows)
     h = ChainComplex(dims)
     return h, MultilinearMap((h,), u, 0, sections), MultilinearMap((u,), h, 0, projections)
 

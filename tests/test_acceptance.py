@@ -181,7 +181,7 @@ def test_criterion_06_tail_solver_vs_closed_formula():
 
 def test_criterion_07_polarization_staircase():
     iso = build_iso_resolution(8)
-    fams = polarization_iso_m2(iso, 7)
+    fams = polarization_iso_m2(iso.base, 7)
     report = verify_polarization(fams, 7, iso)
     checked = {e.name for e in report.entries}
     assert any("degree 6" in name for name in checked)
@@ -196,7 +196,7 @@ def test_criterion_07_polarization_symmetrized():
     # check is kept exactly as stated and fails honestly; see the repo's
     # review notes for the full analysis.
     iso = build_iso_resolution(8)
-    fams = polarization_iso_m2(iso, 7)
+    fams = polarization_iso_m2(iso.base, 7)
     sym = {k: {d: symmetrize_forest(v) for d, v in tab.items()} for k, tab in fams.items()}
     report = verify_polarization(sym, 7, iso)
     _report(7, "width-2 polarization identities through degree 6 (symmetrized family)", report.ok)

@@ -28,6 +28,7 @@ from operadkit.differentials import (
     build_ainf_morphism,
     build_homotopy_model,
     build_iso_resolution,
+    extend_derivation,
     verify_d_squared,
 )
 from operadkit.forests import ForestElement, ForestMonomial, polarization_iso_m2, symmetrize_forest
@@ -117,16 +118,16 @@ def test_elements_reject_float_coefficients():
     gens = GeneratorSet((B,), [GeneratorSpec("mu_2", Signature(B, (B, B)), 0)])
     mu2 = TreeMonomial.generator(gens, "mu_2")
     with pytest.raises(TypeError, match="0.5"):
-        OperadElement.monomial(mu2, 0.5)
+        OperadElement(gens, {mu2: 0.5})
     with pytest.raises(TypeError, match="0.5"):
         OperadElement.monomial(mu2).scale(0.5)
     with pytest.raises(TypeError, match="0.5"):
-        ForestElement.word(gens, [mu2], 0.5)
+        ForestElement.word(gens, [mu2]).scale(0.5)
 
 
 def test_json_loaders_reject_float_coefficients():
     gens = GeneratorSet((B,), [GeneratorSpec("mu_2", Signature(B, (B, B)), 0)])
-    obj = element_to_json(OperadElement.from_generator(gens, "mu_2", Fraction(1, 3)))
+    obj = element_to_json(OperadElement.from_generator(gens, "mu_2").scale(Fraction(1, 3)))
     assert element_from_json(obj, gens).coeff(TreeMonomial.generator(gens, "mu_2")) == Fraction(1, 3)
     obj["terms"][0]["coeff"] = 2
     assert element_from_json(obj, gens).terms == {TreeMonomial.generator(gens, "mu_2"): 2}
@@ -290,7 +291,6 @@ def test_arithmetic_stays_in_normal_form(ta, tb, s, fa, fb):
         (a - b, [(1, ta), (-1, tb)]),
         (-a, [(-1, ta)]),
         (a.scale(s), [(s, ta)]),
-        (s * b, [(s, tb)]),
     ]
     for result, parts in cases:
         assert_normal(result)
@@ -325,7 +325,7 @@ def test_model_images_are_in_normal_form():
     for model in (build_ainf_morphism(7), build_homotopy_model(5), build_iso_resolution(6)):
         for img in model.images.values():
             assert_normal(img)
-            assert_normal(model(img))
+            assert_normal(extend_derivation(model, img))
 
 
 def test_rescaled_tails_are_in_normal_form():
@@ -339,7 +339,7 @@ def test_rescaled_tails_are_in_normal_form():
 
 
 def test_symmetrized_polarization_is_in_normal_form():
-    fams = polarization_iso_m2(build_iso_resolution(5), 4)
+    fams = polarization_iso_m2(build_iso_resolution(5).base, 4)
     halves = 0
     for table in fams.values():
         for elem in table.values():

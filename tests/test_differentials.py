@@ -269,6 +269,20 @@ def test_look_alike_with_another_signature_is_rejected():
         extend_derivation(d, OperadElement.from_generator(look, "f_1"))
 
 
+def test_a_zero_composition_keeps_its_component():
+    # a zero inner that has a component gives the zero of the composite's
+    # component, and so does D of it
+    d = build_ainf_morphism(3)
+    nu3 = TreeMonomial.generator(d.base, "nu_3")
+    f1 = elem(d.base, "f_1")
+    got = compose_full(nu3, [OperadElement.zero(d.base, Signature(W, (B,)), 0), f1, f1])
+    want = compose_full(nu3, [f1, f1, f1])
+    assert got.is_zero() and not want.is_zero()
+    assert (got.signature, got.degree) == (want.signature, want.degree) == (Signature(W, (B, B, B)), 1)
+    d_got, d_want = extend_derivation(d, got), extend_derivation(d, want)
+    assert (d_got.signature, d_got.degree) == (d_want.signature, d_want.degree)
+
+
 def test_images_over_an_equal_copy_are_revalidated():
     d = build_ainf_morphism(3)
     copy = GeneratorSet(d.base.colors, d.base.generators)
@@ -300,7 +314,7 @@ def test_assembled_monomials_match_validation(builder):
         _assert_invariants_validate(image)
         # D(image) cancels to zero, so D is applied monomial by monomial
         for mono in image.terms:
-            d_mono = model(OperadElement.monomial(mono))
+            d_mono = extend_derivation(model, OperadElement.monomial(mono))
             _assert_invariants_validate(d_mono)
             checked += len(d_mono.terms)
     assert checked > 0
@@ -524,7 +538,7 @@ def test_d_squared_check_assembles_no_monomial(monkeypatch):
     assert verify_d_squared(model).ok
     assert built == []
     # the spy is live: a nonzero derivative builds one tree per term
-    d_f3 = model(elem(model.base, "f_3"))
+    d_f3 = extend_derivation(model, elem(model.base, "f_3"))
     assert len(built) == len(d_f3.terms) > 0
 
 

@@ -14,7 +14,6 @@ from operadkit.forests import (
     forest_differential,
     polarization_iso_m2,
     polarization_ns,
-    polarization_sym,
     symmetrize_forest,
     verify_polarization,
 )
@@ -64,6 +63,11 @@ def word(gens, *names_per_slot):
             shape = (n, shape)
         trees.append(TreeMonomial(gens, shape))
     return ForestElement.word(gens, trees)
+
+
+def polarization_sym(gens, m):
+    """Symmetrization of the staircase word over simultaneous slot permutations."""
+    return symmetrize_forest(polarization_ns(gens, m))
 
 
 def test_polarization_ns_small(dull):
@@ -182,7 +186,7 @@ def test_forests_and_trees_do_not_mix(dull):
 
 def test_iso_polarization_components():
     iso = build_iso_resolution(8)
-    fams = polarization_iso_m2(iso, 7)
+    fams = polarization_iso_m2(iso.base, 7)
     g = iso.base
     assert fams["f"][0] == word(g, "f_0", "f_0")
     assert fams["g"][0] == word(g, "g_0", "g_0")
@@ -197,14 +201,14 @@ def test_iso_polarization_components():
 
 def test_iso_polarization_identities_pass():
     iso = build_iso_resolution(6)
-    fams = polarization_iso_m2(iso, 5)
+    fams = polarization_iso_m2(iso.base, 5)
     report = verify_polarization(fams, 5, iso)
     assert report.ok, str(report)
 
 
 def test_verify_polarization_zeroed_h_fails_at_degree_zero():
     iso = build_iso_resolution(2)
-    fams = polarization_iso_m2(iso, 1)
+    fams = polarization_iso_m2(iso.base, 1)
     fams["h"] = {}
     report = verify_polarization(fams, 1, iso)
     failing = {e.name: e for e in report.entries if not e.ok}
@@ -217,7 +221,7 @@ def test_verify_polarization_zeroed_h_fails_at_degree_zero():
 def test_verify_polarization_truncation_guard():
     iso = build_iso_resolution(2)
     with pytest.raises(ValueError):
-        polarization_iso_m2(iso, 5)
+        polarization_iso_m2(iso.base, 5)
 
 
 def test_degenerate_identity_wiring(dull):
@@ -248,7 +252,7 @@ def _wire_p_equals_q(elem):
             shape = _rename_shape(t.shape)
             trees.append(TreeMonomial(gens, shape))
         if not dead:
-            out = out + ForestElement.word(gens, trees, coeff)
+            out = out + ForestElement.word(gens, trees).scale(coeff)
     return out
 
 
@@ -261,7 +265,7 @@ def _rename_shape(shape):
 
 def test_forest_differential_derives_each_distinct_tree_once(monkeypatch):
     iso = build_iso_resolution(6)
-    elem = polarization_iso_m2(iso, 6)["h"][5]
+    elem = polarization_iso_m2(iso.base, 6)["h"][5]
     occurrences = [t for mono in elem.terms for t in mono.components]
     derived = []
     extend = forests.extend_derivation

@@ -19,7 +19,10 @@ takes from it), and no use of `TreeMonomial._assembled` outside `core`
 read outside `serialize` (it owns every file format: its `dumps` is the one
 writer, and its `load` the one reader), and no `Fraction(<int constant>)`
 in the package (the `core.exact` normal form of an integral value is the
-int itself, and a matrix stores every entry in that normal form)."""
+int itself, and a matrix stores every entry in that normal form), and no
+parameter default that no call in the package or the benchmark overrides
+(an option with one value in use is a constant; calls from tests do not
+count)."""
 
 import ast
 from pathlib import Path
@@ -390,3 +393,89 @@ def test_checker_finds_integral_fraction_literals():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_integral_fraction_literals(path):
     assert integral_fraction_literals(path.read_text()) == []
+
+
+def _defaults(tree):
+    """(function, class or None, parameter, index) for each parameter
+    default of a function or method.  The index is the parameter's position
+    in a call, after the self or cls that a call to a method does not
+    spell, and None for a keyword-only parameter."""
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in child.decorator_list)
+                skip = 1 if cls and not static else 0
+                for i in range(len(positional) - len(args.defaults), len(positional)):
+                    found.append((child.name, cls, positional[i].arg, i - skip))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        found.append((child.name, cls, arg.arg, None))
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    visit(tree, None)
+    return found
+
+
+def _overrides(call, param, index):
+    """Does `call` pass `param`, by keyword, at `index`, or through *args or **kwargs?"""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg is None or k.arg == param for k in call.keywords):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def unused_defaults(sources: dict, callers):
+    """The parameter defaults in `sources` (name -> text), as
+    "name:[Class.]function.parameter", that no call in the `callers` texts
+    overrides.  Calls are matched by the name they call: the function, the
+    attribute for a method, and for `__init__` also the class, `cls(...)`
+    and `self.__class__(...)`."""
+    calls = [n for text in callers for n in ast.walk(ast.parse(text)) if isinstance(n, ast.Call)]
+    by_name = {}
+    for call in calls:
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+        by_name.setdefault(name, []).append(call)
+    found = []
+    for source_name, text in sources.items():
+        for fn, cls, param, index in _defaults(ast.parse(text)):
+            names = (fn, cls, "cls", "__class__") if fn == "__init__" else (fn,)
+            if not any(_overrides(c, param, index) for name in names for c in by_name.get(name, ())):
+                found.append(f"{source_name}:{cls + '.' if cls else ''}{fn}.{param}")
+    return sorted(found)
+
+
+def test_checker_finds_unused_defaults():
+    source = (
+        "def f(a, b=1, *, c=2):\n"
+        "    def inner(q=0):\n"
+        "        pass\n"
+        "class K:\n"
+        "    def __init__(self, x=0, y=0, z=0):\n"
+        "        self.__class__(z=1)\n"
+        "    def m(self, u=0, w=0):\n"
+        "        pass\n"
+        "    @staticmethod\n"
+        "    def s(v=0):\n"
+        "        pass\n"
+        "    @classmethod\n"
+        "    def make(cls, t=0):\n"
+        "        return cls(t)\n"
+    )
+    callers = [source, "f(0, 5)\nK(y=1)\nk.m(1)\nK.s(*args)\nother.make(**kw)\n"]
+    assert unused_defaults({"mod": source}, callers) == ["mod:K.m.w", "mod:f.c", "mod:inner.q"]
+
+
+def test_every_default_is_overridden_by_a_caller():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    bench = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")) if not p.name.startswith("test_")]
+    assert unused_defaults(sources, [*sources.values(), *bench]) == []

@@ -427,7 +427,7 @@ def test_forest_differential_matches_reference(drawn):
 def test_polarization_forests_match_reference(max_degree):
     # the words verify_polarization multiplies, where trees repeat across terms
     iso = build_iso_resolution(max_degree)
-    fams = polarization_iso_m2(iso, max_degree)
+    fams = polarization_iso_m2(iso.base, max_degree)
     words = [f for table in fams.values() for f in table.values()]
     for outer in words:
         for inner in words:

@@ -134,6 +134,16 @@ def test_evaluate_single_generator():
     assert evaluate_element(rep, elem) == rep.images["mu_2"]
 
 
+def test_evaluating_a_zero_needs_its_component():
+    rep = random_representation(random.Random(3), build_ainf(3))
+    sig = Signature(B, (B, B))
+    for zero in (OperadElement.zero(rep.model.base), OperadElement.zero(rep.model.base, sig)):
+        with pytest.raises(ValueError, match="cannot evaluate"):
+            evaluate_element(rep, zero)
+    got = evaluate_element(rep, OperadElement.zero(rep.model.base, sig, 1))
+    assert got == zero_map(rep.sources_for(sig), rep.complexes[B], 1)
+
+
 def test_evaluate_koszul_sign_example():
     # nu_2(p_1 (x) h_1) evaluated on (a, b) gives (-1)^{|a|} n_2(P_1 a, H_1 b)
     rng = random.Random(4)
@@ -506,7 +516,7 @@ def test_evaluation_is_a_chain_map_on_valid_representations():
     rng = random.Random(12)
     for _ in range(40):
         mono = rng.choice(pool)
-        elem = OperadElement.monomial(mono, Fraction(rng.randint(1, 3)))
+        elem = OperadElement.monomial(mono).scale(rng.randint(1, 3))
         lhs = hom_differential(evaluate_element(rep, elem))
         d_elem = extend_derivation(model, elem)
         if d_elem.is_zero():

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from operadkit import core
+from operadkit import core, tails
 from operadkit.core import (
     BwRelations,
     GeneratorSet,
@@ -28,6 +28,7 @@ from operadkit.differentials import (
     rename_element,
     verify_d_squared,
 )
+from operadkit.forests import polarization_ns, symmetrize_forest
 from operadkit.serialize import model_to_json
 from operadkit.tails import (
     ObstructionNotCycleError,
@@ -389,8 +390,6 @@ def test_tail_systems_are_streamed(monkeypatch):
     # next is derived, so no list of candidate images is held.
     import weakref
 
-    import operadkit.tails as tails
-
     keyed = Counter()
     sort_key = TreeMonomial.sort_key
 
@@ -430,18 +429,18 @@ def test_tail_systems_are_streamed(monkeypatch):
     assert max(held) <= 1
 
 
-def test_homotopy_symmetrized_variant():
+def test_homotopy_symmetrized_variant(monkeypatch):
+    # the principal part built on the symmetrized staircase word instead
+    monkeypatch.setattr(tails, "polarization_ns", lambda gens, m: symmetrize_forest(polarization_ns(gens, m)))
     bw = build_model_btow(build_ainf(3), 3)
     # width-2 symmetrized staircase still closes at arity 2 ...
-    hm2 = build_model_homotopy(bw, 2, polarization="sym")
+    hm2 = build_model_homotopy(bw, 2)
     assert verify_d_squared(hm2).ok
     # ... but at arity 3 the tail equation for the symmetrized choice is
     # exactly unsolvable in the planar setting (only the staircase works);
     # the solver proves there is no tail in the whole finite component.
     with pytest.raises(TailNotFoundError):
-        build_model_homotopy(bw, 3, polarization="sym")
-    with pytest.raises(ValueError):
-        build_model_homotopy(bw, 3, polarization="nope")
+        build_model_homotopy(bw, 3)
 
 
 # ---------------------------------------------------------------------------
