@@ -370,8 +370,10 @@ def _combination_terms(parts):
 class OperadElement:
     """A finite rational linear combination of tree monomials.
 
-    Homogeneous: every stored monomial shares the element's signature and
-    degree.  Coefficients are stored in the `exact` normal form and zero
+    Every element, a zero too, lies in one component: the `signature` and
+    `degree` given to the constructor, which every stored monomial must
+    share.  Adding elements of two different components raises ValueError.
+    Coefficients are stored in the `exact` normal form and zero
     coefficients are never stored, and two elements are equal iff their term
     maps are equal (every zero element equals every other).
 
@@ -383,17 +385,14 @@ class OperadElement:
 
     __slots__ = ("gens", "signature", "degree", "terms")
 
-    def __init__(self, gens, terms, signature=None, degree=None):
+    def __init__(self, gens, terms, signature, degree):
         self.gens = gens
         self.terms = {}
         for mono, coeff in terms.items():
             coeff = exact(coeff)
             if not coeff:
                 continue
-            if signature is None:
-                signature = mono.signature
-                degree = mono.degree
-            elif mono.signature != signature or mono.degree != degree:
+            if mono.signature != signature or mono.degree != degree:
                 raise ValueError(
                     f"inhomogeneous element: {mono.canonical()} is not in "
                     f"component {signature}, degree {degree}"
@@ -403,12 +402,12 @@ class OperadElement:
         self.degree = degree
 
     @classmethod
-    def zero(cls, gens, signature=None, degree=None):
-        return cls(gens, {}, signature=signature, degree=degree)
+    def zero(cls, gens, signature, degree):
+        return cls(gens, {}, signature, degree)
 
     @classmethod
     def monomial(cls, mono: TreeMonomial):
-        return cls(mono.gens, {mono: 1})
+        return cls(mono.gens, {mono: 1}, mono.signature, mono.degree)
 
     @classmethod
     def from_generator(cls, gens, name):
@@ -428,9 +427,10 @@ class OperadElement:
     def __add__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        sig, deg = self._merged_component(other)
+        if self.signature != other.signature or self.degree != other.degree:
+            raise ValueError("cannot add elements from different components")
         terms = collect_terms(chain(self.terms.items(), other.terms.items()))
-        return self.__class__(self.gens, terms, signature=sig, degree=deg)
+        return self.__class__(self.gens, terms, self.signature, self.degree)
 
     def __sub__(self, other):
         return self + (-other)
@@ -440,12 +440,7 @@ class OperadElement:
 
     def scale(self, c) -> "OperadElement":
         c = exact(c)
-        return self.__class__(
-            self.gens,
-            {m: c * v for m, v in self.terms.items()},
-            signature=self.signature,
-            degree=self.degree,
-        )
+        return self.__class__(self.gens, {m: c * v for m, v in self.terms.items()}, self.signature, self.degree)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -472,17 +467,6 @@ class OperadElement:
             else:
                 parts.append(f"- {-coeff} * {body}")
         return " ".join(parts)
-
-    def _merged_component(self, other):
-        if self.signature is None or (self.is_zero() and not other.is_zero()):
-            return other.signature, other.degree
-        if other.signature is None or (other.is_zero() and not self.is_zero()):
-            return self.signature, self.degree
-        if (self.signature, self.degree) != (other.signature, other.degree):
-            if self.is_zero() and other.is_zero():
-                return self.signature, self.degree
-            raise ValueError("cannot add elements from different components")
-        return self.signature, self.degree
 
 
 def graft(outer: TreeMonomial, slot: int, inner: TreeMonomial) -> OperadElement:
@@ -525,16 +509,14 @@ def _grafted_signature(outer: Signature, slot: int, inner: Signature) -> Signatu
 
 def _slot_component(outer: TreeMonomial, parts):
     """(signature, degree, colors match) of `outer` with one part grafted
-    into each slot.  A part is a monomial or an element; an element without
-    a component (a bare zero) leaves its slot's color."""
+    into each slot.  A part is a monomial or an element, and either lies in
+    one component, a zero element too, so the result is defined even when
+    the composite is zero."""
     inputs = []
     degree = outer.degree
     match = True
     for slot_color, part in zip(outer.signature.inputs, parts):
         sig = part.signature
-        if sig is None:
-            inputs.append(slot_color)
-            continue
         inputs.extend(sig.inputs)
         degree += part.degree
         match = match and sig.output == slot_color
@@ -580,12 +562,8 @@ def compose_full(outer: TreeMonomial, inners) -> OperadElement:
     if len(inners) != outer.arity:
         raise ValueError(f"expected {outer.arity} arguments, got {len(inners)}")
     sig, degree, match = _slot_component(outer, inners)
-    if not match:
+    if not match or any(e.is_zero() for e in inners):
         return OperadElement.zero(outer.gens, sig, degree)
-    if any(e.is_zero() for e in inners):
-        if all(e.signature for e in inners):
-            return OperadElement.zero(outer.gens, sig, degree)
-        return OperadElement.zero(outer.gens)
 
     gens = outer.gens
     slots = ([(_checked_over(gens, m).shape, c) for m, c in e.terms.items()] for e in inners)

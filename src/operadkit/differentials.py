@@ -62,14 +62,14 @@ class DerivationDifferential:
         table = {}
         for g in base.generators:
             img = images.get(g.name)
-            if img is None or img.is_zero():
+            if img is None:
                 img = OperadElement.zero(base, g.signature, g.degree - 1)
             else:
                 if img.signature != g.signature:
                     raise ValueError(f"D({g.name}) lives in {img.signature}, expected {g.signature}")
                 if img.degree != g.degree - 1:
                     raise ValueError(f"D({g.name}) has degree {img.degree}, expected {g.degree - 1}")
-                if any(m.gens is not base for m in img.terms):
+                if img.gens is not base or any(m.gens is not base for m in img.terms):
                     terms = {_checked_over(base, m): c for m, c in img.terms.items()}
                     img = OperadElement(base, terms, signature=img.signature, degree=img.degree)
             table[g.name] = img
@@ -160,8 +160,7 @@ def extend_derivation(diff: DerivationDifferential, elem: OperadElement) -> Oper
                 c = coeff * c
                 yield new, (-c if odd else c)
 
-    deg = None if elem.degree is None else elem.degree - 1
-    return _element_of_shapes(base, collect_terms(pairs()), elem.signature, deg)
+    return _element_of_shapes(base, collect_terms(pairs()), elem.signature, elem.degree - 1)
 
 
 def compositions(n: int, k: int):
@@ -331,7 +330,6 @@ def build_iso_resolution(max_index: int) -> DerivationDifferential:
 
     images = {}
     for fam, other, home in (("f", "g", B), ("g", "f", W)):
-        images[f"{fam}_0"] = OperadElement.zero(gens)
         if max_index >= 1:
             images[f"{fam}_1"] = comp(f"{other}_0", f"{fam}_0") - unit(home)
         for k in range(2, max_index + 1):
@@ -397,7 +395,7 @@ def rename_element(elem: OperadElement, target: GeneratorSet, name_map: dict, co
         return (name_map.get(shape[0], shape[0]),) + tuple(rename_shape(c) for c in shape[1:])
 
     sig = elem.signature
-    if sig is not None and colors:
+    if colors:
         sig = Signature(colors.get(sig.output, sig.output), tuple(colors.get(c, c) for c in sig.inputs))
     terms = collect_terms((TreeMonomial(target, rename_shape(m.shape)), c) for m, c in elem.terms.items())
     return OperadElement(target, terms, signature=sig, degree=elem.degree)

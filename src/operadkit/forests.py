@@ -1,10 +1,12 @@
 """Forest monomials: ordered tensor words of trees, and polarizations.
 
 A forest is a tuple of tree monomials read left to right; its signature
-concatenates the component signatures (several outputs, several inputs).
-A forest element is a `core.OperadElement` over forest monomials: it has
-the same constructor, coefficient normal form and arithmetic, and differs
-only in its display order (smallest forest first).  Composition of forests
+is the tuple of its components' (output, inputs) pairs.  A forest element
+is a `core.OperadElement` over forest monomials: it has the same
+constructor, coefficient normal form and arithmetic, so it too lies in one
+component, a zero included, and differs only in its display order
+(smallest forest first).  Composition and conjugation compute the
+component of their result from their operands.  Composition of forests
 is componentwise grafting times the Koszul interchange sign: the blocks of
 the inner forest move left past the later components of the outer one.
 These are the words ⟨h⟩, ⟨f•⟩, ... that the polarization identities
@@ -33,8 +35,8 @@ from .reports import Report
 class ForestMonomial:
     """An ordered tuple of tree monomials over one generator set.
 
-    Its `signature` is the pair (outputs, inputs) of colour tuples, and its
-    degree is the sum of the component degrees."""
+    Its `signature` is the tuple of the components' (output, inputs) pairs,
+    and its degree is the sum of the component degrees."""
 
     __slots__ = ("gens", "components", "signature", "degree", "_key", "_hash")
 
@@ -43,9 +45,7 @@ class ForestMonomial:
         self.components = tuple(components)
         if not self.components:
             raise ValueError("forest needs at least one component")
-        outputs = tuple(t.signature.output for t in self.components)
-        inputs = tuple(chain.from_iterable(t.signature.inputs for t in self.components))
-        self.signature = (outputs, inputs)
+        self.signature = tuple((t.signature.output, t.signature.inputs) for t in self.components)
         self.degree = sum(t.degree for t in self.components)
         self._key = None
         self._hash = None
@@ -111,8 +111,6 @@ def _compose_monomials(outer: ForestMonomial, inner: ForestMonomial, suffixes):
         k = t.arity
         blocks.append(inner.components[pos : pos + k])
         pos += k
-    if pos != inner.width:
-        raise ValueError(f"width mismatch: outer wants {pos} inner components, got {inner.width}")
     # Interchange: inner block i moves left past outer components after i.
     sign = 0
     outer_deg_after = 0
@@ -132,8 +130,22 @@ def _compose_monomials(outer: ForestMonomial, inner: ForestMonomial, suffixes):
     return ForestMonomial(outer.gens, new_components), coeff
 
 
+def _composed_signature(outer, inner):
+    """Each outer component's output over the inputs of its inner block."""
+    out = []
+    pos = 0
+    for output, inputs in outer:
+        block = inner[pos : pos + len(inputs)]
+        pos += len(inputs)
+        out.append((output, tuple(chain.from_iterable(ins for _, ins in block))))
+    if pos != len(inner):
+        raise ValueError(f"width mismatch: outer wants {pos} inner components, got {len(inner)}")
+    return tuple(out)
+
+
 def compose_forests(outer: ForestElement, inner: ForestElement) -> ForestElement:
     """Bilinear oriented composition; color mismatches contribute zero."""
+    sig = _composed_signature(outer.signature, inner.signature)
 
     def pairs():
         for mo, co in outer.terms.items():
@@ -144,7 +156,7 @@ def compose_forests(outer: ForestElement, inner: ForestElement) -> ForestElement
                     mono, extra = res
                     yield mono, co * ci * extra
 
-    return ForestElement(outer.gens, collect_terms(pairs()))
+    return ForestElement(outer.gens, collect_terms(pairs()), sig, outer.degree + inner.degree)
 
 
 def forest_differential(diff: DerivationDifferential, elem: ForestElement) -> ForestElement:
@@ -170,8 +182,7 @@ def forest_differential(diff: DerivationDifferential, elem: ForestElement) -> Fo
                     yield ForestMonomial(mono.gens, comps), coeff * c * sign
                 prefix += t.degree
 
-    deg = None if elem.degree is None else elem.degree - 1
-    return ForestElement(elem.gens, collect_terms(pairs()), elem.signature, deg)
+    return ForestElement(elem.gens, collect_terms(pairs()), elem.signature, elem.degree - 1)
 
 
 def conjugate_forest(elem: ForestElement, perm) -> ForestElement:
@@ -181,27 +192,26 @@ def conjugate_forest(elem: ForestElement, perm) -> ForestElement:
     (a (x) b) -> (-1)^(|a||b|) (b (x) a) for the transposition.
     """
 
+    order = [perm.index(j) for j in range(len(perm))]  # the component that moves to slot j
+
     def pairs():
         for mono, coeff in elem.terms.items():
             degs = [t.degree for t in mono.components]
-            new = [None] * mono.width
-            for i, t in enumerate(mono.components):
-                new[perm[i]] = t
             sign = 0
             for i in range(mono.width):
                 for j in range(i + 1, mono.width):
                     if perm[i] > perm[j]:
                         sign += degs[i] * degs[j]
+            new = [mono.components[i] for i in order]
             yield ForestMonomial(mono.gens, new), coeff * (-1 if sign % 2 else 1)
 
-    return ForestElement(elem.gens, collect_terms(pairs()))
+    sig = tuple(elem.signature[i] for i in order)
+    return ForestElement(elem.gens, collect_terms(pairs()), sig, elem.degree)
 
 
 def symmetrize_forest(elem: ForestElement) -> ForestElement:
     """Average over all simultaneous slot permutations (rational coefficients)."""
-    if elem.is_zero():
-        return elem
-    width = next(iter(elem.terms)).width
+    width = len(elem.signature)
     # The identity permutation is one of the summands, so a homogeneous
     # average lives in elem's own component.
     terms = collect_terms(
@@ -222,8 +232,8 @@ def polarization_ns(gens: GeneratorSet, m: int) -> ForestElement:
     pt = TreeMonomial.generator(gens, "p")
     qt = TreeMonomial.generator(gens, "q")
     ht = TreeMonomial.generator(gens, "h")
-    words = ([pt] * s + [ht] + [qt] * (m - 1 - s) for s in range(m))
-    return ForestElement(gens, collect_terms((ForestMonomial(gens, w), 1) for w in words))
+    words = [ForestMonomial(gens, [pt] * s + [ht] + [qt] * (m - 1 - s)) for s in range(m)]
+    return ForestElement(gens, collect_terms((w, 1) for w in words), words[0].signature, words[0].degree)
 
 
 def _iso_chain(gens, top_family, length, degrees):
@@ -248,6 +258,16 @@ def _even_tuples(length, max_total):
     for first in range(0, max_total + 1, 2):
         for rest in _even_tuples(length - 1, max_total - first):
             yield (first,) + rest
+
+
+# The component of each width-2 polarization kind: <f> and <g> map B to W
+# and back, <h> and <l> are endomorphisms of B and of W.
+_KIND_SIGNATURES = {
+    "f": (("W", ("B",)),) * 2,
+    "g": (("B", ("W",)),) * 2,
+    "h": (("B", ("B",)),) * 2,
+    "l": (("W", ("W",)),) * 2,
+}
 
 
 def polarization_iso_m2(gens: GeneratorSet, max_degree: int) -> dict:
@@ -307,13 +327,14 @@ def polarization_iso_m2(gens: GeneratorSet, max_degree: int) -> dict:
                 put(kind, total, [letters, pair])
             i += 1
     return {
-        kind: {deg: ForestElement(gens, collect_terms(pairs)) for deg, pairs in table.items()}
+        kind: {d: ForestElement(gens, collect_terms(p), _KIND_SIGNATURES[kind], d) for d, p in table.items()}
         for kind, table in words.items()
     }
 
 
-def _component(fam_table, deg, gens):
-    return fam_table.get(deg, ForestElement.zero(gens))
+def _component(fams, kind, deg, gens):
+    """The degree-`deg` part of `kind`: the zero of its component where the table has none."""
+    return fams[kind][deg] if deg in fams[kind] else ForestElement.zero(gens, _KIND_SIGNATURES[kind], deg)
 
 
 def verify_polarization(fams: dict, max_degree: int, iso: DerivationDifferential) -> Report:
@@ -328,8 +349,8 @@ def verify_polarization(fams: dict, max_degree: int, iso: DerivationDifferential
 
     f0 = TreeMonomial.generator(gens, "f_0")
     g0 = TreeMonomial.generator(gens, "g_0")
-    cond_f = _component(fams["f"], 0, gens) == ForestElement.word(gens, [f0, f0])
-    cond_g = _component(fams["g"], 0, gens) == ForestElement.word(gens, [g0, g0])
+    cond_f = _component(fams, "f", 0, gens) == ForestElement.word(gens, [f0, f0])
+    cond_g = _component(fams, "g", 0, gens) == ForestElement.word(gens, [g0, g0])
     report.add("degree-0 parts are f_0^(x)2 and g_0^(x)2", cond_f and cond_g)
 
     unit_b = ForestElement.identity(gens, ("B", "B"))
@@ -342,16 +363,16 @@ def verify_polarization(fams: dict, max_degree: int, iso: DerivationDifferential
     }
     for kind, (term1, term2, unit) in rhs_specs.items():
         for t in range(0, max_degree):
-            lhs = forest_differential(iso, _component(fams[kind], t + 1, gens))
+            lhs = forest_differential(iso, _component(fams, kind, t + 1, gens))
             # (sign, forest) summands of the right-hand side
             rhs = [
-                (sgn, compose_forests(_component(fams[left], a, gens), _component(fams[right], t - a, gens)))
+                (sgn, compose_forests(_component(fams, left, a, gens), _component(fams, right, t - a, gens)))
                 for a in range(0, t + 1)
                 for left, right, sgn in (term1, term2)
             ]
             if unit is not None and t == 0:
                 rhs.append((-1, unit))
-            residual = lhs - ForestElement(gens, collect_terms(_combination_terms(rhs)))
+            residual = lhs - ForestElement(gens, collect_terms(_combination_terms(rhs)), lhs.signature, t)
             ok = residual.is_zero()
             report.add(
                 f"d<{kind}.> equation, degree {t}",

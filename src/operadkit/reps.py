@@ -273,8 +273,6 @@ class Representation:
 
 def evaluate_element(rep: Representation, elem: OperadElement) -> MultilinearMap:
     """Evaluate a symbolic element to a multilinear map (bottom-up, signed)."""
-    if elem.signature is None or elem.degree is None:
-        raise ValueError("cannot evaluate a zero element without a declared signature and degree")
     sources = rep.sources_for(elem.signature)
     target = rep.complexes[elem.signature.output]
 

@@ -147,9 +147,7 @@ def element_to_json(elem: OperadElement):
         "terms": [
             {"coeff": str(c), "tree": tree_to_json(m)} for m, c in elem.items()
         ],
-        "signature": None
-        if elem.signature is None
-        else {"output": elem.signature.output, "inputs": list(elem.signature.inputs)},
+        "signature": {"output": elem.signature.output, "inputs": list(elem.signature.inputs)},
         "degree": elem.degree,
     }
 

@@ -23,6 +23,8 @@ integral base is solved on ints throughout.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .core import (
     GeneratorSet,
     GeneratorSpec,
@@ -78,13 +80,13 @@ def solve_tail(partial: DerivationDifferential, target: str, ideal, rhs: OperadE
     if unknown:
         raise ValueError(f"ideal entries {unknown} are not generators of the ambient set")
     spec = gens.spec(target)
-    if rhs.is_zero():
-        return OperadElement.zero(gens, spec.signature, spec.degree - 1)
     if rhs.signature != spec.signature or rhs.degree != spec.degree - 2:
         raise ValueError(
             f"rhs lives in {rhs.signature} degree {rhs.degree}, "
             f"expected {spec.signature} degree {spec.degree - 2}"
         )
+    if rhs.is_zero():
+        return OperadElement.zero(gens, spec.signature, spec.degree - 1)
     if not extend_derivation(partial, rhs).is_zero():
         raise ObstructionNotCycleError("obstruction not a cycle")
 
@@ -225,7 +227,7 @@ def build_model_btow(base: DerivationDifferential, max_arity: int) -> TailedMode
         specs.append(GeneratorSpec(f"{g.name}_bar", Signature(W, (B,) * g.signature.arity), g.degree + 1))
     gens = GeneratorSet((B, W), specs)
 
-    images = {"f": OperadElement.zero(gens, Signature(W, (B,)), -1), **_copy_images(base, picked, gens)}
+    images = _copy_images(base, picked, gens)
     tails, report = {}, Report("morphism model tails")
     for g in picked:
         principal = principal_part_btow(gens, f"{g.name}_B", f"{g.name}_W", "f")
@@ -250,14 +252,13 @@ def theta_substitution(bw: TailedModel, elem: OperadElement, target_gens, letter
 def _forest_into(gens, outer_name: str, forest: ForestElement) -> OperadElement:
     """Graft each forest word into the slots of a single-generator vertex."""
     outer = TreeMonomial.generator(gens, outer_name)
-    sig = deg = None
-    if forest.signature is not None:
-        sig, deg = Signature(outer.signature.output, forest.signature[1]), outer.degree + forest.degree
+    inputs = tuple(chain.from_iterable(ins for _, ins in forest.signature))
+    sig = Signature(outer.signature.output, inputs)
     parts = (
         (coeff, compose_full(outer, [OperadElement.monomial(t) for t in mono.components]))
         for mono, coeff in forest.terms.items()
     )
-    return OperadElement(gens, collect_terms(_combination_terms(parts)), signature=sig, degree=deg)
+    return OperadElement(gens, collect_terms(_combination_terms(parts)), sig, outer.degree + forest.degree)
 
 
 def build_model_homotopy(bw: TailedModel, max_arity: int) -> TailedModel:
@@ -288,8 +289,6 @@ def build_model_homotopy(bw: TailedModel, max_arity: int) -> TailedModel:
     p = OperadElement.from_generator(gens, "p")
     q = OperadElement.from_generator(gens, "q")
     images = {
-        "p": OperadElement.zero(gens, Signature(W, (B,)), -1),
-        "q": OperadElement.zero(gens, Signature(W, (B,)), -1),
         "h": p - q,
         **_copy_images(base, picked, gens),
     }
@@ -356,7 +355,7 @@ def build_model_iso_principal(
     fams = polarization_iso_m2(gens, max_index)
 
     def polar(super_name, kind, deg):
-        return _forest_into(gens, super_name, fams[kind].get(deg, ForestElement.zero(gens)))
+        return _forest_into(gens, super_name, fams[kind][deg])
 
     def letter(name, inner_name):
         return _letter_over(gens, name, inner_name)

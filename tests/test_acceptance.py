@@ -50,7 +50,7 @@ from operadkit.transfer import (
     scenario_symmetrization,
 )
 
-from test_core import enumerate_up_to, graft_oriented
+from test_core import enumerate_up_to, graft_elements, graft_oriented
 from test_differentials import rename_model
 from test_reps import compose_at, random_map
 
@@ -304,8 +304,8 @@ def test_criterion_10a_leibniz_500_pairs_per_model():
             lhs = extend_derivation(model, graft_oriented(a, slot, b))
             da = extend_derivation(model, OperadElement.monomial(a))
             db = extend_derivation(model, OperadElement.monomial(b))
-            rhs = _graft_oriented_elem(da, slot, OperadElement.monomial(b)) + _graft_oriented_elem(
-                OperadElement.monomial(a), slot, db
+            rhs = graft_elements(da, slot, OperadElement.monomial(b), graft_oriented) + graft_elements(
+                OperadElement.monomial(a), slot, db, graft_oriented
             ).scale(-1 if a.degree % 2 else 1)
             if lhs != rhs:
                 ok = False
@@ -315,17 +315,6 @@ def test_criterion_10a_leibniz_500_pairs_per_model():
         if not ok:
             break
     _report(10, "Leibniz rule on 500 random oriented graft pairs per model", ok)
-
-
-def _graft_oriented_elem(x, slot, y):
-    out = None
-    for mx, cx in x.terms.items():
-        for my, cy in y.terms.items():
-            piece = graft_oriented(mx, slot, my).scale(cx * cy)
-            out = piece if out is None else out + piece
-    if out is None:
-        return OperadElement.zero(x.gens)
-    return out
 
 
 def test_criterion_10b_evaluation_order_independence_500_pairs():

@@ -118,7 +118,7 @@ def test_elements_reject_float_coefficients():
     gens = GeneratorSet((B,), [GeneratorSpec("mu_2", Signature(B, (B, B)), 0)])
     mu2 = TreeMonomial.generator(gens, "mu_2")
     with pytest.raises(TypeError, match="0.5"):
-        OperadElement(gens, {mu2: 0.5})
+        OperadElement(gens, {mu2: 0.5}, mu2.signature, mu2.degree)
     with pytest.raises(TypeError, match="0.5"):
         OperadElement.monomial(mu2).scale(0.5)
     with pytest.raises(TypeError, match="0.5"):

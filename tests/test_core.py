@@ -178,16 +178,17 @@ def test_grafting_associativity_disjoint_slots():
         checked += 1
 
 
-def graft_elements(a, slot, b):
-    """Bilinear extension of graft to elements: the reference the faster
-    splices of compose_full and the Leibniz rule are compared against."""
+def graft_elements(a, slot, b, graft_monomials=graft):
+    """Bilinear extension of graft (or of `graft_monomials`) to elements:
+    the reference the faster splices of compose_full and the Leibniz rule
+    are compared against."""
     outer = a.signature.inputs
     sig = Signature(a.signature.output, outer[: slot - 1] + b.signature.inputs + outer[slot:])
     terms = collect_terms(
         (m, ca * cb * c)
         for ma, ca in a.terms.items()
         for mb, cb in b.terms.items()
-        for m, c in graft(ma, slot, mb).terms.items()
+        for m, c in graft_monomials(ma, slot, mb).terms.items()
     )
     return OperadElement(a.gens, terms, signature=sig, degree=a.degree + b.degree)
 
@@ -578,22 +579,21 @@ def tree_from_json(obj, gens):
 
 def element_from_json(obj, gens):
     """The reader of `serialize.element_to_json`."""
-    sig = None
-    if obj.get("signature"):
-        sig = Signature(obj["signature"]["output"], tuple(obj["signature"]["inputs"]))
+    sig = Signature(obj["signature"]["output"], tuple(obj["signature"]["inputs"]))
     terms = collect_terms((tree_from_json(t["tree"], gens), exact(t["coeff"])) for t in obj["terms"])
-    return OperadElement(gens, terms, signature=sig, degree=obj.get("degree"))
+    return OperadElement(gens, terms, sig, obj["degree"])
 
 
 def test_element_json_round_trip():
     gens = morphism_gens(3)
     rng = random.Random(7)
-    basis = enumerate_basis(gens, Signature(W, (B, B, B)), 1)
+    sig = Signature(W, (B, B, B))
+    basis = enumerate_basis(gens, sig, 1)
     for _ in range(50):
         terms = {}
         for m in rng.sample(basis, k=min(4, len(basis))):
             terms[m] = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
-        elem = OperadElement(gens, terms)
+        elem = OperadElement(gens, terms, sig, 1)
         # bit-exact through dumps/loads
         blob = json.dumps(element_to_json(elem))
         back = element_from_json(json.loads(blob), gens)
@@ -603,7 +603,59 @@ def test_element_json_round_trip():
 
 def test_zero_element_text():
     gens = ainf_gens()
-    assert OperadElement.zero(gens).text() == "0"
+    assert OperadElement.zero(gens, Signature(B, (B, B)), 0).text() == "0"
+
+
+def test_a_zero_needs_its_component():
+    # a zero with no signature, or with no degree, is refused at the call
+    gens = ainf_gens()
+    with pytest.raises(TypeError):
+        OperadElement.zero(gens)
+    with pytest.raises(TypeError):
+        OperadElement.zero(gens, Signature(B, (B, B)))
+    with pytest.raises(TypeError):
+        OperadElement(gens, {})
+
+
+_MORPHISM = morphism_gens(3)
+# Components of one generator set: two that differ in the signature only,
+# two in the degree only, and one of another output colour.
+_COMPONENTS = [
+    (Signature(W, (B, B)), 0),
+    (Signature(W, (B, B, B)), 0),
+    (Signature(W, (B, B, B)), 1),
+    (Signature(B, (B, B)), 0),
+]
+
+
+@st.composite
+def component_elements(draw):
+    """A random combination in one of `_COMPONENTS`, which may be zero."""
+    sig, deg = draw(st.sampled_from(_COMPONENTS))
+    basis = enumerate_basis(_MORPHISM, sig, deg)
+    terms = draw(st.dictionaries(st.sampled_from(basis), st.integers(-2, 2), max_size=3))
+    return OperadElement(_MORPHISM, terms, sig, deg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(component_elements(), component_elements())
+def test_elements_add_only_within_one_component(a, b):
+    if (a.signature, a.degree) == (b.signature, b.degree):
+        total = a + b
+        assert (total.signature, total.degree) == (a.signature, a.degree)
+    else:
+        with pytest.raises(ValueError, match="different components"):
+            a + b
+        with pytest.raises(ValueError, match="different components"):
+            a - b
+    diff = a - a
+    assert diff.is_zero() and (diff.signature, diff.degree) == (a.signature, a.degree)
+    # a zero inner gives the zero of the grafted component, also when a's
+    # output colour does not match nu_2's W slot
+    nu2 = TreeMonomial.generator(_MORPHISM, "nu_2")
+    got = compose_full(nu2, [a, OperadElement.zero(_MORPHISM, b.signature, b.degree)])
+    assert got.is_zero()
+    assert (got.signature, got.degree) == (Signature(W, a.signature.inputs + b.signature.inputs), a.degree + b.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +676,7 @@ def test_accumulated_cancelling_term_is_dropped():
     mu2 = TreeMonomial.generator(gens, "mu_2")
     left = graft(mu2, 1, mu2).items()[0][0]
     right = graft(mu2, 2, mu2).items()[0][0]
-    elem = OperadElement(gens, collect_terms([(left, 2), (right, 1), (left, -2)]))
+    elem = OperadElement(gens, collect_terms([(left, 2), (right, 1), (left, -2)]), right.signature, right.degree)
     assert elem.terms == {right: Fraction(1)}
     assert (elem.signature, elem.degree) == (right.signature, right.degree)
 
@@ -645,6 +697,6 @@ def test_accumulated_mixed_components_raise():
     mu2 = TreeMonomial.generator(gens, "mu_2")
     mu3 = TreeMonomial.generator(gens, "mu_3")
     with pytest.raises(ValueError, match="inhomogeneous"):
-        OperadElement(gens, collect_terms([(mu2, 1), (mu3, 1)]))
+        OperadElement(gens, collect_terms([(mu2, 1), (mu3, 1)]), Signature(B, (B, B)), 0)
     with pytest.raises(ValueError, match="inhomogeneous"):
         OperadElement(gens, collect_terms([(mu2, 1), (mu2, -1), (mu3, 1)]), Signature(B, (B, B)), 0)

@@ -283,6 +283,18 @@ def test_a_zero_composition_keeps_its_component():
     assert (d_got.signature, d_got.degree) == (d_want.signature, d_want.degree)
 
 
+def test_a_zero_image_gets_the_component_checks():
+    # a given zero image of the wrong component is rejected like a nonzero
+    # one; only a missing image is filled in with its component's zero
+    d = build_ainf(3)
+    with pytest.raises(ValueError, match="lives in"):
+        DerivationDifferential(d.base, {"mu_2": OperadElement.zero(d.base, Signature(B, (B,) * 5), 7)})
+    with pytest.raises(ValueError, match="has degree"):
+        DerivationDifferential(d.base, {"mu_2": OperadElement.zero(d.base, Signature(B, (B, B)), 7)})
+    filled = DerivationDifferential(d.base, {}).of("mu_2")
+    assert filled.is_zero() and (filled.signature, filled.degree) == (Signature(B, (B, B)), -1)
+
+
 def test_images_over_an_equal_copy_are_revalidated():
     d = build_ainf_morphism(3)
     copy = GeneratorSet(d.base.colors, d.base.generators)
@@ -390,23 +402,12 @@ def test_leibniz_rule_oriented(builder):
         lhs = extend_derivation(model, graft_oriented(a, slot, b))
         da = extend_derivation(model, OperadElement.monomial(a))
         db = extend_derivation(model, OperadElement.monomial(b))
-        rhs = _graft_oriented_elem(da, slot, OperadElement.monomial(b)) + _graft_oriented_elem(
-            OperadElement.monomial(a), slot, db
+        rhs = graft_elements(da, slot, OperadElement.monomial(b), graft_oriented) + graft_elements(
+            OperadElement.monomial(a), slot, db, graft_oriented
         ).scale(-1 if a.degree % 2 else 1)
         assert lhs == rhs, (a.compact(), slot, b.compact())
         checked += 1
     assert checked >= 50
-
-
-def _graft_oriented_elem(x, slot, y):
-    out = None
-    for mx, cx in x.terms.items():
-        for my, cy in y.terms.items():
-            piece = graft_oriented(mx, slot, my).scale(cx * cy)
-            out = piece if out is None else out + piece
-    if out is None:
-        return OperadElement.zero(x.gens)
-    return out
 
 
 def rename_model(diff, name_map):
@@ -431,12 +432,7 @@ def model_from_json(obj):
         for g in generators
     ]
     gens = GeneratorSet(tuple(colors), specs)
-    decoded = {}
-    for name, elem in images.items():
-        spec = gens.spec(name)
-        decoded[name] = element_from_json(elem, gens)
-        if decoded[name].is_zero():
-            decoded[name] = OperadElement.zero(gens, spec.signature, spec.degree - 1)
+    decoded = {name: element_from_json(elem, gens) for name, elem in images.items()}
     return DerivationDifferential(gens, decoded)
 
 

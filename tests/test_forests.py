@@ -43,7 +43,7 @@ def tensor_forests(a, b):
         for ma, ca in a.terms.items()
         for mb, cb in b.terms.items()
     )
-    return ForestElement(a.gens, terms)
+    return ForestElement(a.gens, terms, a.signature + b.signature, a.degree + b.degree)
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +110,7 @@ def test_conjugation_is_an_involution_and_chain_map(dull):
             by_degree.setdefault(deg, []).append(word(gens, a, b))
     for _ in range(50):
         words = by_degree[rng.choice((0, 1, 2))]
-        elem = ForestElement.zero(gens)
+        elem = ForestElement.zero(gens, words[0].signature, words[0].degree)
         for w in rng.sample(words, min(3, len(words))):
             elem = elem + w.scale(rng.randint(-3, 3))
         back = conjugate_forest(conjugate_forest(elem, (1, 0)), (1, 0))
@@ -156,23 +156,41 @@ def test_forest_accumulator(dull):
     qp = ForestMonomial(gens, [TreeMonomial.generator(gens, n) for n in ("q", "p")])
     ph = ForestMonomial(gens, [TreeMonomial.generator(gens, n) for n in ("p", "h")])
     # repeated words merge, and a word that cancels is dropped
-    elem = ForestElement(gens, collect_terms([(pq, 1), (qp, 2), (pq, Fraction(1, 2)), (qp, -2)]))
+    elem = ForestElement(gens, collect_terms([(pq, 1), (qp, 2), (pq, Fraction(1, 2)), (qp, -2)]), pq.signature, 0)
     assert elem.terms == {pq: Fraction(3, 2)}
     # a sum that cancels completely keeps the component it was given
     zero = ForestElement(gens, collect_terms([(pq, 1), (pq, -1)]), pq.signature, pq.degree)
     assert zero.is_zero()
     assert (zero.signature, zero.degree) == (pq.signature, 0)
-    assert pq.signature == ((W, W), (B, B))
+    assert pq.signature == ((W, (B,)), (W, (B,)))
     # words of different degrees do not mix
     with pytest.raises(ValueError, match="inhomogeneous"):
-        ForestElement(gens, collect_terms([(pq, 1), (ph, 1)]))
+        ForestElement(gens, collect_terms([(pq, 1), (ph, 1)]), pq.signature, pq.degree)
+
+
+def test_a_forest_is_homogeneous_in_each_component():
+    # a (x) b and c (x) e have the same output and input colours in all, but
+    # not component by component, so they do not lie in one component
+    specs = [
+        GeneratorSpec("a", Signature(W, (B, W)), 0),
+        GeneratorSpec("b", Signature(W, (W,)), 0),
+        GeneratorSpec("c", Signature(W, (B,)), 0),
+        GeneratorSpec("e", Signature(W, (W, W)), 0),
+    ]
+    gens = GeneratorSet((B, W), specs)
+    ab, ce = (ForestMonomial(gens, [TreeMonomial.generator(gens, n) for n in pair]) for pair in ("ab", "ce"))
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        ForestElement(gens, {ab: 1, ce: 1}, ab.signature, ab.degree)
+    with pytest.raises(ValueError, match="different components"):
+        ForestElement.monomial(ab) + ForestElement.monomial(ce)
+    assert ab.signature == ((W, (B, W)), (W, (W,)))
 
 
 def test_forests_and_trees_do_not_mix(dull):
     # A forest element shares the arithmetic of a tree element, but the two
     # are different kinds of combination: they never compare equal or add.
     gens = dull.base
-    assert ForestElement.zero(gens) != OperadElement.zero(gens)
+    assert ForestElement.zero(gens, ((W, (B,)),), 0) != OperadElement.zero(gens, Signature(W, (B,)), 0)
     p = TreeMonomial.generator(gens, "p")
     forest, tree = ForestElement.word(gens, [p]), OperadElement.monomial(p)
     assert forest != tree and tree != forest
@@ -240,7 +258,7 @@ def test_degenerate_identity_wiring(dull):
 def _wire_p_equals_q(elem):
     # replace q by p and h by 0, term by term
     gens = elem.gens
-    out = ForestElement.zero(gens)
+    out = ForestElement.zero(gens, elem.signature, elem.degree)
     for mono, coeff in elem.terms.items():
         trees = []
         dead = False

@@ -148,8 +148,7 @@ def reference_extend_derivation(diff, elem):
                 c = coeff * u_coeff
                 pairs.append((tree, -c if (odd + reorder) % 2 else c))
             odd += base.spec(name).degree
-    deg = None if elem.degree is None else elem.degree - 1
-    return OperadElement(base, collect_terms(pairs), signature=elem.signature, degree=deg)
+    return OperadElement(base, collect_terms(pairs), elem.signature, elem.degree - 1)
 
 
 def _reference_compose_monomials(outer, inner):
@@ -184,7 +183,11 @@ def reference_compose_forests(outer, inner):
             res = _reference_compose_monomials(mo, mi)
             if res is not None:
                 pairs.append((res[0], co * ci * res[1]))
-    return ForestElement(outer.gens, collect_terms(pairs))
+    sig, rest = [], list(inner.signature)
+    for output, inputs in outer.signature:
+        block, rest = rest[: len(inputs)], rest[len(inputs) :]
+        sig.append((output, sum((ins for _, ins in block), ())))
+    return ForestElement(outer.gens, collect_terms(pairs), tuple(sig), outer.degree + inner.degree)
 
 
 def reference_forest_differential(diff, elem):
@@ -198,8 +201,7 @@ def reference_forest_differential(diff, elem):
                 comps[i] = tree
                 pairs.append((ForestMonomial(mono.gens, comps), coeff * c * sign))
             prefix += t.degree
-    deg = None if elem.degree is None else elem.degree - 1
-    return ForestElement(elem.gens, collect_terms(pairs), elem.signature, deg)
+    return ForestElement(elem.gens, collect_terms(pairs), elem.signature, elem.degree - 1)
 
 
 def reference_multidegrees(m):
@@ -298,16 +300,14 @@ def look_alike_base(name):
 def elements(draw):
     """(model, element): a random combination in one component (repeated
     monomials merge, and may cancel), a generator image (its derivative
-    cancels to zero), or a zero element with or without a declared
-    component; sometimes moved onto the look-alike generator set."""
+    cancels to zero), or the zero element of a component; sometimes moved
+    onto the look-alike generator set."""
     name = draw(st.sampled_from(sorted(BUILDERS)))
     d = model(name)
     kind = draw(st.sampled_from(["combination", "combination", "image", "zero"]))
     if kind == "image":
         elem = d.of(draw(st.sampled_from([g.name for g in d.base.generators])))
     elif kind == "zero":
-        if draw(st.booleans()):
-            return d, OperadElement.zero(d.base)
         sig, deg, _ = draw(st.sampled_from(components(name)))
         elem = OperadElement.zero(d.base, sig, deg)
     else:
@@ -326,7 +326,8 @@ def _forest(draw, d, slots):
         (ForestMonomial(d.base, [draw(st.sampled_from(monos)) for _, _, monos in slots]), draw(COEFFS))
         for _ in range(terms)
     ]
-    return ForestElement(d.base, collect_terms(pairs))
+    sig = tuple((s.output, s.inputs) for s, _, _ in slots)
+    return ForestElement(d.base, collect_terms(pairs), sig, sum(deg for _, deg, _ in slots))
 
 
 @st.composite

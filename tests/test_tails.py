@@ -231,6 +231,14 @@ def test_solve_tail_zero_rhs_needs_no_basis():
     assert (omega.signature, omega.degree) == (spec.signature, spec.degree - 1)
 
 
+def test_solve_tail_checks_the_component_of_a_zero_rhs():
+    # the component check comes before the zero shortcut
+    iso = build_iso_resolution(3)
+    rhs = OperadElement.zero(iso.base, Signature(W, (W,)), 5)
+    with pytest.raises(ValueError, match="rhs lives in"):
+        solve_tail(iso, "f_2", ["f_0", "g_0"], rhs)
+
+
 def test_btow_tail_report(bw4):
     report = bw4.tail_report
     assert [e.name for e in report.entries] == ["mu_2_bar", "mu_3_bar", "mu_4_bar"]
