@@ -128,9 +128,8 @@ def cmd_solve_tail(args):
     bw = build_model_btow(base, args.max_arity)
     if args.format == "text":
         lines = []
-        for x in bw.generator_order:
-            bar = f"{x}_bar"
-            lines.append(f"omega({bar}) = {bw.tails[bar].text(compact=True)}")
+        for bar, omega in bw.tails.items():
+            lines.append(f"omega({bar}) = {omega.text(compact=True)}")
         _write_output(args, "\n".join(lines) + "\n")
     else:
         _write_output(args, dumps(tails_to_json(bw)))
@@ -163,8 +162,7 @@ def cmd_extend(args):
     report = final.check()
     if args.output:
         _write_output(args, dumps(state_to_json(final)))
-    print(str(report))
-    return PASS if report.ok else MATH_FAIL
+    return _emit_report(report)
 
 
 def cmd_polarization(args):

@@ -140,12 +140,13 @@ class TreeMonomial:
     The constructor validates the color rule (each child subtree's output
     color equals the matching input color of its parent's generator) and
     caches signature and degree.  It is the trust boundary:
-    JSON loading, `generator`, `normalize_bw` and renaming all go through
-    it.  Trees that grafting and the Leibniz rule assemble from
-    already-validated monomials of the same generator set skip it: they take
-    their invariants from those parts through `_assembled`, and so do the
-    shapes of `enumerate_basis`, which follow the colour rule by
-    construction.  Only this module calls `_assembled`; other modules
+    JSON loading, `normalize_bw` and renaming all go through it.  Trees that
+    grafting and the Leibniz rule assemble from already-validated monomials
+    of the same generator set skip it: they take their invariants from those
+    parts through `_assembled`, and so do the shapes of `enumerate_basis`,
+    which follow the colour rule by construction, and the one-vertex trees
+    of `generator`, which take them from the spec that `GeneratorSet`
+    validated.  Only this module calls `_assembled`; other modules
     assemble through `_graft_word` and `_element_of_shapes`.  The vertex
     count is read off the shape with the sort key, on first use.
     """
@@ -179,7 +180,7 @@ class TreeMonomial:
     @classmethod
     def generator(cls, gens: GeneratorSet, name: str) -> "TreeMonomial":
         spec = gens.spec(name)
-        return cls(gens, (name,) + tuple(spec.signature.inputs))
+        return cls._assembled(gens, (name, *spec.signature.inputs), spec.signature, spec.degree)
 
     @property
     def arity(self) -> int:
@@ -714,35 +715,24 @@ def _splits(seq, k):
 # The B->W rewriting system (f a_B -> a_W f^{(x)n})
 
 
-@dataclass(frozen=True)
-class BwRelations:
-    """Naming data for the relation `f a_B = a_W f^{(x)arity}`.
-
-    `w_of_b` maps each base generator's B-copy name to its W-copy name and
-    `f_name` is the unary B->W generator.
-    """
-
-    f_name: str
-    w_of_b: dict
-
-
-def normalize_bw(elem: OperadElement, relations: BwRelations) -> OperadElement:
+def normalize_bw(elem: OperadElement, w_of_b: dict) -> OperadElement:
     """Normal form under the confluent rewrite f∘a_B -> a_W∘f^{(x)n}.
 
-    Rewrites until no f sits directly above a B-copy vertex; in the normal
-    form every f hangs directly above a leaf.  Coefficients are untouched
-    (f has degree 0, so the rewrite carries no sign).
+    The unary B->W generator is the one named "f", and `w_of_b` maps each
+    base generator's B-copy name to its W-copy name.  Rewrites until no f
+    sits directly above a B-copy vertex; in the normal form every f hangs
+    directly above a leaf.  Coefficients are untouched (f has degree 0, so
+    the rewrite carries no sign).
     """
-    f, w_of_b = relations.f_name, relations.w_of_b
 
     def nf(shape):
         if isinstance(shape, str):
             return shape
         children = tuple(nf(c) for c in shape[1:])
         name = shape[0]
-        if name == f and not isinstance(children[0], str) and children[0][0] in w_of_b:
+        if name == "f" and not isinstance(children[0], str) and children[0][0] in w_of_b:
             inner = children[0]
-            return (w_of_b[inner[0]],) + tuple(nf((f, gc)) for gc in inner[1:])
+            return (w_of_b[inner[0]],) + tuple(nf(("f", gc)) for gc in inner[1:])
         return (name,) + children
 
     terms = collect_terms((TreeMonomial(elem.gens, nf(m.shape)), c) for m, c in elem.terms.items())

@@ -84,9 +84,11 @@ class RationalMatrix:
     def __init__(self, entries, cols=None):
         entries = [[exact(x, "matrix entry") for x in row] for row in entries]
         self.rows = len(entries)
-        self.cols = len(entries[0]) if entries else cols or 0
-        if any(len(row) != self.cols for row in entries):
-            raise ValueError("ragged rows in matrix")
+        if cols is None:
+            cols = len(entries[0]) if entries else 0
+        self.cols = cols
+        if any(len(row) != cols for row in entries):
+            raise ValueError(f"matrix rows of lengths {sorted({len(row) for row in entries})}, expected {cols}")
         self._rows = [{j: x for j, x in enumerate(row) if x} for row in entries]
 
     @classmethod

@@ -187,10 +187,10 @@ def model_to_text(model: DerivationDifferential) -> str:
 
 
 def tails_to_json(bw: TailedModel) -> dict:
-    """The solved tails omega(x_bar) of a morphism model, in generator order."""
+    """The solved tails omega(x_bar) of a morphism model, in the order solved."""
     return {
         "schema": SCHEMA,
-        "tails": {f"{x}_bar": element_to_json(bw.tails[f"{x}_bar"]) for x in bw.generator_order},
+        "tails": {bar: element_to_json(omega) for bar, omega in bw.tails.items()},
     }
 
 

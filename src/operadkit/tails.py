@@ -48,7 +48,6 @@ from .differentials import (
 )
 from .forests import ForestElement, polarization_iso_m2, polarization_ns
 from .linalg import RationalMatrix, solve_linear
-from .reports import Report
 
 B, W = "B", "W"
 
@@ -138,14 +137,14 @@ def _tail_system(partial: DerivationDifferential, candidates, rhs: OperadElement
 # The two-colored morphism model over an arbitrary minimal base
 
 
-def principal_part_btow(gens: GeneratorSet, b_name: str, w_name: str, f_name: str) -> OperadElement:
+def principal_part_btow(gens: GeneratorSet, b_name: str, w_name: str) -> OperadElement:
     """f o x_B  -  x_W o f^(tensor arity); the leading terms of D(bar x)."""
     b_spec = gens.spec(b_name)
     n = b_spec.signature.arity
     if n < 2:
         raise ValueError("principal parts are defined for arity >= 2")
-    f_elem = OperadElement.from_generator(gens, f_name)
-    head = _letter_over(gens, f_name, b_name)
+    f_elem = OperadElement.from_generator(gens, "f")
+    head = _letter_over(gens, "f", b_name)
     tail = compose_full(TreeMonomial.generator(gens, w_name), [f_elem] * n)
     return head - tail
 
@@ -165,17 +164,13 @@ class TailedModel(DerivationDifferential):
     """B- and W-copies of a minimal base, plus generators whose differential
     is a principal part plus a tail solved from D^2 = 0.
 
-    `generator_order` names the picked base generators by arity, `tails`
-    maps each solved generator to its tail, and `tail_report` has one entry
-    per solved generator.
+    `tails` maps each solved generator to its tail, in the order solved.
     """
 
-    def __init__(self, gens, images, base_model, generator_order, tails, tail_report):
+    def __init__(self, gens, images, base_model, tails):
         super().__init__(gens, images)
         self.base_model = base_model
-        self.generator_order = generator_order
         self.tails = tails
-        self.tail_report = tail_report
 
 
 def _picked(base: DerivationDifferential, max_arity: int):
@@ -205,15 +200,14 @@ def _copy_images(base: DerivationDifferential, picked, gens) -> dict:
     return images
 
 
-def _solve_into(gens, images, tails, report, name, principal, ideal):
-    """Solve the tail of `name` against the images so far; record its tail,
-    its image principal + tail, and a report entry."""
+def _solve_into(gens, images, tails, name, principal, ideal):
+    """Solve the tail of `name` against the images so far; record its tail
+    and its image principal + tail."""
     partial = DerivationDifferential(gens, images)
     phi = extend_derivation(partial, principal).scale(-1)
     omega = solve_tail(partial, name, ideal, phi)
     tails[name] = omega
     images[name] = principal + omega
-    report.add(name, True, f"tail with {len(omega.terms)} terms" if omega.terms else "tail 0")
 
 
 def build_model_btow(base: DerivationDifferential, max_arity: int) -> TailedModel:
@@ -228,13 +222,13 @@ def build_model_btow(base: DerivationDifferential, max_arity: int) -> TailedMode
     gens = GeneratorSet((B, W), specs)
 
     images = _copy_images(base, picked, gens)
-    tails, report = {}, Report("morphism model tails")
+    tails = {}
     for g in picked:
-        principal = principal_part_btow(gens, f"{g.name}_B", f"{g.name}_W", "f")
+        principal = principal_part_btow(gens, f"{g.name}_B", f"{g.name}_W")
         ideal = [f"{h.name}_bar" for h in picked if h.signature.arity < g.signature.arity]
-        _solve_into(gens, images, tails, report, f"{g.name}_bar", principal, ideal)
+        _solve_into(gens, images, tails, f"{g.name}_bar", principal, ideal)
 
-    return TailedModel(gens, images, base, [g.name for g in picked], tails, report)
+    return TailedModel(gens, images, base, tails)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +238,8 @@ def build_model_btow(base: DerivationDifferential, max_arity: int) -> TailedMode
 def theta_substitution(bw: TailedModel, elem: OperadElement, target_gens, letter: str):
     """Rename f and every bar copy x_bar to `letter` and x_letter; copies stay."""
     name_map = {"f": letter}
-    for x in bw.generator_order:
-        name_map[f"{x}_bar"] = f"{x}_{letter}"
+    for bar in bw.tails:
+        name_map[bar] = f"{bar.removesuffix('_bar')}_{letter}"
     return rename_element(elem, target_gens, name_map)
 
 
@@ -270,7 +264,7 @@ def build_model_homotopy(bw: TailedModel, max_arity: int) -> TailedModel:
     base = bw.base_model
     picked = _picked(base, max_arity)
     for g in picked:
-        if g.name not in bw.generator_order:
+        if f"{g.name}_bar" not in bw.tails:
             raise ValueError(f"bw model does not cover generator {g.name}")
 
     specs = [
@@ -296,7 +290,7 @@ def build_model_homotopy(bw: TailedModel, max_arity: int) -> TailedModel:
         for letter in ("p", "q"):
             images[f"{g.name}_{letter}"] = theta_substitution(bw, bw.of(f"{g.name}_bar"), gens, letter)
 
-    tails, report = {}, Report("homotopy model tails")
+    tails = {}
     for g in picked:
         n = g.signature.arity
         principal = (
@@ -306,9 +300,9 @@ def build_model_homotopy(bw: TailedModel, max_arity: int) -> TailedModel:
             + _forest_into(gens, f"{g.name}_W", polarization_ns(gens, n)).scale(-1 if g.degree % 2 else 1)
         )
         ideal = [f"{h.name}_{letter}" for h in picked if h.signature.arity < n for letter in "pqh"]
-        _solve_into(gens, images, tails, report, f"{g.name}_h", principal, ideal)
+        _solve_into(gens, images, tails, f"{g.name}_h", principal, ideal)
 
-    return TailedModel(gens, images, base, [g.name for g in picked], tails, report)
+    return TailedModel(gens, images, base, tails)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +322,8 @@ def build_model_iso_principal(
     The tail ideal is empty: it would be spanned by the super-family copies
     of base generators of lower arity, and an arity-2 base has none.  Each
     tail solve therefore enumerates no basis: it checks that a principal part
-    is closed and records "tail 0".  Over an arity-2 base the principal parts
-    are closed, as the polarization identities show.
+    is closed and records the zero tail.  Over an arity-2 base the principal
+    parts are closed, as the polarization identities show.
     """
     _check_base(base)
     picked = _picked(base, max_arity)
@@ -360,12 +354,13 @@ def build_model_iso_principal(
     def letter(name, inner_name):
         return _letter_over(gens, name, inner_name)
 
-    tails, report = {}, Report("iso model tails")
+    tails = {}
 
     # The displayed differentials of the four super-families, one degree at a
-    # time.  `own` is the letter family matching `fam`, `ownh` its odd
-    # (homotopy) polarization kind; the third term of the even g-family is
-    # written with g (not f) to respect the colors.
+    # time, each solved as soon as it is written: same-degree principal parts
+    # never refer to each other.  `own` is the letter family matching `fam`,
+    # `ownh` its odd (homotopy) polarization kind; the third term of the even
+    # g-family is written with g (not f) to respect the colors.
     for k in range(0, max_index + 1):
         for g in picked:
             sx = -1 if g.degree % 2 else 1
@@ -388,11 +383,6 @@ def build_model_iso_principal(
                     parts += [(sx, polar(f"{mine}{j}", ownh, k - 1 - j)) for j in range(1, k, 2)]
                     parts += [(1, letter(f"{other}_{a}", f"{mine}{k - 1 - a}")) for a in range(0, k, 2)]
                     parts += [(1, polar(f"{theirs}{j}", own, k - 1 - j)) for j in range(0, k, 2)]
-                images[name] = _image(gens, name, parts)
-        # solve tails for this index level before moving up
-        for g in picked:
-            for fam in ("f", "g"):
-                name = f"{g.name}_{fam}{k}"
-                _solve_into(gens, images, tails, report, name, images[name], [])
+                _solve_into(gens, images, tails, name, _image(gens, name, parts), [])
 
-    return TailedModel(gens, images, base, [g.name for g in picked], tails, report)
+    return TailedModel(gens, images, base, tails)

@@ -33,6 +33,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import inf
 
 from .core import OperadElement, TreeMonomial, compose_full
 from .differentials import build_ainf_morphism
@@ -68,7 +69,7 @@ class ExtensionState:
 
     v: ChainComplex
     w: ChainComplex
-    m: dict  # arity -> MultilinearMap on V (full structure; missing = zero)
+    m: dict  # arity -> MultilinearMap on V, arities >= 2 (full structure; missing = zero)
     n: dict  # arity -> MultilinearMap on W, arities 2..K
     f: dict  # arity -> MultilinearMap V^k -> W, arities 1..K
     k: int
@@ -78,10 +79,10 @@ class ExtensionState:
             raise ValueError(f"truncation level k = {self.k}, expected k >= 1")
         if 1 not in self.f:
             raise ValueError("f has no arity-1 map F_1")
-        for name, table, low in (("n", self.n, 2), ("f", self.f, 1)):
-            outside = sorted(i for i in table if not low <= i <= self.k)
+        for name, table, low, high in (("m", self.m, 2, inf), ("n", self.n, 2, self.k), ("f", self.f, 1, self.k)):
+            outside = sorted(i for i in table if not low <= i <= high)
             if outside:
-                raise ValueError(f"{name} has arities {outside} outside {low}..{self.k}")
+                raise ValueError(f"{name} has arities {outside} outside {low}..{high}")
 
     def representation(self, max_arity=None) -> Representation:
         """The state as a representation of the morphism model.

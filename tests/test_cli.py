@@ -226,6 +226,16 @@ def test_solve_tail_json(tmp_path, capsys):
     assert load(path) == obj
 
 
+def test_solve_tail_output_is_pinned(capsys):
+    # SHA-256 of the whole stdout in both formats: the tails in solve order
+    for fmt, digest in (
+        ("text", "811ea1d0d587b91cab3306dac7634fdb100525c4ebbdbeb1b810c829ef29ab4a"),
+        ("json", "9cbd84899010dc4154dba35ed2dedfedef03e97a94668ee8b817cc64a109f7e7"),
+    ):
+        assert run(["solve-tail", "--max-arity", "5", "--format", fmt]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_extend_cli_reports_an_obstruction(tmp_path, capsys):
     # F_1 = 0 kills the homology of V, and the F_2 pairing leaves the
     # arity-3 system infeasible.
@@ -364,12 +374,14 @@ def _setup_with(field, value):
         (_setup_with("k", 0), "truncation level k = 0, expected k >= 1"),
         (_setup_with("n", {"2": {"degree": 0}}), "n has arities [2] outside 2..1"),
         (_setup_with("f", {"1": _setup_json()["f"]["1"], "2": {"degree": 1}}), "f has arities [2] outside 1..1"),
+        (_setup_with("m", {"1": _setup_json()["f"]["1"]}), "m has arities [1] outside 2..inf"),
     ],
-    ids=["no-f1", "k-zero", "n-above-k", "f-above-k"],
+    ids=["no-f1", "k-zero", "n-above-k", "f-above-k", "m-below-2"],
 )
 def test_malformed_setup_is_usage_error(tmp_path, capsys, obj, shown):
     # A missing F_1 and k = 0 ended in a KeyError traceback with exit 1, which
-    # reads as a failed check; data above K was overwritten without a word.
+    # reads as a failed check; data above K was overwritten without a word;
+    # an m_1, which no generator takes, was dropped and the check passed.
     setup = tmp_path / "setup.json"
     setup.write_text(json.dumps(obj()))
     assert run(["extend", "--setup", str(setup), "--target-arity", "2"]) == 2

@@ -523,6 +523,7 @@ def test_d_squared_check_assembles_no_monomial(monkeypatch):
     # Terms are merged by shape, and a tree is built only for a sum that
     # survives: D^2 = 0, so none is.
     model = build_ainf_morphism(8)
+    f_3 = elem(model.base, "f_3")  # a generator's tree is assembled too: build it first
     built = []
     assembled = TreeMonomial._assembled
 
@@ -534,7 +535,7 @@ def test_d_squared_check_assembles_no_monomial(monkeypatch):
     assert verify_d_squared(model).ok
     assert built == []
     # the spy is live: a nonzero derivative builds one tree per term
-    d_f3 = extend_derivation(model, elem(model.base, "f_3"))
+    d_f3 = extend_derivation(model, f_3)
     assert len(built) == len(d_f3.terms) > 0
 
 

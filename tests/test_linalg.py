@@ -38,6 +38,16 @@ def test_solve_dimension_mismatch():
         solve_linear(RationalMatrix([[1, 2]]), [1, 2])
 
 
+def test_a_column_count_must_match_the_rows():
+    # a given `cols` was ignored whenever there were rows
+    with pytest.raises(ValueError, match="expected 3"):
+        RationalMatrix([[1, 2]], cols=3)
+    with pytest.raises(ValueError, match="expected 2"):
+        RationalMatrix([[1, 2], [3]])
+    assert RationalMatrix([[1, 2]], cols=2).cols == 2
+    assert RationalMatrix([], cols=3).cols == 3
+
+
 def test_kernel_examples():
     assert kernel_basis(RationalMatrix([[1, 1]])) == [[Fraction(-1), Fraction(1)]]
     assert kernel_basis(RationalMatrix.identity(2)) == []

@@ -6,7 +6,6 @@ import pytest
 
 from operadkit import core, tails
 from operadkit.core import (
-    BwRelations,
     GeneratorSet,
     GeneratorSpec,
     OperadElement,
@@ -58,7 +57,7 @@ def bw4():
 
 def test_principal_part_mu2(bw4):
     gens = bw4.base
-    got = principal_part_btow(gens, "mu_2_B", "mu_2_W", "f")
+    got = principal_part_btow(gens, "mu_2_B", "mu_2_W")
     f = OperadElement.from_generator(gens, "f")
     want = graft(
         TreeMonomial.generator(gens, "f"), 1, TreeMonomial.generator(gens, "mu_2_B")
@@ -68,30 +67,30 @@ def test_principal_part_mu2(bw4):
 
 def test_principal_part_mu3_degree(bw4):
     gens = bw4.base
-    got = principal_part_btow(gens, "mu_3_B", "mu_3_W", "f")
+    got = principal_part_btow(gens, "mu_3_B", "mu_3_W")
     assert got.degree == 1
     assert got.signature == Signature(W, (B, B, B))
 
 
 def test_principal_part_requires_arity_two(bw4):
     with pytest.raises(ValueError):
-        principal_part_btow(bw4.base, "f", "f", "f")
+        principal_part_btow(bw4.base, "f", "f")
 
 
 def test_principal_vanishes_in_quotient(bw4):
     # the alpha map: kill bar generators, then rewrite f a_B -> a_W f^n;
     # the principal part maps to zero there.
-    rel = BwRelations("f", {f"mu_{k}_B": f"mu_{k}_W" for k in (2, 3, 4)})
-    for x in bw4.generator_order:
-        principal = principal_part_btow(bw4.base, f"{x}_B", f"{x}_W", "f")
+    rel = {f"mu_{k}_B": f"mu_{k}_W" for k in (2, 3, 4)}
+    for k in (2, 3, 4):
+        principal = principal_part_btow(bw4.base, f"mu_{k}_B", f"mu_{k}_W")
         assert normalize_bw(principal, rel).is_zero()
 
 
 def test_alpha_compatibility(bw4):
     # alpha(D(gen)) = d(alpha(gen)) for every generator: bar generators map
     # to zero, so alpha(D(bar x)) must vanish after the rewrite.
-    rel = BwRelations("f", {f"mu_{k}_B": f"mu_{k}_W" for k in (2, 3, 4)})
-    bars = {f"{x}_bar" for x in bw4.generator_order}
+    rel = {f"mu_{k}_B": f"mu_{k}_W" for k in (2, 3, 4)}
+    bars = set(bw4.tails)
 
     def alpha(elem):
         kept = {m: c for m, c in elem.terms.items() if not bars.intersection(m.vertex_names())}
@@ -167,7 +166,7 @@ def test_solve_tail_not_found_is_classified():
     gens = bw.base
     partial = DerivationDifferential(gens, dict(bw.images))
     phi = extend_derivation(
-        partial, principal_part_btow(gens, "mu_3_B", "mu_3_W", "f")
+        partial, principal_part_btow(gens, "mu_3_B", "mu_3_W")
     ).scale(-1)
     assert not phi.is_zero()
     with pytest.raises(TailNotFoundError):
@@ -180,7 +179,7 @@ def test_solve_tail_rejects_ideal_names_that_are_not_generators():
     bw = build_model_btow(build_ainf(3), 3)
     gens = bw.base
     partial = DerivationDifferential(gens, dict(bw.images))
-    phi = extend_derivation(partial, principal_part_btow(gens, "mu_3_B", "mu_3_W", "f")).scale(-1)
+    phi = extend_derivation(partial, principal_part_btow(gens, "mu_3_B", "mu_3_W")).scale(-1)
     assert len(solve_tail(partial, "mu_3_bar", ["mu_2_bar"], phi).terms) == 4
     with pytest.raises(ValueError, match=r"\['mu_2_bra', 'nu'\] are not generators"):
         solve_tail(partial, "mu_3_bar", ["mu_2_bar", "mu_2_bra", "nu"], phi)
@@ -240,13 +239,19 @@ def test_solve_tail_checks_the_component_of_a_zero_rhs():
 
 
 def test_btow_tail_report(bw4):
-    report = bw4.tail_report
-    assert [e.name for e in report.entries] == ["mu_2_bar", "mu_3_bar", "mu_4_bar"]
-    assert report.ok
-    assert report.entries[0].line() == "PASS  mu_2_bar  tail 0"
-    for e in report.entries[1:]:
-        assert e.detail == f"tail with {len(bw4.tails[e.name].terms)} terms"
-        assert bw4.tails[e.name].terms
+    # the tails in solve order, one per bar generator; only arity 2 is zero
+    assert list(bw4.tails) == ["mu_2_bar", "mu_3_bar", "mu_4_bar"]
+    assert bw4.tails["mu_2_bar"].is_zero()
+    for name in ("mu_3_bar", "mu_4_bar"):
+        assert bw4.tails[name].terms
+
+
+def test_homotopy_model_needs_every_bar_generator():
+    # bw covers arities up to 3, so mu_4 has no mu_4_bar to rename
+    bw3 = build_model_btow(build_ainf(4), 3)
+    assert list(bw3.tails) == ["mu_2_bar", "mu_3_bar"]
+    with pytest.raises(ValueError, match="does not cover generator mu_4"):
+        build_model_homotopy(bw3, 4)
 
 
 def test_btow_passes_d_squared(bw4):
@@ -256,9 +261,23 @@ def test_btow_passes_d_squared(bw4):
 def test_btow_magmatic_tail_zero():
     bw = build_model_btow(magmatic(), 2)
     assert bw.tails["m_bar"].is_zero()
-    principal = principal_part_btow(bw.base, "m_B", "m_W", "f")
+    principal = principal_part_btow(bw.base, "m_B", "m_W")
     assert bw.of("m_bar") == principal
     assert verify_d_squared(bw).ok
+
+
+def test_generator_trees_match_the_validated_ones(bw4):
+    # `generator` takes the invariants from the spec, unvalidated; they are
+    # those the constructor computes from the one-vertex shape
+    models = [build_ainf(4), build_ainf_morphism(4), build_homotopy_model(4), build_iso_resolution(3), bw4]
+    for model in models:
+        gens = model.base
+        for spec in gens.generators:
+            shape = (spec.name, *spec.signature.inputs)
+            got, want = TreeMonomial.generator(gens, spec.name), TreeMonomial(gens, shape)
+            assert (got.shape, got.signature, got.degree) == (want.shape, want.signature, want.degree)
+    with pytest.raises(KeyError, match="unknown generator 'nu'"):
+        TreeMonomial.generator(bw4.base, "nu")
 
 
 def test_btow_determinism():
@@ -317,8 +336,6 @@ def test_homotopy_theta_substitution(bw4):
 
 
 def test_homotopy_tail_report(hm4):
-    assert [e.name for e in hm4.tail_report.entries] == ["mu_2_h", "mu_3_h", "mu_4_h"]
-    assert hm4.tail_report.ok
     assert list(hm4.tails) == ["mu_2_h", "mu_3_h", "mu_4_h"]
 
 
@@ -381,12 +398,7 @@ def test_homotopy_model_arity_five():
     # largest tail system (3,990 x 1,051) is where the row order matters.
     m = build_model_homotopy(build_model_btow(build_ainf(5), 5), 5)
     assert verify_d_squared(m).ok
-    assert [e.detail for e in m.tail_report.entries] == [
-        "tail 0",
-        "tail with 6 terms",
-        "tail with 20 terms",
-        "tail with 51 terms",
-    ]
+    assert [len(t.terms) for t in m.tails.values()] == [0, 6, 20, 51]
     digest = hashlib.sha256(json.dumps(model_to_json(m), indent=2).encode()).hexdigest()
     assert digest == "c4a23515d436c0ce62cc4beaec18e1c177bdcf91aee16800da30959501ed6d72"
 
@@ -468,18 +480,16 @@ def test_iso_principal_degree_bookkeeping():
 @pytest.mark.parametrize("K", [0, 2, 5])
 def test_iso_principal_d_squared(degree, K):
     model = build_model_iso_principal(magmatic(degree), 2, K)
-    assert model.tail_report.ok
     # Over an arity-2 base the tail ideal is empty, so every solve only
     # checks that a principal part is closed.
-    assert [e.detail for e in model.tail_report.entries] == ["tail 0"] * (2 * (K + 1))
+    assert [len(t.terms) for t in model.tails.values()] == [0] * (2 * (K + 1))
     assert verify_d_squared(model).ok
 
 
 def test_iso_principal_records_outcomes():
     model = build_model_iso_principal(magmatic(0), 2, 0)
-    names = {e.name for e in model.tail_report.entries}
-    assert names == {"m_f0", "m_g0"}
-    assert all(e.ok for e in model.tail_report.entries)
+    assert list(model.tails) == ["m_f0", "m_g0"]
+    assert all(t.is_zero() for t in model.tails.values())
 
 
 def test_iso_principal_rejects_higher_arity():
@@ -517,6 +527,6 @@ def test_btow_over_negative_degrees_builds_without_a_cutoff():
     assert digest == "1dd2d32e50e4ac73c3f179a42c71d812a3408cd835593089abbe947810a504aa"
     hm = build_model_homotopy(model, 4)
     assert verify_d_squared(hm).ok
-    assert [e.detail for e in hm.tail_report.entries] == ["tail 0", "tail with 6 terms", "tail with 20 terms"]
+    assert [len(t.terms) for t in hm.tails.values()] == [0, 6, 20]
     digest = hashlib.sha256(json.dumps(model_to_json(hm), indent=2).encode()).hexdigest()
     assert digest == "f5302fe40a29cf0d020cbc6d44d76476099d36b6ed45b192d9f4c09f9f9f4b1e"

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,15 @@ def test_extend_to_arity_noop_below_current():
     u, mu = three_dim_dga()
     state = identity_state(u, mu)
     assert extend_to_arity(state, 1) is state
+
+
+def test_state_refuses_an_m_below_arity_two():
+    # m_1 has no generator to go to; arities above k are structure and stay
+    u, mu = three_dim_dga()
+    state = identity_state(u, mu)
+    with pytest.raises(ValueError, match=r"m has arities \[1\] outside 2\.\.inf"):
+        replace(state, m={1: identity_map(u).scale(5), 2: mu})
+    assert replace(state, m={2: mu, 3: zero_map((u,) * 3, u, 1)}).m[3].is_zero()
 
 
 def test_extend_identity_to_five():
