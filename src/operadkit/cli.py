@@ -167,6 +167,8 @@ def cmd_extend(args):
 
 def cmd_polarization(args):
     with _reading("--max-degree"):
+        if args.max_degree < 0:
+            raise ValueError(f"--max-degree must be >= 0, got {args.max_degree}")
         iso = build_iso_resolution(args.max_degree + 1)
     fams = polarization_iso_m2(iso.base, args.max_degree + 1)
     if args.symmetrize:

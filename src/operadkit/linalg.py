@@ -15,8 +15,7 @@ puts its entries in that form, and ``add``, ``scale``, ``mul`` and
 int data this costs no function call per entry.
 
 One eliminator, ``_echelon``, brings the rows to row echelon form, taking
-them sparsest first, and ``rank``, ``solve_linear``, ``kernel_basis``,
-``boundary_basis``, ``homology_representatives`` and
+them sparsest first, and ``rank``, ``solve_linear``, ``kernel_basis`` and
 ``homology_retract`` all go through it.
 It is fraction free: each row is made integral as it is taken in, rows
 are combined with integer factors, and each pivot row is stored
@@ -421,41 +420,25 @@ class ChainComplex:
         return f"ChainComplex(dims={self.dims}, color={self.color!r})"
 
 
-def boundary_basis(c: ChainComplex, k: int):
-    """A basis of the boundaries in degree k: the pivot columns of d_{k+1}."""
-    d = c.differential(k + 1)
-    return [[row.get(j, 0) for row in d._rows] for j in sorted(_echelon(d._rows))]
-
-
-def homology_representatives(c: ChainComplex, k: int):
-    """Cycle vectors spanning H_k, and the boundary basis they complement.
-
-    A cycle is kept when it is not in the span of the boundaries and the
-    cycles before it: exactly the cycles that are pivot columns of the
-    matrix [boundaries | cycles].
-    """
-    cycles = kernel_basis(c.differential(k))
-    bounds = boundary_basis(c, k)
-    cols = bounds + cycles
-    rows = [{j: v[i] for j, v in enumerate(cols) if v[i]} for i in range(c.dim(k))]
-    reps = [cols[j] for j in sorted(_echelon(rows)) if j >= len(bounds)]
-    return reps, bounds
-
-
 def homology_retract(c: ChainComplex, k: int):
-    """(reps, rows): the `homology_representatives` of degree k, and the
-    rows of p_k: degree k -> H_k in that representative basis.
+    """(iota_k, p_k): the retract of degree k onto its homology H_k.
 
-    p_k sends each boundary-basis vector to 0 and representative j to e_j,
-    so on a cycle it gives the coordinates of its class, and p o d = 0.
-    Row j is the canonical answer of [bounds | reps]^T y = e_{b+j}.
+    The columns of iota_k (dims[k] x h_k) are fixed representative cycles:
+    the cycles of ``kernel_basis(d_k)`` that are not in the span of the
+    boundaries and the cycles before them, i.e. the cycles that are pivot
+    columns of [bounds | cycles], where the boundary basis ``bounds`` is
+    the pivot columns of d_{k+1}.  p_k (h_k x dims[k]) sends each boundary
+    basis vector to 0 and representative j to e_j, so on a cycle it gives
+    the coordinates of its class, p_k o d_{k+1} = 0 and p_k o iota_k = 1.
+    Row j of p_k is the canonical answer of [bounds | reps]^T y = e_{b+j}.
     """
-    reps, bounds = homology_representatives(c, k)
-    transposed = RationalMatrix(bounds + reps, cols=c.dim(k))
-    n = transposed.rows
-    return reps, [solve_linear(transposed, [int(i == j) for i in range(n)]) for j in range(len(bounds), n)]
-
-
-def homology_dims(c: ChainComplex) -> dict:
-    """dim H_k for every degree with chains."""
-    return {k: len(homology_representatives(c, k)[0]) for k in c.degrees()}
+    n = c.dim(k)
+    d = c.differential(k + 1)
+    bounds = [[row.get(j, 0) for row in d._rows] for j in sorted(_echelon(d._rows))]
+    cols = bounds + kernel_basis(c.differential(k))
+    rows = [{j: v[i] for j, v in enumerate(cols) if v[i]} for i in range(n)]
+    reps = [cols[j] for j in sorted(_echelon(rows)) if j >= len(bounds)]
+    transposed = RationalMatrix(bounds + reps, cols=n)
+    m = transposed.rows
+    p = [solve_linear(transposed, [int(i == j) for i in range(m)]) for j in range(len(bounds), m)]
+    return RationalMatrix.from_columns(reps, n), RationalMatrix(p, cols=n)

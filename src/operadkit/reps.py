@@ -249,6 +249,9 @@ class Representation:
         unknown = sorted(name for name in self.images if name not in self.model.base)
         if unknown:
             raise ValueError(f"images for names that are not generators: {', '.join(unknown)}")
+        extra = sorted(set(self.complexes).difference(self.model.base.colors))
+        if extra:
+            raise ValueError(f"complexes for colors the model does not have: {', '.join(extra)}")
         self.images = dict(self.images)
         for g in self.model.base.generators:
             img = self.images.get(g.name)

@@ -79,10 +79,19 @@ class ExtensionState:
             raise ValueError(f"truncation level k = {self.k}, expected k >= 1")
         if 1 not in self.f:
             raise ValueError("f has no arity-1 map F_1")
-        for name, table, low, high in (("m", self.m, 2, inf), ("n", self.n, 2, self.k), ("f", self.f, 1, self.k)):
+        for name, table, low, high, source, target in (
+            ("m", self.m, 2, inf, "v", "v"), ("n", self.n, 2, self.k, "w", "w"), ("f", self.f, 1, self.k, "v", "w")
+        ):
             outside = sorted(i for i in table if not low <= i <= high)
             if outside:
                 raise ValueError(f"{name} has arities {outside} outside {low}..{high}")
+            # Degree i - low: m_i and n_i have degree i - 2, f_i degree i - 1.
+            # A ChainComplex compares by identity, so sources and target must
+            # be the very v or w.
+            src, tgt = getattr(self, source), getattr(self, target)
+            for i, g in table.items():
+                if g.degree != i - low or g.sources != (src,) * i or g.target is not tgt:
+                    raise ValueError(f"{name}_{i} is not a degree-{i - low} map from {source}^{i} to {target}")
 
     def representation(self, max_arity=None) -> Representation:
         """The state as a representation of the morphism model.
@@ -358,19 +367,13 @@ def symmetrized_product(mu: MultilinearMap) -> MultilinearMap:
 def homology_complex(u: ChainComplex) -> tuple:
     """(H, iota, p): H as a zero-differential complex, the section
     iota: H -> U onto the fixed representatives, and the projection
-    p: U -> H that kills the boundary basis.  Both are chain maps, and
-    p o iota = 1."""
-    dims = {}
-    sections = {}
-    projections = {}
-    for k in u.degrees():
-        reps, rows = homology_retract(u, k)
-        if reps:
-            dims[k] = len(reps)
-            sections[(k,)] = RationalMatrix.from_columns(reps, u.dim(k))
-            projections[(k,)] = RationalMatrix(rows)
-    h = ChainComplex(dims)
-    return h, MultilinearMap((h,), u, 0, sections), MultilinearMap((u,), h, 0, projections)
+    p: U -> H that kills the boundary basis, with the blocks of
+    ``linalg.homology_retract``.  Both are chain maps, and p o iota = 1."""
+    retracts = {k: homology_retract(u, k) for k in u.degrees()}
+    h = ChainComplex({k: iota_k.cols for k, (iota_k, _) in retracts.items()})
+    iota = MultilinearMap((h,), u, 0, {(k,): iota_k for k, (iota_k, _) in retracts.items()})
+    p = MultilinearMap((u,), h, 0, {(k,): p_k for k, (_, p_k) in retracts.items()})
+    return h, iota, p
 
 
 def is_commutative(star: MultilinearMap) -> bool:

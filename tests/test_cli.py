@@ -292,6 +292,15 @@ def test_polarization_cli(capsys):
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("degree", ["-1", "-2"])
+def test_polarization_refuses_a_negative_max_degree(capsys, degree):
+    # -1 checked only degree 0 and printed PASS; -2 named max_index.
+    assert run(["polarization", "--max-degree", degree]) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert f"invalid --max-degree: ValueError: --max-degree must be >= 0, got {degree}" in captured.err
+
+
 def test_polarization_family_goes_to_output_file(tmp_path, capsys):
     path = tmp_path / "family.txt"
     assert run(["polarization", "--max-degree", "3", "-o", str(path)]) == 0
@@ -358,6 +367,12 @@ def _setup_without_f1():
     return obj
 
 
+def _setup_with_a_zero_f2_of_degree_2():
+    obj = _extend_setup_json()
+    obj["f"]["2"]["degree"] = 2
+    return obj
+
+
 def _setup_with(field, value):
     def make():
         obj = _setup_json()
@@ -375,13 +390,15 @@ def _setup_with(field, value):
         (_setup_with("n", {"2": {"degree": 0}}), "n has arities [2] outside 2..1"),
         (_setup_with("f", {"1": _setup_json()["f"]["1"], "2": {"degree": 1}}), "f has arities [2] outside 1..1"),
         (_setup_with("m", {"1": _setup_json()["f"]["1"]}), "m has arities [1] outside 2..inf"),
+        (_setup_with_a_zero_f2_of_degree_2, "f_2 is not a degree-1 map from v^2 to w"),
     ],
-    ids=["no-f1", "k-zero", "n-above-k", "f-above-k", "m-below-2"],
+    ids=["no-f1", "k-zero", "n-above-k", "f-above-k", "m-below-2", "f2-degree-2"],
 )
 def test_malformed_setup_is_usage_error(tmp_path, capsys, obj, shown):
     # A missing F_1 and k = 0 ended in a KeyError traceback with exit 1, which
     # reads as a failed check; data above K was overwritten without a word;
-    # an m_1, which no generator takes, was dropped and the check passed.
+    # an m_1, which no generator takes, was dropped and the check passed; a
+    # zero f_2 of degree 2 passed the loader and extend ended in a traceback.
     setup = tmp_path / "setup.json"
     setup.write_text(json.dumps(obj()))
     assert run(["extend", "--setup", str(setup), "--target-arity", "2"]) == 2
@@ -407,8 +424,10 @@ def test_internal_error_is_not_a_usage_error(tmp_path, monkeypatch):
         (["ainf-morphism", "--max-arity", "1"], 1, {"f_1": {"degree": 0, "blocks": {"0,0": [["1"]]}}}),
         (["ainf", "--max-arity", "2"], 1, {"mu_2": {"degree": 0, "blocks": {"0": [["1"]]}}}),
         (["ainf", "--max-arity", "2"], -1, {}),
+        # ainf has no colour W: its complex was read and ignored, and PASS
+        (["ainf", "--max-arity", "2"], 1, {}),
     ],
-    ids=["key-too-long", "key-too-short", "negative-dimension"],
+    ids=["key-too-long", "key-too-short", "negative-dimension", "colour-the-model-lacks"],
 )
 def test_malformed_representation_is_usage_error(tmp_path, capsys, model_args, dim, images):
     complex_ = {"dims": {"0": dim}}
@@ -750,14 +769,23 @@ def _retyped(value):
 
 KEY_MUTATIONS = ("drop", "rename", "repeat", "alias")
 NEW_VALUES = {"1/0": "1/0", "float": 0.5, "bool": True, "object": {"x": "1"}}
-VALUE_MUTATIONS = ("retype",) + tuple(NEW_VALUES)
+VALUE_MUTATIONS = ("retype", "bump") + tuple(NEW_VALUES)
+
+
+def _value(node, i):
+    return node[i][1] if isinstance(node, Pairs) else node[i]
 
 
 def _mutated(data, doc):
-    """`doc` in `Pairs` form with one key or one value mutated."""
+    """`doc` in `Pairs` form with one key or one value mutated.  A "bump"
+    adds 1 to an int value: a degree, a dimension, `k` or the schema."""
     doc = as_pairs(doc)
     kind = data.draw(st.sampled_from(KEY_MUTATIONS + VALUE_MUTATIONS))
-    positions = [p for p in _positions(doc) if kind in VALUE_MUTATIONS or isinstance(p[0], Pairs)]
+    positions = _positions(doc)
+    if kind in KEY_MUTATIONS:
+        positions = [p for p in positions if isinstance(p[0], Pairs)]
+    elif kind == "bump":
+        positions = [p for p in positions if type(_value(*p)) is int]
     node, i = data.draw(st.sampled_from(positions))
     if kind in KEY_MUTATIONS:
         key, value = node[i]
@@ -770,8 +798,13 @@ def _mutated(data, doc):
         else:  # "1" and "01", "1,0" and "01,0"
             node.insert(i + 1, ("0" + key, value))
         return doc
-    value = node[i][1] if isinstance(node, Pairs) else node[i]
-    new = _retyped(value) if kind == "retype" else as_pairs(NEW_VALUES[kind])
+    value = _value(node, i)
+    if kind == "retype":
+        new = _retyped(value)
+    elif kind == "bump":
+        new = value + 1
+    else:
+        new = as_pairs(NEW_VALUES[kind])
     node[i] = (node[i][0], new) if isinstance(node, Pairs) else new
     return doc
 

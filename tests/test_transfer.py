@@ -10,7 +10,7 @@ import operadkit.serialize as serialize
 import operadkit.transfer as T
 from operadkit.linalg import (
     RationalMatrix,
-    homology_representatives,
+    homology_retract,
     kernel_basis,
     rank,
     solve_linear,
@@ -108,6 +108,24 @@ def test_state_refuses_an_m_below_arity_two():
     with pytest.raises(ValueError, match=r"m has arities \[1\] outside 2\.\.inf"):
         replace(state, m={1: identity_map(u).scale(5), 2: mu})
     assert replace(state, m={2: mu, 3: zero_map((u,) * 3, u, 1)}).m[3].is_zero()
+
+
+def test_state_refuses_a_wrongly_graded_map():
+    # A zero f_2 of degree 2 was taken in, and extend ended in a traceback.
+    u, mu = three_dim_dga()
+    state = identity_state(u, mu)
+    other = ChainComplex(dict(u.dims), dict(u.d), W)
+    cases = [
+        ("f", {1: identity_map(u), 2: zero_map((u, u), u, 2)}, "f_2 is not a degree-1 map from v^2 to w"),
+        ("m", {2: mu, 3: zero_map((u,) * 3, u, 0)}, "m_3 is not a degree-1 map from v^3 to v"),
+        ("n", {2: zero_map((u,) * 3, u, 0)}, "n_2 is not a degree-0 map from w^2 to w"),
+        ("f", {1: identity_map(u), 2: zero_map((u, other), u, 1)}, "f_2 is not a degree-1 map"),
+        ("m", {2: zero_map((u, u), other, 0)}, "m_2 is not a degree-0 map from v^2 to v"),
+    ]
+    for field, table, shown in cases:
+        with pytest.raises(ValueError, match=shown.replace("^", r"\^")):
+            replace(state, **{field: table})
+    assert replace(state, f={1: identity_map(u), 2: zero_map((u, u), u, 1)}).f[2].is_zero()
 
 
 def test_extend_identity_to_five():
@@ -306,6 +324,18 @@ def invertible_chain_map(rng, c):
     return MultilinearMap((c,), c2, 0, {(k,): m for k, m in p.items()})
 
 
+def boundary_columns(c, k):
+    """A basis of the boundaries in degree k: the columns of d_{k+1} that
+    are not in the span of the columns to their left."""
+    entries = c.differential(k + 1).entries
+    basis = []
+    for j in range(c.dim(k + 1)):
+        col = [row[j] for row in entries]
+        if rank(RationalMatrix.from_columns(basis + [col], c.dim(k))) > len(basis):
+            basis.append(col)
+    return basis
+
+
 def class_killing_map(rng, c):
     """(f, into a boundary) for a chain map c -> c that sends one homology
     class [z] to zero, or None when c is acyclic.
@@ -314,12 +344,12 @@ def class_killing_map(rng, c):
     to b, a nonzero vector when there are boundaries), phi(z) = 1 and
     phi = 0 on boundaries.
     """
-    classes = [k for k in c.degrees() if homology_representatives(c, k)[0]]
+    classes = [k for k in c.degrees() if homology_retract(c, k)[0].cols]
     if not classes:
         return None
     k = rng.choice(classes)
-    reps, bounds = homology_representatives(c, k)
-    z = reps[0]
+    z = [row[0] for row in homology_retract(c, k)[0].entries]
+    bounds = boundary_columns(c, k)
     w = [zi - bi for zi, bi in zip(z, bounds[0])] if bounds else z
     phi = solve_linear(RationalMatrix(bounds + [z], cols=c.dim(k)), [0] * len(bounds) + [1])
     kill = RationalMatrix([[int(i == j) - w[i] * phi[j] for j in range(c.dim(k))] for i in range(c.dim(k))])
