@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 from itertools import count
+from json.encoder import encode_basestring_ascii as _escape
 from math import prod
 
 from .core import OperadElement, TreeMonomial, exact, integer
@@ -43,8 +44,80 @@ SCHEMA = 1
 
 
 def dumps(obj) -> str:
-    """The text of a JSON document as the package writes it to a file."""
-    return json.dumps(obj, indent=2) + "\n"
+    """The text of a JSON document as the package writes it to a file.
+
+    The bytes are those of `json.dumps(obj, indent=2)` plus a newline.  That
+    call is not made because with an indent the stdlib drops its C encoder
+    for a pure-Python one; `_write` escapes with the same C string escaper.
+    A document holds dicts with str keys, lists, strs, ints, bools and None
+    (rationals are "p/q" strings): anything else, a float, a tuple or a
+    non-str key included, raises TypeError naming its type.
+    """
+    chunks = []
+    _write(obj, chunks, "\n")
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _scalar(obj):
+    """The text of a JSON scalar, or None for a dict or a list."""
+    cls = obj.__class__
+    if cls is str:
+        return _escape(obj)
+    if cls is int:
+        return int.__repr__(obj)
+    if cls is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if cls is dict or cls is list:
+        return None
+    raise TypeError(f"cannot write a {cls.__name__} as JSON")
+
+
+def _write(obj, chunks, newline):
+    """Append the text of `obj` to `chunks`; `newline` is a line break and
+    the indent of the line on which `obj` starts.  A module-level function,
+    not a closure: a closure that calls itself is a reference cycle, which
+    keeps `chunks` alive until the next garbage collection."""
+    cls = obj.__class__
+    if cls is dict:
+        if not obj:
+            chunks.append("{}")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        sep = "{" + inner
+        for key, value in obj.items():
+            if key.__class__ is not str:
+                raise TypeError(f"cannot write a {key.__class__.__name__} key as JSON")
+            head = sep + _escape(key) + ": "
+            text = _scalar(value)
+            if text is None:
+                chunks.append(head)
+                _write(value, chunks, inner)
+            else:
+                chunks.append(head + text)
+            sep = comma
+        chunks.append(newline + "}")
+    elif cls is list:
+        if not obj:
+            chunks.append("[]")
+            return
+        inner = newline + "  "
+        comma = "," + inner
+        sep = "[" + inner
+        for value in obj:
+            text = _scalar(value)
+            if text is None:
+                chunks.append(sep)
+                _write(value, chunks, inner)
+            else:
+                chunks.append(sep + text)
+            sep = comma
+        chunks.append(newline + "]")
+    else:
+        chunks.append(_scalar(obj))
 
 
 def load(path):

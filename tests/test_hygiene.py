@@ -17,12 +17,13 @@ takes from it), and no use of `TreeMonomial._assembled` outside `core`
 (it builds a tree without checking it; other modules assemble through
 `core._graft_word` and `core._element_of_shapes`), and no JSON written or
 read outside `serialize` (it owns every file format: its `dumps` is the one
-writer, and its `load` the one reader), and no `Fraction(<int constant>)`
-in the package (the `core.exact` normal form of an integral value is the
-int itself, and a matrix stores every entry in that normal form), and no
-parameter default that no call in the package or the benchmark overrides
-(an option with one value in use is a constant; calls from tests do not
-count)."""
+writer, and its `load` the one reader; reaching the stdlib encoder through
+`json.encoder` or `JSONEncoder` counts as writing), and no
+`Fraction(<int constant>)` in the package (the `core.exact` normal form of
+an integral value is the int itself, and a matrix stores every entry in
+that normal form), and no parameter default that no call in the package or
+the benchmark overrides (an option with one value in use is a constant;
+calls from tests do not count)."""
 
 import ast
 from pathlib import Path
@@ -307,10 +308,35 @@ def json_calls(source: str, names):
     return sorted(found)
 
 
+def json_encoder_uses(source: str):
+    """Line numbers that reach the stdlib encoder: an import of `json.encoder`
+    or of a name in it, an import of `encoder` or `JSONEncoder` from `json`,
+    or the attribute `json.encoder` or `json.JSONEncoder`."""
+    names = {"encoder", "JSONEncoder"}
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(a.name == "json.encoder" for a in node.names):
+                found.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            if node.module == "json.encoder" or (
+                node.module == "json" and names.intersection(a.name for a in node.names)
+            ):
+                found.add(node.lineno)
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in names
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "json"
+        ):
+            found.add(node.lineno)
+    return sorted(found)
+
+
 def json_writes(source: str):
-    """Line numbers that call `json.dump` or `json.dumps`, or import either
-    from `json`."""
-    return json_calls(source, ("dump", "dumps"))
+    """Line numbers that call `json.dump` or `json.dumps`, import either
+    from `json`, or reach the stdlib encoder (`json_encoder_uses`)."""
+    return sorted(set(json_calls(source, ("dump", "dumps"))) | set(json_encoder_uses(source)))
 
 
 def json_reads(source: str):
@@ -328,8 +354,17 @@ def test_checker_finds_json_writes():
         "from json import dumps\n"
         "from json import JSONDecodeError, loads\n"
         "text = serialize.dumps(obj)\n"
+        "import json.encoder\n"
+        "import json.encoder as enc\n"
+        "from json.encoder import encode_basestring_ascii\n"
+        "from json import encoder\n"
+        "from json import JSONEncoder\n"
+        "text = json.encoder.encode_basestring_ascii(s)\n"
+        "text = json.JSONEncoder(indent=2).encode(obj)\n"
+        "error = json.JSONDecodeError\n"
+        "text = self.encoder.encode(obj)\n"
     )
-    assert json_writes(source) == [2, 3, 5]
+    assert json_writes(source) == [2, 3, 5, 8, 9, 10, 11, 12, 13, 14]
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "serialize.py"], ids=lambda p: p.name)

@@ -55,6 +55,14 @@ def bw4():
     return build_model_btow(build_ainf(4), 4)
 
 
+def btow_names(max_arity):
+    """The names of `build_ainf_morphism` for those of `build_model_btow`."""
+    name_map = {"f": "f_1"}
+    for k in range(2, max_arity + 1):
+        name_map.update({f"mu_{k}_B": f"mu_{k}", f"mu_{k}_W": f"nu_{k}", f"mu_{k}_bar": f"f_{k}"})
+    return name_map
+
+
 def test_principal_part_mu2(bw4):
     gens = bw4.base
     got = principal_part_btow(gens, "mu_2_B", "mu_2_W")
@@ -110,21 +118,31 @@ def test_alpha_compatibility(bw4):
 def test_tail_vanishes_at_arity_two(bw4):
     assert bw4.tails["mu_2_bar"].is_zero()
     printed = build_ainf_morphism(2)
-    name_map = {"f": "f_1", "mu_2_B": "mu_2", "mu_2_W": "nu_2", "mu_2_bar": "f_2"}
-    assert rename_element(bw4.of("mu_2_bar"), printed.base, name_map) == printed.of("f_2")
+    assert rename_element(bw4.of("mu_2_bar"), printed.base, btow_names(2)) == printed.of("f_2")
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_btow_model_is_the_closed_form(k):
+    # With its free variables at zero, the solver finds exactly the paper's
+    # closed-formula tails: the renamed model is build_ainf_morphism(k), on
+    # every generator.  This pins the meaning of what `solve-tail` writes.
+    renamed = rename_model(build_model_btow(build_ainf(k), k), btow_names(k))
+    printed = build_ainf_morphism(k)
+    assert sorted(renamed.base.generators, key=lambda g: g.name) == sorted(
+        printed.base.generators, key=lambda g: g.name
+    )
+    for g in printed.base.generators:
+        assert renamed.of(g.name) == printed.of(g.name), g.name
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_solver_tail_vs_closed_formula(n, bw4):
-    # both the solver tail and the closed-formula tail solve D(omega) = phi;
-    # their difference is a D-cycle supported in the ideal.
+    # Any two solutions of D(omega) = phi differ by a D-cycle supported in
+    # the ideal, which is what this test asserts.  The solver's tail is in
+    # fact the closed formula itself, so the difference is zero
+    # (test_btow_model_is_the_closed_form).
     printed = build_ainf_morphism(4)
-    name_map = {"f": "f_1"}
-    for k in (2, 3, 4):
-        name_map.update(
-            {f"mu_{k}_B": f"mu_{k}", f"mu_{k}_W": f"nu_{k}", f"mu_{k}_bar": f"f_{k}"}
-        )
-    renamed = rename_model(bw4, name_map)
+    renamed = rename_model(bw4, btow_names(4))
     diff = renamed.of(f"f_{n}") - printed.of(f"f_{n}")
     assert extend_derivation(printed, diff).is_zero()
     ideal = {f"f_{k}" for k in range(2, n)}
