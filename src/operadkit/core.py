@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
-from math import prod
+from math import inf, prod
 from numbers import Integral, Rational
 
 
@@ -617,19 +617,29 @@ def enumerate_basis(gens: GeneratorSet, signature: Signature, degree: int, ideal
     With `ideal`, a collection of generator names, only the monomials with
     a vertex named in it are listed (the component's part of the ideal),
     in the same relative order; the others are dropped as shapes, before
-    any monomial is built.
+    any monomial is built.  An entry that is not a generator raises
+    ValueError.
     """
+    ideal = None if ideal is None else _ideal_names(gens, ideal)
     shift = _weight_shift(gens)
     leaves = tuple(signature.inputs)
     shapes = _BasisEnumerator(gens, shift).shapes(signature.output, leaves, degree + shift * (len(leaves) - 1))
     if ideal is not None:
-        ideal = frozenset(ideal)
         shapes = [s for s in shapes if _mentions(s, ideal)]
     # The enumerator follows the colour rule by construction, and every
     # shape lies in the requested component.
     monos = [TreeMonomial._assembled(gens, s, signature, degree) for s in shapes]
     monos.sort(key=lambda t: t.sort_key)
     return monos
+
+
+def _ideal_names(gens: GeneratorSet, ideal) -> frozenset:
+    """`ideal` as a set of names of generators of `gens`, or ValueError."""
+    ideal = frozenset(ideal)
+    unknown = sorted(name for name in ideal if name not in gens)
+    if unknown:
+        raise ValueError(f"ideal entries {unknown} are not generators of the ambient set")
+    return ideal
 
 
 def _mentions(shape, names) -> bool:
@@ -651,7 +661,9 @@ class _BasisEnumerator:
     A generator of arity k and degree d weighs d + shift * (k - 1), and a
     tree weighs the sum over its vertices, which is its degree plus
     shift * (leaves - 1).  With the shift of `_weight_shift` no generator
-    weighs less than 0, so no subtree weighs more than its tree.
+    weighs less than 0, so no subtree weighs more than its tree.  A split
+    of the leaves, or a head weight, whose parts cannot weigh as much as
+    the weight still needed (by `most`) is skipped before any list is built.
     """
 
     def __init__(self, gens: GeneratorSet, shift: int):
@@ -659,8 +671,38 @@ class _BasisEnumerator:
             c: [(g.name, g.signature.inputs, g.degree + shift * (g.signature.arity - 1)) for g in gens.by_output(c)]
             for c in gens.colors
         }
+        self._most = {}
         self._shapes = {}
         self._combos = {}
+
+    def most(self, colors, n):
+        """An upper bound on the weight of a row of shapes with output colours
+        `colors` and `n` leaves in all: inf where positive-weight unary
+        generators chain without end, and 0 where no such row exists."""
+        key = (colors, n)
+        out = self._most.get(key)
+        if out is None:
+            self._most[key] = inf  # read back only along a cycle of unary generators
+            if len(colors) > 1:
+                parts = (self.most(colors[:1], m) + self.most(colors[1:], n - m) for m in range(1, n - len(colors) + 2))
+            else:
+                parts = (w + self.most(inputs, n) for _, inputs, w in self.by_output[colors[0]] if len(inputs) <= n)
+            out = self._most[key] = max(parts, default=0)
+        return out
+
+    def _splits(self, colors, leaves, need):
+        """The splits of `leaves` into one consecutive nonempty block per
+        colour in `colors` whose blocks' bounds add up to at least `need`."""
+        if len(colors) == 1:
+            if self.most(colors, len(leaves)) >= need:
+                yield (leaves,)
+            return
+        rest = colors[1:]
+        for first in range(1, len(leaves) - len(rest) + 1):
+            head = self.most(colors[:1], first)
+            if head + self.most(rest, len(leaves) - first) >= need:
+                for tail in self._splits(rest, leaves[first:], need - head):
+                    yield (leaves[:first],) + tail
 
     def shapes(self, color, leaves, weight):
         """The shapes with output `color`, leaf colours `leaves` and weight `weight`."""
@@ -683,7 +725,7 @@ class _BasisEnumerator:
         out = [color] if weight == 0 and leaves == (color,) else []
         for name, inputs, w in self.by_output[color]:
             if w <= weight and len(inputs) <= len(leaves):
-                for blocks in _splits(leaves, len(inputs)):
+                for blocks in self._splits(inputs, leaves, weight - w):
                     out.extend((name,) + combo for combo in self.combos(inputs, blocks, weight - w))
         return out
 
@@ -691,24 +733,13 @@ class _BasisEnumerator:
         if len(blocks) == 1:
             return [(s,) for s in self.shapes(colors[0], blocks[0], weight)]
         out = []
-        for w in range(weight + 1):
+        low = weight - sum(self.most((c,), len(b)) for c, b in zip(colors[1:], blocks[1:]))
+        for w in range(max(0, low), min(weight, self.most(colors[:1], len(blocks[0]))) + 1):
             heads = self.shapes(colors[0], blocks[0], w)
             if heads:
                 for rest in self.combos(colors[1:], blocks[1:], weight - w):
                     out.extend((h,) + rest for h in heads)
         return out
-
-
-def _splits(seq, k):
-    """Partitions of seq into k consecutive nonempty blocks."""
-    n = len(seq)
-    if k == 1:
-        yield (tuple(seq),)
-        return
-    for first in range(1, n - k + 2):
-        head = tuple(seq[:first])
-        for rest in _splits(seq[first:], k - 1):
-            yield (head,) + rest
 
 
 # ---------------------------------------------------------------------------

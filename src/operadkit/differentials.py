@@ -106,7 +106,14 @@ class DerivationDifferential:
 
 
 def extend_derivation(diff: DerivationDifferential, elem: OperadElement) -> OperadElement:
-    """Leibniz extension of the generator images to a whole element.
+    """Leibniz extension of the generator images to a whole element."""
+    terms = leibniz_shapes(diff, elem.terms.items())
+    return _element_of_shapes(diff.base, terms, elem.signature, elem.degree - 1)
+
+
+def leibniz_shapes(diff: DerivationDifferential, pairs) -> dict:
+    """The derivative of the sum of the (monomial, coeff) `pairs`, as a
+    shape -> coeff map; sums that cancel stay in it as zeros.
 
     The derivation visits vertices in planar preorder; hitting vertex v
     costs the sign (-1)^(total degree of the vertices before v).  Splicing
@@ -119,8 +126,7 @@ def extend_derivation(diff: DerivationDifferential, elem: OperadElement) -> Oper
     (two root-replacement terms with a pair of odd generators would always
     survive), so D^2 = 0 across the models pins the convention.
 
-    Terms are merged by shape, and a monomial is built only for each sum
-    that does not cancel.
+    Terms are merged by bare shape, and no monomial is built.
     """
     base = diff.base
     splice = diff._splice
@@ -151,8 +157,8 @@ def extend_derivation(diff: DerivationDifferential, elem: OperadElement) -> Oper
             degree += d
         return degree, out
 
-    def pairs():
-        for mono, coeff in elem.terms.items():
+    def terms():
+        for mono, coeff in pairs:
             shape = _checked_over(base, mono).shape
             if shape.__class__ is str:
                 continue  # an identity strand has no vertex to differentiate
@@ -160,7 +166,7 @@ def extend_derivation(diff: DerivationDifferential, elem: OperadElement) -> Oper
                 c = coeff * c
                 yield new, (-c if odd else c)
 
-    return _element_of_shapes(base, collect_terms(pairs()), elem.signature, elem.degree - 1)
+    return collect_terms(terms())
 
 
 def compositions(n: int, k: int):

@@ -12,13 +12,14 @@ ideal generator, express D on that basis, and solve the resulting exact
 rational system with free variables pinned to zero, so tails come out
 deterministic even where they are far from unique.
 
-The system is streamed: each candidate is derived in turn and its terms
-are written straight into sparse rows, indexed by monomial in first-seen
-order, with coefficients in the normal form of `core.exact` (ints over an
-integral base).  The rows are never sorted and no list of images is kept:
-the answer depends on the column order, the basis order, and not on the
-row order.  The eliminator in `linalg` is fraction free, so a tail over an
-integral base is solved on ints throughout.
+The system is streamed: each candidate is derived in turn, as a map from
+bare shapes to coefficients with no monomial built, and written straight
+into sparse rows, indexed by shape in first-seen order, with coefficients
+in the normal form of `core.exact` (ints over an integral base).  The rows
+are never sorted and no list of images is kept: the answer depends on the
+column order, the basis order, and not on the row order.  The eliminator
+in `linalg` is fraction free, so a tail over an integral base is solved on
+ints throughout.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .core import (
     Signature,
     TreeMonomial,
     _combination_terms,
+    _ideal_names,
     collect_terms,
     compose_full,
     enumerate_basis,
@@ -43,6 +45,7 @@ from .differentials import (
     build_iso_resolution,
     extend_derivation,
     iso_generator_specs,
+    leibniz_shapes,
     rename_element,
     verify_d_squared,
 )
@@ -75,9 +78,7 @@ def solve_tail(partial: DerivationDifferential, target: str, ideal, rhs: OperadE
     exists.  An ideal entry that is not a generator raises ValueError.
     """
     gens = partial.base
-    unknown = [name for name in ideal if name not in gens]
-    if unknown:
-        raise ValueError(f"ideal entries {unknown} are not generators of the ambient set")
+    ideal = _ideal_names(gens, ideal)
     spec = gens.spec(target)
     if rhs.signature != spec.signature or rhs.degree != spec.degree - 2:
         raise ValueError(
@@ -106,17 +107,19 @@ def solve_tail(partial: DerivationDifferential, target: str, ideal, rhs: OperadE
 def _tail_system(partial: DerivationDifferential, candidates, rhs: OperadElement):
     """(A, b): D on the candidates, one column each, and the right-hand side.
 
-    Each candidate is derived in turn and its terms are written straight into
-    the rows, which are indexed by monomial shape in first-seen order, and
-    the monomials of `rhs` are added the same way.  The answer of
-    `solve_linear` does not depend on the row order, only on the column
-    order, which is the order of `candidates`.
+    Each candidate's derivative, a shape -> coeff map, is written straight
+    into the rows, which are indexed by shape in first-seen order, and the
+    monomials of `rhs` are added the same way.  The answer of `solve_linear`
+    does not depend on the row order, only on the column order, which is
+    the order of `candidates`.
     """
     index = {}
     rows = []
     for j, m in enumerate(candidates):
-        for mono, coeff in extend_derivation(partial, OperadElement.monomial(m)).terms.items():
-            i = index.setdefault(mono.shape, len(rows))
+        for shape, coeff in leibniz_shapes(partial, ((m, 1),)).items():
+            if not coeff:
+                continue
+            i = index.setdefault(shape, len(rows))
             if i == len(rows):
                 rows.append({j: coeff})
             else:

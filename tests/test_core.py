@@ -367,15 +367,19 @@ def two_colour_components(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(two_colour_components())
-def test_enumerate_basis_equals_the_vertex_budget_enumerator(case):
+@given(two_colour_components(), st.data())
+def test_enumerate_basis_equals_the_vertex_budget_enumerator(case, data):
     # the whole component, in the same order, as the budget enumerator's
-    # output once raising the budget by three more vertices adds nothing
+    # output once raising the budget by three more vertices adds nothing;
+    # with an ideal, the monomials of that output with a vertex in the ideal
     gens, signature, degree = case
+    ideal = data.draw(st.sets(st.sampled_from([g.name for g in gens.generators])))
     try:
         basis = enumerate_basis(gens, signature, degree)
     except UnboundedEnumerationError:
         assert _has_degree_zero_unary_cycle(gens)
+        with pytest.raises(UnboundedEnumerationError):
+            enumerate_basis(gens, signature, degree, ideal)
         return
     assert not _has_degree_zero_unary_cycle(gens)
     budget = max((m.nvertices for m in basis), default=0)
@@ -386,6 +390,8 @@ def test_enumerate_basis_equals_the_vertex_budget_enumerator(case):
             break
         budget = top
     assert basis == listed
+    in_ideal = [m for m in listed if ideal.intersection(m.vertex_names())]
+    assert enumerate_basis(gens, signature, degree, ideal) == in_ideal
 
 
 def test_enumerate_basis_counts_match_brute_force():
@@ -426,6 +432,15 @@ def test_enumerate_basis_counts_match_brute_force():
         for d in range(0, n):
             got = len(enumerate_basis(gens, Signature(B, (B,) * n), d))
             assert got == count(n, d, memo), (n, d)
+
+
+def test_enumerate_basis_rejects_ideal_names_that_are_not_generators():
+    # a misspelled ideal entry must not shrink the ideal to nothing
+    gens = ainf_gens(4)
+    sig = Signature(B, (B,) * 4)
+    assert len(enumerate_basis(gens, sig, 1, ["mu_3"])) == 5
+    with pytest.raises(ValueError, match=r"\['mu3'\] are not generators"):
+        enumerate_basis(gens, sig, 1, ["mu3"])
 
 
 def test_identity_strand_in_basis():

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -11,6 +12,7 @@ from operadkit.core import (
     Signature,
     TreeMonomial,
     compose_full,
+    enumerate_basis,
     graft,
 )
 from operadkit.differentials import (
@@ -552,3 +554,28 @@ def test_each_splice_table_is_built_once_per_differential(monkeypatch):
     keys = [(id(diff), name) for diff, name in built]
     assert keys and len(set(keys)) == len(keys)
     assert len({id(diff) for diff, _ in built}) > 1
+
+
+def test_associahedron_face_counts():
+    # B <- B^n in degree d holds the dissections of an (n+1)-gon by
+    # k = n-2-d diagonals (Kirkman-Cayley), and each component's Euler
+    # characteristic is 1, as for a polytope
+    gens = build_ainf(8).base
+    for n in range(2, 9):
+        counts = [len(enumerate_basis(gens, Signature(B, (B,) * n), d)) for d in range(n - 1)]
+        want = [comb(n - 2, k) * comb(n + k, k) // (k + 1) for k in (n - 2 - d for d in range(n - 1))]
+        assert counts == want, n
+        assert sum((-1) ** d * c for d, c in enumerate(counts)) == 1, n
+
+
+def test_multiplihedron_face_counts():
+    # W <- B^n: degree 0 holds the vertices of the multiplihedron (OEIS
+    # A121988), degree n-2 its facets, and the Euler characteristic is 1
+    gens = build_ainf_morphism(7).base
+    vertices = [1, 2, 6, 21, 80, 322, 1348]
+    for n in range(1, 8):
+        counts = [len(enumerate_basis(gens, Signature(W, (B,) * n), d)) for d in range(n)]
+        assert counts[0] == vertices[n - 1], n
+        if n >= 2:
+            assert counts[n - 2] == n * (n - 1) // 2 + 2 ** (n - 1) - 1, n
+        assert sum((-1) ** d * c for d, c in enumerate(counts)) == 1, n

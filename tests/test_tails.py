@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from operadkit import core, tails
+from operadkit import core, differentials, tails
 from operadkit.core import (
     GeneratorSet,
     GeneratorSpec,
@@ -24,6 +24,7 @@ from operadkit.differentials import (
     build_homotopy_model,
     build_iso_resolution,
     extend_derivation,
+    leibniz_shapes,
     rename_element,
     verify_d_squared,
 )
@@ -60,6 +61,15 @@ def btow_names(max_arity):
     name_map = {"f": "f_1"}
     for k in range(2, max_arity + 1):
         name_map.update({f"mu_{k}_B": f"mu_{k}", f"mu_{k}_W": f"nu_{k}", f"mu_{k}_bar": f"f_{k}"})
+    return name_map
+
+
+def homotopy_names(max_arity):
+    """The names of `build_homotopy_model` for those of `build_model_homotopy`."""
+    name_map = {"p": "p_1", "q": "q_1", "h": "h_1"}
+    for k in range(2, max_arity + 1):
+        name_map.update({f"mu_{k}_B": f"mu_{k}", f"mu_{k}_W": f"nu_{k}"})
+        name_map.update({f"mu_{k}_{x}": f"{x}_{k}" for x in "pqh"})
     return name_map
 
 
@@ -201,6 +211,9 @@ def test_solve_tail_rejects_ideal_names_that_are_not_generators():
     assert len(solve_tail(partial, "mu_3_bar", ["mu_2_bar"], phi).terms) == 4
     with pytest.raises(ValueError, match=r"\['mu_2_bra', 'nu'\] are not generators"):
         solve_tail(partial, "mu_3_bar", ["mu_2_bar", "mu_2_bra", "nu"], phi)
+    # a zero right-hand side is answered without a basis, and still checked
+    with pytest.raises(ValueError, match=r"\['nu'\] are not generators"):
+        solve_tail(partial, "mu_3_bar", ["nu"], OperadElement.zero(gens, phi.signature, phi.degree))
 
 
 def test_enumerate_basis_builds_each_subproblem_once(monkeypatch):
@@ -220,6 +233,26 @@ def test_enumerate_basis_builds_each_subproblem_once(monkeypatch):
     assert [len(t.terms) for t in bw.tails.values()] == [0, 4, 11, 23, 44, 82, 153]
     assert len({enumerator for enumerator, _, _ in builds}) == 6  # mu_3_bar .. mu_8_bar
     assert max(builds.values()) == 1
+
+
+def test_enumerate_basis_builds_little_beyond_its_answer(monkeypatch):
+    # The weight bounds prune every split and head weight that cannot make
+    # up the weight still needed: on the arity-8 btow tail component the
+    # enumerator builds at most twice as many shapes as it returns.
+    bw = build_model_btow(build_ainf(8), 8)
+    built = []
+    real = core._BasisEnumerator._build_shapes
+
+    def counting(self, *key):
+        out = real(self, *key)
+        built.append(len(out))
+        return out
+
+    monkeypatch.setattr(core._BasisEnumerator, "_build_shapes", counting)
+    spec = bw.base.spec("mu_8_bar")
+    basis = enumerate_basis(bw.base, spec.signature, spec.degree - 1)
+    assert len(basis) == 155
+    assert sum(built) <= 2 * len(basis)
 
 
 def test_solve_tail_empty_ideal_enumerates_nothing():
@@ -367,18 +400,7 @@ def test_homotopy_h1_and_arity2_match_printed(hm4):
     assert hm4.of("h") == OperadElement.from_generator(gens, "p") - OperadElement.from_generator(
         gens, "q"
     )
-    nm = {"p": "p_1", "q": "q_1", "h": "h_1"}
-    for k in (2, 3, 4):
-        nm.update(
-            {
-                f"mu_{k}_B": f"mu_{k}",
-                f"mu_{k}_W": f"nu_{k}",
-                f"mu_{k}_p": f"p_{k}",
-                f"mu_{k}_q": f"q_{k}",
-                f"mu_{k}_h": f"h_{k}",
-            }
-        )
-    renamed = rename_model(hm4, nm)
+    renamed = rename_model(hm4, homotopy_names(4))
     assert renamed.of("h_2") == printed.of("h_2")
     assert renamed.of("p_2") == printed.of("p_2")
     assert renamed.of("q_3") == printed.of("q_3")
@@ -386,21 +408,11 @@ def test_homotopy_h1_and_arity2_match_printed(hm4):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_homotopy_principal_parts_match_printed(hm4, n):
-    # the solver's h-tails may differ from the printed ones, but the
-    # principal parts agree and both models square to zero
+    # Any two h-tails differ by a D-cycle supported in the ideal, which is
+    # what this test asserts.  The solver's h-tails are in fact the printed
+    # ones, so the difference is zero (test_homotopy_model_is_the_closed_form).
     printed = build_homotopy_model(4)
-    nm = {"p": "p_1", "q": "q_1", "h": "h_1"}
-    for k in (2, 3, 4):
-        nm.update(
-            {
-                f"mu_{k}_B": f"mu_{k}",
-                f"mu_{k}_W": f"nu_{k}",
-                f"mu_{k}_p": f"p_{k}",
-                f"mu_{k}_q": f"q_{k}",
-                f"mu_{k}_h": f"h_{k}",
-            }
-        )
-    renamed = rename_model(hm4, nm)
+    renamed = rename_model(hm4, homotopy_names(4))
     diff = renamed.of(f"h_{n}") - printed.of(f"h_{n}")
     ideal = set()
     for k in range(1, n):
@@ -409,6 +421,33 @@ def test_homotopy_principal_parts_match_printed(hm4, n):
         assert ideal.intersection(mono.vertex_names()), mono.compact()
     assert extend_derivation(printed, diff).is_zero()
     assert verify_d_squared(printed).ok
+
+
+@pytest.fixture(scope="module")
+def homotopy_models():
+    """The solved homotopy models of arities 2 to 6, by arity."""
+    return {k: build_model_homotopy(build_model_btow(build_ainf(k), k), k) for k in range(2, 7)}
+
+
+def test_homotopy_model_is_the_closed_form(homotopy_models):
+    # With its free variables at zero, the solver finds the printed tails:
+    # the renamed model is build_homotopy_model(k), on every generator.
+    for k, model in homotopy_models.items():
+        renamed = rename_model(model, homotopy_names(k))
+        printed = build_homotopy_model(k)
+        assert sorted(renamed.base.generators, key=lambda g: g.name) == sorted(
+            printed.base.generators, key=lambda g: g.name
+        )
+        for g in printed.base.generators:
+            assert renamed.of(g.name) == printed.of(g.name), (k, g.name)
+
+
+def test_homotopy_model_arity_six(homotopy_models):
+    # The arity-6 homotopy model, pinned by the digest of its JSON; its
+    # last tail system has 12,890 columns.
+    m = homotopy_models[6]
+    digest = hashlib.sha256(json.dumps(model_to_json(m), indent=2).encode()).hexdigest()
+    assert digest == "701f222c89aa05c07e88a12f4ef9e20c5d1fac0399fe25192deb59ad13189f4f"
 
 
 def test_homotopy_model_arity_five():
@@ -424,8 +463,9 @@ def test_homotopy_model_arity_five():
 def test_tail_systems_are_streamed(monkeypatch):
     # The rows of a tail system are never sorted: only the basis monomials,
     # which give the column order, get a sort key, each once.  And each
-    # candidate's derivative is written into the rows and dropped before the
-    # next is derived, so no list of candidate images is held.
+    # candidate's derivative, a shape -> coeff map, is written into the rows
+    # and dropped before the next is derived, so no list of candidate
+    # images is held.
     import weakref
 
     keyed = Counter()
@@ -442,24 +482,24 @@ def test_tail_systems_are_streamed(monkeypatch):
         basis.update(m.shape for m in monos)
         return monos
 
-    class Derived(OperadElement):
-        __slots__ = ("__weakref__",)
+    class Derived(dict):
+        """A shape -> coeff map that a weak set can hold."""
+
+        __hash__ = object.__hash__
 
     live = weakref.WeakSet()
     held = []
 
-    def tracking_derivation(diff, elem):
+    def tracking_derivative(diff, pairs):
         held.append(len(live))
-        out = Derived.__new__(Derived)
-        image = extend_derivation(diff, elem)
-        for slot in OperadElement.__slots__:
-            setattr(out, slot, getattr(image, slot))
+        out = Derived(leibniz_shapes(diff, pairs))
         live.add(out)
         return out
 
     monkeypatch.setattr(TreeMonomial, "sort_key", property(counting_key))
     monkeypatch.setattr(tails, "enumerate_basis", recording_basis)
-    monkeypatch.setattr(tails, "extend_derivation", tracking_derivation)
+    monkeypatch.setattr(tails, "leibniz_shapes", tracking_derivative)
+    monkeypatch.setattr(differentials, "leibniz_shapes", tracking_derivative)
     bw = build_model_btow(build_ainf(6), 6)
     assert [len(t.terms) for t in bw.tails.values()] == [0, 4, 11, 23, 44]
     assert basis and len(held) > len(basis)
