@@ -147,8 +147,8 @@ class TreeMonomial:
     which follow the colour rule by construction, and the one-vertex trees
     of `generator`, which take them from the spec that `GeneratorSet`
     validated.  Only this module calls `_assembled`; other modules
-    assemble through `_graft_word` and `_element_of_shapes`.  The vertex
-    count is read off the shape with the sort key, on first use.
+    assemble through `_element_of_shapes`.  The vertex count is read off
+    the shape with the sort key, on first use.
     """
 
     __slots__ = ("gens", "shape", "signature", "degree", "_key")
@@ -362,12 +362,6 @@ def collect_terms(pairs) -> dict:
     return terms
 
 
-def _combination_terms(parts):
-    """The (monomial, coeff) pairs of the sum of c * elem over the (c, elem)
-    parts, for operad or forest elements."""
-    return ((m, c * v) for c, elem in parts for m, v in elem.terms.items())
-
-
 class OperadElement:
     """A finite rational linear combination of tree monomials.
 
@@ -508,34 +502,6 @@ def _grafted_signature(outer: Signature, slot: int, inner: Signature) -> Signatu
     return Signature(outer.output, outer.inputs[: slot - 1] + inner.inputs + outer.inputs[slot:])
 
 
-def _slot_component(outer: TreeMonomial, parts):
-    """(signature, degree, colors match) of `outer` with one part grafted
-    into each slot.  A part is a monomial or an element, and either lies in
-    one component, a zero element too, so the result is defined even when
-    the composite is zero."""
-    inputs = []
-    degree = outer.degree
-    match = True
-    for slot_color, part in zip(outer.signature.inputs, parts):
-        sig = part.signature
-        inputs.extend(sig.inputs)
-        degree += part.degree
-        match = match and sig.output == slot_color
-    return Signature(outer.signature.output, tuple(inputs)), degree, match
-
-
-def _graft_word(outer: TreeMonomial, inners) -> TreeMonomial | None:
-    """`outer` with the monomial inners[i] grafted into slot i+1, or None on
-    a color mismatch: one term of `compose_full`, with coefficient 1."""
-    sig, degree, match = _slot_component(outer, inners)
-    if not match:
-        return None
-    gens = outer.gens
-    inners = [_checked_over(gens, m) for m in inners]
-    shape = _plug(outer.shape, (m.shape for m in inners))
-    return TreeMonomial._assembled(gens, shape, sig, degree)
-
-
 def _element_of_shapes(gens, shape_terms: dict, signature, degree) -> OperadElement:
     """The element with the shape -> coeff map `shape_terms`, in the
     component (signature, degree).
@@ -562,8 +528,10 @@ def compose_full(outer: TreeMonomial, inners) -> OperadElement:
     inners = list(inners)
     if len(inners) != outer.arity:
         raise ValueError(f"expected {outer.arity} arguments, got {len(inners)}")
-    sig, degree, match = _slot_component(outer, inners)
-    if not match or any(e.is_zero() for e in inners):
+    # every inner, a zero too, lies in one component, so the composite has one
+    sig = Signature(outer.signature.output, tuple(chain.from_iterable(e.signature.inputs for e in inners)))
+    degree = outer.degree + sum(e.degree for e in inners)
+    if any(e.signature.output != c or e.is_zero() for c, e in zip(outer.signature.inputs, inners)):
         return OperadElement.zero(outer.gens, sig, degree)
 
     gens = outer.gens

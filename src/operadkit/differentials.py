@@ -10,15 +10,17 @@ consistency certificate for it.
 A `DerivationDifferential` keeps its images in a read-only mapping and
 builds the splice table of each generator (image shapes, the leaves whose
 orientation sign is odd, coefficients) once, on first use; every Leibniz
-extension on that differential reuses it.  The extension merges its terms
-by bare shape and builds a monomial only for each sum that survives, so a
-D^2 = 0 check builds none.
+extension on that differential reuses it.
 
 Model builders cover the associahedron-type operad (structure maps mu_n with
 the classical quadratic differential), its two-colored morphism version
 (mu, nu, f families), the homotopy-through-homomorphisms operad (p, q, h
 families), and the resolution of the two-mutually-inverse-maps operad
-(unary f_k, g_k with alternating colors).
+(unary f_k, g_k with alternating colors).  They write each image term's
+shape directly, grafting generators' one-vertex shapes with a colour check
+per slot.  There, as in the Leibniz extension, terms merge by bare shape
+and a monomial is built only for a sum that survives: a D^2 = 0 check
+builds none.
 """
 
 from __future__ import annotations
@@ -33,12 +35,9 @@ from .core import (
     Signature,
     TreeMonomial,
     _checked_over,
-    _combination_terms,
     _element_of_shapes,
     _plug,
     collect_terms,
-    compose_full,
-    graft,
     leaf_suffix_degrees,
 )
 from .reports import Report
@@ -81,6 +80,15 @@ class DerivationDifferential:
             return self.images[name]
         except KeyError:
             raise KeyError(f"no differential image for generator {name!r}") from None
+
+    def _take_splices(self, other: "DerivationDifferential"):
+        """Take over the splice tables of `other`, over the same generators,
+        where an image is the same object or zero in both (a table depends
+        on the image alone)."""
+        for name, table in other._splices.items():
+            mine, theirs = self.images[name], other.images[name]
+            if mine is theirs or not (mine.terms or theirs.terms):
+                self._splices[name] = table
 
     def _splice(self, name: str):
         """The splice table of generator `name`, built on first use."""
@@ -181,27 +189,36 @@ def compositions(n: int, k: int):
         yield tuple(parts)
 
 
-def _letter_over(gens, letter: str, inner_name: str) -> OperadElement:
-    """The generator `inner_name` grafted into the first leaf of `letter`."""
-    return graft(TreeMonomial.generator(gens, letter), 1, TreeMonomial.generator(gens, inner_name))
+def _grafted(gens, outer: str, inners):
+    """The shape of generator `outer` with the one-vertex tree of generator
+    inners[i] grafted into leaf i+1, the leaf kept where inners[i] is None;
+    None where a grafted generator's output is not its slot's colour (the
+    graft is zero).  Such a shape may go to `_element_of_shapes`."""
+    children = []
+    for color, inner in zip(gens.spec(outer).signature.inputs, inners):
+        sig = None if inner is None else gens.spec(inner).signature
+        if sig is not None and sig.output != color:
+            return None
+        children.append(color if sig is None else (inner, *sig.inputs))
+    return (outer, *children)
 
 
-def _image(gens, name: str, parts) -> OperadElement:
-    """The sum of c * elem over the (c, elem) parts, in the component of D(name)."""
+def _image(gens, name: str, terms) -> OperadElement:
+    """The sum of the (shape, coeff) `terms` in the component of D(name); a
+    None shape (a zero graft) is dropped."""
     spec = gens.spec(name)
-    terms = collect_terms(_combination_terms(parts))
-    return OperadElement(gens, terms, signature=spec.signature, degree=spec.degree - 1)
+    shapes = collect_terms((s, c) for s, c in terms if s is not None)
+    return _element_of_shapes(gens, shapes, spec.signature, spec.degree - 1)
 
 
 def _insertions(gens, outer: str, inner: str, m: int, first: int, sign=1):
-    """The (c, elem) parts of sign * the sum over i+j = m+1, i >= first,
+    """The (shape, coeff) terms of sign * the sum over i+j = m+1, i >= first,
     j >= 2 of (-1)^(i+s(j+1)) outer_i(1^s (x) inner_j (x) 1^(i-s-1))."""
     for i in range(first, m):
         j = m + 1 - i
-        gi = TreeMonomial.generator(gens, f"{outer}_{i}")
-        gj = TreeMonomial.generator(gens, f"{inner}_{j}")
         for s in range(0, m - j + 1):
-            yield (-sign if (i + s * (j + 1)) % 2 else sign), graft(gi, s + 1, gj)
+            inners = (None,) * s + (f"{inner}_{j}",) + (None,) * (i - s - 1)
+            yield _grafted(gens, f"{outer}_{i}", inners), (-sign if (i + s * (j + 1)) % 2 else sign)
 
 
 def _quadratic_sum(gens, family, m: int) -> OperadElement:
@@ -229,16 +246,15 @@ def _morphism_image(gens, m, f_family) -> OperadElement:
              - sum_{i+j=m+1, i>=1, j>=2} (-1)^(i+s(j+1)) f_i(1^s (x) mu_j (x) 1^(i-s-1)).
     """
 
-    def nu_parts():
+    def nu_terms():
         for k in range(2, m + 1):
-            nu_k = TreeMonomial.generator(gens, f"nu_{k}")
             for r in compositions(m, k):
                 e = sum(r[i] * (r[j] + 1) for i in range(k) for j in range(i + 1, k))
-                word = [OperadElement.from_generator(gens, f"{f_family}_{ri}") for ri in r]
-                yield (-1 if e % 2 == 0 else 1), compose_full(nu_k, word)
+                word = [f"{f_family}_{ri}" for ri in r]
+                yield _grafted(gens, f"nu_{k}", word), (-1 if e % 2 == 0 else 1)
 
     insertions = _insertions(gens, f_family, "mu", m, 1, sign=-1)
-    return _image(gens, f"{f_family}_{m}", chain(nu_parts(), insertions))
+    return _image(gens, f"{f_family}_{m}", chain(nu_terms(), insertions))
 
 
 def build_ainf_morphism(max_arity: int) -> DerivationDifferential:
@@ -264,23 +280,20 @@ def build_ainf_morphism(max_arity: int) -> DerivationDifferential:
 def _homotopy_image(gens, m) -> OperadElement:
     """D(h_m) = p_m - q_m + the signed nu_k(p..p h q..q) sum + the h_i(mu_j) sum."""
 
-    def parts():
-        yield 1, OperadElement.from_generator(gens, f"p_{m}")
-        yield -1, OperadElement.from_generator(gens, f"q_{m}")
+    def terms():
+        yield _grafted(gens, f"p_{m}", (None,) * m), 1
+        yield _grafted(gens, f"q_{m}", (None,) * m), -1
         for k in range(2, m + 1):
-            nu_k = TreeMonomial.generator(gens, f"nu_{k}")
             for r in compositions(m, k):
                 base = sum(r[i] * (r[j] + 1) for i in range(k) for j in range(i + 1, k))
                 for s in range(0, k):
                     # s leading p's, then h at slot s+1, then q's
                     eps = base + sum(r[:s]) + k + s
-                    word = [OperadElement.from_generator(gens, f"p_{ri}") for ri in r[:s]]
-                    word.append(OperadElement.from_generator(gens, f"h_{r[s]}"))
-                    word.extend(OperadElement.from_generator(gens, f"q_{ri}") for ri in r[s + 1 :])
-                    yield (-1 if eps % 2 else 1), compose_full(nu_k, word)
+                    word = [f"p_{ri}" for ri in r[:s]] + [f"h_{r[s]}"] + [f"q_{ri}" for ri in r[s + 1 :]]
+                    yield _grafted(gens, f"nu_{k}", word), (-1 if eps % 2 else 1)
         yield from _insertions(gens, "h", "mu", m, 1)
 
-    return _image(gens, f"h_{m}", parts())
+    return _image(gens, f"h_{m}", terms())
 
 
 def build_homotopy_model(max_arity: int) -> DerivationDifferential:
@@ -329,26 +342,24 @@ def build_iso_resolution(max_index: int) -> DerivationDifferential:
     gens = GeneratorSet((B, W), iso_generator_specs(max_index))
 
     def comp(a, b):
-        return _letter_over(gens, a, b)
-
-    def unit(color):
-        return OperadElement.monomial(TreeMonomial.identity(gens, color))
+        return _grafted(gens, a, (b,))
 
     images = {}
     for fam, other, home in (("f", "g", B), ("g", "f", W)):
         if max_index >= 1:
-            images[f"{fam}_1"] = comp(f"{other}_0", f"{fam}_0") - unit(home)
+            # the identity strand of `home` is the shape `home`
+            images[f"{fam}_1"] = _image(gens, f"{fam}_1", [(comp(f"{other}_0", f"{fam}_0"), 1), (home, -1)])
         for k in range(2, max_index + 1):
             if k % 2 == 0:
                 m = k // 2
                 words = []
                 for i in range(0, m):
-                    words.append((1, comp(f"{fam}_{2 * i}", f"{fam}_{2 * (m - i) - 1}")))
-                    words.append((-1, comp(f"{other}_{2 * (m - i) - 1}", f"{fam}_{2 * i}")))
+                    words.append((comp(f"{fam}_{2 * i}", f"{fam}_{2 * (m - i) - 1}"), 1))
+                    words.append((comp(f"{other}_{2 * (m - i) - 1}", f"{fam}_{2 * i}"), -1))
             else:
                 m = (k - 1) // 2
-                words = [(1, comp(f"{other}_{2 * j}", f"{fam}_{2 * (m - j)}")) for j in range(0, m + 1)]
-                words += [(-1, comp(f"{fam}_{2 * j + 1}", f"{fam}_{2 * (m - j) - 1}")) for j in range(0, m)]
+                words = [(comp(f"{other}_{2 * j}", f"{fam}_{2 * (m - j)}"), 1) for j in range(0, m + 1)]
+                words += [(comp(f"{fam}_{2 * j + 1}", f"{fam}_{2 * (m - j) - 1}"), -1) for j in range(0, m)]
             images[f"{fam}_{k}"] = _image(gens, f"{fam}_{k}", words)
     return DerivationDifferential(gens, images)
 

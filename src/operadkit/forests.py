@@ -11,6 +11,11 @@ is componentwise grafting times the Koszul interchange sign: the blocks of
 the inner forest move left past the later components of the outer one.
 These are the words ⟨h⟩, ⟨f•⟩, ... that the polarization identities
 multiply.
+
+Composition and the differential merge terms by the tuple of component
+shapes, and build a forest, validating each distinct tree once, only for a
+sum that survives.  `verify_polarization` adds each equation's lhs - rhs
+into one such map, so a passing check builds no forest.
 """
 
 from __future__ import annotations
@@ -23,12 +28,12 @@ from .core import (
     GeneratorSet,
     OperadElement,
     TreeMonomial,
-    _combination_terms,
-    _graft_word,
+    _checked_over,
+    _plug,
     collect_terms,
     leaf_suffix_degrees,
 )
-from .differentials import DerivationDifferential, extend_derivation
+from .differentials import DerivationDifferential, leibniz_shapes
 from .reports import Report
 
 
@@ -101,35 +106,6 @@ class ForestElement(OperadElement):
         return sorted(self.terms.items(), key=lambda mc: mc[0].sort_key)
 
 
-def _compose_monomials(outer: ForestMonomial, inner: ForestMonomial, suffixes):
-    """Oriented composition of two forest monomials; None on color mismatch.
-
-    suffixes[i] holds the `leaf_suffix_degrees` of outer component i."""
-    blocks = []
-    pos = 0
-    for t in outer.components:
-        k = t.arity
-        blocks.append(inner.components[pos : pos + k])
-        pos += k
-    # Interchange: inner block i moves left past outer components after i.
-    sign = 0
-    outer_deg_after = 0
-    for i in range(outer.width - 1, -1, -1):
-        block_deg = sum(t.degree for t in blocks[i])
-        sign += block_deg * outer_deg_after
-        outer_deg_after += outer.components[i].degree
-    new_components = []
-    coeff = -1 if sign % 2 else 1
-    for t, block, leaf_suffixes in zip(outer.components, blocks, suffixes):
-        tree = _graft_word(t, block)
-        if tree is None:
-            return None
-        if sum(b.degree * s for b, s in zip(block, leaf_suffixes)) % 2:
-            coeff = -coeff
-        new_components.append(tree)
-    return ForestMonomial(outer.gens, new_components), coeff
-
-
 def _composed_signature(outer, inner):
     """Each outer component's output over the inputs of its inner block."""
     out = []
@@ -143,46 +119,78 @@ def _composed_signature(outer, inner):
     return tuple(out)
 
 
+def _product_terms(outer: ForestElement, inner: ForestElement, suffixes: dict):
+    """The (component shapes, coeff) terms of the oriented composite of two
+    forest elements; none on a colour or width mismatch.  `suffixes` caches
+    the `leaf_suffix_degrees` of each outer tree shape.
+    The colours are matched once, on the two signatures, which every
+    monomial shares.  Each inner component moves left past the outer
+    components after its block (interchange) and the vertices after its
+    leaf in its outer tree (orientation), at the sign of its degree times
+    theirs."""
+    if tuple(o for o, _ in inner.signature) != tuple(chain.from_iterable(i for _, i in outer.signature)):
+        return
+    gens = outer.gens
+    inners = []
+    for mono, coeff in inner.terms.items():
+        trees = [_checked_over(gens, t) for t in mono.components]
+        inners.append(([t.shape for t in trees], [t.degree for t in trees], coeff))
+    for mono, coeff in outer.terms.items():
+        passed = []  # per inner component, in order: the parity of the degrees it passes
+        after = mono.degree
+        for t in mono.components:
+            after -= t.degree
+            leaf_suffixes = suffixes.get(t.shape)
+            if leaf_suffixes is None:
+                leaf_suffixes = suffixes[t.shape] = leaf_suffix_degrees(gens, t.shape)
+            passed += [(after + s) % 2 for s in leaf_suffixes]
+        for shapes, degrees, c in inners:
+            sign = sum(d for d, odd in zip(degrees, passed) if odd)
+            pieces = iter(shapes)  # each outer tree takes its block in turn
+            c = coeff * c
+            yield tuple(_plug(t.shape, pieces) for t in mono.components), (-c if sign % 2 else c)
+
+
+def _forest_of_shapes(gens, shape_terms: dict, signature, degree) -> ForestElement:
+    """The forest element with the (component shapes) -> coeff map
+    `shape_terms`.  A forest is built only for a nonzero coefficient, and
+    each distinct tree in them is validated once."""
+    trees = dict.fromkeys(s for shapes, c in shape_terms.items() if c for s in shapes)
+    trees = {s: TreeMonomial(gens, s) for s in trees}
+    terms = {ForestMonomial(gens, [trees[s] for s in shapes]): c for shapes, c in shape_terms.items() if c}
+    return ForestElement(gens, terms, signature, degree)
+
+
 def compose_forests(outer: ForestElement, inner: ForestElement) -> ForestElement:
     """Bilinear oriented composition; color mismatches contribute zero."""
     sig = _composed_signature(outer.signature, inner.signature)
+    terms = collect_terms(_product_terms(outer, inner, {}))
+    return _forest_of_shapes(outer.gens, terms, sig, outer.degree + inner.degree)
 
-    def pairs():
-        for mo, co in outer.terms.items():
-            suffixes = [leaf_suffix_degrees(t.gens, t.shape) for t in mo.components]
-            for mi, ci in inner.terms.items():
-                res = _compose_monomials(mo, mi, suffixes)
-                if res is not None:
-                    mono, extra = res
-                    yield mono, co * ci * extra
 
-    return ForestElement(outer.gens, collect_terms(pairs()), sig, outer.degree + inner.degree)
+def _derivative_terms(diff: DerivationDifferential, elem: ForestElement, derived: dict):
+    """The (component shapes, coeff) terms of the componentwise derivative
+    of `elem`, with the component-prefix Koszul signs.  `derived` caches the
+    nonzero terms of D of each tree: each is derived once by `leibniz_shapes`."""
+    for mono, coeff in elem.terms.items():
+        shapes = tuple(t.shape for t in mono.components)
+        prefix = 0
+        for i, t in enumerate(mono.components):
+            dt = derived.get(t)
+            if dt is None:
+                dt = derived[t] = [(s, c) for s, c in leibniz_shapes(diff, ((t, 1),)).items() if c]
+            sign = -1 if prefix % 2 else 1
+            for new, c in dt:
+                yield shapes[:i] + (new,) + shapes[i + 1 :], coeff * c * sign
+            prefix += t.degree
 
 
 def forest_differential(diff: DerivationDifferential, elem: ForestElement) -> ForestElement:
     """Componentwise derivation with the component-prefix Koszul signs.
 
     D of each distinct component tree is computed once per call."""
-    derived = {}
-
-    def derivative(tree):
-        dt = derived.get(tree)
-        if dt is None:
-            dt = derived[tree] = extend_derivation(diff, OperadElement.monomial(tree)).terms
-        return dt
-
-    def pairs():
-        for mono, coeff in elem.terms.items():
-            prefix = 0
-            for i, t in enumerate(mono.components):
-                sign = -1 if prefix % 2 else 1
-                for new_tree, c in derivative(t).items():
-                    comps = list(mono.components)
-                    comps[i] = new_tree
-                    yield ForestMonomial(mono.gens, comps), coeff * c * sign
-                prefix += t.degree
-
-    return ForestElement(elem.gens, collect_terms(pairs()), elem.signature, elem.degree - 1)
+    terms = collect_terms(_derivative_terms(diff, elem, {}))
+    return _forest_of_shapes(elem.gens, terms, elem.signature, elem.degree - 1)
 
 
 def conjugate_forest(elem: ForestElement, perm) -> ForestElement:
@@ -332,51 +340,53 @@ def polarization_iso_m2(gens: GeneratorSet, max_degree: int) -> dict:
     }
 
 
-def _component(fams, kind, deg, gens):
-    """The degree-`deg` part of `kind`: the zero of its component where the table has none."""
-    return fams[kind][deg] if deg in fams[kind] else ForestElement.zero(gens, _KIND_SIGNATURES[kind], deg)
-
-
 def verify_polarization(fams: dict, max_degree: int, iso: DerivationDifferential) -> Report:
     """Check the four coupled differential equations and the degree-0 condition.
 
     The equations are checked degree by degree: the d of the (t+1)-component
     against the degree-t part of the quadratic right-hand side, for t up to
-    max_degree - 1 (the d side needs one degree of headroom).
+    max_degree - 1 (the d side needs one degree of headroom), each as one
+    map of lhs - rhs, with a residual forest built only where a sum survives.
     """
     gens = iso.base
     report = Report(f"polarization identities through degree {max_degree}")
 
-    f0 = TreeMonomial.generator(gens, "f_0")
-    g0 = TreeMonomial.generator(gens, "g_0")
-    cond_f = _component(fams, "f", 0, gens) == ForestElement.word(gens, [f0, f0])
-    cond_g = _component(fams, "g", 0, gens) == ForestElement.word(gens, [g0, g0])
+    def shape_terms(elem):
+        return {} if elem is None else {tuple(t.shape for t in m.components): c for m, c in elem.terms.items()}
+
+    f0, g0 = (("f_0", *gens.spec("f_0").signature.inputs), ("g_0", *gens.spec("g_0").signature.inputs))
+    cond_f = shape_terms(fams["f"].get(0)) == {(f0, f0): 1}
+    cond_g = shape_terms(fams["g"].get(0)) == {(g0, g0): 1}
     report.add("degree-0 parts are f_0^(x)2 and g_0^(x)2", cond_f and cond_g)
 
-    unit_b = ForestElement.identity(gens, ("B", "B"))
-    unit_w = ForestElement.identity(gens, ("W", "W"))
+    # kind: the two (left, right, sign) products of the right-hand side, and
+    # the identity forest it subtracts in degree 0 (a bare strand's shape is its colour)
     rhs_specs = {
         "f": (("f", "h", 1), ("l", "f", -1), None),
-        "h": (("g", "f", 1), ("h", "h", -1), unit_b),
+        "h": (("g", "f", 1), ("h", "h", -1), ("B", "B")),
         "g": (("g", "l", 1), ("h", "g", -1), None),
-        "l": (("f", "g", 1), ("l", "l", -1), unit_w),
+        "l": (("f", "g", 1), ("l", "l", -1), ("W", "W")),
     }
-    for kind, (term1, term2, unit) in rhs_specs.items():
+    derived, suffixes = {}, {}
+
+    def residual_terms(kind, t):  # the (component shapes, coeff) terms of lhs - rhs
+        top = fams[kind].get(t + 1)
+        if top is not None:
+            yield from _derivative_terms(iso, top, derived)
+        term1, term2, unit = rhs_specs[kind]
+        for a in range(0, t + 1):
+            for left, right, sgn in (term1, term2):
+                x, y = fams[left].get(a), fams[right].get(t - a)
+                if x is not None and y is not None:
+                    for shapes, c in _product_terms(x, y, suffixes):
+                        yield shapes, -sgn * c
+        if unit is not None and t == 0:
+            yield unit, 1
+
+    for kind in rhs_specs:
         for t in range(0, max_degree):
-            lhs = forest_differential(iso, _component(fams, kind, t + 1, gens))
-            # (sign, forest) summands of the right-hand side
-            rhs = [
-                (sgn, compose_forests(_component(fams, left, a, gens), _component(fams, right, t - a, gens)))
-                for a in range(0, t + 1)
-                for left, right, sgn in (term1, term2)
-            ]
-            if unit is not None and t == 0:
-                rhs.append((-1, unit))
-            residual = lhs - ForestElement(gens, collect_terms(_combination_terms(rhs)), lhs.signature, t)
-            ok = residual.is_zero()
-            report.add(
-                f"d<{kind}.> equation, degree {t}",
-                ok,
-                "" if ok else f"residual {residual.text(compact=True)}",
-            )
+            terms = collect_terms(residual_terms(kind, t))
+            ok = not any(terms.values())
+            residual = "" if ok else _forest_of_shapes(gens, terms, _KIND_SIGNATURES[kind], t).text(compact=True)
+            report.add(f"d<{kind}.> equation, degree {t}", ok, f"residual {residual}" if residual else "")
     return report

@@ -283,7 +283,11 @@ def evaluate_element(rep: Representation, elem: OperadElement) -> MultilinearMap
         if isinstance(shape, str):
             return identity_map(rep.complexes[shape])
         outer = rep.image(shape[0])
-        return compose_maps(outer, [eval_shape(c) for c in shape[1:]])
+        children = shape[1:]
+        if all(c.__class__ is str for c in children):
+            # identities have degree 0 (no Koszul sign) and stored blocks are nonzero
+            return outer
+        return compose_maps(outer, [eval_shape(c) for c in children])
 
     blocks = {}
     for mono, coeff in elem.terms.items():

@@ -24,24 +24,21 @@ ints throughout.
 
 from __future__ import annotations
 
-from itertools import chain
-
 from .core import (
     GeneratorSet,
     GeneratorSpec,
     OperadElement,
     Signature,
-    TreeMonomial,
-    _combination_terms,
+    _checked_over,
+    _element_of_shapes,
     _ideal_names,
     collect_terms,
-    compose_full,
     enumerate_basis,
 )
 from .differentials import (
     DerivationDifferential,
+    _grafted,
     _image,
-    _letter_over,
     build_iso_resolution,
     extend_derivation,
     iso_generator_specs,
@@ -146,10 +143,9 @@ def principal_part_btow(gens: GeneratorSet, b_name: str, w_name: str) -> OperadE
     n = b_spec.signature.arity
     if n < 2:
         raise ValueError("principal parts are defined for arity >= 2")
-    f_elem = OperadElement.from_generator(gens, "f")
-    head = _letter_over(gens, "f", b_name)
-    tail = compose_full(TreeMonomial.generator(gens, w_name), [f_elem] * n)
-    return head - tail
+    terms = ((_grafted(gens, "f", (b_name,)), 1), (_grafted(gens, w_name, ("f",) * n), -1))
+    shapes = collect_terms(t for t in terms if t[0] is not None)
+    return _element_of_shapes(gens, shapes, Signature(W, b_spec.signature.inputs), b_spec.degree)
 
 
 def _check_base(base: DerivationDifferential):
@@ -203,14 +199,18 @@ def _copy_images(base: DerivationDifferential, picked, gens) -> dict:
     return images
 
 
-def _solve_into(gens, images, tails, name, principal, ideal):
+def _solve_into(gens, images, tails, name, principal, ideal, previous):
     """Solve the tail of `name` against the images so far; record its tail
-    and its image principal + tail."""
+    and its image principal + tail.  Returns the differential solved
+    against, which took over the splice tables of `previous`, the one
+    before, for the generators whose image did not change."""
     partial = DerivationDifferential(gens, images)
+    partial._take_splices(previous)
     phi = extend_derivation(partial, principal).scale(-1)
     omega = solve_tail(partial, name, ideal, phi)
     tails[name] = omega
     images[name] = principal + omega
+    return partial
 
 
 def build_model_btow(base: DerivationDifferential, max_arity: int) -> TailedModel:
@@ -226,10 +226,11 @@ def build_model_btow(base: DerivationDifferential, max_arity: int) -> TailedMode
 
     images = _copy_images(base, picked, gens)
     tails = {}
+    partial = DerivationDifferential(gens, images)
     for g in picked:
         principal = principal_part_btow(gens, f"{g.name}_B", f"{g.name}_W")
         ideal = [f"{h.name}_bar" for h in picked if h.signature.arity < g.signature.arity]
-        _solve_into(gens, images, tails, f"{g.name}_bar", principal, ideal)
+        partial = _solve_into(gens, images, tails, f"{g.name}_bar", principal, ideal, partial)
 
     return TailedModel(gens, images, base, tails)
 
@@ -246,16 +247,17 @@ def theta_substitution(bw: TailedModel, elem: OperadElement, target_gens, letter
     return rename_element(elem, target_gens, name_map)
 
 
-def _forest_into(gens, outer_name: str, forest: ForestElement) -> OperadElement:
-    """Graft each forest word into the slots of a single-generator vertex."""
-    outer = TreeMonomial.generator(gens, outer_name)
-    inputs = tuple(chain.from_iterable(ins for _, ins in forest.signature))
-    sig = Signature(outer.signature.output, inputs)
-    parts = (
-        (coeff, compose_full(outer, [OperadElement.monomial(t) for t in mono.components]))
-        for mono, coeff in forest.terms.items()
-    )
-    return OperadElement(gens, collect_terms(_combination_terms(parts)), sig, outer.degree + forest.degree)
+def _forest_into(gens, outer_name: str, forest: ForestElement):
+    """The (shape, coeff) terms of each forest word grafted into the slots of
+    a single-generator vertex; none if a component's output is not its
+    slot's colour."""
+    inputs = gens.spec(outer_name).signature.inputs
+    outputs = tuple(output for output, _ in forest.signature)
+    if len(outputs) != len(inputs):
+        raise ValueError(f"{outer_name} has {len(inputs)} slots, the forest {len(outputs)} components")
+    if outputs != inputs:
+        return []
+    return [((outer_name, *(_checked_over(gens, t).shape for t in m.components)), c) for m, c in forest.terms.items()]
 
 
 def build_model_homotopy(bw: TailedModel, max_arity: int) -> TailedModel:
@@ -294,16 +296,16 @@ def build_model_homotopy(bw: TailedModel, max_arity: int) -> TailedModel:
             images[f"{g.name}_{letter}"] = theta_substitution(bw, bw.of(f"{g.name}_bar"), gens, letter)
 
     tails = {}
+    partial = DerivationDifferential(gens, images)
     for g in picked:
         n = g.signature.arity
-        principal = (
-            OperadElement.from_generator(gens, f"{g.name}_p")
-            - OperadElement.from_generator(gens, f"{g.name}_q")
-            - _letter_over(gens, "h", f"{g.name}_B")
-            + _forest_into(gens, f"{g.name}_W", polarization_ns(gens, n)).scale(-1 if g.degree % 2 else 1)
-        )
+        sx = -1 if g.degree % 2 else 1
+        terms = [(_grafted(gens, f"{g.name}_{x}", (None,) * n), c) for x, c in (("p", 1), ("q", -1))]
+        terms.append((_grafted(gens, "h", (f"{g.name}_B",)), -1))
+        terms += [(s, sx * c) for s, c in _forest_into(gens, f"{g.name}_W", polarization_ns(gens, n))]
+        principal = _image(gens, f"{g.name}_h", terms)
         ideal = [f"{h.name}_{letter}" for h in picked if h.signature.arity < n for letter in "pqh"]
-        _solve_into(gens, images, tails, f"{g.name}_h", principal, ideal)
+        partial = _solve_into(gens, images, tails, f"{g.name}_h", principal, ideal, partial)
 
     return TailedModel(gens, images, base, tails)
 
@@ -351,13 +353,16 @@ def build_model_iso_principal(
 
     fams = polarization_iso_m2(gens, max_index)
 
+    # Each part is (c, terms): c times the (shape, coeff) terms of a
+    # polarization grafted into a super-family generator, or of one letter.
     def polar(super_name, kind, deg):
         return _forest_into(gens, super_name, fams[kind][deg])
 
     def letter(name, inner_name):
-        return _letter_over(gens, name, inner_name)
+        return [(_grafted(gens, name, (inner_name,)), 1)]
 
     tails = {}
+    partial = DerivationDifferential(gens, images)
 
     # The displayed differentials of the four super-families, one degree at a
     # time, each solved as soon as it is written: same-degree principal parts
@@ -386,6 +391,7 @@ def build_model_iso_principal(
                     parts += [(sx, polar(f"{mine}{j}", ownh, k - 1 - j)) for j in range(1, k, 2)]
                     parts += [(1, letter(f"{other}_{a}", f"{mine}{k - 1 - a}")) for a in range(0, k, 2)]
                     parts += [(1, polar(f"{theirs}{j}", own, k - 1 - j)) for j in range(0, k, 2)]
-                _solve_into(gens, images, tails, name, _image(gens, name, parts), [])
+                principal = _image(gens, name, ((s, c * v) for c, terms in parts for s, v in terms))
+                partial = _solve_into(gens, images, tails, name, principal, [], partial)
 
     return TailedModel(gens, images, base, tails)

@@ -224,6 +224,43 @@ def test_iso_polarization_identities_pass():
     assert report.ok, str(report)
 
 
+def _spy_on_forests(monkeypatch):
+    """The component lists of every forest monomial built from now on."""
+    built = []
+    init = ForestMonomial.__init__
+
+    def spy(self, gens, components):
+        built.append(components)
+        init(self, gens, components)
+
+    monkeypatch.setattr(ForestMonomial, "__init__", spy)
+    return built
+
+
+def test_a_passing_polarization_check_builds_no_forest(monkeypatch):
+    iso = build_iso_resolution(6)
+    fams = polarization_iso_m2(iso.base, 5)
+    built = _spy_on_forests(monkeypatch)
+    assert verify_polarization(fams, 5, iso).ok
+    assert built == []
+    # the spy is live
+    ForestElement.identity(iso.base, (B, B))
+    assert len(built) == 1
+
+
+def test_a_failing_polarization_check_builds_only_its_residual_terms(monkeypatch):
+    # the symmetrized family fails its equations from degree 2 on (README)
+    iso = build_iso_resolution(5)
+    fams = polarization_iso_m2(iso.base, 5)
+    fams = {k: {d: symmetrize_forest(v) for d, v in table.items()} for k, table in fams.items()}
+    built = _spy_on_forests(monkeypatch)
+    report = verify_polarization(fams, 5, iso)
+    failing = [e for e in report.entries if not e.ok]
+    assert failing
+    # each residual term reads "coeff * forest", and a forest's text holds no " * "
+    assert len(built) == sum(e.detail.count(" * ") for e in failing)
+
+
 def test_verify_polarization_zeroed_h_fails_at_degree_zero():
     iso = build_iso_resolution(2)
     fams = polarization_iso_m2(iso.base, 1)
@@ -286,13 +323,14 @@ def test_forest_differential_derives_each_distinct_tree_once(monkeypatch):
     elem = polarization_iso_m2(iso.base, 6)["h"][5]
     occurrences = [t for mono in elem.terms for t in mono.components]
     derived = []
-    extend = forests.extend_derivation
+    leibniz = forests.leibniz_shapes
 
-    def spy(diff, tree_elem):
-        derived.append(next(iter(tree_elem.terms)))
-        return extend(diff, tree_elem)
+    def spy(diff, pairs):
+        ((tree, _),) = pairs
+        derived.append(tree)
+        return leibniz(diff, pairs)
 
-    monkeypatch.setattr(forests, "extend_derivation", spy)
+    monkeypatch.setattr(forests, "leibniz_shapes", spy)
     forest_differential(iso, elem)
     assert sorted(derived, key=lambda t: t.sort_key) == sorted(set(occurrences), key=lambda t: t.sort_key)
     assert len(occurrences) > len(derived)

@@ -15,7 +15,7 @@ top-level re-export that the benchmark does not read (the modules are the
 public surface; `operadkit` itself re-exports exactly what `perfbench/`
 takes from it), and no use of `TreeMonomial._assembled` outside `core`
 (it builds a tree without checking it; other modules assemble through
-`core._graft_word` and `core._element_of_shapes`), and no JSON written or
+`core._element_of_shapes`), and no JSON written or
 read outside `serialize` (it owns every file format: its `dumps` is the one
 writer, and its `load` the one reader; reaching the stdlib encoder through
 `json.encoder` or `JSONEncoder` counts as writing), and no

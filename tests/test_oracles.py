@@ -1,15 +1,17 @@
-"""The Leibniz rule, forest grafting and multilinear composition against
-plain reference versions.
+"""The Leibniz rule, the model builders, forest grafting and multilinear
+composition against plain reference versions.
 
 `reference_extend_derivation` walks the vertex paths of each monomial,
 recomputes every splice table and builds one validated monomial per term;
 `reference_compose_forests` grafts each forest component through
 `compose_full` on one-monomial elements; `reference_forest_differential`
-differentiates every component occurrence anew.  The package versions
-merge terms by shape, cache splice tables per differential, graft single
-monomials directly and differentiate each distinct tree once.  Both sides
-must give the same element: the same terms in the same insertion order,
-with the same coefficients (type included), signature and degree.
+differentiates every component occurrence anew; the `reference_build_*`
+model builders sum `graft` and `compose_full` products as elements.  The
+package versions merge terms by shape, cache splice tables per
+differential, graft bare shapes directly and differentiate each distinct
+tree once.  Both sides must give the same element: the same terms in the
+same insertion order, with the same coefficients (type included),
+signature and degree.
 
 `reference_compose_maps` walks the product of all stored inner blocks and
 drops the combinations whose middle degrees meet no stored outer block;
@@ -73,12 +75,14 @@ from operadkit.differentials import (
     rename_element,
     verify_d_squared,
 )
+from operadkit.differentials import compositions as integer_compositions
 from operadkit.forests import (
     ForestElement,
     ForestMonomial,
     compose_forests,
     forest_differential,
     polarization_iso_m2,
+    symmetrize_forest,
 )
 from operadkit.linalg import (
     ChainComplex,
@@ -230,6 +234,119 @@ def reference_compose_maps(outer, inners):
         if not mat.is_zero():
             blocks[key] = mat.scale(-1 if sign % 2 else 1)
     return MultilinearMap(sources, outer.target, degree, blocks)
+
+
+# The model builders in element algebra: every product is an OperadElement
+# from `graft` or `compose_full`, and each image the sum of those parts.
+
+
+def _reference_image(gens, name, parts):
+    spec = gens.spec(name)
+    terms = collect_terms((m, c * v) for c, elem in parts for m, v in elem.terms.items())
+    return OperadElement(gens, terms, spec.signature, spec.degree - 1)
+
+
+def _reference_insertions(gens, outer, inner, m, first, sign):
+    for i in range(first, m):
+        j = m + 1 - i
+        gi = TreeMonomial.generator(gens, f"{outer}_{i}")
+        gj = TreeMonomial.generator(gens, f"{inner}_{j}")
+        for s in range(0, m - j + 1):
+            yield (-sign if (i + s * (j + 1)) % 2 else sign), graft(gi, s + 1, gj)
+
+
+def _reference_quadratic(gens, family, m):
+    return _reference_image(gens, f"{family}_{m}", _reference_insertions(gens, family, family, m, 2, 1))
+
+
+def _reference_morphism_image(gens, m, fam):
+    parts = []
+    for k in range(2, m + 1):
+        nu_k = TreeMonomial.generator(gens, f"nu_{k}")
+        for r in integer_compositions(m, k):
+            e = sum(r[i] * (r[j] + 1) for i in range(k) for j in range(i + 1, k))
+            word = [OperadElement.from_generator(gens, f"{fam}_{ri}") for ri in r]
+            parts.append((-1 if e % 2 == 0 else 1, compose_full(nu_k, word)))
+    parts += _reference_insertions(gens, fam, "mu", m, 1, -1)
+    return _reference_image(gens, f"{fam}_{m}", parts)
+
+
+def _reference_homotopy_image(gens, m):
+    parts = [(1, OperadElement.from_generator(gens, f"p_{m}")), (-1, OperadElement.from_generator(gens, f"q_{m}"))]
+    for k in range(2, m + 1):
+        nu_k = TreeMonomial.generator(gens, f"nu_{k}")
+        for r in integer_compositions(m, k):
+            base = sum(r[i] * (r[j] + 1) for i in range(k) for j in range(i + 1, k))
+            for s in range(0, k):
+                eps = base + sum(r[:s]) + k + s
+                names = [f"p_{ri}" for ri in r[:s]] + [f"h_{r[s]}"] + [f"q_{ri}" for ri in r[s + 1 :]]
+                word = [OperadElement.from_generator(gens, n) for n in names]
+                parts.append((-1 if eps % 2 else 1, compose_full(nu_k, word)))
+    parts += _reference_insertions(gens, "h", "mu", m, 1, 1)
+    return _reference_image(gens, f"h_{m}", parts)
+
+
+def _two_colour_specs(k, unary):
+    """mu_i, nu_i for 2 <= i <= k, then for 1 <= i <= k the (family, degree
+    shift) pairs in `unary`, all B^i -> W."""
+    specs = []
+    for i in range(2, k + 1):
+        specs.append(GeneratorSpec(f"mu_{i}", Signature("B", ("B",) * i), i - 2))
+        specs.append(GeneratorSpec(f"nu_{i}", Signature("W", ("W",) * i), i - 2))
+    for i in range(1, k + 1):
+        specs += [GeneratorSpec(f"{fam}_{i}", Signature("W", ("B",) * i), i - 1 + shift) for fam, shift in unary]
+    return specs
+
+
+def reference_build_ainf(k):
+    gens = GeneratorSet(("B",), [GeneratorSpec(f"mu_{i}", Signature("B", ("B",) * i), i - 2) for i in range(2, k + 1)])
+    return DerivationDifferential(gens, {f"mu_{m}": _reference_quadratic(gens, "mu", m) for m in range(2, k + 1)})
+
+
+def reference_build_ainf_morphism(k):
+    gens = GeneratorSet(("B", "W"), _two_colour_specs(k, [("f", 0)]))
+    images = {f"{fam}_{m}": _reference_quadratic(gens, fam, m) for m in range(2, k + 1) for fam in ("mu", "nu")}
+    images.update({f"f_{m}": _reference_morphism_image(gens, m, "f") for m in range(1, k + 1)})
+    return DerivationDifferential(gens, images)
+
+
+def reference_build_homotopy_model(k):
+    gens = GeneratorSet(("B", "W"), _two_colour_specs(k, [("p", 0), ("q", 0), ("h", 1)]))
+    images = {f"{fam}_{m}": _reference_quadratic(gens, fam, m) for m in range(2, k + 1) for fam in ("mu", "nu")}
+    for m in range(1, k + 1):
+        images[f"p_{m}"] = _reference_morphism_image(gens, m, "p")
+        images[f"q_{m}"] = _reference_morphism_image(gens, m, "q")
+        images[f"h_{m}"] = _reference_homotopy_image(gens, m)
+    return DerivationDifferential(gens, images)
+
+
+def reference_build_iso_resolution(k):
+    specs = []
+    for i in range(0, k + 1):
+        specs.append(GeneratorSpec(f"f_{i}", Signature("W" if i % 2 == 0 else "B", ("B",)), i))
+        specs.append(GeneratorSpec(f"g_{i}", Signature("B" if i % 2 == 0 else "W", ("W",)), i))
+    gens = GeneratorSet(("B", "W"), specs)
+
+    def comp(a, b):
+        return graft(TreeMonomial.generator(gens, a), 1, TreeMonomial.generator(gens, b))
+
+    images = {}
+    for fam, other, home in (("f", "g", "B"), ("g", "f", "W")):
+        if k >= 1:
+            images[f"{fam}_1"] = comp(f"{other}_0", f"{fam}_0") - OperadElement.monomial(TreeMonomial.identity(gens, home))
+        for n in range(2, k + 1):
+            if n % 2 == 0:
+                m = n // 2
+                parts = []
+                for i in range(0, m):
+                    parts.append((1, comp(f"{fam}_{2 * i}", f"{fam}_{2 * (m - i) - 1}")))
+                    parts.append((-1, comp(f"{other}_{2 * (m - i) - 1}", f"{fam}_{2 * i}")))
+            else:
+                m = (n - 1) // 2
+                parts = [(1, comp(f"{other}_{2 * j}", f"{fam}_{2 * (m - j)}")) for j in range(0, m + 1)]
+                parts += [(-1, comp(f"{fam}_{2 * j + 1}", f"{fam}_{2 * (m - j) - 1}")) for j in range(0, m)]
+            images[f"{fam}_{n}"] = _reference_image(gens, f"{fam}_{n}", parts)
+    return DerivationDifferential(gens, images)
 
 
 def tree_snapshot(elem):
@@ -424,12 +541,36 @@ def test_forest_differential_matches_reference(drawn):
         assert forest_snapshot(got) == forest_snapshot(reference_forest_differential(d, elem))
 
 
+@pytest.mark.parametrize(
+    "build, reference, low",
+    [
+        (build_ainf, reference_build_ainf, 2),
+        (build_ainf_morphism, reference_build_ainf_morphism, 1),
+        (build_homotopy_model, reference_build_homotopy_model, 1),
+        (build_iso_resolution, reference_build_iso_resolution, 0),
+    ],
+    ids=["ainf", "morphism", "homotopy", "iso"],
+)
+def test_shape_built_models_match_the_element_algebra_builders(build, reference, low):
+    # the same generators, and generator by generator the same image: the
+    # same terms in the same order, with the same coefficients (type included)
+    for k in range(low, 7):
+        got, want = build(k), reference(k)
+        assert [(g.name, g.signature, g.degree) for g in got.base.generators] == [
+            (g.name, g.signature, g.degree) for g in want.base.generators
+        ]
+        for g in want.base.generators:
+            assert tree_snapshot(got.of(g.name)) == tree_snapshot(want.of(g.name)), (k, g.name)
+
+
 @pytest.mark.parametrize("max_degree", [3, 5])
 def test_polarization_forests_match_reference(max_degree):
-    # the words verify_polarization multiplies, where trees repeat across terms
+    # the words verify_polarization multiplies, where trees repeat across
+    # terms, and their symmetrized forms, whose coefficients are Fractions
     iso = build_iso_resolution(max_degree)
     fams = polarization_iso_m2(iso.base, max_degree)
     words = [f for table in fams.values() for f in table.values()]
+    words += [symmetrize_forest(f) for f in words]
     for outer in words:
         for inner in words:
             got = compose_forests(outer, inner)

@@ -134,6 +134,20 @@ def test_evaluate_single_generator():
     assert evaluate_element(rep, elem) == rep.images["mu_2"]
 
 
+def test_a_bare_generator_evaluates_to_its_image_composed_with_identities():
+    # evaluate_element returns a bare generator's image itself, skipping the
+    # composite with an identity in every slot; both must agree block for block
+    model = build_ainf_morphism(3)
+    for seed, dims in ((5, (1, 2, 1)), (6, (2, 0, 1))):
+        rep = random_representation(random.Random(seed), model, dims)
+        for g in model.base.generators:
+            image = rep.image(g.name)
+            composed = compose_maps(image, [identity_map(c) for c in image.sources])
+            got = evaluate_element(rep, OperadElement.from_generator(model.base, g.name))
+            assert got.blocks == composed.blocks and got == composed
+            assert got.sources == composed.sources and got.target is composed.target
+
+
 def test_evaluating_a_zero_needs_its_component():
     rep = random_representation(random.Random(3), build_ainf(3))
     sig = Signature(B, (B, B))
