@@ -10,7 +10,9 @@ consistency certificate for it.
 A `DerivationDifferential` keeps its images in a read-only mapping and
 builds the splice table of each generator (image shapes, the leaves whose
 orientation sign is odd, coefficients) once, on first use; every Leibniz
-extension on that differential reuses it.
+extension on that differential reuses it.  The tail builders of `tails`
+grow one differential: each solved image is set by `_replace`, which
+validates it as the constructor does and drops that generator's table.
 
 Model builders cover the associahedron-type operad (structure maps mu_n with
 the classical quadratic differential), its two-colored morphism version
@@ -50,7 +52,7 @@ class DerivationDifferential:
 
     `images` is a read-only mapping with one image per generator (a missing
     one is zero).  The Leibniz rule splices each image through a table built
-    from it once and cached, which a later write would leave stale.
+    from it once and cached; `_replace` drops the table of the image it sets.
     """
 
     def __init__(self, base: GeneratorSet, images: dict):
@@ -58,37 +60,35 @@ class DerivationDifferential:
         if unknown:
             raise ValueError(f"images for names that are not generators: {', '.join(unknown)}")
         self.base = base
-        table = {}
-        for g in base.generators:
-            img = images.get(g.name)
-            if img is None:
-                img = OperadElement.zero(base, g.signature, g.degree - 1)
-            else:
-                if img.signature != g.signature:
-                    raise ValueError(f"D({g.name}) lives in {img.signature}, expected {g.signature}")
-                if img.degree != g.degree - 1:
-                    raise ValueError(f"D({g.name}) has degree {img.degree}, expected {g.degree - 1}")
-                if img.gens is not base or any(m.gens is not base for m in img.terms):
-                    terms = {_checked_over(base, m): c for m, c in img.terms.items()}
-                    img = OperadElement(base, terms, signature=img.signature, degree=img.degree)
-            table[g.name] = img
-        self.images = MappingProxyType(table)
+        self._table = {g.name: self._checked(g, images.get(g.name)) for g in base.generators}
+        self.images = MappingProxyType(self._table)
         self._splices = {}
+
+    def _checked(self, g: GeneratorSpec, img):
+        """`img` as D(g), over the base (zero for None), or raise ValueError."""
+        base = self.base
+        if img is None:
+            return OperadElement.zero(base, g.signature, g.degree - 1)
+        if img.signature != g.signature:
+            raise ValueError(f"D({g.name}) lives in {img.signature}, expected {g.signature}")
+        if img.degree != g.degree - 1:
+            raise ValueError(f"D({g.name}) has degree {img.degree}, expected {g.degree - 1}")
+        if img.gens is not base or any(m.gens is not base for m in img.terms):
+            terms = {_checked_over(base, m): c for m, c in img.terms.items()}
+            img = OperadElement(base, terms, signature=img.signature, degree=img.degree)
+        return img
+
+    def _replace(self, name: str, image: OperadElement):
+        """Set D(name) to `image`, checked as in __init__, and drop its splice
+        table.  Only a builder calls this, before it returns the model."""
+        self._table[name] = self._checked(self.base.spec(name), image)
+        self._splices.pop(name, None)
 
     def of(self, name: str) -> OperadElement:
         try:
             return self.images[name]
         except KeyError:
             raise KeyError(f"no differential image for generator {name!r}") from None
-
-    def _take_splices(self, other: "DerivationDifferential"):
-        """Take over the splice tables of `other`, over the same generators,
-        where an image is the same object or zero in both (a table depends
-        on the image alone)."""
-        for name, table in other._splices.items():
-            mine, theirs = self.images[name], other.images[name]
-            if mine is theirs or not (mine.terms or theirs.terms):
-                self._splices[name] = table
 
     def _splice(self, name: str):
         """The splice table of generator `name`, built on first use."""

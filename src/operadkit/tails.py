@@ -20,6 +20,10 @@ are never sorted and no list of images is kept: the answer depends on the
 column order, the basis order, and not on the row order.  The eliminator
 in `linalg` is fraction free, so a tail over an integral base is solved on
 ints throughout.
+
+A model build grows one `TailedModel`: made from the fixed images, with
+the unsolved generators zero, it solves each tail against itself and sets
+each solved image in place, before the builder returns it.
 """
 
 from __future__ import annotations
@@ -166,10 +170,17 @@ class TailedModel(DerivationDifferential):
     `tails` maps each solved generator to its tail, in the order solved.
     """
 
-    def __init__(self, gens, images, base_model, tails):
+    def __init__(self, gens, images, base_model):
         super().__init__(gens, images)
         self.base_model = base_model
-        self.tails = tails
+        self.tails = {}
+
+    def _solve(self, name, principal, ideal):
+        """Solve the tail of `name` against the images so far; record it, and
+        set D(name) to principal + tail."""
+        omega = solve_tail(self, name, ideal, extend_derivation(self, principal).scale(-1))
+        self.tails[name] = omega
+        self._replace(name, principal + omega)
 
 
 def _picked(base: DerivationDifferential, max_arity: int):
@@ -199,20 +210,6 @@ def _copy_images(base: DerivationDifferential, picked, gens) -> dict:
     return images
 
 
-def _solve_into(gens, images, tails, name, principal, ideal, previous):
-    """Solve the tail of `name` against the images so far; record its tail
-    and its image principal + tail.  Returns the differential solved
-    against, which took over the splice tables of `previous`, the one
-    before, for the generators whose image did not change."""
-    partial = DerivationDifferential(gens, images)
-    partial._take_splices(previous)
-    phi = extend_derivation(partial, principal).scale(-1)
-    omega = solve_tail(partial, name, ideal, phi)
-    tails[name] = omega
-    images[name] = principal + omega
-    return partial
-
-
 def build_model_btow(base: DerivationDifferential, max_arity: int) -> TailedModel:
     """Arity-by-arity construction of the morphism model with solved tails."""
     _check_base(base)
@@ -224,15 +221,12 @@ def build_model_btow(base: DerivationDifferential, max_arity: int) -> TailedMode
         specs.append(GeneratorSpec(f"{g.name}_bar", Signature(W, (B,) * g.signature.arity), g.degree + 1))
     gens = GeneratorSet((B, W), specs)
 
-    images = _copy_images(base, picked, gens)
-    tails = {}
-    partial = DerivationDifferential(gens, images)
+    model = TailedModel(gens, _copy_images(base, picked, gens), base)
     for g in picked:
         principal = principal_part_btow(gens, f"{g.name}_B", f"{g.name}_W")
         ideal = [f"{h.name}_bar" for h in picked if h.signature.arity < g.signature.arity]
-        partial = _solve_into(gens, images, tails, f"{g.name}_bar", principal, ideal, partial)
-
-    return TailedModel(gens, images, base, tails)
+        model._solve(f"{g.name}_bar", principal, ideal)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +289,7 @@ def build_model_homotopy(bw: TailedModel, max_arity: int) -> TailedModel:
         for letter in ("p", "q"):
             images[f"{g.name}_{letter}"] = theta_substitution(bw, bw.of(f"{g.name}_bar"), gens, letter)
 
-    tails = {}
-    partial = DerivationDifferential(gens, images)
+    model = TailedModel(gens, images, base)
     for g in picked:
         n = g.signature.arity
         sx = -1 if g.degree % 2 else 1
@@ -305,9 +298,8 @@ def build_model_homotopy(bw: TailedModel, max_arity: int) -> TailedModel:
         terms += [(s, sx * c) for s, c in _forest_into(gens, f"{g.name}_W", polarization_ns(gens, n))]
         principal = _image(gens, f"{g.name}_h", terms)
         ideal = [f"{h.name}_{letter}" for h in picked if h.signature.arity < n for letter in "pqh"]
-        partial = _solve_into(gens, images, tails, f"{g.name}_h", principal, ideal, partial)
-
-    return TailedModel(gens, images, base, tails)
+        model._solve(f"{g.name}_h", principal, ideal)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -361,37 +353,30 @@ def build_model_iso_principal(
     def letter(name, inner_name):
         return [(_grafted(gens, name, (inner_name,)), 1)]
 
-    tails = {}
-    partial = DerivationDifferential(gens, images)
+    model = TailedModel(gens, images, base)
 
     # The displayed differentials of the four super-families, one degree at a
     # time, each solved as soon as it is written: same-degree principal parts
-    # never refer to each other.  `own` is the letter family matching `fam`,
-    # `ownh` its odd (homotopy) polarization kind; the third term of the even
-    # g-family is written with g (not f) to respect the colors.
+    # never refer to each other.  `fam` names the letter family too (the
+    # third term of the even g-family is written with g, not f, to respect
+    # the colors), `ownh` its odd (homotopy) polarization kind.  Odd k flips
+    # every sign, sigma = (-1)^k, and swaps the index parities, e = k mod 2;
+    # only the leading polarization term differs beyond that.
     for k in range(0, max_index + 1):
+        e, sigma = k % 2, (-1) ** k
         for g in picked:
             sx = -1 if g.degree % 2 else 1
-            for fam in ("f", "g"):
+            for fam, other, ownh, home, away in (("f", "g", "h", B, W), ("g", "f", "l", W, B)):
                 name = f"{g.name}_{fam}{k}"
-                own, other = (("f", "g") if fam == "f" else ("g", "f"))
-                ownh = "h" if fam == "f" else "l"
-                home = f"{g.name}_B" if fam == "f" else f"{g.name}_W"
-                away = f"{g.name}_W" if fam == "f" else f"{g.name}_B"
-                mine, theirs = f"{g.name}_{own}", f"{g.name}_{other}"  # the two super-families
-                if k % 2 == 0:
-                    parts = [(1, letter(f"{own}_{k}", home)), (-1, polar(away, own, k))]
-                    parts += [(1, letter(f"{own}_{a}", f"{mine}{k - 1 - a}")) for a in range(0, k, 2)]
-                    parts += [(-sx, polar(f"{mine}{j}", ownh, k - 1 - j)) for j in range(0, k, 2)]
-                    parts += [(-1, letter(f"{other}_{a}", f"{mine}{k - 1 - a}")) for a in range(1, k, 2)]
-                    parts += [(-1, polar(f"{theirs}{j}", own, k - 1 - j)) for j in range(1, k, 2)]
-                else:
-                    parts = [(sx, polar(home, ownh, k)), (-1, letter(f"{own}_{k}", home))]
-                    parts += [(-1, letter(f"{own}_{a}", f"{mine}{k - 1 - a}")) for a in range(1, k, 2)]
-                    parts += [(sx, polar(f"{mine}{j}", ownh, k - 1 - j)) for j in range(1, k, 2)]
-                    parts += [(1, letter(f"{other}_{a}", f"{mine}{k - 1 - a}")) for a in range(0, k, 2)]
-                    parts += [(1, polar(f"{theirs}{j}", own, k - 1 - j)) for j in range(0, k, 2)]
-                principal = _image(gens, name, ((s, c * v) for c, terms in parts for s, v in terms))
-                partial = _solve_into(gens, images, tails, name, principal, [], partial)
-
-    return TailedModel(gens, images, base, tails)
+                home, away = f"{g.name}_{home}", f"{g.name}_{away}"
+                mine, theirs = f"{g.name}_{fam}", f"{g.name}_{other}"  # the two super-families
+                lead = (-sx, polar(home, ownh, k)) if e else (-1, polar(away, fam, k))
+                top = (1, letter(f"{fam}_{k}", home))
+                parts = [lead, top] if e else [top, lead]
+                parts += [(1, letter(f"{fam}_{a}", f"{mine}{k - 1 - a}")) for a in range(e, k, 2)]
+                parts += [(-sx, polar(f"{mine}{j}", ownh, k - 1 - j)) for j in range(e, k, 2)]
+                parts += [(-1, letter(f"{other}_{a}", f"{mine}{k - 1 - a}")) for a in range(1 - e, k, 2)]
+                parts += [(-1, polar(f"{theirs}{j}", fam, k - 1 - j)) for j in range(1 - e, k, 2)]
+                principal = _image(gens, name, ((s, sigma * c * v) for c, terms in parts for s, v in terms))
+                model._solve(name, principal, [])
+    return model

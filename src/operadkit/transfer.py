@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import inf
 
-from .core import OperadElement, TreeMonomial, compose_full
+from .core import TreeMonomial
 from .differentials import build_ainf_morphism
 from .linalg import (
     ChainComplex,
@@ -238,14 +238,15 @@ def _extension_system(state: ExtensionState):
     # The unknowns n_{K+1}, F_{K+1} enter this representation as zero maps.
     rep = state.representation(knew)
     model = rep.model
-    principal_coeff, rest = _split_principal(model, model.of(f"f_{knew}"), knew)
+    d_f = model.of(f"f_{knew}")
+    principal_coeff = d_f.coeff(TreeMonomial(model.base, (f"nu_{knew}",) + (("f_1", "B"),) * knew))
 
     n, eq_n = _layouts(zero_map((state.w,) * knew, state.w, knew - 2))
     f, eq_f = _layouts(zero_map((state.v,) * knew, state.w, knew - 1))
-    # Right-hand sides: the evaluated differentials of the top generators,
-    # less the principal term (they involve only data of arity <= K).
+    # Right-hand sides: the evaluated differentials of the top generators;
+    # nu_{K+1} is zero in `rep`, so the principal term evaluates to zero.
     b = eq_n.flatten(evaluate_element(rep, model.of(f"nu_{knew}")))
-    b += eq_f.flatten(evaluate_element(rep, rest))
+    b += eq_f.flatten(evaluate_element(rep, d_f))
 
     eq_rows = [{} for _ in b]
     _write_hom_differential(eq_rows, n, eq_n, 0, 0)
@@ -276,15 +277,6 @@ def extension_step(state: ExtensionState) -> ExtensionState:
     n[knew] = n_layout.map_from_vector(x[: n_layout.size])
     f[knew] = f_layout.map_from_vector(x[n_layout.size :])
     return replace(state, n=n, f=f, k=knew)
-
-
-def _split_principal(model, elem, knew):
-    """(c, rest) with elem = c nu_{K+1}(f_1, ..., f_1) + rest, for elem = D(f_{K+1})."""
-    f1 = OperadElement.from_generator(model.base, "f_1")
-    principal = compose_full(TreeMonomial.generator(model.base, f"nu_{knew}"), [f1] * knew)
-    (mono,) = principal.terms
-    coeff = elem.coeff(mono)
-    return coeff, elem - principal.scale(coeff)
 
 
 def extend_to_arity(state: ExtensionState, target: int) -> ExtensionState:

@@ -550,36 +550,35 @@ def test_each_splice_table_is_built_once_per_differential(monkeypatch):
         return splice_table(self, name)
 
     monkeypatch.setattr(DerivationDifferential, "_splice_table", spy)
-    build_model_btow(build_ainf(6), 6)
-    # Each tail solve has its own partial differential, which takes over the
-    # tables of the one before for unchanged images: so each generator's
-    # table is built once in the whole model build (the base's generator
-    # names differ from the model's).
-    names = [name for _, name in built]
+    base = build_ainf(6)
+    model = build_model_btow(base, 6)
+    # Every tail is solved against the model itself, and a solved image
+    # replaces a zero one whose table no derivative has needed: so each
+    # generator's table is built once in the whole model build.
+    names = [name for diff, name in built if diff is model]
     assert names and len(set(names)) == len(names)
-    assert len({id(diff) for diff, _ in built}) > 1
+    assert {diff for diff, _ in built} == {base, model}
 
 
-def test_taken_splice_tables_follow_changed_images():
-    # a table is taken over only where the image is the same object, or
-    # zero in both; a changed image gets a new table
-    old = build_ainf(5)
-    assert verify_d_squared(old).ok  # builds the tables of mu_2, mu_3 and mu_4
-    images = dict(old.images)
+def test_replace_drops_only_the_replaced_splice_table():
+    diff = build_ainf(5)
+    assert verify_d_squared(diff).ok  # builds the tables of mu_2, mu_3 and mu_4
+    mu_2_table = diff._splices["mu_2"]
+    before = dict(diff.images)
+    images = dict(before)
     images["mu_4"] = images["mu_4"].scale(2)
-    images["mu_3"] = OperadElement.zero(old.base, images["mu_3"].signature, images["mu_3"].degree)
-    new = DerivationDifferential(old.base, images)
-    new._take_splices(old)
-    assert new._splices.keys() == {"mu_2"}
-    assert new._splices["mu_2"] is old._splices["mu_2"]
-    fresh = DerivationDifferential(old.base, images)
-    for g in old.base.generators:
+    images["mu_3"] = OperadElement.zero(diff.base, images["mu_3"].signature, images["mu_3"].degree)
+    for name in ("mu_4", "mu_3"):
+        diff._replace(name, images[name])
+    assert diff._splices.keys() == {"mu_2"}
+    assert diff._splices["mu_2"] is mu_2_table
+    assert diff.images == images
+    fresh = DerivationDifferential(diff.base, images)
+    for g in diff.base.generators:
         # D(mu_5) has mu_3 and mu_4 vertices, whose tables must be new
-        assert extend_derivation(new, old.of(g.name)) == extend_derivation(fresh, old.of(g.name))
-    zeros = [DerivationDifferential(old.base, {}) for _ in range(2)]
-    extend_derivation(zeros[0], old.of("mu_5"))
-    zeros[1]._take_splices(zeros[0])
-    assert zeros[1]._splices == zeros[0]._splices and zeros[1]._splices
+        assert extend_derivation(diff, before[g.name]) == extend_derivation(fresh, before[g.name])
+    with pytest.raises(ValueError):
+        diff._replace("mu_2", images["mu_3"])  # D(mu_3) is not in D(mu_2)'s component
 
 
 def test_associahedron_face_counts():

@@ -15,7 +15,9 @@ top-level re-export that the benchmark does not read (the modules are the
 public surface; `operadkit` itself re-exports exactly what `perfbench/`
 takes from it), and no use of `TreeMonomial._assembled` outside `core`
 (it builds a tree without checking it; other modules assemble through
-`core._element_of_shapes`), and no JSON written or
+`core._element_of_shapes`), and no `DerivationDifferential._replace`
+outside `tails` (a differential's images are set only by the tail builders,
+before they return the model), and no JSON written or
 read outside `serialize` (it owns every file format: its `dumps` is the one
 writer, and its `load` the one reader; reaching the stdlib encoder through
 `json.encoder` or `JSONEncoder` counts as writing), and no
@@ -266,11 +268,9 @@ def test_top_level_reexports_are_what_the_benchmark_reads():
     assert reexported_names((SRC / "__init__.py").read_text()) == sorted(read)
 
 
-def assembled_reads(source: str):
-    """Line numbers that read `<expr>._assembled`, to call it or to alias it."""
-    return sorted(
-        {n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Attribute) and n.attr == "_assembled"}
-    )
+def attribute_reads(source: str, attr: str):
+    """Line numbers that read `<expr>.<attr>`, to call it or to alias it."""
+    return sorted({n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Attribute) and n.attr == attr})
 
 
 def test_checker_finds_assembled_reads():
@@ -281,12 +281,27 @@ def test_checker_finds_assembled_reads():
         "x = mono.assembled\n"
         "y = _graft_word(outer, inners)  # TreeMonomial._assembled\n"
     )
-    assert assembled_reads(source) == [1, 2]
+    assert attribute_reads(source, "_assembled") == [1, 2]
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name)
 def test_no_trusted_assembly_outside_core(path):
-    assert assembled_reads(path.read_text()) == []
+    assert attribute_reads(path.read_text(), "_assembled") == []
+
+
+def test_checker_finds_replace_calls():
+    source = (
+        "self._replace(name, principal + omega)\n"
+        "def _replace(self, name, image):\n"
+        "    return replace(state, k=1)\n"
+        "set_image = model._replace\n"
+    )
+    assert attribute_reads(source, "_replace") == [1, 4]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "tails.py"], ids=lambda p: p.name)
+def test_no_image_replaced_outside_tails(path):
+    assert attribute_reads(path.read_text(), "_replace") == []
 
 
 def json_calls(source: str, names):

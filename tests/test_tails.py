@@ -556,6 +556,34 @@ def test_iso_principal_rejects_higher_arity():
 
 
 # ---------------------------------------------------------------------------
+# one model per build
+
+
+def test_a_tailed_build_constructs_one_differential(monkeypatch):
+    # Each tail is solved against the model being built, so a build makes
+    # one differential; the iso principal model also builds the iso
+    # resolution it copies its images from.
+    bases = {k: build_ainf(k) for k in (2, 5, 8)}
+    bw5 = build_model_btow(bases[5], 5)
+    built = []
+    init = DerivationDifferential.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DerivationDifferential, "__init__", spy)
+    build_model_btow(bases[8], 8)
+    assert built == ["TailedModel"]
+    built.clear()
+    build_model_homotopy(bw5, 5)
+    assert built == ["TailedModel"]
+    built.clear()
+    build_model_iso_principal(bases[2], 2, 5)
+    assert sorted(built) == ["DerivationDifferential", "TailedModel"]
+
+
+# ---------------------------------------------------------------------------
 # a base with negative-degree generators
 
 

@@ -8,6 +8,7 @@ import pytest
 
 import operadkit.serialize as serialize
 import operadkit.transfer as T
+from operadkit.core import OperadElement, TreeMonomial, compose_full
 from operadkit.linalg import (
     RationalMatrix,
     homology_retract,
@@ -460,8 +461,13 @@ def reference_extension_system(state):
     rep = state.representation(knew)
     model = rep.model
     rhs_n = evaluate_element(rep, model.of(f"nu_{knew}"))
-    coeff, rest = T._split_principal(model, model.of(f"f_{knew}"), knew)
-    rhs_f = evaluate_element(rep, rest)
+    # D(f_{K+1}) less its principal term c nu_{K+1}(f_1, ..., f_1), built by
+    # `compose_full`: the package evaluates it whole, with nu_{K+1} zero
+    f1 = OperadElement.from_generator(model.base, "f_1")
+    principal = compose_full(TreeMonomial.generator(model.base, f"nu_{knew}"), [f1] * knew)
+    ((mono, _),) = principal.terms.items()
+    coeff = model.of(f"f_{knew}").coeff(mono)
+    rhs_f = evaluate_element(rep, model.of(f"f_{knew}") - principal.scale(coeff))
     n_template = zero_map((state.w,) * knew, state.w, knew - 2)
     f_template = zero_map((state.v,) * knew, state.w, knew - 1)
     eq_n = _keys(zero_map(n_template.sources, state.w, knew - 3))
