@@ -2,7 +2,7 @@
 
 Exit codes are a stable contract: 0 all checks pass, 1 a mathematical check
 failed (nonzero residual, failed axiom, unsolvable system), 2 usage or
-parse errors.
+parse errors, and a failed write to the `-o` file or to standard output.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .forests import polarization_iso_m2, symmetrize_forest, verify_polarization
 from .reports import Report
 from .reps import check_homotopy, check_representation, check_sh_equivalence, check_sh_morphism
 from .serialize import (
-    dumps,
+    dump,
     load,
     model_to_json,
     model_to_text,
@@ -92,28 +92,56 @@ def _check_output(path):
         raise UsageError(f"cannot write {path}: no directory {directory}")
 
 
-def _write_output(args, text):
-    if getattr(args, "output", None):
-        try:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        except OSError as exc:  # no permission, a full disk
-            raise UsageError(f"cannot write {args.output}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
+@contextmanager
+def _writing(path):
+    """The stream for a command's output: the file at `path`, or standard
+    output when no path is given.  A write that fails (`OSError`: no
+    permission, a full disk, a closed pipe), on opening, on any write or on
+    closing, is a usage error (exit 2)."""
+    try:
+        if not path:
+            yield sys.stdout
+        else:
+            with open(path, "w") as fh:
+                yield fh
+    except OSError as exc:
+        if not path:
+            _discard_stdout()
+        raise UsageError(f"cannot write {path or 'standard output'}: {exc}") from exc
+
+
+def _discard_stdout():
+    """Point standard output's descriptor at the null device, so that the
+    text still buffered after a failed write does not fail a second time,
+    with a second message, when the interpreter flushes it at exit.  A
+    stream with no descriptor (a capture in the same process) is left as it
+    is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
+def _print(text):
+    with _writing(None) as out:
+        print(text, file=out)
 
 
 def _emit_report(report: Report):
-    print(str(report))
+    _print(str(report))
     return PASS if report.ok else MATH_FAIL
 
 
 def cmd_emit_model(args):
     model = _build_model(args)
-    if args.format == "text":
-        _write_output(args, model_to_text(model))
-    else:
-        _write_output(args, dumps(model_to_json(model)))
+    with _writing(args.output) as out:
+        if args.format == "text":
+            out.write(model_to_text(model))
+        else:
+            dump(model_to_json(model), out)
     return PASS
 
 
@@ -126,13 +154,14 @@ def cmd_solve_tail(args):
     with _reading("--max-arity"):
         base = build_ainf(args.max_arity)
     bw = build_model_btow(base, args.max_arity)
-    if args.format == "text":
-        lines = []
-        for bar, omega in bw.tails.items():
-            lines.append(f"omega({bar}) = {omega.text(compact=True)}")
-        _write_output(args, "\n".join(lines) + "\n")
-    else:
-        _write_output(args, dumps(tails_to_json(bw)))
+    with _writing(args.output) as out:
+        if args.format == "text":
+            lines = []
+            for bar, omega in bw.tails.items():
+                lines.append(f"omega({bar}) = {omega.text(compact=True)}")
+            out.write("\n".join(lines) + "\n")
+        else:
+            dump(tails_to_json(bw), out)
     return PASS
 
 
@@ -157,11 +186,12 @@ def cmd_extend(args):
     try:
         final = extend_to_arity(state, args.target_arity)
     except ExtensionObstructionError as exc:
-        print(f"FAIL  {exc}")
+        _print(f"FAIL  {exc}")
         return MATH_FAIL
     report = final.check()
     if args.output:
-        _write_output(args, dumps(state_to_json(final)))
+        with _writing(args.output) as out:
+            dump(state_to_json(final), out)
     return _emit_report(report)
 
 
@@ -178,7 +208,8 @@ def cmd_polarization(args):
     for kind in ("f", "g", "h", "l"):
         for deg in sorted(fams[kind]):
             lines.append(f"<{kind}.>[{deg}] = {fams[kind][deg].text(compact=True)}")
-    _write_output(args, "\n".join(lines) + "\n")
+    with _writing(args.output) as out:
+        out.write("\n".join(lines) + "\n")
     return _emit_report(report)
 
 
@@ -236,7 +267,10 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "output", None):
             _check_output(args.output)
-        return args.func(args)
+        code = args.func(args)
+        with _writing(None) as out:
+            out.flush()
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE

@@ -1,8 +1,9 @@
 """Every file format of the package, with its one reader, `load`, and its
-one writer, `dumps`: no other module reads or writes JSON.  The documents
-are models and solved tails, which are only written, representations,
-which `check-rep` reads, and transfer setups, which `extend` reads and
-writes.
+one writer, `dump`, which streams a document to a text stream in bounded
+batches (`dumps` is its string form): no other module reads or writes
+JSON.  The documents are models and solved tails, which are only written,
+representations, which `check-rep` reads, and transfer setups, which
+`extend` reads and writes.
 
 All rationals are serialized as strings ("p/q"), so round trips are
 bit-exact; term order inside elements and key order inside objects are
@@ -29,6 +30,7 @@ A document is read whole or not at all:
 from __future__ import annotations
 
 import json
+from io import StringIO
 from itertools import count
 from json.encoder import encode_basestring_ascii as _escape
 from math import prod
@@ -43,20 +45,36 @@ from .transfer import ExtensionState
 SCHEMA = 1
 
 
-def dumps(obj) -> str:
-    """The text of a JSON document as the package writes it to a file.
+def dump(obj, fp) -> None:
+    """Write the JSON document `obj` to the text stream `fp`, as the package
+    writes it to a file.
 
     The bytes are those of `json.dumps(obj, indent=2)` plus a newline.  That
     call is not made because with an indent the stdlib drops its C encoder
     for a pure-Python one; `_write` escapes with the same C string escaper.
-    A document holds dicts with str keys, lists, strs, ints, bools and None
-    (rationals are "p/q" strings): anything else, a float, a tuple or a
-    non-str key included, raises TypeError naming its type.
+    The text goes out in batches of about `_BATCH` chunks (a chunk is one
+    line or less), so the document's whole text is never held.  A document
+    holds dicts with str keys, lists, strs, ints, bools and None (rationals
+    are "p/q" strings): anything else, a float, a tuple or a non-str key
+    included, raises TypeError naming its type, after the batches before it
+    were written.
     """
     chunks = []
-    _write(obj, chunks, "\n")
+    _write(obj, chunks, "\n", fp)
     chunks.append("\n")
-    return "".join(chunks)
+    fp.write("".join(chunks))
+
+
+def dumps(obj) -> str:
+    """The text that `dump` writes for `obj`."""
+    out = StringIO()
+    dump(obj, out)
+    return out.getvalue()
+
+
+# Pending chunks written as one batch: about 200 KB of text at the 24 bytes
+# a chunk averages in the model of `build_ainf_morphism(10)`.
+_BATCH = 8192
 
 
 def _scalar(obj):
@@ -75,11 +93,14 @@ def _scalar(obj):
     raise TypeError(f"cannot write a {cls.__name__} as JSON")
 
 
-def _write(obj, chunks, newline):
+def _write(obj, chunks, newline, fp):
     """Append the text of `obj` to `chunks`; `newline` is a line break and
-    the indent of the line on which `obj` starts.  A module-level function,
-    not a closure: a closure that calls itself is a reference cycle, which
-    keeps `chunks` alive until the next garbage collection."""
+    the indent of the line on which `obj` starts.  After each member of a
+    dict or a list, `_BATCH` pending chunks are written to `fp` and
+    dropped, so no more than `_BATCH` plus the nesting depth are pending.
+    A module-level function, not a closure: a closure that calls itself is
+    a reference cycle, which keeps `chunks` alive until the next garbage
+    collection."""
     cls = obj.__class__
     if cls is dict:
         if not obj:
@@ -95,9 +116,12 @@ def _write(obj, chunks, newline):
             text = _scalar(value)
             if text is None:
                 chunks.append(head)
-                _write(value, chunks, inner)
+                _write(value, chunks, inner, fp)
             else:
                 chunks.append(head + text)
+            if len(chunks) >= _BATCH:
+                fp.write("".join(chunks))
+                chunks.clear()
             sep = comma
         chunks.append(newline + "}")
     elif cls is list:
@@ -111,9 +135,12 @@ def _write(obj, chunks, newline):
             text = _scalar(value)
             if text is None:
                 chunks.append(sep)
-                _write(value, chunks, inner)
+                _write(value, chunks, inner, fp)
             else:
                 chunks.append(sep + text)
+            if len(chunks) >= _BATCH:
+                fp.write("".join(chunks))
+                chunks.clear()
             sep = comma
         chunks.append(newline + "]")
     else:

@@ -15,6 +15,7 @@ from operadkit.reps import MultilinearMap
 from operadkit.serialize import (
     SCHEMA,
     complex_to_json,
+    dumps,
     load,
     map_to_json,
     model_to_json,
@@ -695,6 +696,132 @@ def test_a_failed_write_is_a_usage_error(tmp_path, capsys, monkeypatch):
     path = tmp_path / "model.json"
     assert run(["emit-model", "--model", "ainf", "--max-arity", "2", "-o", str(path)]) == 2
     assert f"usage error: cannot write {path}: [Errno 13] Permission denied" in capsys.readouterr().err
+
+
+class FullDisk(io.StringIO):
+    """A file that takes one write and fails the next as a full disk does."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError(28, "No space left on device")
+        return super().write(text)
+
+
+class FullOnClose(io.StringIO):
+    """A file that takes every write and fails as a full disk when closed."""
+
+    def close(self):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("file", [FullDisk, FullOnClose], ids=["second-write", "close"])
+def test_a_write_that_fails_midway_is_a_usage_error(tmp_path, capsys, monkeypatch, file):
+    # The model is written in three batches, so the second write comes in
+    # the middle of the document.
+    import operadkit.cli as cli
+
+    opened = []
+
+    def open_file(path, mode):
+        opened.append(file())
+        return opened[-1]
+
+    monkeypatch.setattr(cli, "open", open_file, raising=False)
+    path = tmp_path / "model.json"
+    assert run(["emit-model", "--model", "ainf-morphism", "--max-arity", "8", "-o", str(path)]) == 2
+    assert capsys.readouterr().err == f"usage error: cannot write {path}: [Errno 28] No space left on device\n"
+    assert len(opened) == 1 and (file is FullOnClose or opened[0].writes == 2)
+
+
+class BrokenStdout:
+    """A standard output whose `write` or `flush` fails as a full disk does."""
+
+    def __init__(self, failing):
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(28, "No space left on device")
+        return len(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize(
+    "argv, failing",
+    [
+        (["emit-model", "--model", "ainf-morphism", "--max-arity", "8"], "write"),
+        (["solve-tail", "--max-arity", "3", "--format", "json"], "write"),
+        (["verify-dsq", "--model", "ainf", "--max-arity", "3"], "write"),
+        (["verify-dsq", "--model", "ainf", "--max-arity", "3"], "flush"),
+    ],
+    ids=["emit-model", "solve-tail", "report", "flush"],
+)
+def test_a_failed_write_to_standard_output_is_a_usage_error(capsys, argv, failing):
+    # It ended in an OSError traceback with exit 1, the code of a failed check.
+    with redirect_stdout(BrokenStdout(failing)):
+        assert run(argv) == 2
+    assert capsys.readouterr().err == "usage error: cannot write standard output: [Errno 28] No space left on device\n"
+
+
+def test_a_type_error_while_writing_is_not_a_usage_error(tmp_path, monkeypatch):
+    import operadkit.cli as cli
+
+    monkeypatch.setattr(cli, "model_to_json", lambda model: {"coeff": 0.5})
+    with pytest.raises(TypeError, match="cannot write a float"):
+        run(["emit-model", "--model", "ainf", "--max-arity", "2", "-o", str(tmp_path / "model.json")])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["emit-model", "--model", "ainf-morphism", "--max-arity", "10"],
+        ["verify-dsq", "--model", "ainf", "--max-arity", "3"],
+    ],
+    ids=["model", "report"],
+)
+def test_a_closed_pipe_on_standard_output_is_a_usage_error(argv):
+    # The reader is gone before anything is written.  The 2.2 MB model ended
+    # in a BrokenPipeError traceback with exit 1.  The short report stays in
+    # the stream's buffer after the failed flush, and the interpreter's
+    # flush at exit failed on it again, with a second message and exit 120;
+    # the stream is buffered only without PYTHONUNBUFFERED.
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import operadkit
+
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(operadkit.__file__).parents[1])
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "operadkit", *argv],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr == "usage error: cannot write standard output: [Errno 32] Broken pipe\n"
+
+
+def test_emit_model_writes_the_same_bytes_to_standard_output_and_to_a_file(tmp_path, capsys):
+    argv = ["emit-model", "--model", "ainf-morphism", "--max-arity", "8"]
+    assert run(argv) == 0
+    out = capsys.readouterr().out.encode()
+    path = tmp_path / "model.json"
+    assert run(argv + ["-o", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == out == dumps(model_to_json(build_ainf_morphism(8))).encode()
 
 
 def _number(leaf):

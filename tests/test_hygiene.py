@@ -18,9 +18,11 @@ takes from it), and no use of `TreeMonomial._assembled` outside `core`
 `core._element_of_shapes`), and no `DerivationDifferential._replace`
 outside `tails` (a differential's images are set only by the tail builders,
 before they return the model), and no JSON written or
-read outside `serialize` (it owns every file format: its `dumps` is the one
-writer, and its `load` the one reader; reaching the stdlib encoder through
-`json.encoder` or `JSONEncoder` counts as writing), and no
+read outside `serialize` (it owns every file format: its `dump` is the one
+writer, `dumps` its string form, and its `load` the one reader; reaching the
+stdlib encoder through `json.encoder` or `JSONEncoder` counts as writing),
+no `serialize.dumps` in `cli` (every document the CLI writes is streamed
+with `dump`, so none has its whole text built), and no
 `Fraction(<int constant>)` in the package (the `core.exact` normal form of
 an integral value is the int itself, and a matrix stores every entry in
 that normal form), and no parameter default that no call in the package or
@@ -404,6 +406,38 @@ def test_checker_finds_json_reads():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "serialize.py"], ids=lambda p: p.name)
 def test_no_json_read_outside_serialize(path):
     assert json_reads(path.read_text()) == []
+
+
+def dumps_uses(source: str):
+    """Line numbers that import `dumps` from a `serialize` module or read an
+    attribute `dumps`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "serialize":
+            if any(a.name == "dumps" for a in node.names):
+                found.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "dumps":
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_checker_finds_dumps_uses():
+    source = (
+        "from .serialize import dump, load\n"
+        "from .serialize import (\n"
+        "    dumps,\n"
+        ")\n"
+        "from operadkit.serialize import dumps as text_of\n"
+        "text = serialize.dumps(doc)\n"
+        "dump(doc, out)\n"
+        "from json import dumps\n"
+        "dumps = 1\n"
+    )
+    assert dumps_uses(source) == [2, 5, 6]
+
+
+def test_no_document_text_built_in_the_cli():
+    assert dumps_uses((SRC / "cli.py").read_text()) == []
 
 
 def _is_int_constant(node):
