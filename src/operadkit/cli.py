@@ -26,12 +26,12 @@ from .reps import check_homotopy, check_representation, check_sh_equivalence, ch
 from .serialize import (
     dump,
     load,
-    model_to_json,
+    model_document,
     model_to_text,
     representation_from_json,
     state_from_json,
     state_to_json,
-    tails_to_json,
+    tails_document,
 )
 from .tails import build_model_btow
 from .transfer import ExtensionObstructionError, extend_to_arity
@@ -49,11 +49,17 @@ def _build_model(args):
         "homotopy": build_homotopy_model,
         "iso": build_iso_resolution,
     }
+    # A bound the model does not read would be ignored, and its check would
+    # still print PASS.
     if args.model == "iso":
+        if args.max_arity is not None:
+            raise UsageError("--max-arity does not apply to the iso model, which reads --max-index")
         if args.max_index is None:
             raise UsageError("--max-index is required for the iso model")
         bound = args.max_index
     else:
+        if args.max_index is not None:
+            raise UsageError(f"--max-index does not apply to the {args.model} model, which reads --max-arity")
         if args.max_arity is None:
             raise UsageError("--max-arity is required for this model")
         bound = args.max_arity
@@ -141,7 +147,7 @@ def cmd_emit_model(args):
         if args.format == "text":
             out.write(model_to_text(model))
         else:
-            dump(model_to_json(model), out)
+            dump(model_document(model), out)
     return PASS
 
 
@@ -161,7 +167,7 @@ def cmd_solve_tail(args):
                 lines.append(f"omega({bar}) = {omega.text(compact=True)}")
             out.write("\n".join(lines) + "\n")
         else:
-            dump(tails_to_json(bw), out)
+            dump(tails_document(bw), out)
     return PASS
 
 

@@ -5,6 +5,13 @@ JSON.  The documents are models and solved tails, which are only written,
 representations, which `check-rep` reads, and transfer setups, which
 `extend` reads and writes.
 
+A model or tail document (`model_document`, `tails_document`) holds its
+elements as `OperadElement`s, and `dump` writes each one term by term from
+its trees' shapes, so no tree is ever built as dicts: the memory a write
+needs is bounded by the model, not by the document.  `model_to_json` is the
+same document as plain dicts, the reference form of those bytes for
+`json.dumps`.
+
 All rationals are serialized as strings ("p/q"), so round trips are
 bit-exact; term order inside elements and key order inside objects are
 fixed, so emitting the same object twice gives identical bytes.
@@ -52,12 +59,14 @@ def dump(obj, fp) -> None:
     The bytes are those of `json.dumps(obj, indent=2)` plus a newline.  That
     call is not made because with an indent the stdlib drops its C encoder
     for a pure-Python one; `_write` escapes with the same C string escaper.
-    The text goes out in batches of about `_BATCH` chunks (a chunk is one
-    line or less), so the document's whole text is never held.  A document
+    The text goes out in batches of about `_BATCH` chunks (a chunk is a few
+    lines at most), so the document's whole text is never held.  A document
     holds dicts with str keys, lists, strs, ints, bools and None (rationals
-    are "p/q" strings): anything else, a float, a tuple or a non-str key
-    included, raises TypeError naming its type, after the batches before it
-    were written.
+    are "p/q" strings), and `OperadElement`s of that exact class, each
+    written as its `element_to_json` object would be: anything else, a
+    float, a tuple, a non-str key or a subclass of `OperadElement` included,
+    raises TypeError naming its type, after the batches before it were
+    written.
     """
     chunks = []
     _write(obj, chunks, "\n", fp)
@@ -72,13 +81,14 @@ def dumps(obj) -> str:
     return out.getvalue()
 
 
-# Pending chunks written as one batch: about 200 KB of text at the 24 bytes
-# a chunk averages in the model of `build_ainf_morphism(10)`.
-_BATCH = 8192
+# Pending chunks written as one batch: about 200 KB of text at the 53 bytes
+# a chunk averages in the model document of `build_ainf_morphism(10)`, and
+# about 100 KB at the 24 bytes a chunk of plain dicts and lists averages.
+_BATCH = 4096
 
 
 def _scalar(obj):
-    """The text of a JSON scalar, or None for a dict or a list."""
+    """The text of a JSON scalar, or None for a dict, a list or an element."""
     cls = obj.__class__
     if cls is str:
         return _escape(obj)
@@ -88,7 +98,7 @@ def _scalar(obj):
         return "true" if obj else "false"
     if obj is None:
         return "null"
-    if cls is dict or cls is list:
+    if cls is dict or cls is list or cls is OperadElement:
         return None
     raise TypeError(f"cannot write a {cls.__name__} as JSON")
 
@@ -96,8 +106,9 @@ def _scalar(obj):
 def _write(obj, chunks, newline, fp):
     """Append the text of `obj` to `chunks`; `newline` is a line break and
     the indent of the line on which `obj` starts.  After each member of a
-    dict or a list, `_BATCH` pending chunks are written to `fp` and
-    dropped, so no more than `_BATCH` plus the nesting depth are pending.
+    dict or a list and each term of an element, `_BATCH` pending chunks are
+    written to `fp` and dropped, so no more than `_BATCH` plus one tree's
+    chunks and the nesting depth are pending.
     A module-level function, not a closure: a closure that calls itself is
     a reference cycle, which keeps `chunks` alive until the next garbage
     collection."""
@@ -143,8 +154,54 @@ def _write(obj, chunks, newline, fp):
                 chunks.clear()
             sep = comma
         chunks.append(newline + "]")
+    elif cls is OperadElement:
+        _write_element(obj, chunks, newline, fp)
     else:
         chunks.append(_scalar(obj))
+
+
+def _write_element(elem, chunks, newline, fp):
+    """Append the text of `element_to_json(elem)` without building it: each
+    term is written from its tree's shape, and `_BATCH` pending chunks are
+    written to `fp` after each term, as `_write` does after each member."""
+    inner = newline + "  "
+    term = inner + "  "
+    field = term + "  "
+    comma = "," + term
+    sep = "{" + inner + '"terms": [' + term
+    for mono, coeff in elem.items():
+        # The text of an int or a Fraction needs no escaping.
+        chunks.append(f'{sep}{{{field}"coeff": "{coeff}",{field}"tree": ')
+        _write_tree(mono.shape, chunks, field, count(1))
+        chunks.append(term + "}")
+        if len(chunks) >= _BATCH:
+            fp.write("".join(chunks))
+            chunks.clear()
+        sep = comma
+    chunks.append(inner + "]" if elem.terms else "{" + inner + '"terms": []')
+    sig = elem.signature
+    inputs = ("," + field).join(map(_scalar, sig.inputs))
+    chunks.append(
+        f',{inner}"signature": {{{term}"output": {_scalar(sig.output)},{term}"inputs": [{field}{inputs}{term}]'
+        f'{inner}}},{inner}"degree": {_scalar(elem.degree)}{newline}}}'
+    )
+
+
+def _write_tree(shape, chunks, newline, leaves):
+    """Append the text of the `tree_to_json` object of `shape`, whose leaves
+    are numbered by the iterator `leaves`.  Every vertex has a child, since
+    every generator has an input."""
+    inner = newline + "  "
+    if shape.__class__ is str:
+        chunks.append(f'{{{inner}"leaf": {next(leaves)},{inner}"color": {_escape(shape)}{newline}}}')
+        return
+    child = inner + "  "
+    chunks.append(f'{{{inner}"gen": {_escape(shape[0])},{inner}"children": [{child}')
+    _write_tree(shape[1], chunks, child, leaves)
+    for c in shape[2:]:
+        chunks.append("," + child)
+        _write_tree(c, chunks, child, leaves)
+    chunks.append(f"{inner}]{newline}}}")
 
 
 def load(path):
@@ -256,7 +313,9 @@ def element_to_json(elem: OperadElement):
 # Models
 
 
-def model_to_json(model: DerivationDifferential) -> dict:
+def model_document(model: DerivationDifferential) -> dict:
+    """The model's document as `dump` writes it: each image is left an
+    `OperadElement`, which `dump` writes term by term from its trees' shapes."""
     gens = model.base
     return {
         "schema": SCHEMA,
@@ -270,8 +329,16 @@ def model_to_json(model: DerivationDifferential) -> dict:
             }
             for g in gens.generators
         ],
-        "images": {g.name: element_to_json(model.of(g.name)) for g in gens.generators},
+        "images": {g.name: model.of(g.name) for g in gens.generators},
     }
+
+
+def model_to_json(model: DerivationDifferential) -> dict:
+    """`model_document` as plain dicts, for `json.dumps`: the reference form
+    of what `dump(model_document(model), fp)` writes."""
+    doc = model_document(model)
+    doc["images"] = {name: element_to_json(image) for name, image in doc["images"].items()}
+    return doc
 
 
 def model_to_text(model: DerivationDifferential) -> str:
@@ -286,12 +353,10 @@ def model_to_text(model: DerivationDifferential) -> str:
     return "\n".join(lines) + "\n"
 
 
-def tails_to_json(bw: TailedModel) -> dict:
-    """The solved tails omega(x_bar) of a morphism model, in the order solved."""
-    return {
-        "schema": SCHEMA,
-        "tails": {bar: element_to_json(omega) for bar, omega in bw.tails.items()},
-    }
+def tails_document(bw: TailedModel) -> dict:
+    """The solved tails omega(x_bar) of a morphism model, in the order
+    solved, as `dump` writes them: each tail is left an `OperadElement`."""
+    return {"schema": SCHEMA, "tails": dict(bw.tails)}
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,30 @@ def test_verify_dsq_usage_error():
     assert run(["verify-dsq", "--model", "ainf"]) == 2  # missing --max-arity
 
 
+@pytest.mark.parametrize("command", ["emit-model", "verify-dsq", "check-rep"])
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        (
+            ["--model", "iso", "--max-index", "2", "--max-arity", "9"],
+            "--max-arity does not apply to the iso model, which reads --max-index",
+        ),
+        (
+            ["--model", "ainf", "--max-arity", "3", "--max-index", "9"],
+            "--max-index does not apply to the ainf model, which reads --max-arity",
+        ),
+    ],
+    ids=["iso-max-arity", "ainf-max-index"],
+)
+def test_a_bound_the_model_does_not_read_is_a_usage_error(tmp_path, capsys, command, bounds, message):
+    # verify-dsq checked the bound it reads, ignored the other and printed PASS.
+    rep = ["--rep", str(tmp_path / "rep.json")] if command == "check-rep" else []
+    assert run([command, *bounds, *rep]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message}\n"
+
+
 def test_solve_tail_text(capsys):
     assert run(["solve-tail", "--max-arity", "3", "--format", "text"]) == 0
     out = capsys.readouterr().out
@@ -774,7 +798,7 @@ def test_a_failed_write_to_standard_output_is_a_usage_error(capsys, argv, failin
 def test_a_type_error_while_writing_is_not_a_usage_error(tmp_path, monkeypatch):
     import operadkit.cli as cli
 
-    monkeypatch.setattr(cli, "model_to_json", lambda model: {"coeff": 0.5})
+    monkeypatch.setattr(cli, "model_document", lambda model: {"coeff": 0.5})
     with pytest.raises(TypeError, match="cannot write a float"):
         run(["emit-model", "--model", "ainf", "--max-arity", "2", "-o", str(tmp_path / "model.json")])
 

@@ -22,7 +22,10 @@ read outside `serialize` (it owns every file format: its `dump` is the one
 writer, `dumps` its string form, and its `load` the one reader; reaching the
 stdlib encoder through `json.encoder` or `JSONEncoder` counts as writing),
 no `serialize.dumps` in `cli` (every document the CLI writes is streamed
-with `dump`, so none has its whole text built), and no
+with `dump`, so none has its whole text built), no `model_to_json` or
+`tails_to_json` in `cli` (they build every tree as dicts; the CLI dumps
+`model_document` and `tails_document`, whose elements `dump` writes from
+the trees' shapes), and no
 `Fraction(<int constant>)` in the package (the `core.exact` normal form of
 an integral value is the int itself, and a matrix stores every entry in
 that normal form), and no parameter default that no call in the package or
@@ -438,6 +441,40 @@ def test_checker_finds_dumps_uses():
 
 def test_no_document_text_built_in_the_cli():
     assert dumps_uses((SRC / "cli.py").read_text()) == []
+
+
+def name_uses(source: str, names):
+    """Line numbers that import, read or call one of `names`, as a bare name
+    or as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if any(a.name in names for a in node.names):
+                found.add(node.lineno)
+        elif isinstance(node, ast.Name) and node.id in names:
+            found.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_checker_finds_name_uses():
+    source = (
+        "from .serialize import dump, model_document\n"
+        "from .serialize import (\n"
+        "    model_to_json,\n"
+        ")\n"
+        "dump(serialize.tails_to_json(bw), out)\n"
+        "write = model_to_json\n"
+        "dump(model_document(model), out)\n"
+        "text = 'model_to_json'  # tails_to_json\n"
+        "from operadkit.serialize import tails_to_json as tails\n"
+    )
+    assert name_uses(source, ("model_to_json", "tails_to_json")) == [2, 5, 6, 9]
+
+
+def test_no_tree_built_as_dicts_in_the_cli():
+    assert name_uses((SRC / "cli.py").read_text(), ("model_to_json", "tails_to_json")) == []
 
 
 def _is_int_constant(node):
