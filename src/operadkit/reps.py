@@ -14,7 +14,7 @@ test, generator by generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 
 from .core import OperadElement, Signature, integer
 from .differentials import DerivationDifferential
@@ -141,34 +141,40 @@ def identity_map(c: ChainComplex) -> MultilinearMap:
 
 
 def compose_maps(outer: MultilinearMap, inners) -> MultilinearMap:
-    """outer o (T_1 (x) ... (x) T_n) with the Koszul interchange signs.
-
-    Applying the tensor of the T_i to homogeneous inputs costs
-    (-1)^(sum_{i<j} |T_j| * deg(block_i)); the sign is constant per block.
-    """
+    """outer o (T_1 (x) ... (x) T_n) with the Koszul interchange signs of
+    `composition_terms`."""
     inners = list(inners)
     if len(inners) != outer.arity:
         raise ValueError(f"expected {outer.arity} inner maps, got {len(inners)}")
     sources = tuple(c for t in inners for c in t.sources)
     degree = outer.degree + sum(t.degree for t in inners)
     blocks = {}
-    deg_after = []
-    acc = 0
-    for t in reversed(inners):
-        deg_after.append(acc)
-        acc += t.degree
-    deg_after.reverse()  # deg_after[i] = sum of |T_j| for j > i
+    # Only stored blocks contribute: a block that is missing is zero.
+    for mids, key, factors, sign in composition_terms(inners, outer.blocks):
+        mat = outer.blocks[mids].mul(kron_all(factors))
+        if not mat.is_zero():
+            blocks[key] = mat.scale(-1) if sign < 0 else mat
+    return MultilinearMap(sources, outer.target, degree, blocks)
 
-    # Only stored blocks contribute: a block that is missing is zero.  Each
-    # inner map's blocks are grouped by the degree they land in, so that
-    # only combinations that meet a stored outer block are multiplied.
+
+def composition_terms(inners, keys):
+    """The terms of X o (T_1 (x) ... (x) T_n) on X's blocks at `keys`.
+
+    For X's block at `mids` it yields (mids, key, factors, sign) per choice
+    of stored blocks of the T_i landing in those degrees: the block times
+    kron_all(factors), times sign, lands in the block `key`.  The sign is
+    the Koszul interchange sign (-1)^(sum_{i<j} |T_j| deg(block_i)); this
+    is the one place it is written.  Each T_i's blocks are grouped by the
+    degree they land in once, so only combinations that meet `mids` are visited.
+    """
+    deg_after = list(accumulate((t.degree for t in reversed(inners[1:])), initial=0))[::-1]
     landing = []
     for t in inners:
         groups = {}
         for chunk, block in t.blocks.items():
             groups.setdefault(sum(chunk) + t.degree, []).append((chunk, block))
         landing.append(groups)
-    for mids, fblock in outer.blocks.items():
+    for mids in keys:
         choices = [groups.get(m) for groups, m in zip(landing, mids)]
         if None in choices:
             continue
@@ -178,10 +184,7 @@ def compose_maps(outer: MultilinearMap, inners) -> MultilinearMap:
             for (chunk, _), after in zip(parts, deg_after):
                 key += chunk
                 sign += sum(chunk) * after
-            mat = fblock.mul(kron_all([block for _, block in parts]))
-            if not mat.is_zero():
-                blocks[key] = mat.scale(-1) if sign % 2 else mat
-    return MultilinearMap(sources, outer.target, degree, blocks)
+            yield mids, key, [block for _, block in parts], -1 if sign % 2 else 1
 
 
 def hom_differential_terms(sources, degree, src):

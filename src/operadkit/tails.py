@@ -339,9 +339,8 @@ def build_model_iso_principal(
             specs.append(GeneratorSpec(f"{g.name}_g{k}", Signature(g_out, (W,) * n), d + k + 1))
     gens = GeneratorSet((B, W), specs)
 
-    iso = build_iso_resolution(max_index)
-    images = {name: rename_element(img, gens, {}) for name, img in iso.images.items()}
-    images.update(_copy_images(base, picked, gens))
+    # DerivationDifferential re-homes the iso images' monomials over `gens`.
+    images = {**build_iso_resolution(max_index).images, **_copy_images(base, picked, gens)}
 
     fams = polarization_iso_m2(gens, max_index)
 

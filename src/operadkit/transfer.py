@@ -3,29 +3,22 @@
 Starting data: a full structure (V, m_2, m_3, ...), a truncated one
 (W, n_2..n_K), and a truncated morphism F_1..F_K between them whose linear
 part is a quasi-isomorphism.  One extension step adjoins (n_{K+1}, F_{K+1})
-by solving the two axiom equations
+as one layer of the lifting argument: ``extend_layer`` solves
+d rho(g) = rho(D g) for both new generators of the morphism model jointly,
+as one exact linear system.  It reads each equation off the model, also
+the principal term nu_{K+1}(f_1, ..., f_1) of D(f_{K+1}), through which the
+second equation is affine in n_{K+1}.  Solving jointly is additive
+renormalization in linear-algebra form: a closed theta added to n_{K+1} is
+a kernel vector of the first equation.  An infeasible system (possible when
+F_1 is not a quasi-isomorphism) is reported as an obstruction.
 
-    d(n_{K+1}) = phi(D nu_{K+1}),
-    d(F_{K+1}) = phi(D f_{K+1}),
-
-jointly as one exact linear system in the entries of both unknowns (the
-right side of the second equation is affine in n_{K+1} through the single
-principal term nu_{K+1}(f_1, ..., f_1)).  Solving jointly is the classical
-additive-renormalization trick in linear-algebra form: the freedom of a
-closed theta added to n_{K+1} is exactly the kernel of the first equation,
-and feasibility of the pair is what the renormalization buys.  When the
-quasi-isomorphism hypothesis fails the system can be infeasible, which is
-reported as an obstruction.
-
-The system is assembled as sparse rows written straight from stored
-blocks, and ``RationalMatrix.from_rows`` makes it a matrix.  Every term is
-blockwise X -> L X R, and vec(L X R) = (R^T (x) L) vec(X): the column of
-the unit E_rc is column r of L times row c of R, where R is a Kronecker
-product from ``linalg.kron_all``.  The Hom differential contributes d o X (R the identity) and
-the terms X o (1 (x) ... (x) d_i (x) ... (x) 1) with the Koszul sign from
-``reps.hom_differential_terms``, the one place that sign rule is written;
-the F-equation adds the principal term X o f_1^{(x)K+1} (L a scalar).
-``find_homotopy`` solves d(h) = g with the same assembler.
+One assembler, ``_layer_system``, writes every layer's system, and that of
+d(h) = g in ``find_homotopy``, as sparse rows straight from stored blocks.
+Every term is blockwise X -> L X R, and vec(L X R) = (R^T (x) L) vec(X):
+the column of the unit E_rc is column r of L times row c of R, a Kronecker
+product.  The Hom differential gives d o X and the terms of
+``reps.hom_differential_terms``; a term of D g that holds an unknown gives
+X o (R_1 (x) ... (x) R_k) with the sign of ``reps.composition_terms``.
 """
 
 from __future__ import annotations
@@ -33,9 +26,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 from math import inf
 
-from .core import TreeMonomial
+from .core import OperadElement, TreeMonomial
 from .differentials import build_ainf_morphism
 from .linalg import (
     ChainComplex,
@@ -51,6 +45,7 @@ from .reps import (
     Representation,
     check_sh_morphism,
     compose_maps,
+    composition_terms,
     evaluate_element,
     hom_differential,
     hom_differential_terms,
@@ -140,13 +135,11 @@ def is_quasi_iso(f1: MultilinearMap) -> bool:
 
 # ---------------------------------------------------------------------------
 # The extension step as a joint linear solve
-#
-# The unknowns are the entries of multilinear maps, flattened block by block
-# in multidegree order, each block row-major.
 
 
 class _Layout:
-    """Where the entries of a map shaped like `template` sit in a flat vector."""
+    """Where the entries of a map shaped like `template` sit in a flat vector:
+    block by block in multidegree order, each block row-major."""
 
     def __init__(self, template: MultilinearMap):
         self.template = template
@@ -180,18 +173,12 @@ class _Layout:
         return MultilinearMap(t.sources, t.target, t.degree, blocks)
 
 
-def _layouts(template: MultilinearMap):
-    """Layouts of the unknown X shaped like `template` and of its equation d(X)."""
-    eq = zero_map(template.sources, template.target, template.degree - 1)
-    return _Layout(template), _Layout(eq)
-
-
 def _write_right(eq_rows, col0, rows, cols, row0, factors, scale):
     """Columns of X -> scale * X o kron(factors), X a unit of one rows x cols block.
 
     The unknowns of the block start at column col0 and its image block at
-    equation row row0: the unit E_rc puts row c of the Kronecker product,
-    times scale, in row r of the image block.
+    equation row row0: the unit E_rc adds row c of the Kronecker product,
+    times scale, to row r of the image block.
     """
     kron = kron_all(factors)
     for c in range(kron.rows):
@@ -200,7 +187,8 @@ def _write_right(eq_rows, col0, rows, cols, row0, factors, scale):
             col = col0 + r * cols + c
             base = row0 + r * kron.cols
             for k, x in entries:
-                eq_rows[base + k][col] = x
+                row = eq_rows[base + k]
+                row[col] = row.get(col, 0) + x
 
 
 def _write_hom_differential(eq_rows, unknowns: _Layout, eq: _Layout, col0, row0):
@@ -210,7 +198,7 @@ def _write_hom_differential(eq_rows, unknowns: _Layout, eq: _Layout, col0, row0)
     equation row row0.  For the unit E_rc in block K, d o E_rc puts column r
     of the target differential in column c of eq-block K, and each term of
     reps.hom_differential_terms puts row c of its Kronecker product, times
-    its sign, in row r of its eq-block.
+    its sign, in row r of its eq-block; no two of these writes meet.
     """
     t = unknowns.template
     for key, rows, cols, off in unknowns.blocks:
@@ -225,57 +213,76 @@ def _write_hom_differential(eq_rows, unknowns: _Layout, eq: _Layout, col0, row0)
             _write_right(eq_rows, col0 + off, rows, cols, row0 + eq.offsets[key2], factors, sign)
 
 
-def _extension_system(state: ExtensionState):
-    """(A, b, n, f): the joint system of one extension step, and the layouts
-    of its unknowns n_{K+1} and F_{K+1}.
+def _layer_system(unknowns, rhs, linear):
+    """(A, b, layouts) of the joint system d(X_i) - sum c X_u o (R_1 (x) ... (x) R_k) = rhs[i].
 
-    The unknowns are the entries of n_{K+1} and then of F_{K+1}; the
-    equations are the entries of the n-equation and then of the F-equation.
-    The F-equation carries the principal term -c nu_{K+1}(f_1, ..., f_1) on
-    the n-unknowns: f_1 has degree 0, so it is X o f_1^{(x)k} without a sign.
+    `unknowns` are zero maps shaped like the X_i, and linear[i] holds the
+    terms (c, u, [R_1, ..., R_k]) of equation i.  The columns are the X_i's
+    entries and the rows the equations' entries, both in the order given.
     """
-    knew = state.k + 1
-    # The unknowns n_{K+1}, F_{K+1} enter this representation as zero maps.
-    rep = state.representation(knew)
-    model = rep.model
-    d_f = model.of(f"f_{knew}")
-    principal_coeff = d_f.coeff(TreeMonomial(model.base, (f"nu_{knew}",) + (("f_1", "B"),) * knew))
-
-    n, eq_n = _layouts(zero_map((state.w,) * knew, state.w, knew - 2))
-    f, eq_f = _layouts(zero_map((state.v,) * knew, state.w, knew - 1))
-    # Right-hand sides: the evaluated differentials of the top generators;
-    # nu_{K+1} is zero in `rep`, so the principal term evaluates to zero.
-    b = eq_n.flatten(evaluate_element(rep, model.of(f"nu_{knew}")))
-    b += eq_f.flatten(evaluate_element(rep, d_f))
-
+    xs = [_Layout(t) for t in unknowns]
+    eqs = [_Layout(r) for r in rhs]
+    col0 = list(accumulate((x.size for x in xs), initial=0))
+    row0 = list(accumulate((e.size for e in eqs), initial=0))
+    b = [v for e, r in zip(eqs, rhs) for v in e.flatten(r)]
     eq_rows = [{} for _ in b]
-    _write_hom_differential(eq_rows, n, eq_n, 0, 0)
-    if principal_coeff:
-        f1 = state.f[1]
-        for key, rows, cols, off in n.blocks:
-            inner = [f1.blocks.get((k,)) for k in key]
-            if all(m is not None for m in inner):
-                row0 = eq_n.size + eq_f.offsets[key]
-                _write_right(eq_rows, off, rows, cols, row0, inner, -principal_coeff)
-    _write_hom_differential(eq_rows, f, eq_f, n.size, eq_n.size)
-    return RationalMatrix.from_rows(eq_rows, n.size + f.size), b, n, f
+    for i, (x, eq) in enumerate(zip(xs, eqs)):
+        _write_hom_differential(eq_rows, x, eq, col0[i], row0[i])
+        for c, u, inners in linear[i]:
+            for key, out, factors, sign in composition_terms(inners, xs[u].offsets):
+                rows, cols = xs[u].template.block_shape(key)
+                col = col0[u] + xs[u].offsets[key]
+                _write_right(eq_rows, col, rows, cols, row0[i] + eq.offsets[out], factors, -c * sign)
+    return RationalMatrix.from_rows(eq_rows, col0[-1]), b, xs
+
+
+def extend_layer(rep: Representation, unknowns) -> Representation | None:
+    """`rep` with the images of `unknowns` solved jointly from d rho(g) = rho(D g),
+    g in `unknowns`, free variables at zero; None when there is no solution.
+
+    The images `rep` holds for the unknowns are ignored, and `rep` is not
+    changed.  A term c u(S_1, ..., S_k) of D g that holds an unknown u must
+    have it at its root over subtrees of arity 1, and it is
+    c X_u o (rho(S_1) (x) ... (x) rho(S_k)); any other raises ValueError.
+    """
+    model = rep.model
+    index = {name: u for u, name in enumerate(unknowns)}
+    known = Representation(model, rep.complexes, {g: m for g, m in rep.images.items() if g not in index})
+    linear = []
+    for name in unknowns:
+        terms = []
+        for mono, c in model.of(name).terms.items():
+            held = [g for g in mono.vertex_names() if g in index]
+            if not held:
+                continue
+            subtrees = [TreeMonomial(model.base, s) for s in mono.shape[1:]]
+            if held != [mono.shape[0]] or any(s.arity != 1 for s in subtrees):
+                raise ValueError(f"D({name}) holds {mono.compact()}; an unknown must be its root, over arity-1 trees")
+            terms.append((c, index[held[0]], [evaluate_element(known, OperadElement.monomial(s)) for s in subtrees]))
+        linear.append(terms)
+    # The unknowns are zero in `known`, so rhs_i is rho(D g) less its terms in them.
+    rhs = [evaluate_element(known, model.of(name)) for name in unknowns]
+    a, b, layouts = _layer_system([known.image(name) for name in unknowns], rhs, linear)
+    x = solve_linear(a, b)
+    if x is None:
+        return None
+    images = dict(known.images)
+    for name, layout in zip(unknowns, layouts):
+        images[name] = layout.map_from_vector(x[: layout.size])
+        x = x[layout.size :]
+    return Representation(model, rep.complexes, images)
 
 
 def extension_step(state: ExtensionState) -> ExtensionState:
     """Adjoin (n_{K+1}, F_{K+1}) so that all axioms hold one arity higher."""
     if not is_quasi_iso(state.f[1]):
         warnings.warn("F_1 is not a quasi-isomorphism; the extension step may be obstructed")
-    a, b, n_layout, f_layout = _extension_system(state)
-    x = solve_linear(a, b)
-    if x is None:
-        raise ExtensionObstructionError(
-            "extension obstruction nonzero -- check that F_1 is a quasi-isomorphism"
-        )
     knew = state.k + 1
-    n = dict(state.n)
-    f = dict(state.f)
-    n[knew] = n_layout.map_from_vector(x[: n_layout.size])
-    f[knew] = f_layout.map_from_vector(x[n_layout.size :])
+    rep = extend_layer(state.representation(knew), [f"nu_{knew}", f"f_{knew}"])
+    if rep is None:
+        raise ExtensionObstructionError("extension obstruction nonzero -- check that F_1 is a quasi-isomorphism")
+    n = {**state.n, knew: rep.image(f"nu_{knew}")}
+    f = {**state.f, knew: rep.image(f"f_{knew}")}
     return replace(state, n=n, f=f, k=knew)
 
 
@@ -290,24 +297,13 @@ def extend_to_arity(state: ExtensionState, target: int) -> ExtensionState:
 # Homotopies in the Hom complex
 
 
-def _homotopy_system(g: MultilinearMap):
-    """(A, b, h): the system d(h) = g, and the layout of the unknown h."""
-    h, eq = _layouts(zero_map(g.sources, g.target, g.degree + 1))
-    b = eq.flatten(g)
-    eq_rows = [{} for _ in b]
-    _write_hom_differential(eq_rows, h, eq, 0, 0)
-    return RationalMatrix.from_rows(eq_rows, h.size), b, h
-
-
 def find_homotopy(g: MultilinearMap):
     """Some h with d(h) = g, or None when g is not a boundary."""
     if not hom_differential(g).is_zero():
         raise ValueError("the target of find_homotopy must be closed")
-    a, b, h = _homotopy_system(g)
+    a, b, (h,) = _layer_system([zero_map(g.sources, g.target, g.degree + 1)], [g], [[]])
     x = solve_linear(a, b)
-    if x is None:
-        return None
-    return h.map_from_vector(x)
+    return None if x is None else h.map_from_vector(x)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,10 @@ the trees' shapes), and no
 an integral value is the int itself, and a matrix stores every entry in
 that normal form), and no parameter default that no call in the package or
 the benchmark overrides (an option with one value in use is a constant;
-calls from tests do not count)."""
+calls from tests do not count), and no generator name (a string starting
+`mu_`, `nu_` or `f_`) spelled in `transfer` outside `ExtensionState` and
+`extension_step` (the extension equations are read off the model, so the
+rest of `transfer` serves any model)."""
 
 import ast
 from pathlib import Path
@@ -600,3 +603,43 @@ def test_every_default_is_overridden_by_a_caller():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     bench = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")) if not p.name.startswith("test_")]
     assert unused_defaults(sources, [*sources.values(), *bench]) == []
+
+
+GENERATOR_PREFIXES = ("mu_", "nu_", "f_")
+
+
+def generator_name_spellings(source: str, allowed):
+    """Line numbers of the string constants, f-string parts included, that
+    start with a generator prefix, outside the top-level definitions whose
+    names are in `allowed`."""
+    found = set()
+    for top in ast.parse(source).body:
+        if getattr(top, "name", None) in allowed:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.startswith(GENERATOR_PREFIXES):
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_checker_finds_generator_name_spellings():
+    source = (
+        "class ExtensionState:\n"
+        "    def representation(self):\n"
+        "        return 'mu_2', f'nu_{k}'\n"
+        "def extension_step(state):\n"
+        "    return [f'nu_{k}', 'f_1']\n"
+        "def extend_layer(rep, unknowns):\n"
+        "    return rep.image('f_1'), f'{x}_f_{k}', 'nu', 'mu', 'xf_1'\n"
+        "NAME = f'mu_{k}_bar'\n"
+        "def other():\n"
+        "    '''Reads f_1 from a docstring that starts with other text.'''\n"
+        "    def inner():\n"
+        "        return 'nu_3'\n"
+    )
+    assert generator_name_spellings(source, ("ExtensionState", "extension_step")) == [7, 8, 12]
+
+
+def test_transfer_spells_generator_names_only_for_the_morphism_model():
+    source = (SRC / "transfer.py").read_text()
+    assert generator_name_spellings(source, ("ExtensionState", "extension_step")) == []

@@ -40,6 +40,13 @@ of W; neither calls the package's homology code.  The package computes
 the projection p of the homology retract (H, iota, p) once per degree and
 tests that p_W o F_1 o iota_V is square and of full rank; p must give the
 same coordinates on every cycle, and both tests the same verdict.
+
+`reference_joint_extension_system` is the extension step's system as it
+was written by hand for the morphism model: it names nu_{K+1}, f_{K+1} and
+f_1 and writes the one principal term nu_{K+1}(f_1, ..., f_1) itself.  The
+package's `extend_layer` reads every term holding an unknown off the model
+and assembles through `_layer_system`; both must give the same matrix, row
+dict for row dict, and the same right-hand side.
 """
 
 import random
@@ -54,6 +61,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import operadkit.reps as reps
+import operadkit.transfer as T
 from operadkit.core import (
     GeneratorSet,
     GeneratorSpec,
@@ -93,9 +101,9 @@ from operadkit.linalg import (
     rank,
     solve_linear,
 )
-from operadkit.reps import MultilinearMap, compose_maps, hom_differential, identity_map
+from operadkit.reps import MultilinearMap, compose_maps, evaluate_element, hom_differential, identity_map, zero_map
 from operadkit.tails import build_model_btow
-from operadkit.transfer import homology_complex, is_quasi_iso
+from operadkit.transfer import extension_step, homology_complex, is_quasi_iso, scenario_symmetrization
 from test_core import enumerate_up_to
 from test_linalg import _conjugated_complex
 from test_reps import random_map, random_representation, strict_dga_rep
@@ -104,6 +112,7 @@ from test_transfer import (
     four_dim_dga,
     invertible_chain_map,
     koszul_dga,
+    layer_systems,
     three_dim_dga,
 )
 
@@ -900,3 +909,52 @@ def test_homology_retract_matches_the_coordinate_reference():
             assert verdicts[-1] == reference_is_quasi_iso(f)
     assert cycles >= 100
     assert verdicts.count(True) >= 30 and verdicts.count(False) >= 20
+
+
+# ---------------------------------------------------------------------------
+# The layer assembler against the hand-written extension system
+
+
+def reference_joint_extension_system(state):
+    """(A, b) of one extension step: the unknowns n_{K+1}, then F_{K+1}; the
+    n-equation's entries, then the F-equation's.  The F-equation carries the
+    principal term -c nu_{K+1}(f_1, ..., f_1) on the n-unknowns: f_1 has
+    degree 0, so it is X o f_1^{(x)K+1} without a sign."""
+    knew = state.k + 1
+    # n_{K+1} and F_{K+1} enter this representation as zero maps, so the
+    # principal term evaluates to zero in the right-hand side.
+    rep = state.representation(knew)
+    model = rep.model
+    d_f = model.of(f"f_{knew}")
+    coeff = d_f.coeff(TreeMonomial(model.base, (f"nu_{knew}",) + (("f_1", "B"),) * knew))
+    layouts = []
+    for t in (zero_map((state.w,) * knew, state.w, knew - 2), zero_map((state.v,) * knew, state.w, knew - 1)):
+        layouts.append((T._Layout(t), T._Layout(zero_map(t.sources, t.target, t.degree - 1))))
+    (n, eq_n), (f, eq_f) = layouts
+    b = eq_n.flatten(evaluate_element(rep, model.of(f"nu_{knew}"))) + eq_f.flatten(evaluate_element(rep, d_f))
+    eq_rows = [{} for _ in b]
+    T._write_hom_differential(eq_rows, n, eq_n, 0, 0)
+    if coeff:
+        for key, rows, cols, off in n.blocks:
+            inner = [state.f[1].blocks.get((k,)) for k in key]
+            if all(m is not None for m in inner):
+                T._write_right(eq_rows, off, rows, cols, eq_n.size + eq_f.offsets[key], inner, -coeff)
+    T._write_hom_differential(eq_rows, f, eq_f, n.size, eq_n.size)
+    return RationalMatrix.from_rows(eq_rows, n.size + f.size), b
+
+
+def test_layer_system_matches_the_hand_written_extension_system(monkeypatch):
+    # The Koszul steps 2 -> 8; the arity-8 system is 75,618 x 115,776, so
+    # the matrices are compared by their row dicts (RationalMatrix ==),
+    # never through the dense `entries` view.
+    built = layer_systems(monkeypatch)
+    state = scenario_symmetrization(*koszul_dga(), 2)
+    shapes = []
+    while state.k < 8:
+        ref_a, ref_b = reference_joint_extension_system(state)
+        state = extension_step(state)
+        a, b = built[-1]
+        assert a == ref_a
+        assert b == ref_b
+        shapes.append((a.rows, a.cols))
+    assert shapes[-1] == (75618, 115776)

@@ -550,6 +550,23 @@ def test_iso_principal_records_outcomes():
     assert all(t.is_zero() for t in model.tails.values())
 
 
+@pytest.mark.parametrize(
+    "degree, K, want",
+    [
+        (0, 3, "09248cd92b4c38ef0dd6422f76766cdcafa741a04732523c68239e3c87df1d48"),
+        (1, 4, "663f85e17ab1ee173e44b17ae4de245f0e2971a7665eb8e7e28db75da172af64"),
+    ],
+)
+def test_iso_principal_model_digest(degree, K, want):
+    # Pinned from the build that renamed each iso image over the model's
+    # generators; the images now go in as built, and the model re-homes
+    # their monomials.
+    model = build_model_iso_principal(magmatic(degree), 2, K)
+    assert all(m.gens is model.base for img in model.images.values() for m in img.terms)
+    digest = hashlib.sha256(json.dumps(model_to_json(model), indent=2).encode()).hexdigest()
+    assert digest == want
+
+
 def test_iso_principal_rejects_higher_arity():
     with pytest.raises(ValueError):
         build_model_iso_principal(build_ainf(3), 3, 1)

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -8,7 +9,8 @@ import pytest
 
 import operadkit.serialize as serialize
 import operadkit.transfer as T
-from operadkit.core import OperadElement, TreeMonomial, compose_full
+from operadkit.core import GeneratorSet, GeneratorSpec, OperadElement, Signature, TreeMonomial, compose_full
+from operadkit.differentials import DerivationDifferential, build_ainf
 from operadkit.linalg import (
     RationalMatrix,
     homology_retract,
@@ -19,15 +21,19 @@ from operadkit.linalg import (
 from operadkit.reps import (
     ChainComplex,
     MultilinearMap,
+    Representation,
+    check_representation,
     compose_maps,
     evaluate_element,
     hom_differential,
     identity_map,
     zero_map,
 )
+from operadkit.tails import build_model_btow
 from operadkit.transfer import (
     ExtensionObstructionError,
     ExtensionState,
+    extend_layer,
     extend_to_arity,
     extension_step,
     find_homotopy,
@@ -216,18 +222,23 @@ def test_abelization_rejects_wrong_homotopy():
         scenario_abelization(u, mu, nu, h, 4)
 
 
-def test_corrupted_quism_raises_obstruction():
-    # F_1 kills the homology of a 2-dim source with a non-symmetric product;
-    # the leftover F_2 pairing makes the arity-3 system infeasible.
+def corrupted_quism_state():
+    """Criterion 08's corrupted start: F_1 kills the homology of a 2-dim
+    source with a non-symmetric product, and the leftover F_2 pairing makes
+    the arity-3 system infeasible."""
     v = ChainComplex({0: 2}, {}, B)
     w = ChainComplex({0: 1, 1: 1}, {}, W)
     m2 = MultilinearMap((v, v), v, 0, {(0, 0): RationalMatrix([[1, 0, 0, 0], [0, 1, 0, 0]])})
     n2 = MultilinearMap((w, w), w, 0, {(0, 0): [[1]]})
     f1 = zero_map((v,), w, 0)
     f2 = MultilinearMap((v, v), w, 1, {(0, 0): RationalMatrix([[0, 0, 0, 1]])})
-    state = ExtensionState(v=v, w=w, m={2: m2}, n={2: n2}, f={1: f1, 2: f2}, k=2)
+    return ExtensionState(v=v, w=w, m={2: m2}, n={2: n2}, f={1: f1, 2: f2}, k=2)
+
+
+def test_corrupted_quism_raises_obstruction():
+    state = corrupted_quism_state()
     assert state.check().ok
-    assert not is_quasi_iso(f1)
+    assert not is_quasi_iso(state.f[1])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(ExtensionObstructionError):
@@ -497,6 +508,20 @@ def reference_homotopy_system(g):
     return RationalMatrix.from_columns(columns, len(b)), b
 
 
+def layer_systems(monkeypatch):
+    """The list that gets the (A, b) of each later `_layer_system` call."""
+    built = []
+    assemble = T._layer_system
+
+    def spy(*args):
+        a, b, layouts = assemble(*args)
+        built.append((a, b))
+        return a, b, layouts
+
+    monkeypatch.setattr(T, "_layer_system", spy)
+    return built
+
+
 def test_koszul_dga_is_a_dga():
     u, mu = koszul_dga()
     one = identity_map(u)
@@ -522,16 +547,16 @@ def _abelization_start():
     ],
     ids=["three-dim-identity", "three-dim-abelization", "four-dim-identity", "four-dim-sym", "koszul-sym"],
 )
-def test_extension_system_matches_reference(start, top):
+def test_extension_system_matches_reference(start, top, monkeypatch):
+    built = layer_systems(monkeypatch)
     state = start()
     while state.k < top:
-        a, b, _, _ = T._extension_system(state)
         ref_a, ref_b = reference_extension_system(state)
-        assert (a.rows, a.cols) == (ref_a.rows, ref_a.cols)
-        assert a.entries == ref_a.entries
+        state = extension_step(state)
+        a, b = built[-1]
+        assert a == ref_a  # the shape and every row's dict
         assert all(is_normal(x) for x in _stored(a))
         assert b == ref_b
-        state = extension_step(state)
     assert state.check().ok
 
 
@@ -541,7 +566,7 @@ def _symmetrization_gap(u, mu):
     return compose_maps(iota, [star]).sub(compose_maps(symmetrized_product(mu), [iota, iota]))
 
 
-def test_homotopy_system_matches_reference():
+def test_homotopy_system_matches_reference(monkeypatch):
     rng = random.Random(3)
     koszul, _ = koszul_dga()
     three, _ = three_dim_dga()
@@ -553,11 +578,12 @@ def test_homotopy_system_matches_reference():
                 assert hom_differential(f) == reference_hom(f.sources, u)(f)
                 targets.append(hom_differential(f))
     assert any(not g.is_zero() for g in targets[:2])
+    built = layer_systems(monkeypatch)
     for g in targets:
-        a, b, _ = T._homotopy_system(g)
+        find_homotopy(g)
+        a, b = built[-1]
         ref_a, ref_b = reference_homotopy_system(g)
-        assert (a.rows, a.cols) == (ref_a.rows, ref_a.cols)
-        assert a.entries == ref_a.entries
+        assert a == ref_a  # the shape and every row's dict
         assert all(is_normal(x) for x in _stored(a))
         assert b == ref_b
 
@@ -584,3 +610,96 @@ def test_koszul_symmetrization_to_six():
     assert state.check().ok
     text = serialize.dumps(serialize.state_to_json(state))
     assert hashlib.sha256(text.encode()).hexdigest() == KOSZUL_SIX_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# extend_layer on its own
+
+
+@pytest.fixture(scope="module")
+def btow6():
+    return build_model_btow(build_ainf(6), 6)
+
+
+@pytest.mark.parametrize("dga", [koszul_dga, four_dim_dga], ids=["koszul", "four-dim"])
+def test_extend_layer_over_the_btow_model_is_extension_step(dga, btow6):
+    # The tailed btow model of A-infinity is the morphism model under other
+    # names (F_1 is f, n_k is mu_k_W and F_k is mu_k_bar), so solving its
+    # layers one by one gives extension_step's maps exactly.
+    state = scenario_symmetrization(*dga(), 2)
+    images = {"f": state.f[1], "mu_2_B": state.m[2], "mu_2_W": state.n[2], "mu_2_bar": state.f[2]}
+    rep = Representation(btow6, {B: state.v, W: state.w}, images)
+    for k in range(3, 7):
+        rep = extend_layer(rep, [f"mu_{k}_W", f"mu_{k}_bar"])
+        state = extension_step(state)
+        assert rep.image(f"mu_{k}_W") == state.n[k]
+        assert rep.image(f"mu_{k}_bar") == state.f[k]
+    assert not state.n[3].is_zero()
+    assert check_representation(rep).ok
+
+
+def test_extend_layer_rejects_a_term_not_linear_in_the_unknowns():
+    # D(f_4) holds f_3 below nu_2, so f_3 and f_4 are not one layer.
+    rep = identity_state(*three_dim_dga()).representation(4)
+    with pytest.raises(ValueError, match=re.escape("D(f_4) holds nu_2(f_1, f_3);")):
+        extend_layer(rep, ["f_3", "f_4"])
+
+
+def test_extend_layer_ignores_the_unknowns_images_and_leaves_rep_alone():
+    rng = random.Random(7)
+    state = scenario_symmetrization(*koszul_dga(), 3)
+    rep = state.representation(4)
+    clean = extend_layer(rep, ["nu_4", "f_4"])
+    nxt = extension_step(state)
+    assert clean.image("nu_4") == nxt.n[4] and clean.image("f_4") == nxt.f[4]
+    garbage = dict(rep.images)
+    garbage["nu_4"] = random_map(rng, (state.w,) * 4, state.w, 2)
+    garbage["f_4"] = random_map(rng, (state.v,) * 4, state.w, 3)
+    assert not (garbage["nu_4"].is_zero() or garbage["f_4"].is_zero())
+    dirty = Representation(rep.model, rep.complexes, garbage)
+    before = {g: (m, dict(m.blocks)) for g, m in dirty.images.items()}
+    assert extend_layer(dirty, ["nu_4", "f_4"]).images == clean.images
+    assert dirty.images.keys() == before.keys()
+    assert all(dirty.images[g] is m and m.blocks == blocks for g, (m, blocks) in before.items())
+
+
+def test_extend_layer_adds_the_terms_that_meet(monkeypatch):
+    # D(u) = u(e, 1) + u(1, e) + m with rho(e) the differential: the terms
+    # in u write the entries of the Hom differential's X o (d (x) 1) and
+    # X o (1 (x) d) again, and cancel them only when the entries are added
+    # and u(1, e) has its Koszul sign (X's block at degrees (1, 0) has an
+    # odd first input).  What is left is d o X = rho(m).
+    gens = GeneratorSet(
+        ("A",),
+        [
+            GeneratorSpec("e", Signature("A", ("A",)), -1),
+            GeneratorSpec("m", Signature("A", ("A", "A")), 0),
+            GeneratorSpec("u", Signature("A", ("A", "A")), 1),
+        ],
+    )
+    shapes = {("u", ("e", "A"), "A"): 1, ("u", "A", ("e", "A")): 1, ("m", "A", "A"): 1}
+    d_u = OperadElement(gens, {TreeMonomial(gens, s): c for s, c in shapes.items()}, Signature("A", ("A", "A")), 0)
+    model = DerivationDifferential(gens, {"u": d_u})
+    u, _ = four_dim_dga()
+    delta, one = _differential_map(u), identity_map(u)
+    rho_m = compose_maps(delta, [random_map(random.Random(2), (u, u), u, 1)])
+    assert not rho_m.is_zero()
+    rep = Representation(model, {"A": u}, {"e": delta, "m": rho_m})
+    built = layer_systems(monkeypatch)
+    out = extend_layer(rep, ["u"])
+    hom = reference_hom((u, u), u)
+    template, eq = zero_map((u, u), u, 1), _keys(rho_m)
+    columns = [
+        _residual_vector([(hom(x).sub(compose_maps(x, [delta, one])).sub(compose_maps(x, [one, delta])), eq)])
+        for x in _units(template)
+    ]
+    assert built[-1][0] == RationalMatrix.from_columns(columns, len(columns[0]))
+    assert (1, 0) in template.multidegrees()
+    x = out.image("u")
+    assert hom_differential(x) == evaluate_element(out, d_u)
+    assert compose_maps(delta, [x]) == rho_m
+
+
+def test_extend_layer_finds_no_solution_on_a_corrupted_quasi_isomorphism():
+    rep = corrupted_quism_state().representation(3)
+    assert extend_layer(rep, ["nu_3", "f_3"]) is None
