@@ -38,33 +38,31 @@ from .transfer import ExtensionObstructionError, extend_to_arity
 
 PASS, MATH_FAIL, USAGE = 0, 1, 2
 
-MODEL_CHOICES = ("ainf", "ainf-morphism", "homotopy", "iso")
+
+def _models():
+    """For each --model: its builder, the bound it reads and its axiom check.
+    Built on each call, so that a rebound module-level builder is the one run."""
+    return {
+        "ainf": (build_ainf, "max_arity", check_representation),
+        "ainf-morphism": (build_ainf_morphism, "max_arity", check_sh_morphism),
+        "homotopy": (build_homotopy_model, "max_arity", check_homotopy),
+        "iso": (build_iso_resolution, "max_index", check_sh_equivalence),
+    }
 
 
 def _build_model(args):
-    # Looked up per call, so that a rebound module-level builder is the one run.
-    builders = {
-        "ainf": build_ainf,
-        "ainf-morphism": build_ainf_morphism,
-        "homotopy": build_homotopy_model,
-        "iso": build_iso_resolution,
-    }
+    models = _models()
+    build, bound, _ = models[args.model]
+    flag = "--" + bound.replace("_", "-")
     # A bound the model does not read would be ignored, and its check would
     # still print PASS.
-    if args.model == "iso":
-        if args.max_arity is not None:
-            raise UsageError("--max-arity does not apply to the iso model, which reads --max-index")
-        if args.max_index is None:
-            raise UsageError("--max-index is required for the iso model")
-        bound = args.max_index
-    else:
-        if args.max_index is not None:
-            raise UsageError(f"--max-index does not apply to the {args.model} model, which reads --max-arity")
-        if args.max_arity is None:
-            raise UsageError("--max-arity is required for this model")
-        bound = args.max_arity
+    for _, other, _ in models.values():
+        if other != bound and getattr(args, other) is not None:
+            raise UsageError(f"--{other.replace('_', '-')} does not apply to the {args.model} model, which reads {flag}")
+    if getattr(args, bound) is None:
+        raise UsageError(f"{flag} is required for the {args.model} model")
     with _reading("model arguments"):
-        return builders[args.model](bound)
+        return build(getattr(args, bound))
 
 
 class UsageError(Exception):
@@ -175,15 +173,8 @@ def cmd_check_rep(args):
     model = _build_model(args)
     with _reading(args.rep):
         rep = representation_from_json(load(args.rep), model)
-    if args.model == "ainf-morphism":
-        report = check_sh_morphism(rep)
-    elif args.model == "homotopy":
-        report = check_homotopy(rep)
-    elif args.model == "iso":
-        report = check_sh_equivalence(rep)
-    else:
-        report = check_representation(rep)
-    return _emit_report(report)
+    _, _, check = _models()[args.model]
+    return _emit_report(check(rep))
 
 
 def cmd_extend(args):
@@ -227,7 +218,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model_args(p):
-        p.add_argument("--model", choices=MODEL_CHOICES, required=True)
+        p.add_argument("--model", choices=_models(), required=True)
         p.add_argument("--max-arity", type=int, default=None)
         p.add_argument("--max-index", type=int, default=None)
 

@@ -114,50 +114,41 @@ def _write(obj, chunks, newline, fp):
     collection."""
     cls = obj.__class__
     if cls is dict:
-        if not obj:
-            chunks.append("{}")
-            return
-        inner = newline + "  "
-        comma = "," + inner
-        sep = "{" + inner
-        for key, value in obj.items():
+        brackets = "{}"
+    elif cls is list:
+        brackets = "[]"
+    elif cls is OperadElement:
+        _write_element(obj, chunks, newline, fp)
+        return
+    else:
+        chunks.append(_scalar(obj))
+        return
+    if not obj:
+        chunks.append(brackets)
+        return
+    inner = newline + "  "
+    comma = "," + inner
+    sep = brackets[0] + inner
+    keyed = cls is dict
+    for member in obj.items() if keyed else obj:
+        if keyed:
+            key, value = member
             if key.__class__ is not str:
                 raise TypeError(f"cannot write a {key.__class__.__name__} key as JSON")
             head = sep + _escape(key) + ": "
-            text = _scalar(value)
-            if text is None:
-                chunks.append(head)
-                _write(value, chunks, inner, fp)
-            else:
-                chunks.append(head + text)
-            if len(chunks) >= _BATCH:
-                fp.write("".join(chunks))
-                chunks.clear()
-            sep = comma
-        chunks.append(newline + "}")
-    elif cls is list:
-        if not obj:
-            chunks.append("[]")
-            return
-        inner = newline + "  "
-        comma = "," + inner
-        sep = "[" + inner
-        for value in obj:
-            text = _scalar(value)
-            if text is None:
-                chunks.append(sep)
-                _write(value, chunks, inner, fp)
-            else:
-                chunks.append(sep + text)
-            if len(chunks) >= _BATCH:
-                fp.write("".join(chunks))
-                chunks.clear()
-            sep = comma
-        chunks.append(newline + "]")
-    elif cls is OperadElement:
-        _write_element(obj, chunks, newline, fp)
-    else:
-        chunks.append(_scalar(obj))
+        else:
+            head, value = sep, member
+        text = _scalar(value)
+        if text is None:
+            chunks.append(head)
+            _write(value, chunks, inner, fp)
+        else:
+            chunks.append(head + text)
+        if len(chunks) >= _BATCH:
+            fp.write("".join(chunks))
+            chunks.clear()
+        sep = comma
+    chunks.append(newline + brackets[1])
 
 
 def _write_element(elem, chunks, newline, fp):
@@ -178,13 +169,10 @@ def _write_element(elem, chunks, newline, fp):
             fp.write("".join(chunks))
             chunks.clear()
         sep = comma
-    chunks.append(inner + "]" if elem.terms else "{" + inner + '"terms": []')
     sig = elem.signature
-    inputs = ("," + field).join(map(_scalar, sig.inputs))
-    chunks.append(
-        f',{inner}"signature": {{{term}"output": {_scalar(sig.output)},{term}"inputs": [{field}{inputs}{term}]'
-        f'{inner}}},{inner}"degree": {_scalar(elem.degree)}{newline}}}'
-    )
+    chunks.append((inner + "]," if elem.terms else "{" + inner + '"terms": [],') + inner + '"signature": ')
+    _write({"output": sig.output, "inputs": list(sig.inputs)}, chunks, inner, fp)
+    chunks.append(f',{inner}"degree": {_scalar(elem.degree)}{newline}}}')
 
 
 def _write_tree(shape, chunks, newline, leaves):

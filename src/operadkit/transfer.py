@@ -310,20 +310,20 @@ def find_homotopy(g: MultilinearMap):
 # Scenarios
 
 
-def _associator(mu: MultilinearMap) -> MultilinearMap:
-    return compose_maps(mu, [mu, identity_map(mu.target)]).sub(
-        compose_maps(mu, [identity_map(mu.target), mu])
-    )
+def _check_product(mu: MultilinearMap):
+    """Refuse a product that is not a chain map or not strictly associative."""
+    if not hom_differential(mu).is_zero():
+        raise ValueError("mu must be a chain map")
+    one = identity_map(mu.target)
+    if compose_maps(mu, [mu, one]) != compose_maps(mu, [one, mu]):
+        raise ValueError("mu must be strictly associative")
 
 
 def scenario_abelization(
     u: ChainComplex, mu: MultilinearMap, nu: MultilinearMap, h: MultilinearMap, target_arity: int
 ) -> ExtensionState:
     """Extend a product chain-homotopic to an associative one (d h = mu - nu)."""
-    if not hom_differential(mu).is_zero():
-        raise ValueError("mu must be a chain map")
-    if not _associator(mu).is_zero():
-        raise ValueError("mu must be strictly associative")
+    _check_product(mu)
     if hom_differential(h) != mu.sub(nu):
         raise ValueError("h must satisfy d(h) = mu - nu")
     state = ExtensionState(
@@ -332,23 +332,24 @@ def scenario_abelization(
     return extend_to_arity(state, target_arity)
 
 
-def _swap_matrix(dim_a, dim_b):
-    """The permutation u (x) v -> v (x) u, u in a space of dim_a, v of dim_b."""
-    rows = [{(r % dim_b) * dim_a + r // dim_b: 1} for r in range(dim_a * dim_b)]
-    return RationalMatrix.from_rows(rows, dim_b * dim_a)
-
-
 def _swapped(mu: MultilinearMap) -> MultilinearMap:
-    """(u, v) -> mu(v, u), blockwise."""
+    """(u, v) -> (-1)^{|u||v|} mu(v, u), blockwise: mu after the Koszul braiding."""
     (a, _) = mu.sources
     blocks = {}
     for k1, k2 in mu.multidegrees():
-        blocks[(k1, k2)] = mu.block((k2, k1)).mul(_swap_matrix(a.dim(k2), a.dim(k1)))
+        block = mu.blocks.get((k2, k1))
+        if block is not None:
+            # Column j * n1 + i of the (k2, k1) block, v_j of degree k2 and
+            # u_i of degree k1, is column i * n2 + j of the (k1, k2) block.
+            n1, n2 = a.dim(k1), a.dim(k2)
+            sign = -1 if k1 * k2 % 2 else 1
+            rows = [{c % n1 * n2 + c // n1: sign * x for c, x in block.row_items(r)} for r in range(block.rows)]
+            blocks[(k1, k2)] = RationalMatrix.from_rows(rows, n1 * n2)
     return MultilinearMap(mu.sources, mu.target, mu.degree, blocks)
 
 
 def symmetrized_product(mu: MultilinearMap) -> MultilinearMap:
-    """mubar(u, v) = (mu(u, v) + mu(v, u)) / 2, blockwise."""
+    """mubar(u, v) = (mu(u, v) + (-1)^{|u||v|} mu(v, u)) / 2, blockwise."""
     return mu.add(_swapped(mu)).scale(Fraction(1, 2))
 
 
@@ -376,10 +377,7 @@ def scenario_symmetrization(u: ChainComplex, mu: MultilinearMap, target_arity: i
     between iota(*) and mubar(iota, iota), and runs the extension from
     (V, 0, *) --iota--> (W, d, mubar).
     """
-    if not hom_differential(mu).is_zero():
-        raise ValueError("mu must be a chain map")
-    if not _associator(mu).is_zero():
-        raise ValueError("mu must be strictly associative")
+    _check_product(mu)
     h_cx, iota, p = homology_complex(u)
     star = compose_maps(p, [compose_maps(mu, [iota, iota])])
     if not is_commutative(star):

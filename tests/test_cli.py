@@ -69,28 +69,34 @@ def test_verify_dsq_usage_error():
     assert run(["verify-dsq", "--model", "ainf"]) == 2  # missing --max-arity
 
 
+# Each model with the bound it reads and the one it does not.
+MODEL_BOUNDS = [
+    ("ainf", "--max-arity", "--max-index"),
+    ("ainf-morphism", "--max-arity", "--max-index"),
+    ("homotopy", "--max-arity", "--max-index"),
+    ("iso", "--max-index", "--max-arity"),
+]
+
+
 @pytest.mark.parametrize("command", ["emit-model", "verify-dsq", "check-rep"])
-@pytest.mark.parametrize(
-    "bounds, message",
-    [
-        (
-            ["--model", "iso", "--max-index", "2", "--max-arity", "9"],
-            "--max-arity does not apply to the iso model, which reads --max-index",
-        ),
-        (
-            ["--model", "ainf", "--max-arity", "3", "--max-index", "9"],
-            "--max-index does not apply to the ainf model, which reads --max-arity",
-        ),
-    ],
-    ids=["iso-max-arity", "ainf-max-index"],
-)
-def test_a_bound_the_model_does_not_read_is_a_usage_error(tmp_path, capsys, command, bounds, message):
+@pytest.mark.parametrize("model, reads, other", MODEL_BOUNDS, ids=[f"{m}-{o[2:]}" for m, _, o in MODEL_BOUNDS])
+def test_a_bound_the_model_does_not_read_is_a_usage_error(tmp_path, capsys, command, model, reads, other):
     # verify-dsq checked the bound it reads, ignored the other and printed PASS.
     rep = ["--rep", str(tmp_path / "rep.json")] if command == "check-rep" else []
-    assert run([command, *bounds, *rep]) == 2
+    assert run([command, "--model", model, reads, "2", other, "9", *rep]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"usage error: {message}\n"
+    assert captured.err == f"usage error: {other} does not apply to the {model} model, which reads {reads}\n"
+
+
+@pytest.mark.parametrize("command", ["emit-model", "verify-dsq", "check-rep"])
+@pytest.mark.parametrize("model, reads, other", MODEL_BOUNDS, ids=[f"{m}-{r[2:]}" for m, r, _ in MODEL_BOUNDS])
+def test_a_missing_bound_is_a_usage_error(tmp_path, capsys, command, model, reads, other):
+    rep = ["--rep", str(tmp_path / "rep.json")] if command == "check-rep" else []
+    assert run([command, "--model", model, *rep]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {reads} is required for the {model} model\n"
 
 
 def test_solve_tail_text(capsys):

@@ -33,12 +33,16 @@ the benchmark overrides (an option with one value in use is a constant;
 calls from tests do not count), and no generator name (a string starting
 `mu_`, `nu_` or `f_`) spelled in `transfer` outside `ExtensionState` and
 `extension_step` (the extension equations are read off the model, so the
-rest of `transfer` serves any model)."""
+rest of `transfer` serves any model), and no `--model` name spelled in
+`cli` outside `_models` (the one table of each model's builder, bound and
+check, which the parser's choices and every command read)."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from operadkit.cli import _models
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "operadkit"
@@ -605,21 +609,26 @@ def test_every_default_is_overridden_by_a_caller():
     assert unused_defaults(sources, [*sources.values(), *bench]) == []
 
 
-GENERATOR_PREFIXES = ("mu_", "nu_", "f_")
-
-
-def generator_name_spellings(source: str, allowed):
+def string_spellings(source: str, match, allowed):
     """Line numbers of the string constants, f-string parts included, that
-    start with a generator prefix, outside the top-level definitions whose
-    names are in `allowed`."""
+    `match` accepts, outside the top-level definitions whose names are in
+    `allowed`."""
     found = set()
     for top in ast.parse(source).body:
         if getattr(top, "name", None) in allowed:
             continue
         for node in ast.walk(top):
-            if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.startswith(GENERATOR_PREFIXES):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and match(node.value):
                 found.add(node.lineno)
     return sorted(found)
+
+
+GENERATOR_PREFIXES = ("mu_", "nu_", "f_")
+
+
+def generator_name_spellings(source: str, allowed):
+    """`string_spellings` of the strings that start with a generator prefix."""
+    return string_spellings(source, lambda s: s.startswith(GENERATOR_PREFIXES), allowed)
 
 
 def test_checker_finds_generator_name_spellings():
@@ -643,3 +652,32 @@ def test_checker_finds_generator_name_spellings():
 def test_transfer_spells_generator_names_only_for_the_morphism_model():
     source = (SRC / "transfer.py").read_text()
     assert generator_name_spellings(source, ("ExtensionState", "extension_step")) == []
+
+
+# Read from the table itself, so that a new model is held to it too.
+MODEL_NAMES = tuple(_models())
+
+
+def model_name_spellings(source: str):
+    """`string_spellings` of the strings that are a `--model` name, outside
+    `_models`."""
+    return string_spellings(source, MODEL_NAMES.__contains__, ("_models",))
+
+
+def test_checker_finds_model_name_spellings():
+    source = (
+        "def _models():\n"
+        "    return {'ainf': 1, 'iso': 2}\n"
+        "CHOICES = ('ainf', 'ainf-morphism')\n"
+        "def cmd(args):\n"
+        "    if args.model == 'homotopy':\n"
+        "        return f'the {args.model} model', 'iso model', 'isomorphism'\n"
+        "    return {'iso': 3}\n"
+        "class Models:\n"
+        "    NAME = 'ainf'\n"
+    )
+    assert model_name_spellings(source) == [3, 5, 7, 9]
+
+
+def test_the_cli_spells_each_model_name_only_in_its_table():
+    assert model_name_spellings((SRC / "cli.py").read_text()) == []

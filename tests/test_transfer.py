@@ -530,6 +530,34 @@ def test_koszul_dga_is_a_dga():
     assert is_commutative(mu)
 
 
+def exterior_dga():
+    # the exterior algebra on a, b of degree 1: 1, a, b, ab with ab = -ba, d = 0
+    u = ChainComplex({0: 1, 1: 2, 2: 1}, {}, W)
+    mu = MultilinearMap(
+        (u, u),
+        u,
+        0,
+        {
+            (0, 0): RationalMatrix([[1]]),
+            (0, 1): RationalMatrix([[1, 0], [0, 1]]),
+            (1, 0): RationalMatrix([[1, 0], [0, 1]]),
+            (0, 2): RationalMatrix([[1]]),
+            (2, 0): RationalMatrix([[1]]),
+            (1, 1): RationalMatrix([[0, 1, -1, 0]]),
+        },
+    )
+    return u, mu
+
+
+def test_a_graded_commutative_product_with_odd_squares_is_commutative():
+    # mu(v, u) = -mu(u, v) for odd u and v: the braiding carries the Koszul
+    # sign, so the unsigned swap would call this product noncommutative.
+    u, mu = exterior_dga()
+    assert is_commutative(mu)
+    assert symmetrized_product(mu) == mu
+    assert scenario_symmetrization(u, mu, 4).check().ok
+
+
 def _abelization_start():
     u, mu = three_dim_dga()
     h = MultilinearMap((u, u), u, 1, {(0, 0): RationalMatrix([[0, 0, 1, 0]])})
