@@ -162,7 +162,7 @@ def cmd_solve_tail(args):
         if args.format == "text":
             lines = []
             for bar, omega in bw.tails.items():
-                lines.append(f"omega({bar}) = {omega.text(compact=True)}")
+                lines.append(f"omega({bar}) = {omega.text()}")
             out.write("\n".join(lines) + "\n")
         else:
             dump(tails_document(bw), out)
@@ -204,7 +204,7 @@ def cmd_polarization(args):
     lines = []
     for kind in ("f", "g", "h", "l"):
         for deg in sorted(fams[kind]):
-            lines.append(f"<{kind}.>[{deg}] = {fams[kind][deg].text(compact=True)}")
+            lines.append(f"<{kind}.>[{deg}] = {fams[kind][deg].text()}")
     with _writing(args.output) as out:
         out.write("\n".join(lines) + "\n")
     return _emit_report(report)

@@ -139,8 +139,9 @@ class TreeMonomial:
 
     The constructor validates the color rule (each child subtree's output
     color equals the matching input color of its parent's generator) and
-    caches signature and degree.  It is the trust boundary:
-    JSON loading, `normalize_bw` and renaming all go through it.  Trees that
+    caches signature and degree.  It is the trust boundary: `normalize_bw`,
+    renaming, the trees of forests and a monomial from another generator
+    set all go through it.  The text form is `compact()`.  Trees that
     grafting and the Leibniz rule assemble from already-validated monomials
     of the same generator set skip it: they take their invariants from those
     parts through `_assembled`, and so do the shapes of `enumerate_basis`,
@@ -195,22 +196,17 @@ class TreeMonomial:
     @property
     def sort_key(self):
         if self._key is None:
-            self._key = (_shape_nvertices(self.shape), _render(self.shape, [1], leaf_mark="~"))
+            self._key = (_shape_nvertices(self.shape), _render(self.shape, [1]))
         return self._key
 
     @property
     def nvertices(self) -> int:
         return self.sort_key[0]
 
-    def canonical(self) -> str:
-        """Unique text form: `gen(child,...)` with leaves as `@i:Color`.
-
-        The text forms are output only (display, sort keys, error
-        messages); files are JSON, written and read by `serialize`.
-        """
-        return _render(self.shape, [1], leaf_mark="@")
-
     def compact(self) -> str:
+        """The text form: `gen(child, ...)`, leaves `@i:Color`, a vertex over
+        leaves alone by its name.  It determines the tree over one generator
+        set.  It is output only; files are JSON, through `serialize`."""
         return _render_compact(self.shape, [1])
 
     def __eq__(self, other):
@@ -224,7 +220,7 @@ class TreeMonomial:
         return hash(self.shape)
 
     def __repr__(self):
-        return f"TreeMonomial({self.canonical()})"
+        return f"TreeMonomial({self.compact()})"
 
 
 def _validate_shape(gens, shape):
@@ -277,12 +273,13 @@ def leaf_suffix_degrees(gens, shape):
     return out
 
 
-def _render(shape, counter, leaf_mark):
+def _render(shape, counter):
+    """The sort key's text of `shape`, leaves `~i:Color`: another mark would reorder bases."""
     if isinstance(shape, str):
-        s = f"{leaf_mark}{counter[0]}:{shape}"
+        s = f"~{counter[0]}:{shape}"
         counter[0] += 1
         return s
-    parts = [_render(c, counter, leaf_mark) for c in shape[1:]]
+    parts = [_render(c, counter) for c in shape[1:]]
     return f"{shape[0]}({','.join(parts)})"
 
 
@@ -373,7 +370,7 @@ class OperadElement:
     maps are equal (every zero element equals every other).
 
     The arithmetic reads only a monomial's `signature`, `degree`,
-    `canonical()` and `compact()`, so `forests.ForestElement` reuses it over
+    `sort_key` and `compact()`, so `forests.ForestElement` reuses it over
     forest monomials.  Elements of two different classes never add and
     never compare equal.
     """
@@ -389,8 +386,7 @@ class OperadElement:
                 continue
             if mono.signature != signature or mono.degree != degree:
                 raise ValueError(
-                    f"inhomogeneous element: {mono.canonical()} is not in "
-                    f"component {signature}, degree {degree}"
+                    f"inhomogeneous element: {_placed(mono)} is not in component {signature}, degree {degree}"
                 )
             self.terms[mono] = coeff
         self.signature = signature
@@ -448,13 +444,13 @@ class OperadElement:
     def __repr__(self):
         return f"{self.__class__.__name__}({self.text()})"
 
-    def text(self, compact=False) -> str:
-        """Render as `coeff * monomial +- ...` in display order."""
+    def text(self) -> str:
+        """Render as `coeff * monomial +- ...` in display order, monomials `compact()`."""
         if not self.terms:
             return "0"
         parts = []
         for mono, coeff in self.items():
-            body = mono.compact() if compact else mono.canonical()
+            body = mono.compact()
             if not parts:
                 parts.append(f"{coeff} * {body}")
             elif coeff > 0:
@@ -472,15 +468,8 @@ def graft(outer: TreeMonomial, slot: int, inner: TreeMonomial) -> OperadElement:
     """
     if not 1 <= slot <= outer.arity:
         raise ValueError(f"slot {slot} out of range 1..{outer.arity}")
-    sig = _grafted_signature(outer.signature, slot, inner.signature)
-    degree = outer.degree + inner.degree
-    if inner.signature.output != outer.signature.inputs[slot - 1]:
-        return OperadElement.zero(outer.gens, sig, degree)
-    inner = _checked_over(outer.gens, inner)
-    pieces = list(outer.signature.inputs)
-    pieces[slot - 1] = inner.shape
-    shape = _plug(outer.shape, iter(pieces))
-    return OperadElement.monomial(TreeMonomial._assembled(outer.gens, shape, sig, degree))
+    units = [OperadElement.monomial(TreeMonomial.identity(outer.gens, c)) for c in outer.signature.inputs]
+    return compose_full(outer, units[: slot - 1] + [OperadElement.monomial(inner)] + units[slot:])
 
 
 def _checked_over(gens: GeneratorSet, mono: TreeMonomial) -> TreeMonomial:
@@ -494,12 +483,12 @@ def _checked_over(gens: GeneratorSet, mono: TreeMonomial) -> TreeMonomial:
         return mono
     checked = TreeMonomial(gens, mono.shape)
     if (checked.signature, checked.degree) != (mono.signature, mono.degree):
-        raise ValueError(f"{mono.canonical()} changes signature or degree over the target generators")
+        raise ValueError(f"{_placed(mono)} changes signature or degree over the target generators")
     return checked
 
 
-def _grafted_signature(outer: Signature, slot: int, inner: Signature) -> Signature:
-    return Signature(outer.output, outer.inputs[: slot - 1] + inner.inputs + outer.inputs[slot:])
+def _placed(mono) -> str:  # the subject of an error message about `mono`'s component
+    return f"{mono.compact()} in component {mono.signature}, degree {mono.degree}"
 
 
 def _element_of_shapes(gens, shape_terms: dict, signature, degree) -> OperadElement:

@@ -374,7 +374,7 @@ def verify_d_squared(diff: DerivationDifferential) -> Report:
     for g in diff.base.generators:
         residual = extend_derivation(diff, diff.of(g.name))
         ok = residual.is_zero()
-        report.add(g.name, ok, "" if ok else f"D^2({g.name}) = {residual.text(compact=True)}")
+        report.add(g.name, ok, "" if ok else f"D^2({g.name}) = {residual.text()}")
     return report
 
 

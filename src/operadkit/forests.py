@@ -66,9 +66,6 @@ class ForestMonomial:
             self._key = (sum(k[0] for k in keys), tuple(k[1] for k in keys))
         return self._key
 
-    def canonical(self) -> str:
-        return " (x) ".join(t.canonical() for t in self.components)
-
     def compact(self) -> str:
         return " (x) ".join(t.compact() for t in self.components)
 
@@ -296,17 +293,11 @@ def polarization_iso_m2(gens: GeneratorSet, max_degree: int) -> dict:
     def put(kind, deg, trees):
         words[kind].setdefault(deg, []).append((ForestMonomial(gens, trees), 1))
 
-    max_index = max(
-        (int(g.name.split("_")[1]) for g in gens.generators if g.name.startswith(("f_", "g_"))),
-        default=-1,
-    )
-    if max_index < max_degree:
-        raise ValueError(
-            f"iso resolution truncated at index {max_index}, below requested degree {max_degree}"
-        )
+    for k in range(max_degree + 1):
+        if f"f_{k}" not in gens or f"g_{k}" not in gens:
+            raise ValueError(f"iso resolution truncated at index {k - 1}, below requested degree {max_degree}")
 
-    # Every index below is at most max_degree <= max_index, so every
-    # generator named exists.
+    # Every index below is at most max_degree, so every generator named exists.
     for kind in ("f", "g"):
         i = 0
         while 2 * i <= max_degree:
@@ -387,6 +378,6 @@ def verify_polarization(fams: dict, max_degree: int, iso: DerivationDifferential
         for t in range(0, max_degree):
             terms = collect_terms(residual_terms(kind, t))
             ok = not any(terms.values())
-            residual = "" if ok else _forest_of_shapes(gens, terms, _KIND_SIGNATURES[kind], t).text(compact=True)
+            residual = "" if ok else _forest_of_shapes(gens, terms, _KIND_SIGNATURES[kind], t).text()
             report.add(f"d<{kind}.> equation, degree {t}", ok, f"residual {residual}" if residual else "")
     return report

@@ -322,18 +322,35 @@ def check_sh_morphism(rep: Representation) -> Report:
 def check_homotopy(rep: Representation) -> Report:
     """The axiom check for a homotopy-through-morphisms representation.
 
-    The p- and q-side lines say whether each endpoint is a morphism on its
-    own: whether the mu, nu and p (or q) axioms pass, since D(p_m) and
-    D(q_m) are the morphism model's D(f_m) with f renamed.  They are read
-    off the one axiom pass, and a failing side names its lowest failure.
+    The p- and q-side lines, read off the one axiom pass, say whether each
+    endpoint is a morphism on its own; a failing side names its lowest
+    failure.  The endpoints p, q are the model's two unary degree-0
+    generators between its colours, in generator order (other counts raise
+    ValueError), and the p (q) side holds the entries whose D images,
+    followed down, never reach q (p).
     """
+    unary = [g for g in rep.model.base.generators if (g.signature.arity, g.degree) == (1, 0)]
+    ends = [g.name for g in unary if g.signature.inputs[0] != g.signature.output]
+    if len(ends) != 2:
+        raise ValueError(f"a homotopy model has two endpoints, unary degree-0 maps between colours; found {ends}")
     full = check_representation(rep)
     report = Report("homotopy axioms")
-    for letter in ("p", "q"):
-        side = Report("", [e for e in full.entries if e.name.partition("_")[0] in ("mu", "nu", letter)])
+    for letter, other in (("p", ends[1]), ("q", ends[0])):
+        side = Report("", [e for e in full.entries if other not in _reached(rep.model, e.name)])
         report.add(f"{letter}-side morphism", side.ok, side.first_failure or "")
     report.entries.extend(full.entries)
     return report
+
+
+def _reached(model: DerivationDifferential, name) -> set:
+    """`name` and every generator that following D images from it reaches."""
+    seen, todo = set(), [name]
+    while todo:
+        n = todo.pop()
+        if n not in seen:
+            seen.add(n)
+            todo += [v for mono in model.of(n).terms for v in mono.vertex_names()]
+    return seen
 
 
 def check_sh_equivalence(rep: Representation) -> Report:

@@ -337,7 +337,7 @@ def model_to_text(model: DerivationDifferential) -> str:
             f"generator {g.name}: ({','.join(sig.inputs)}) -> {sig.output}, degree {g.degree}"
         )
     for g in model.base.generators:
-        lines.append(f"D({g.name}) = {model.of(g.name).text(compact=True)}")
+        lines.append(f"D({g.name}) = {model.of(g.name).text()}")
     return "\n".join(lines) + "\n"
 
 

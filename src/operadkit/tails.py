@@ -327,16 +327,13 @@ def build_model_iso_principal(
     if any(g.signature.arity > 2 for g in picked):
         raise ValueError("iso principal-part model supports arity <= 2 generators only")
 
-    specs = list(iso_generator_specs(max_index))
+    iso = iso_generator_specs(max_index)
+    specs = list(iso)
     for g in picked:
-        n = g.signature.arity
-        d = g.degree
         specs += _copy_specs(g)
-        for k in range(0, max_index + 1):
-            f_out = W if k % 2 == 0 else B
-            g_out = B if k % 2 == 0 else W
-            specs.append(GeneratorSpec(f"{g.name}_f{k}", Signature(f_out, (B,) * n), d + k + 1))
-            specs.append(GeneratorSpec(f"{g.name}_g{k}", Signature(g_out, (W,) * n), d + k + 1))
+        for s in iso:  # x_fk (x_gk): f_k's (g_k's) colours, x's arity, degree |x| + k + 1
+            sig = Signature(s.signature.output, s.signature.inputs * g.signature.arity)
+            specs.append(GeneratorSpec(f"{g.name}_{s.name.replace('_', '')}", sig, g.degree + s.degree + 1))
     gens = GeneratorSet((B, W), specs)
 
     # DerivationDifferential re-homes the iso images' monomials over `gens`.

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -642,6 +643,32 @@ def test_element_json_round_trip():
 def test_zero_element_text():
     gens = ainf_gens()
     assert OperadElement.zero(gens, Signature(B, (B, B)), 0).text() == "0"
+
+
+def test_repr_and_text_write_compact_monomials():
+    gens = ainf_gens()
+    mu2 = TreeMonomial.generator(gens, "mu_2")
+    ((left, _),) = graft(mu2, 1, mu2).terms.items()
+    elem = graft(mu2, 1, mu2) - graft(mu2, 2, mu2)
+    assert repr(mu2) == "TreeMonomial(mu_2)"
+    assert repr(left) == "TreeMonomial(mu_2(mu_2, @3:B))"
+    assert elem.text() == "1 * mu_2(mu_2, @3:B) - 1 * mu_2(@1:B, mu_2)"
+    assert repr(elem) == "OperadElement(1 * mu_2(mu_2, @3:B) - 1 * mu_2(@1:B, mu_2))"
+
+
+def test_component_errors_write_the_monomial_with_its_component():
+    gens = ainf_gens()
+    mu2 = TreeMonomial.generator(gens, "mu_2")
+    mu3 = TreeMonomial.generator(gens, "mu_3")
+    want = "inhomogeneous element: mu_3 in component (B; B,B,B), degree 1 is not in component (B; B,B), degree 0"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        OperadElement(gens, {mu3: 1}, Signature(B, (B, B)), 0)
+    # a look-alike mu_2 of degree 1 is a tree of degree 0 over `gens`
+    look = GeneratorSet((B,), [GeneratorSpec("mu_2", Signature(B, (B, B)), 1)])
+    unit = OperadElement.monomial(TreeMonomial.identity(gens, B))
+    want = "mu_2 in component (B; B,B), degree 1 changes signature or degree over the target generators"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        compose_full(mu2, [OperadElement.from_generator(look, "mu_2"), unit])
 
 
 def test_a_zero_needs_its_component():

@@ -5,7 +5,7 @@ import pytest
 
 import operadkit.forests as forests
 from operadkit.core import GeneratorSet, GeneratorSpec, OperadElement, Signature, TreeMonomial, collect_terms
-from operadkit.differentials import DerivationDifferential, build_iso_resolution
+from operadkit.differentials import DerivationDifferential, build_iso_resolution, iso_generator_specs
 from operadkit.forests import (
     ForestElement,
     ForestMonomial,
@@ -277,6 +277,15 @@ def test_verify_polarization_truncation_guard():
     iso = build_iso_resolution(2)
     with pytest.raises(ValueError):
         polarization_iso_m2(iso.base, 5)
+
+
+def test_the_truncation_check_looks_up_each_letter():
+    # g_9_B is no iso letter: the truncation is still at index 2
+    extra = GeneratorSpec("g_9_B", Signature(B, (B,)), 1)
+    gens = GeneratorSet((B, W), [*iso_generator_specs(2), extra])
+    want = "iso resolution truncated at index 2, below requested degree 5"
+    with pytest.raises(ValueError, match=f"^{want}$"):
+        polarization_iso_m2(gens, 5)
 
 
 def test_degenerate_identity_wiring(dull):

@@ -142,7 +142,7 @@ def _shape_degree(gens, shape):
 def _validated(gens, mono):
     checked = TreeMonomial(gens, mono.shape)
     if (checked.signature, checked.degree) != (mono.signature, mono.degree):
-        raise ValueError(f"{mono.canonical()} changes component over the target generators")
+        raise ValueError(f"{mono.compact()} changes component over the target generators")
     return checked
 
 

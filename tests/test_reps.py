@@ -36,6 +36,7 @@ from operadkit.reps import (
     identity_map,
     zero_map,
 )
+from operadkit.tails import build_model_btow, build_model_homotopy
 
 B, W = "B", "W"
 
@@ -461,6 +462,27 @@ def test_check_homotopy_hand_built_example():
     report = check_homotopy(rep)
     assert report.ok
     assert evaluate_element(rep, model.of("h_2")) == _h2_formula(rep)
+
+
+def test_check_homotopy_reads_its_sides_off_a_tailed_model():
+    # mu_2_q reaches q through its D image, so it is on the q side only
+    model = build_model_homotopy(build_model_btow(build_ainf(2), 2), 2)
+    u, w = ChainComplex({0: 1}, {}, B), ChainComplex({0: 1}, {}, W)
+    images = {
+        "mu_2_B": MultilinearMap((u, u), u, 0, {(0, 0): [[1]]}),
+        "mu_2_W": MultilinearMap((w, w), w, 0, {(0, 0): [[1]]}),
+        "p": MultilinearMap((u,), w, 0, {(0,): [[1]]}),
+        "q": MultilinearMap((u,), w, 0, {(0,): [[2]]}),
+    }
+    report = check_homotopy(Representation(model, {B: u, W: w}, images))
+    sides = [(e.name, e.ok, e.detail) for e in report.entries[:2]]
+    assert sides == [("p-side morphism", True, ""), ("q-side morphism", False, "mu_2_q")]
+
+
+def test_check_homotopy_needs_two_endpoints():
+    u = ChainComplex({0: 1}, {}, B)
+    with pytest.raises(ValueError, match="two endpoints"):
+        check_homotopy(Representation(build_ainf(2), {B: u}, {}))
 
 
 def test_check_sh_equivalence_strict_iso():

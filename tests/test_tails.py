@@ -572,6 +572,24 @@ def test_iso_principal_rejects_higher_arity():
         build_model_iso_principal(build_ainf(3), 3, 1)
 
 
+def test_iso_principal_takes_a_base_generator_named_like_an_iso_letter():
+    gens = GeneratorSet(("A",), [GeneratorSpec("f_x", Signature("A", ("A", "A")), 0)])
+    model = build_model_iso_principal(DerivationDifferential(gens, {}), 2, 2)
+    assert list(model.tails) == [f"f_x_{fam}{k}" for k in range(3) for fam in "fg"]
+    assert verify_d_squared(model).ok
+
+
+def test_compact_text_tells_the_monomials_of_a_component_apart():
+    # the text form stands in for the tree: over one generator set, no two
+    # monomials of a component share it
+    tailed = build_model_homotopy(build_model_btow(build_ainf(4), 4), 4)
+    models = (build_ainf_morphism(6), build_homotopy_model(5), tailed)
+    for model in models:
+        for sig, degree in {(g.signature, d) for g in model.base.generators for d in (g.degree, g.degree - 1)}:
+            texts = [m.compact() for m in enumerate_basis(model.base, sig, degree)]
+            assert len(set(texts)) == len(texts), (sig, degree)
+
+
 # ---------------------------------------------------------------------------
 # one model per build
 
