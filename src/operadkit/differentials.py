@@ -238,20 +238,25 @@ def build_ainf(max_arity: int) -> DerivationDifferential:
     return DerivationDifferential(gens, images)
 
 
+def _nu_sign(r) -> int:
+    """epsilon(r) = (-1)^(sum_{i<j} r_i (r_j+1)): the sign of the term of the
+    composition r in the nu_k sums of D(f_m) and D(h_m)."""
+    return (-1) ** sum(r[i] * (r[j] + 1) for i in range(len(r)) for j in range(i + 1, len(r)))
+
+
 def _morphism_image(gens, m, f_family) -> OperadElement:
     """The two-colored morphism differential of f_family_m (f, or p and q
     in the homotopy model) over the mu and nu families.
 
-    D(f_m) = - sum_k sum_{r1+..+rk=m} (-1)^(sum_{i<j} r_i (r_j+1)) nu_k(f_{r_1},..,f_{r_k})
+    D(f_m) = - sum_k sum_{r1+..+rk=m} epsilon(r) nu_k(f_{r_1},..,f_{r_k})
              - sum_{i+j=m+1, i>=1, j>=2} (-1)^(i+s(j+1)) f_i(1^s (x) mu_j (x) 1^(i-s-1)).
     """
 
     def nu_terms():
         for k in range(2, m + 1):
             for r in compositions(m, k):
-                e = sum(r[i] * (r[j] + 1) for i in range(k) for j in range(i + 1, k))
                 word = [f"{f_family}_{ri}" for ri in r]
-                yield _grafted(gens, f"nu_{k}", word), (-1 if e % 2 == 0 else 1)
+                yield _grafted(gens, f"nu_{k}", word), -_nu_sign(r)
 
     insertions = _insertions(gens, f_family, "mu", m, 1, sign=-1)
     return _image(gens, f"{f_family}_{m}", chain(nu_terms(), insertions))
@@ -278,19 +283,19 @@ def build_ainf_morphism(max_arity: int) -> DerivationDifferential:
 
 
 def _homotopy_image(gens, m) -> OperadElement:
-    """D(h_m) = p_m - q_m + the signed nu_k(p..p h q..q) sum + the h_i(mu_j) sum."""
+    """D(h_m) = p_m - q_m + the nu_k(p..p h q..q) sum + the h_i(mu_j) sum; the
+    nu_k term with h in slot s+1 has the sign epsilon(r) (-1)^(r_1+..+r_s + k + s)."""
 
     def terms():
         yield _grafted(gens, f"p_{m}", (None,) * m), 1
         yield _grafted(gens, f"q_{m}", (None,) * m), -1
         for k in range(2, m + 1):
             for r in compositions(m, k):
-                base = sum(r[i] * (r[j] + 1) for i in range(k) for j in range(i + 1, k))
+                eps = _nu_sign(r)
                 for s in range(0, k):
                     # s leading p's, then h at slot s+1, then q's
-                    eps = base + sum(r[:s]) + k + s
                     word = [f"p_{ri}" for ri in r[:s]] + [f"h_{r[s]}"] + [f"q_{ri}" for ri in r[s + 1 :]]
-                    yield _grafted(gens, f"nu_{k}", word), (-1 if eps % 2 else 1)
+                    yield _grafted(gens, f"nu_{k}", word), eps * (-1) ** (sum(r[:s]) + k + s)
         yield from _insertions(gens, "h", "mu", m, 1)
 
     return _image(gens, f"h_{m}", terms())

@@ -94,10 +94,6 @@ class ForestElement(OperadElement):
     def word(cls, gens, trees):
         return cls.monomial(ForestMonomial(gens, trees))
 
-    @classmethod
-    def identity(cls, gens, colors):
-        return cls.word(gens, [TreeMonomial.identity(gens, c) for c in colors])
-
     def items(self):
         """Term pairs in the fixed display order (smallest forests first)."""
         return sorted(self.terms.items(), key=lambda mc: mc[0].sort_key)
@@ -298,33 +294,17 @@ def polarization_iso_m2(gens: GeneratorSet, max_degree: int) -> dict:
             raise ValueError(f"iso resolution truncated at index {k - 1}, below requested degree {max_degree}")
 
     # Every index below is at most max_degree, so every generator named exists.
-    for kind in ("f", "g"):
-        i = 0
-        while 2 * i <= max_degree:
-            length = 2 * i + 1
-            for degs in _even_tuples(length, max_degree - 2 * i):
-                letters = _iso_chain(gens, kind, length, degs)
-                pair = TreeMonomial.generator(gens, f"{kind}_{2 * i}")
-                total = sum(degs) + 2 * i
-                put(kind, total, [letters, pair])
-            i += 1
-
-    for kind, fam, other in (("h", "f", "g"), ("l", "g", "f")):
-        home = "B" if kind == "h" else "W"
-        # leading term: odd-index letters tensor the identity strand
+    # The leading terms of <h> and <l>: odd-index letters tensor the identity strand.
+    for kind, fam, home in (("h", "f", "B"), ("l", "g", "W")):
+        unit = TreeMonomial.identity(gens, home)
         for k in range(1, max_degree + 1, 2):
-            letter = TreeMonomial.generator(gens, f"{fam}_{k}")
-            unit = TreeMonomial.identity(gens, home)
-            put(kind, k, [letter, unit])
-        i = 1
-        while 2 * i - 1 <= max_degree:
-            length = 2 * i
-            for degs in _even_tuples(length, max_degree - (2 * i - 1)):
-                letters = _iso_chain(gens, other, length, degs)
-                pair = TreeMonomial.generator(gens, f"{fam}_{2 * i - 1}")
-                total = sum(degs) + 2 * i - 1
-                put(kind, total, [letters, pair])
-            i += 1
+            put(kind, k, [TreeMonomial.generator(gens, f"{fam}_{k}"), unit])
+    # Every other word: a chain of j + 1 letters from `top` down, tensor fam_j.
+    for kind, top, fam, first in (("f", "f", "f", 0), ("g", "g", "g", 0), ("h", "g", "f", 1), ("l", "f", "g", 1)):
+        for j in range(first, max_degree + 1, 2):
+            pair = TreeMonomial.generator(gens, f"{fam}_{j}")
+            for degs in _even_tuples(j + 1, max_degree - j):
+                put(kind, sum(degs) + j, [_iso_chain(gens, top, j + 1, degs), pair])
     return {
         kind: {d: ForestElement(gens, collect_terms(p), _KIND_SIGNATURES[kind], d) for d, p in table.items()}
         for kind, table in words.items()

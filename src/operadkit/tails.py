@@ -33,7 +33,7 @@ from .core import (
     GeneratorSpec,
     OperadElement,
     Signature,
-    _checked_over,
+    TreeMonomial,
     _element_of_shapes,
     _ideal_names,
     collect_terms,
@@ -50,7 +50,7 @@ from .differentials import (
     rename_element,
     verify_d_squared,
 )
-from .forests import ForestElement, polarization_iso_m2, polarization_ns
+from .forests import ForestElement, compose_forests, polarization_iso_m2, polarization_ns
 from .linalg import RationalMatrix, solve_linear
 
 B, W = "B", "W"
@@ -242,16 +242,10 @@ def theta_substitution(bw: TailedModel, elem: OperadElement, target_gens, letter
 
 
 def _forest_into(gens, outer_name: str, forest: ForestElement):
-    """The (shape, coeff) terms of each forest word grafted into the slots of
-    a single-generator vertex; none if a component's output is not its
-    slot's colour."""
-    inputs = gens.spec(outer_name).signature.inputs
-    outputs = tuple(output for output, _ in forest.signature)
-    if len(outputs) != len(inputs):
-        raise ValueError(f"{outer_name} has {len(inputs)} slots, the forest {len(outputs)} components")
-    if outputs != inputs:
-        return []
-    return [((outer_name, *(_checked_over(gens, t).shape for t in m.components)), c) for m, c in forest.terms.items()]
+    """The (shape, coeff) terms of `forest` composed into the one-vertex tree
+    of `outer_name`; none on a colour mismatch, ValueError on a width one."""
+    outer = ForestElement.word(gens, [TreeMonomial.generator(gens, outer_name)])
+    return [(m.components[0].shape, c) for m, c in compose_forests(outer, forest).terms.items()]
 
 
 def build_model_homotopy(bw: TailedModel, max_arity: int) -> TailedModel:
@@ -292,6 +286,9 @@ def build_model_homotopy(bw: TailedModel, max_arity: int) -> TailedModel:
     model = TailedModel(gens, images, base)
     for g in picked:
         n = g.signature.arity
+        # A one-vertex outer tree has no vertex after a leaf, so `_forest_into`
+        # composes with no orientation sign: sx = (-1)^{|x|} is this principal
+        # term's own sign, not an instance of the orientation factor.
         sx = -1 if g.degree % 2 else 1
         terms = [(_grafted(gens, f"{g.name}_{x}", (None,) * n), c) for x, c in (("p", 1), ("q", -1))]
         terms.append((_grafted(gens, "h", (f"{g.name}_B",)), -1))
@@ -361,6 +358,8 @@ def build_model_iso_principal(
     for k in range(0, max_index + 1):
         e, sigma = k % 2, (-1) ** k
         for g in picked:
+            # the principal terms' own sign, as in `build_model_homotopy`: the
+            # one-vertex outer trees of `polar` carry no orientation sign
             sx = -1 if g.degree % 2 else 1
             for fam, other, ownh, home, away in (("f", "g", "h", B, W), ("g", "f", "l", W, B)):
                 name = f"{g.name}_{fam}{k}"

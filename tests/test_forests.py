@@ -4,7 +4,15 @@ from fractions import Fraction
 import pytest
 
 import operadkit.forests as forests
-from operadkit.core import GeneratorSet, GeneratorSpec, OperadElement, Signature, TreeMonomial, collect_terms
+from operadkit.core import (
+    GeneratorSet,
+    GeneratorSpec,
+    OperadElement,
+    Signature,
+    TreeMonomial,
+    collect_terms,
+    compose_full,
+)
 from operadkit.differentials import DerivationDifferential, build_iso_resolution, iso_generator_specs
 from operadkit.forests import (
     ForestElement,
@@ -145,6 +153,40 @@ def test_forest_composition_interchange_sign():
     assert compose_forests(d, c) == word(g, ("g_0", "f_0"), ("g_0", "f_0"))
 
 
+def test_a_one_vertex_outer_tree_composes_by_plain_grafting():
+    # The tailed builders graft polarizations into one generator this way.
+    # No vertex follows a leaf of a one-vertex tree, and a width-1 outer
+    # forest has nothing to interchange with, so an odd outer generator over
+    # odd components composes with no sign, term by term as compose_full.
+    specs = [
+        GeneratorSpec("x", Signature(W, (W, W, W)), 1),
+        GeneratorSpec("p", Signature(W, (B,)), 0),
+        GeneratorSpec("h", Signature(W, (B,)), 1),
+        GeneratorSpec("m", Signature(B, (B, B)), 1),
+    ]
+    gens = GeneratorSet((B, W), specs)
+    x = TreeMonomial.generator(gens, "x")
+    p, h, pm, hm = (TreeMonomial(gens, s) for s in (("p", B), ("h", B), ("p", ("m", B, B)), ("h", ("m", B, B))))
+    forest = (
+        ForestElement.word(gens, [h, pm, h]).scale(2)
+        + ForestElement.word(gens, [p, hm, h]).scale(-3)
+        + ForestElement.word(gens, [h, hm, p]).scale(Fraction(1, 2))
+    )
+    assert [[t.degree for t in mono.components] for mono in forest.terms] == [[1, 1, 1], [0, 2, 1], [1, 2, 0]]
+    got = compose_forests(ForestElement.word(gens, [x]), forest)
+    want = [
+        (tree, c * v)
+        for mono, c in forest.terms.items()
+        for tree, v in compose_full(x, [OperadElement.monomial(t) for t in mono.components]).terms.items()
+    ]
+    assert [(mono.components, c) for mono, c in got.terms.items()] == [((tree,), c) for tree, c in want]
+    # a colour mismatch composes to zero, a width mismatch raises
+    y = ForestElement.word(gens, [TreeMonomial.generator(gens, "m")])
+    assert compose_forests(y, word(gens, "p", "p")).is_zero()
+    with pytest.raises(ValueError, match="width mismatch"):
+        compose_forests(ForestElement.word(gens, [x]), word(gens, "p", "p"))
+
+
 def test_tensor_forests(dull):
     gens = dull.base
     assert tensor_forests(word(gens, "p"), word(gens, "q")) == word(gens, "p", "q")
@@ -244,7 +286,7 @@ def test_a_passing_polarization_check_builds_no_forest(monkeypatch):
     assert verify_polarization(fams, 5, iso).ok
     assert built == []
     # the spy is live
-    ForestElement.identity(iso.base, (B, B))
+    ForestElement.word(iso.base, [TreeMonomial.identity(iso.base, B)] * 2)
     assert len(built) == 1
 
 

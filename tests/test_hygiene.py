@@ -25,7 +25,9 @@ no `serialize.dumps` in `cli` (every document the CLI writes is streamed
 with `dump`, so none has its whole text built), no `model_to_json` or
 `tails_to_json` in `cli` (they build every tree as dicts; the CLI dumps
 `model_document` and `tails_document`, whose elements `dump` writes from
-the trees' shapes), and no
+the trees' shapes), no use of `core._plug` or `core._checked_over` outside
+`core`, `differentials` and `forests` (they are the parts of the grafting
+rule; the tailed builders graft through `forests.compose_forests`), and no
 `Fraction(<int constant>)` in the package (the `core.exact` normal form of
 an integral value is the int itself, and a matrix stores every entry in
 that normal form), and no parameter default that no call in the package or
@@ -482,6 +484,29 @@ def test_checker_finds_name_uses():
 
 def test_no_tree_built_as_dicts_in_the_cli():
     assert name_uses((SRC / "cli.py").read_text(), ("model_to_json", "tails_to_json")) == []
+
+
+# `core._plug` and `core._checked_over` are the grafting rule's parts: a
+# module that uses them writes a grafting rule of its own.
+GRAFTING_MODULES = ("core.py", "differentials.py", "forests.py")
+
+
+def test_checker_finds_grafting_parts():
+    source = (
+        "from .core import (\n"
+        "    _checked_over,\n"
+        ")\n"
+        "shape = core._plug(outer, iter(pieces))\n"
+        "from .core import _plug as plug\n"
+        "note = '_plug'  # _checked_over\n"
+        "tree = _checked_over(gens, t)\n"
+    )
+    assert name_uses(source, ("_plug", "_checked_over")) == [1, 4, 5, 7]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in GRAFTING_MODULES], ids=lambda p: p.name)
+def test_only_the_grafting_modules_plug_trees(path):
+    assert name_uses(path.read_text(), ("_plug", "_checked_over")) == []
 
 
 def _is_int_constant(node):
