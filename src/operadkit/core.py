@@ -139,9 +139,9 @@ class TreeMonomial:
 
     The constructor validates the color rule (each child subtree's output
     color equals the matching input color of its parent's generator) and
-    caches signature and degree.  It is the trust boundary: `normalize_bw`,
-    renaming, the trees of forests and a monomial from another generator
-    set all go through it.  The text form is `compact()`.  Trees that
+    caches signature and degree.  It is the trust boundary: renaming, the
+    trees of forests and a monomial from another generator set all go
+    through it.  The text form is `compact()`.  Trees that
     grafting and the Leibniz rule assemble from already-validated monomials
     of the same generator set skip it: they take their invariants from those
     parts through `_assembled`, and so do the shapes of `enumerate_basis`,
@@ -186,9 +186,6 @@ class TreeMonomial:
     @property
     def arity(self) -> int:
         return self.signature.arity
-
-    def vertices(self):
-        return _shape_walk(self.shape)
 
     def vertex_names(self):
         return [name for _, name, _ in _shape_walk(self.shape)]
@@ -410,10 +407,6 @@ class OperadElement:
     def items(self):
         """Term pairs in the fixed display order (largest trees first)."""
         return sorted(self.terms.items(), key=lambda mc: (-mc[0].nvertices, mc[0].sort_key[1]))
-
-    def coeff(self, mono) -> int | Fraction:
-        """The coefficient of `mono`, in the `exact` normal form (0 if absent)."""
-        return self.terms.get(mono, 0)
 
     def __add__(self, other):
         if other.__class__ is not self.__class__:
@@ -698,30 +691,3 @@ class _BasisEnumerator:
                     out.extend((h,) + rest for h in heads)
         return out
 
-
-# ---------------------------------------------------------------------------
-# The B->W rewriting system (f a_B -> a_W f^{(x)n})
-
-
-def normalize_bw(elem: OperadElement, w_of_b: dict) -> OperadElement:
-    """Normal form under the confluent rewrite f∘a_B -> a_W∘f^{(x)n}.
-
-    The unary B->W generator is the one named "f", and `w_of_b` maps each
-    base generator's B-copy name to its W-copy name.  Rewrites until no f
-    sits directly above a B-copy vertex; in the normal form every f hangs
-    directly above a leaf.  Coefficients are untouched (f has degree 0, so
-    the rewrite carries no sign).
-    """
-
-    def nf(shape):
-        if isinstance(shape, str):
-            return shape
-        children = tuple(nf(c) for c in shape[1:])
-        name = shape[0]
-        if name == "f" and not isinstance(children[0], str) and children[0][0] in w_of_b:
-            inner = children[0]
-            return (w_of_b[inner[0]],) + tuple(nf(("f", gc)) for gc in inner[1:])
-        return (name,) + children
-
-    terms = collect_terms((TreeMonomial(elem.gens, nf(m.shape)), c) for m, c in elem.terms.items())
-    return OperadElement(elem.gens, terms, signature=elem.signature, degree=elem.degree)

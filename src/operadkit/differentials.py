@@ -383,24 +383,6 @@ def verify_d_squared(diff: DerivationDifferential) -> Report:
     return report
 
 
-def verify_minimality(diff: DerivationDifferential) -> Report:
-    """Check that every image monomial is decomposable (>= 2 vertices).
-
-    Constant terms (zero vertices, the identity strand) and linear terms
-    (a single bare generator) are reported separately.
-    """
-    report = Report("minimality (decomposable differentials)")
-    for g in diff.base.generators:
-        bad = []
-        for mono, coeff in diff.of(g.name).items():
-            if mono.nvertices == 0:
-                bad.append(f"constant term {coeff} * {mono.compact()}")
-            elif mono.nvertices == 1:
-                bad.append(f"linear term {coeff} * {mono.compact()}")
-        report.add(g.name, not bad, "; ".join(bad))
-    return report
-
-
 # ---------------------------------------------------------------------------
 # Renaming (color copies, theta-substitutions)
 

@@ -188,11 +188,6 @@ class RationalMatrix:
             out.append({j: x if x.__class__ is int else exact(x) for j, x in row.items() if x})
         return RationalMatrix._of(out, other.cols)
 
-    def mul_vec(self, v):
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        return [sum((x * v[j] for j, x in row.items()), 0) for row in self._rows]
-
     def kron(self, other: "RationalMatrix") -> "RationalMatrix":
         # Leftmost tensor factor is the most significant index.  A product
         # of nonzero rationals is nonzero, so no zero is ever stored.

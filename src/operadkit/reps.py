@@ -255,6 +255,9 @@ class Representation:
         extra = sorted(set(self.complexes).difference(self.model.base.colors))
         if extra:
             raise ValueError(f"complexes for colors the model does not have: {', '.join(extra)}")
+        missing = sorted(set(self.model.base.colors).difference(self.complexes))
+        if missing:
+            raise ValueError(f"no complex for colors of the model: {', '.join(missing)}")
         self.images = dict(self.images)
         for g in self.model.base.generators:
             img = self.images.get(g.name)

@@ -319,19 +319,6 @@ def _check_product(mu: MultilinearMap):
         raise ValueError("mu must be strictly associative")
 
 
-def scenario_abelization(
-    u: ChainComplex, mu: MultilinearMap, nu: MultilinearMap, h: MultilinearMap, target_arity: int
-) -> ExtensionState:
-    """Extend a product chain-homotopic to an associative one (d h = mu - nu)."""
-    _check_product(mu)
-    if hom_differential(h) != mu.sub(nu):
-        raise ValueError("h must satisfy d(h) = mu - nu")
-    state = ExtensionState(
-        v=u, w=u, m={2: mu}, n={2: nu}, f={1: identity_map(u), 2: h}, k=2
-    )
-    return extend_to_arity(state, target_arity)
-
-
 def _swapped(mu: MultilinearMap) -> MultilinearMap:
     """(u, v) -> (-1)^{|u||v|} mu(v, u), blockwise: mu after the Koszul braiding."""
     (a, _) = mu.sources

@@ -17,7 +17,6 @@ from operadkit.core import (
     TreeMonomial,
     enumerate_basis,
     graft,
-    normalize_bw,
 )
 from operadkit.differentials import (
     build_ainf,
@@ -45,13 +44,13 @@ from operadkit.transfer import (
     ExtensionState,
     extension_step,
     is_quasi_iso,
-    scenario_abelization,
     scenario_symmetrization,
 )
 
-from test_core import enumerate_up_to, graft_elements, graft_oriented
+from test_core import enumerate_up_to, graft_elements, graft_oriented, normalize_bw
 from test_differentials import rename_model
 from test_reps import compose_at, random_map
+from test_transfer import scenario_abelization
 
 B, W = "B", "W"
 

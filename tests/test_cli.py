@@ -168,6 +168,14 @@ def test_check_rep_rejects_images_that_are_not_generators(tmp_path, capsys, name
     assert f"ValueError: images for names that are not generators: {name}" in captured.err
 
 
+def test_check_rep_names_a_colour_without_a_complex(tmp_path, capsys):
+    # This exited 2 with "KeyError: 'W'", which names no rule of the file.
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"schema": 1, "complexes": {"B": {"dims": {"0": 1}}}, "images": {}}))
+    assert run(["check-rep", "--model", "ainf-morphism", "--max-arity", "2", "--rep", str(path)]) == 2
+    assert "ValueError: no complex for colors of the model: W" in capsys.readouterr().err
+
+
 def test_check_rep_parse_error(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{ not json")

@@ -16,13 +16,13 @@ from operadkit.core import (
     Signature,
     TreeMonomial,
     UnboundedEnumerationError,
+    _shape_walk,
     collect_terms,
     compose_full,
     enumerate_basis,
     exact,
     graft,
     leaf_suffix_degrees,
-    normalize_bw,
 )
 from operadkit.serialize import element_to_json
 
@@ -475,7 +475,31 @@ def test_identity_strand_in_basis():
 
 
 # ---------------------------------------------------------------------------
-# normalize_bw
+# The B->W rewriting system (f a_B -> a_W f^{(x)n})
+
+
+def normalize_bw(elem: OperadElement, w_of_b: dict) -> OperadElement:
+    """Normal form under the confluent rewrite f∘a_B -> a_W∘f^{(x)n}.
+
+    The unary B->W generator is the one named "f", and `w_of_b` maps each
+    base generator's B-copy name to its W-copy name.  Rewrites until no f
+    sits directly above a B-copy vertex; in the normal form every f hangs
+    directly above a leaf.  Coefficients are untouched (f has degree 0, so
+    the rewrite carries no sign).
+    """
+
+    def nf(shape):
+        if isinstance(shape, str):
+            return shape
+        children = tuple(nf(c) for c in shape[1:])
+        name = shape[0]
+        if name == "f" and not isinstance(children[0], str) and children[0][0] in w_of_b:
+            inner = children[0]
+            return (w_of_b[inner[0]],) + tuple(nf(("f", gc)) for gc in inner[1:])
+        return (name,) + children
+
+    terms = collect_terms((TreeMonomial(elem.gens, nf(m.shape)), c) for m, c in elem.terms.items())
+    return OperadElement(elem.gens, terms, signature=elem.signature, degree=elem.degree)
 
 
 def morphism_relations(n=3):
@@ -515,7 +539,7 @@ def test_normalize_two_rewrites():
     assert out == want
     # every f in the normal form hangs directly above a leaf
     for mono in out.terms:
-        for _, name, children in mono.vertices():
+        for _, name, children in _shape_walk(mono.shape):
             if name == "f":
                 assert isinstance(children[0], str)
 

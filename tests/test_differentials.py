@@ -25,8 +25,8 @@ from operadkit.differentials import (
     extend_derivation,
     rename_element,
     verify_d_squared,
-    verify_minimality,
 )
+from operadkit.reports import Report
 from operadkit.serialize import _fields, model_to_json
 from operadkit.tails import build_model_btow
 from test_core import element_from_json, enumerate_up_to, graft_elements, graft_oriented
@@ -166,6 +166,24 @@ def test_d_squared_mutation_detected():
     report = verify_d_squared(broken)
     entry = {e.name: e for e in report.entries}
     assert not entry["mu_4"].ok
+
+
+def verify_minimality(diff: DerivationDifferential) -> Report:
+    """Check that every image monomial is decomposable (>= 2 vertices).
+
+    Constant terms (zero vertices, the identity strand) and linear terms
+    (a single bare generator) are reported separately.
+    """
+    report = Report("minimality (decomposable differentials)")
+    for g in diff.base.generators:
+        bad = []
+        for mono, coeff in diff.of(g.name).items():
+            if mono.nvertices == 0:
+                bad.append(f"constant term {coeff} * {mono.compact()}")
+            elif mono.nvertices == 1:
+                bad.append(f"linear term {coeff} * {mono.compact()}")
+        report.add(g.name, not bad, "; ".join(bad))
+    return report
 
 
 def test_minimality_reports():

@@ -37,7 +37,11 @@ calls from tests do not count), and no generator name (a string starting
 `extension_step` (the extension equations are read off the model, so the
 rest of `transfer` serves any model), and no `--model` name spelled in
 `cli` outside `_models` (the one table of each model's builder, bound and
-check, which the parser's choices and every command read)."""
+check, which the parser's choices and every command read), and no public
+function, class, method or property that nothing in the package or the
+benchmark reads (a name that only tests call is API that no user of the
+package reaches; a test's oracle or fixture lives in the tests, and
+`UNREAD_ALLOWED` names each exception with its reason)."""
 
 import ast
 from pathlib import Path
@@ -51,6 +55,8 @@ SRC = ROOT / "src" / "operadkit"
 # __init__.py imports names only to re-export them; the last check below
 # holds those names to the ones the benchmark reads.
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# The benchmark's scripts call the package as a user does; its tests do not.
+BENCH_SCRIPTS = [p for p in sorted((ROOT / "perfbench").glob("*.py")) if not p.name.startswith("test_")]
 
 
 def unused_imports(source: str):
@@ -630,7 +636,7 @@ def test_checker_finds_unused_defaults():
 
 def test_every_default_is_overridden_by_a_caller():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    bench = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")) if not p.name.startswith("test_")]
+    bench = [p.read_text() for p in BENCH_SCRIPTS]
     assert unused_defaults(sources, [*sources.values(), *bench]) == []
 
 
@@ -706,3 +712,107 @@ def test_checker_finds_model_name_spellings():
 
 def test_the_cli_spells_each_model_name_only_in_its_table():
     assert model_name_spellings((SRC / "cli.py").read_text()) == []
+
+
+# Public names that no code in the package or the benchmark reads yet, each
+# with the reason it stays.
+UNREAD_ALLOWED = {
+    # A paper feature (the iso model with a principal part); ROADMAP item 12's
+    # `solve-tail --base` is its reader.
+    "tails.build_model_iso_principal",
+}
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _public_definitions(module: str, tree):
+    """(name, node, read by a bare name?) for each public top-level function
+    and class of `tree`, and each public method or property of its
+    top-level classes."""
+    for top in tree.body:
+        if isinstance(top, DEFINITIONS) and not top.name.startswith("_"):
+            yield f"{module}.{top.name}", top, True
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
+                    yield f"{module}.{top.name}.{node.name}", node, False
+
+
+def reader_findings(sources: dict, bench: list, allowed):
+    """The public names of `sources` (module -> text) that nothing reads,
+    as "unread: <name>" unless `allowed`, and the `allowed` names that are
+    read or gone, as "stale: <name>".  A name is read by a loaded Name or
+    Attribute of it, in `sources` or in the `bench` texts, outside its own
+    definition; a method only by an Attribute.  A string constant in `bench`
+    equal to the name reads it too, because the tracer patches functions by
+    name.  An import alone reads nothing."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    bench_trees = [ast.parse(text) for text in bench]
+    names, attrs, strings = {}, {}, set()
+    for tree in [*trees.values(), *bench_trees]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.setdefault(node.attr, []).append(node)
+    for tree in bench_trees:
+        strings.update(n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str))
+    unread = set()
+    for module, tree in trees.items():
+        for name, node, by_name in _public_definitions(module, tree):
+            reads = [*attrs.get(node.name, ()), *(names.get(node.name, ()) if by_name else ())]
+            own = {id(n) for n in ast.walk(node)}
+            if node.name not in strings and all(id(r) in own for r in reads):
+                unread.add(name)
+    return sorted(
+        [f"unread: {name}" for name in unread - set(allowed)]
+        + [f"stale: {name}" for name in set(allowed) - unread]
+    )
+
+
+def test_checker_finds_public_names_without_readers():
+    core = (
+        "def used():\n"
+        "    return Kept().size\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1)\n"
+        "def traced():\n"
+        "    pass\n"
+        "def only_imported():\n"
+        "    pass\n"
+        "def allowed():\n"
+        "    pass\n"
+        "def _private():\n"
+        "    pass\n"
+        "class Kept:\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 1\n"
+        "    def own(self):\n"
+        "        return self.own()\n"
+        "    def named(self):\n"
+        "        pass\n"
+        "    def stored(self):\n"
+        "        pass\n"
+        "    def _hidden(self):\n"
+        "        pass\n"
+        "class Dead:\n"
+        "    pass\n"
+    )
+    other = "from .core import only_imported, Dead\nnamed = used()\nprint(named)\nx.stored = 1\n"
+    bench = "SPANS = {'core': ('traced',)}\n"
+    assert reader_findings({"core": core, "other": other}, [bench], {"core.allowed", "core.used", "core.gone"}) == [
+        "stale: core.gone",
+        "stale: core.used",
+        "unread: core.Dead",
+        "unread: core.Kept.named",
+        "unread: core.Kept.own",
+        "unread: core.Kept.stored",
+        "unread: core.only_imported",
+        "unread: core.recursive",
+    ]
+
+
+def test_every_public_name_has_a_reader():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    bench = [p.read_text() for p in BENCH_SCRIPTS]
+    assert reader_findings(sources, bench, UNREAD_ALLOWED) == []

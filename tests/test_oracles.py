@@ -68,6 +68,7 @@ from operadkit.core import (
     OperadElement,
     Signature,
     TreeMonomial,
+    _shape_walk,
     collect_terms,
     compose_full,
     graft,
@@ -105,7 +106,7 @@ from operadkit.reps import MultilinearMap, compose_maps, evaluate_element, hom_d
 from operadkit.tails import build_model_btow
 from operadkit.transfer import extension_step, homology_complex, is_quasi_iso, scenario_symmetrization
 from test_core import enumerate_up_to
-from test_linalg import _conjugated_complex
+from test_linalg import _conjugated_complex, mul_vec
 from test_reps import random_map, random_representation, strict_dga_rep
 from test_transfer import (
     class_killing_map,
@@ -152,7 +153,7 @@ def reference_extend_derivation(diff, elem):
     for mono, coeff in elem.terms.items():
         mono = _validated(base, mono)
         odd = 0
-        for path, name, children in mono.vertices():
+        for path, name, children in _shape_walk(mono.shape):
             child_degrees = [_shape_degree(base, c) for c in children]
             for u, u_coeff in diff.of(name).terms.items():
                 suffixes = leaf_suffix_degrees(base, u.shape)
@@ -898,8 +899,8 @@ def test_homology_retract_matches_the_coordinate_reference():
             for _ in range(3):
                 coeffs = [rng.randint(-3, 3) for _ in basis]
                 z = [sum(a * v[i] for a, v in zip(coeffs, basis)) for i in range(c.dim(k))]
-                assert p_k.mul_vec(z) == reference_homology_coordinates(c, k, iota.block((k,)), z)
-                cycles += any(z) and any(p_k.mul_vec(z))
+                assert mul_vec(p_k, z) == reference_homology_coordinates(c, k, iota.block((k,)), z)
+                cycles += any(z) and any(mul_vec(p_k, z))
         maps = [invertible_chain_map(rng, c)]
         killing = class_killing_map(rng, c)
         if killing is not None:
@@ -926,7 +927,7 @@ def reference_joint_extension_system(state):
     rep = state.representation(knew)
     model = rep.model
     d_f = model.of(f"f_{knew}")
-    coeff = d_f.coeff(TreeMonomial(model.base, (f"nu_{knew}",) + (("f_1", "B"),) * knew))
+    coeff = d_f.terms.get(TreeMonomial(model.base, (f"nu_{knew}",) + (("f_1", "B"),) * knew), 0)
     layouts = []
     for t in (zero_map((state.w,) * knew, state.w, knew - 2), zero_map((state.v,) * knew, state.w, knew - 1)):
         layouts.append((T._Layout(t), T._Layout(zero_map(t.sources, t.target, t.degree - 1))))

@@ -342,7 +342,7 @@ def test_nonzero_m3_corrects_nonassociative_product():
     # structure with nonzero n_3 on the target; its axioms at arity 4 agree
     # with a brute-force expansion of the quadratic identity over all basis
     # tuples.
-    from operadkit.transfer import scenario_abelization
+    from test_transfer import scenario_abelization
 
     rng = random.Random(8)
     model = build_ainf(4)
@@ -572,6 +572,15 @@ def test_representation_rejects_images_that_are_not_generators():
     mu = MultilinearMap((u, u), u, 0, {(0, 0): [[1]]})
     with pytest.raises(ValueError, match="not generators: mu2, mu_3$"):
         Representation(model, {B: u}, {"mu_2": mu, "mu2": mu, "mu_3": mu})
+
+
+def test_representation_names_colors_without_a_complex():
+    # The zero images of the W-coloured generators looked their complex up
+    # and raised KeyError: 'W'.
+    model = build_ainf_morphism(2)
+    u = ChainComplex({0: 1}, {}, B)
+    with pytest.raises(ValueError, match="no complex for colors of the model: W$"):
+        Representation(model, {B: u}, {})
 
 
 def test_one_complex_serves_both_colors():

@@ -15,7 +15,6 @@ from operadkit.core import (
     compose_full,
     enumerate_basis,
     graft,
-    normalize_bw,
 )
 from operadkit.differentials import (
     DerivationDifferential,
@@ -41,6 +40,7 @@ from operadkit.tails import (
     theta_substitution,
 )
 
+from test_core import normalize_bw
 from test_differentials import rename_model
 
 B, W = "B", "W"

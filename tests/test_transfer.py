@@ -40,7 +40,6 @@ from operadkit.transfer import (
     homology_complex,
     is_commutative,
     is_quasi_iso,
-    scenario_abelization,
     scenario_symmetrization,
     symmetrized_product,
 )
@@ -196,6 +195,15 @@ def test_find_homotopy_cases():
         find_homotopy(bad)
 
 
+def scenario_abelization(u, mu, nu, h, target_arity):
+    """Extend a product chain-homotopic to an associative one (d h = mu - nu)."""
+    T._check_product(mu)
+    if hom_differential(h) != mu.sub(nu):
+        raise ValueError("h must satisfy d(h) = mu - nu")
+    state = ExtensionState(v=u, w=u, m={2: mu}, n={2: nu}, f={1: identity_map(u), 2: h}, k=2)
+    return extend_to_arity(state, target_arity)
+
+
 def test_abelization_trivial():
     u, mu = three_dim_dga()
     state = scenario_abelization(u, mu, mu, zero_map((u, u), u, 1), 4)
@@ -284,6 +292,28 @@ def test_symmetrization_rejects_noncommutative_homology():
     mu = MultilinearMap((u, u), u, 0, {(0, 0): RationalMatrix([[1, 0, 0, 0], [0, 1, 0, 0]])})
     with pytest.raises(ValueError, match="not commutative"):
         scenario_symmetrization(u, mu, 3)
+
+
+def _not_a_chain_map():
+    # x*y = y, but x*z = 0 although dz = y
+    u, mu = three_dim_dga()
+    return u, MultilinearMap(mu.sources, u, 0, {(0, 0): mu.block((0, 0))})
+
+
+def _not_associative():
+    # x*x = y and y*x = x, so (x*x)*x = x but x*(x*x) = x*y = 0
+    u = ChainComplex({0: 2}, {}, W)
+    return u, MultilinearMap((u, u), u, 0, {(0, 0): RationalMatrix([[0, 0, 1, 0], [1, 0, 0, 0]])})
+
+
+@pytest.mark.parametrize(
+    "dga, message",
+    [(_not_a_chain_map, "mu must be a chain map"), (_not_associative, "mu must be strictly associative")],
+    ids=["not-a-chain-map", "not-associative"],
+)
+def test_symmetrization_refuses_a_bad_product(dga, message):
+    with pytest.raises(ValueError, match=message):
+        scenario_symmetrization(*dga(), 3)
 
 
 def test_homology_preservation():
@@ -477,7 +507,7 @@ def reference_extension_system(state):
     f1 = OperadElement.from_generator(model.base, "f_1")
     principal = compose_full(TreeMonomial.generator(model.base, f"nu_{knew}"), [f1] * knew)
     ((mono, _),) = principal.terms.items()
-    coeff = model.of(f"f_{knew}").coeff(mono)
+    coeff = model.of(f"f_{knew}").terms.get(mono, 0)
     rhs_f = evaluate_element(rep, model.of(f"f_{knew}") - principal.scale(coeff))
     n_template = zero_map((state.w,) * knew, state.w, knew - 2)
     f_template = zero_map((state.v,) * knew, state.w, knew - 1)
