@@ -244,7 +244,7 @@ def _nu_sign(r) -> int:
     return (-1) ** sum(r[i] * (r[j] + 1) for i in range(len(r)) for j in range(i + 1, len(r)))
 
 
-def _morphism_image(gens, m, f_family) -> OperadElement:
+def _morphism_image(gens, f_family, m) -> OperadElement:
     """The two-colored morphism differential of f_family_m (f, or p and q
     in the homotopy model) over the mu and nu families.
 
@@ -262,24 +262,29 @@ def _morphism_image(gens, m, f_family) -> OperadElement:
     return _image(gens, f"{f_family}_{m}", chain(nu_terms(), insertions))
 
 
-def build_ainf_morphism(max_arity: int) -> DerivationDifferential:
-    """Minimal model of the morphism operad: mu_k, nu_k (deg k-2), f_k (deg k-1)."""
+def _two_colored(max_arity: int, families, image) -> DerivationDifferential:
+    """The model on mu_k (on B) and nu_k (on W), 2 <= k <= max_arity, with
+    their quadratic differentials, and on the W <- B^k `families`.
+
+    `families` holds (name, degree shift) pairs: family_k has degree
+    k - 1 + shift, and D(family_m) = image(gens, family, m).  The specs
+    interleave mu_k, nu_k by k, then the families by k, in that order."""
     if max_arity < 1:
         raise ValueError("max_arity must be >= 1")
-    specs = []
-    for k in range(2, max_arity + 1):
-        specs.append(GeneratorSpec(f"mu_{k}", Signature(B, (B,) * k), k - 2))
-        specs.append(GeneratorSpec(f"nu_{k}", Signature(W, (W,) * k), k - 2))
+    ainf = [(k, fam, c) for k in range(2, max_arity + 1) for fam, c in (("mu", B), ("nu", W))]
+    specs = [GeneratorSpec(f"{fam}_{k}", Signature(c, (c,) * k), k - 2) for k, fam, c in ainf]
     for k in range(1, max_arity + 1):
-        specs.append(GeneratorSpec(f"f_{k}", Signature(W, (B,) * k), k - 1))
+        specs += [GeneratorSpec(f"{fam}_{k}", Signature(W, (B,) * k), k - 1 + shift) for fam, shift in families]
     gens = GeneratorSet((B, W), specs)
-    images = {}
-    for m in range(2, max_arity + 1):
-        images[f"mu_{m}"] = _quadratic_sum(gens, "mu", m)
-        images[f"nu_{m}"] = _quadratic_sum(gens, "nu", m)
+    images = {f"{fam}_{k}": _quadratic_sum(gens, fam, k) for k, fam, _ in ainf}
     for m in range(1, max_arity + 1):
-        images[f"f_{m}"] = _morphism_image(gens, m, "f")
+        images.update({f"{fam}_{m}": image(gens, fam, m) for fam, _ in families})
     return DerivationDifferential(gens, images)
+
+
+def build_ainf_morphism(max_arity: int) -> DerivationDifferential:
+    """Minimal model of the morphism operad: mu_k, nu_k (deg k-2), f_k (deg k-1)."""
+    return _two_colored(max_arity, [("f", 0)], _morphism_image)
 
 
 def _homotopy_image(gens, m) -> OperadElement:
@@ -307,26 +312,11 @@ def build_homotopy_model(max_arity: int) -> DerivationDifferential:
     p_k, q_k: B^k -> W of degree k-1 carry the morphism differential; h_k of
     degree k interpolates between them.
     """
-    if max_arity < 1:
-        raise ValueError("max_arity must be >= 1")
-    specs = []
-    for k in range(2, max_arity + 1):
-        specs.append(GeneratorSpec(f"mu_{k}", Signature(B, (B,) * k), k - 2))
-        specs.append(GeneratorSpec(f"nu_{k}", Signature(W, (W,) * k), k - 2))
-    for k in range(1, max_arity + 1):
-        specs.append(GeneratorSpec(f"p_{k}", Signature(W, (B,) * k), k - 1))
-        specs.append(GeneratorSpec(f"q_{k}", Signature(W, (B,) * k), k - 1))
-        specs.append(GeneratorSpec(f"h_{k}", Signature(W, (B,) * k), k))
-    gens = GeneratorSet((B, W), specs)
-    images = {}
-    for m in range(2, max_arity + 1):
-        images[f"mu_{m}"] = _quadratic_sum(gens, "mu", m)
-        images[f"nu_{m}"] = _quadratic_sum(gens, "nu", m)
-    for m in range(1, max_arity + 1):
-        images[f"p_{m}"] = _morphism_image(gens, m, "p")
-        images[f"q_{m}"] = _morphism_image(gens, m, "q")
-        images[f"h_{m}"] = _homotopy_image(gens, m)
-    return DerivationDifferential(gens, images)
+
+    def image(gens, fam, m):
+        return _homotopy_image(gens, m) if fam == "h" else _morphism_image(gens, fam, m)
+
+    return _two_colored(max_arity, [("p", 0), ("q", 0), ("h", 1)], image)
 
 
 def iso_generator_specs(max_index: int):

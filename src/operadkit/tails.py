@@ -233,14 +233,6 @@ def build_model_btow(base: DerivationDifferential, max_arity: int) -> TailedMode
 # The homotopy model over the same base, via the two substitutions
 
 
-def theta_substitution(bw: TailedModel, elem: OperadElement, target_gens, letter: str):
-    """Rename f and every bar copy x_bar to `letter` and x_letter; copies stay."""
-    name_map = {"f": letter}
-    for bar in bw.tails:
-        name_map[bar] = f"{bar.removesuffix('_bar')}_{letter}"
-    return rename_element(elem, target_gens, name_map)
-
-
 def _forest_into(gens, outer_name: str, forest: ForestElement):
     """The (shape, coeff) terms of `forest` composed into the one-vertex tree
     of `outer_name`; none on a colour mismatch, ValueError on a width one."""
@@ -251,7 +243,8 @@ def _forest_into(gens, outer_name: str, forest: ForestElement):
 def build_model_homotopy(bw: TailedModel, max_arity: int) -> TailedModel:
     """The homotopy-through-homomorphisms model over bw's base.
 
-    D(x^p), D(x^q) are the two renamings of D(bar x); D(x^h) has principal
+    D(x^p), D(x^q) are D(bar x) renamed by the name maps theta_p, theta_q
+    (f -> p, y_bar -> y_p, and the copies stay); D(x^h) has principal
     part x^p - x^q - h x_B + (-1)^{|x|} x_W<h> and a solver tail.
     """
     base = bw.base_model
@@ -279,9 +272,10 @@ def build_model_homotopy(bw: TailedModel, max_arity: int) -> TailedModel:
         "h": p - q,
         **_copy_images(base, picked, gens),
     }
-    for g in picked:
-        for letter in ("p", "q"):
-            images[f"{g.name}_{letter}"] = theta_substitution(bw, bw.of(f"{g.name}_bar"), gens, letter)
+    for letter in ("p", "q"):
+        names = {"f": letter, **{f"{g.name}_bar": f"{g.name}_{letter}" for g in picked}}
+        for g in picked:
+            images[f"{g.name}_{letter}"] = rename_element(bw.of(f"{g.name}_bar"), gens, names)
 
     model = TailedModel(gens, images, base)
     for g in picked:

@@ -789,3 +789,30 @@ def test_accumulated_mixed_components_raise():
         OperadElement(gens, collect_terms([(mu2, 1), (mu3, 1)]), Signature(B, (B, B)), 0)
     with pytest.raises(ValueError, match="inhomogeneous"):
         OperadElement(gens, collect_terms([(mu2, 1), (mu2, -1), (mu3, 1)]), Signature(B, (B, B)), 0)
+
+
+def test_signature_needs_an_input():
+    with pytest.raises(ValueError, match=r"^arity must be >= 1$"):
+        Signature(B, ())
+
+
+@pytest.mark.parametrize(
+    "specs, message",
+    [
+        ([("m", Signature("A", ("A", "A"))), ("m", Signature("A", ("A",)))], "duplicate generator name 'm'"),
+        ([("m", Signature("Z", ("A", "A")))], "undeclared color 'Z' in m"),
+        ([("m", Signature("A", ("A", "Z")))], "undeclared color 'Z' in m"),
+    ],
+    ids=["duplicate-name", "output-colour", "input-colour"],
+)
+def test_generator_set_rejects_bad_specs(specs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        GeneratorSet(("A",), [GeneratorSpec(name, sig, 0) for name, sig in specs])
+
+
+def test_tree_rejects_an_undeclared_leaf_colour():
+    gens = ainf_gens()
+    with pytest.raises(ValueError, match=r"^undeclared color 'Z'$"):
+        TreeMonomial(gens, "Z")
+    with pytest.raises(ValueError, match=r"^undeclared color 'Z'$"):
+        TreeMonomial(gens, ("mu_2", B, "Z"))

@@ -622,3 +622,14 @@ def test_multiplihedron_face_counts():
         if n >= 2:
             assert counts[n - 2] == n * (n - 1) // 2 + 2 ** (n - 1) - 1, n
         assert sum((-1) ** d * c for d, c in enumerate(counts)) == 1, n
+
+
+def test_of_names_an_unknown_generator():
+    with pytest.raises(KeyError, match="no differential image for generator 'nu_2'"):
+        build_ainf(2).of("nu_2")
+
+
+@pytest.mark.parametrize("build", [build_ainf_morphism, build_homotopy_model])
+def test_two_colored_builders_reject_arity_zero(build):
+    with pytest.raises(ValueError, match=r"^max_arity must be >= 1$"):
+        build(0)

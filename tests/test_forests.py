@@ -385,3 +385,15 @@ def test_forest_differential_derives_each_distinct_tree_once(monkeypatch):
     forest_differential(iso, elem)
     assert sorted(derived, key=lambda t: t.sort_key) == sorted(set(occurrences), key=lambda t: t.sort_key)
     assert len(occurrences) > len(derived)
+
+
+def test_a_forest_needs_a_component():
+    gens = build_iso_resolution(0).base
+    with pytest.raises(ValueError, match=r"^forest needs at least one component$"):
+        ForestMonomial(gens, [])
+
+
+def test_iso_polarization_needs_a_nonnegative_degree():
+    gens = build_iso_resolution(0).base
+    with pytest.raises(ValueError, match=r"^max_degree must be >= 0$"):
+        polarization_iso_m2(gens, -1)

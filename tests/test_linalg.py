@@ -583,3 +583,16 @@ def test_modular_route_agrees_on_recorded_systems(monkeypatch):
             mod_p = _pivot_columns(a, b, lambda rows: _echelon_mod(rows, p))
             assert all(len(m) <= len(q) for m, q in zip(mod_p, over_q))
             assert mod_p == over_q
+
+
+def test_from_columns_rejects_a_column_of_another_length():
+    with pytest.raises(ValueError, match=r"^column length mismatch$"):
+        RationalMatrix.from_columns([[1, 2], [3]], 2)
+
+
+def test_mul_and_add_reject_mismatched_shapes():
+    a = RationalMatrix([[1, 2]])
+    with pytest.raises(ValueError, match=r"^shape mismatch: 1x2 @ 1x2$"):
+        a.mul(a)
+    with pytest.raises(ValueError, match=r"^shape mismatch$"):
+        a.add(RationalMatrix([[1], [2]]))

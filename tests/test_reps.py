@@ -632,3 +632,24 @@ def test_maps_over_complexes_of_different_dims_are_unequal():
     # equal dims compare equal across distinct objects (JSON round trips)
     twin = ChainComplex({0: 1}, {}, W)
     assert zero_map((small,), small, 0) == zero_map((twin,), twin, 0)
+
+
+def test_add_rejects_an_incompatible_map():
+    u = ChainComplex({0: 1}, {}, B)
+    with pytest.raises(ValueError, match=r"^incompatible multilinear maps$"):
+        identity_map(u).add(zero_map((u,), u, 1))
+
+
+def test_compose_maps_counts_the_inner_maps():
+    u = ChainComplex({0: 1}, {}, B)
+    mu = MultilinearMap((u, u), u, 0, {(0, 0): [[1]]})
+    with pytest.raises(ValueError, match=r"^expected 2 inner maps, got 1$"):
+        compose_maps(mu, [identity_map(u)])
+
+
+@pytest.mark.parametrize("degree, arity", [(1, 2), (0, 1)], ids=["degree", "arity"])
+def test_representation_rejects_an_image_of_the_wrong_degree_or_arity(degree, arity):
+    u = ChainComplex({0: 1, 1: 1}, {}, B)
+    image = zero_map((u,) * arity, u, degree)
+    with pytest.raises(ValueError, match=r"^image of mu_2 has wrong degree or arity$"):
+        Representation(build_ainf(2), {B: u}, {"mu_2": image})

@@ -37,7 +37,6 @@ from operadkit.tails import (
     build_model_iso_principal,
     principal_part_btow,
     solve_tail,
-    theta_substitution,
 )
 
 from test_core import normalize_bw
@@ -372,18 +371,18 @@ def hm4(bw4):
     return build_model_homotopy(bw4, 4)
 
 
-def test_homotopy_theta_substitution(bw4):
-    hm = build_model_homotopy(bw4, 2)
-    gens = hm.base
-    # theta_p sends f to p and bar copies to the p family
-    f_elem = OperadElement.from_generator(bw4.base, "f")
-    assert theta_substitution(bw4, f_elem, gens, "p") == OperadElement.from_generator(
-        gens, "p"
-    )
-    bar = OperadElement.from_generator(bw4.base, "mu_2_bar")
-    assert theta_substitution(bw4, bar, gens, "p") == OperadElement.from_generator(
-        gens, "mu_2_p"
-    )
+@pytest.mark.parametrize("letter", ["p", "q"])
+def test_homotopy_letter_images_are_the_renamed_bar_images(bw4, hm4, letter):
+    # theta_letter sends f to the letter and each x_bar to x_letter, and
+    # keeps the colour copies; D(x_letter) is D(x_bar) renamed by it, and
+    # renaming back recovers D(x_bar) in the morphism model
+    theta = {"f": letter, **{f"mu_{k}_bar": f"mu_{k}_{letter}" for k in range(2, 5)}}
+    back = {v: k for k, v in theta.items()}
+    for k in range(2, 5):
+        image = hm4.of(f"mu_{k}_{letter}")
+        assert not image.is_zero()
+        assert image == rename_element(bw4.of(f"mu_{k}_bar"), hm4.base, theta)
+        assert rename_element(image, bw4.base, back) == bw4.of(f"mu_{k}_bar")
 
 
 def test_homotopy_tail_report(hm4):
@@ -651,3 +650,12 @@ def test_btow_over_negative_degrees_builds_without_a_cutoff():
     assert [len(t.terms) for t in hm.tails.values()] == [0, 6, 20]
     digest = hashlib.sha256(json.dumps(model_to_json(hm), indent=2).encode()).hexdigest()
     assert digest == "f5302fe40a29cf0d020cbc6d44d76476099d36b6ed45b192d9f4c09f9f9f4b1e"
+
+
+def test_btow_rejects_a_two_coloured_base():
+    gens = GeneratorSet(
+        ("A", "C"),
+        [GeneratorSpec("m", Signature("A", ("A", "A")), 0), GeneratorSpec("n", Signature("C", ("C", "C")), 0)],
+    )
+    with pytest.raises(ValueError, match=r"^base model must be single-colored$"):
+        build_model_btow(DerivationDifferential(gens, {}), 2)

@@ -761,3 +761,20 @@ def test_extend_layer_adds_the_terms_that_meet(monkeypatch):
 def test_extend_layer_finds_no_solution_on_a_corrupted_quasi_isomorphism():
     rep = corrupted_quism_state().representation(3)
     assert extend_layer(rep, ["nu_3", "f_3"]) is None
+
+
+@pytest.mark.parametrize("degree, arity", [(1, 1), (0, 2)], ids=["degree", "arity"])
+def test_is_quasi_iso_needs_a_unary_degree_zero_map(degree, arity):
+    u = ChainComplex({0: 1, 1: 1}, {}, W)
+    with pytest.raises(ValueError, match=r"^expected an arity-1 degree-0 map$"):
+        is_quasi_iso(zero_map((u,) * arity, u, degree))
+
+
+def test_find_homotopy_needs_a_closed_map():
+    # g is the identity on degree 0 and zero on degree 1, so d(g) sends
+    # the degree-1 generator to -g(d x_1) = -x_0
+    u = ChainComplex({0: 1, 1: 1}, {1: [[1]]}, W)
+    g = MultilinearMap((u,), u, 0, {(0,): [[1]]})
+    assert not hom_differential(g).is_zero()
+    with pytest.raises(ValueError, match=r"^the target of find_homotopy must be closed$"):
+        find_homotopy(g)
